@@ -61,6 +61,11 @@ class ExperimentConfig:
     two_coeff: float = -0.7071067811865476
     out: str | None = None
 
+    def __post_init__(self):
+        for name in ("trials", "batch", "max_trials", "target_errors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     @property
     def t_s(self) -> float:
         return self.n / self.sample_rate
@@ -83,7 +88,10 @@ class ExperimentConfig:
                            t_s=self.t_s, chirp=chirp)
 
     def sha(self) -> str:
-        return hashlib.sha1(repr(self).encode()).hexdigest()[:12]
+        """Hash of the result-relevant fields: ``workers`` and ``out`` do not
+        change the rows, so they are reset before hashing."""
+        relevant = replace(self, workers=1, out=None)
+        return hashlib.sha1(repr(relevant).encode()).hexdigest()[:12]
 
 
 _DESK_DELTAS = {2: 15, 5: 10}

@@ -1,7 +1,13 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chirpim
 from chirpim.cli import main
 from chirpim.config import desk_preset, load_config, paper_preset, preset
 from chirpim.modem import Scheme
@@ -155,6 +161,32 @@ path = out.csv
     assert cfg.m == 64  # untouched desk value
 
 
+@pytest.mark.parametrize("field", ["trials", "batch", "max_trials", "target_errors"])
+def test_config_rejects_zero_counts(field):
+    with pytest.raises(ValueError, match=field):
+        desk_preset(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        replace(desk_preset(), **{field: -1})
+
+
+def test_config_sha_ignores_workers_and_out():
+    cfg = desk_preset()
+    assert cfg.sha() == "f64f15ff0c05"
+    assert replace(cfg, workers=2).sha() == cfg.sha()
+    assert replace(cfg, out="rows.csv").sha() == cfg.sha()
+    assert replace(cfg, seed=2).sha() != cfg.sha()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(chirpim.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import chirpim, chirpim.runners, chirpim.cli; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_config_pdp_parsing(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("""
@@ -189,6 +221,17 @@ def test_csv_independent_of_worker_count(tmp_path, monkeypatch):
     monkeypatch.setenv("CHIRPIM_WORKERS", "2")
     run_radar_rmse(cfg, "single", out=str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_csv_independent_of_workers_flag(tmp_path):
+    paths = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["radar-rmse", "--preset", "desk", "--L", "1", "--trials", "70",
+                     "--snrs", "20", "--seed", "3", "--workers", workers,
+                     "--out", str(out)]) == 0
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_bler_stopping_rule_independent_of_workers(tmp_path, monkeypatch):
