@@ -127,25 +127,11 @@ def sinusoidal_chirp_coeffs(d: float, k: np.ndarray) -> np.ndarray:
     return jv(k, d / 2.0).astype(complex)
 
 
-def fourier_coeffs_linear(spec: ChirpSpec) -> np.ndarray:
-    """Linear-chirp coefficients over the spec's bin window."""
-    if spec.family is not ChirpFamily.LINEAR:
-        raise ValueError("spec is not a linear chirp")
-    return linear_chirp_coeffs(spec.d, spec.k)
-
-
-def fourier_coeffs_sinusoidal(spec: ChirpSpec) -> np.ndarray:
-    """Sinusoidal-chirp coefficients over the spec's bin window."""
-    if spec.family is not ChirpFamily.SINUSOIDAL:
-        raise ValueError("spec is not a sinusoidal chirp")
-    return sinusoidal_chirp_coeffs(spec.d, spec.k)
-
-
 def fourier_coeffs(spec: ChirpSpec) -> np.ndarray:
     """Raw (unnormalized) chirp Fourier coefficients over l_d..l_u."""
     if spec.family is ChirpFamily.LINEAR:
-        return fourier_coeffs_linear(spec)
-    return fourier_coeffs_sinusoidal(spec)
+        return linear_chirp_coeffs(spec.d, spec.k)
+    return sinusoidal_chirp_coeffs(spec.d, spec.k)
 
 
 @dataclass(frozen=True)

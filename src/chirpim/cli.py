@@ -50,15 +50,15 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         updates["scheme"] = Scheme(args.scheme)
     if args.family:
         updates["family"] = ChirpFamily(args.family)
-    if args.length:
+    if args.length is not None:
         updates["length"] = args.length
     if args.delta is not None:
         updates["delta"] = args.delta
-    if args.trials:
+    if args.trials is not None:
         updates["trials"] = args.trials
     if args.snrs:
         updates["snr_db"] = tuple(float(s) for s in args.snrs.split(","))
-    if args.workers:
+    if args.workers is not None:
         updates["workers"] = args.workers
     return replace(cfg, **updates) if updates else cfg
 

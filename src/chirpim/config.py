@@ -62,7 +62,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("trials", "batch", "max_trials", "target_errors"):
+        for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -154,49 +154,60 @@ def _pdp(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(taps)
 
 
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# (section, key) -> (ExperimentConfig field, parser); see docs/formats.md
+_INI_KEYS = {
+    ("waveform", "preset"): ("preset", str),
+    ("waveform", "scheme"): ("scheme", Scheme),
+    ("waveform", "family"): ("family", ChirpFamily),
+    ("waveform", "m"): ("m", int),
+    ("waveform", "n"): ("n", int),
+    ("waveform", "n_cp"): ("n_cp", int),
+    ("waveform", "l"): ("length", int),
+    ("waveform", "h"): ("h", int),
+    ("waveform", "delta"): ("delta", int),
+    ("waveform", "d"): ("d", float),
+    ("waveform", "sample_rate_hz"): ("sample_rate", float),
+    ("waveform", "carrier_hz"): ("f_c", float),
+    ("sweep", "snr_db"): ("snr_db", _floats),
+    ("sweep", "ebn0_db"): ("ebn0_db", _floats),
+    ("sweep", "spacing_rmin"): ("spacing_rmin", _floats),
+    ("sweep", "resolution_snr_db"): ("resolution_snr_db", float),
+    ("montecarlo", "trials"): ("trials", int),
+    ("montecarlo", "target_errors"): ("target_errors", int),
+    ("montecarlo", "max_trials"): ("max_trials", int),
+    ("montecarlo", "batch"): ("batch", int),
+    ("montecarlo", "seed"): ("seed", int),
+    ("montecarlo", "workers"): ("workers", int),
+    ("channel", "fading"): ("fading", _flag),
+    ("channel", "pdp"): ("pdp", _pdp),
+    ("radar", "single_range_m"): ("single_range_m", _floats),
+    ("radar", "two_range_m"): ("two_range_m", _floats),
+    ("radar", "two_spacing_rmin"): ("two_spacing_rmin", _floats),
+    ("radar", "single_coeff"): ("single_coeff", float),
+    ("radar", "two_coeff"): ("two_coeff", float),
+    ("output", "path"): ("out", str),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read a flat INI config; unset keys fall back to the preset."""
+    """Read a flat INI config; unset keys fall back to the preset, unknown
+    sections and keys are rejected by name."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         parser.read_file(fh)
-    wf = parser["waveform"] if parser.has_section("waveform") else {}
-    cfg = preset(wf.get("preset", "desk"))
-
-    def get(section, key, conv, current):
-        if parser.has_section(section) and key in parser[section]:
-            return conv(parser[section][key])
-        return current
-
-    cfg = replace(
-        cfg,
-        scheme=Scheme(get("waveform", "scheme", str, cfg.scheme.value)),
-        family=ChirpFamily(get("waveform", "family", str, cfg.family.value)),
-        m=get("waveform", "m", int, cfg.m),
-        n=get("waveform", "n", int, cfg.n),
-        n_cp=get("waveform", "n_cp", int, cfg.n_cp),
-        length=get("waveform", "l", int, cfg.length),
-        h=get("waveform", "h", int, cfg.h),
-        delta=get("waveform", "delta", int, cfg.delta),
-        d=get("waveform", "d", float, cfg.d),
-        sample_rate=get("waveform", "sample_rate_hz", float, cfg.sample_rate),
-        f_c=get("waveform", "carrier_hz", float, cfg.f_c),
-        snr_db=get("sweep", "snr_db", _floats, cfg.snr_db),
-        ebn0_db=get("sweep", "ebn0_db", _floats, cfg.ebn0_db),
-        spacing_rmin=get("sweep", "spacing_rmin", _floats, cfg.spacing_rmin),
-        resolution_snr_db=get("sweep", "resolution_snr_db", float, cfg.resolution_snr_db),
-        trials=get("montecarlo", "trials", int, cfg.trials),
-        target_errors=get("montecarlo", "target_errors", int, cfg.target_errors),
-        max_trials=get("montecarlo", "max_trials", int, cfg.max_trials),
-        batch=get("montecarlo", "batch", int, cfg.batch),
-        seed=get("montecarlo", "seed", int, cfg.seed),
-        workers=get("montecarlo", "workers", int, cfg.workers),
-        fading=get("channel", "fading", lambda s: s.lower() in ("1", "true", "yes"), cfg.fading),
-        pdp=get("channel", "pdp", _pdp, cfg.pdp),
-        single_range_m=get("radar", "single_range_m", lambda s: tuple(_floats(s)), cfg.single_range_m),
-        two_range_m=get("radar", "two_range_m", lambda s: tuple(_floats(s)), cfg.two_range_m),
-        two_spacing_rmin=get("radar", "two_spacing_rmin", lambda s: tuple(_floats(s)), cfg.two_spacing_rmin),
-        single_coeff=get("radar", "single_coeff", float, cfg.single_coeff),
-        two_coeff=get("radar", "two_coeff", float, cfg.two_coeff),
-        out=get("output", "path", str, cfg.out),
-    )
-    return cfg
+    sections = {section for section, _ in _INI_KEYS}
+    unknown = [f"section [{section}]" for section in parser.sections()
+               if section not in sections]
+    unknown += [f"key {key!r} in [{section}]" for section in parser.sections()
+                if section in sections for key in parser[section]
+                if (section, key) not in _INI_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown {', '.join(unknown)}")
+    values = {field: conv(parser[section][key])
+              for (section, key), (field, conv) in _INI_KEYS.items()
+              if parser.has_option(section, key)}
+    return replace(preset(values.get("preset", "desk")), **values)

@@ -9,12 +9,14 @@ IDFT, cyclic prefix):
 * ``OFDM_IM``     - symbols mapped straight onto subcarriers, no spreading.
 
 The spread schemes are received with a single-tap LMMSE frequency-domain
-equalizer followed by an M-point IDFT and a per-bin ML detector; OFDM-IM
-uses a per-subcarrier ML detector that folds in the channel response.
+equalizer followed by an M-point IDFT; OFDM-IM folds the channel response
+into per-subcarrier metrics instead. Either way one batched detector,
+:func:`detect_words_batch`, picks L (bin, phase) pairs per frame under the
+index-separation constraint, and :func:`rx_frame` is a batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -35,10 +37,6 @@ class Scheme(str, Enum):
     @property
     def spreads(self) -> bool:
         return self is not Scheme.OFDM_IM
-
-
-class DetectionStuck(RuntimeError):
-    """Greedy separation-constrained detection ran out of feasible bins."""
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,6 @@ class ModemConfig:
     @property
     def t_cp(self) -> float:
         return self.n_cp / self.sample_rate
-
-
-@dataclass(frozen=True)
-class EqualizedSymbols:
-    """Post-IDFT modulation-symbol estimates and the analytical SNR of the
-    single-tap MMSE chain they came out of."""
-
-    y: np.ndarray
-    snr_post: float | np.ndarray
 
 
 def encode(bits, cfg: ModemConfig) -> tuple[IndexWord, np.ndarray]:
@@ -178,12 +167,13 @@ def post_equalization_snr(fdss: FdssProfile, sigma2: float, h_c=None):
     return snr if np.ndim(snr) else float(snr)
 
 
-def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> EqualizedSymbols:
+def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> np.ndarray:
     """Single-tap LMMSE FDE followed by the M-point IDFT.
 
     Per bin: v_k = conj(H_k g_k) / (|H_k g_k|^2 + sigma2) * b_k, then v is
     placed at IDFT position k mod M and transformed back, recovering the
-    modulation-symbol estimates y_l (exactly d in noiseless AWGN).
+    modulation-symbol estimates y_l (exactly d in noiseless AWGN); their SNR
+    is :func:`post_equalization_snr`.
     """
     if sigma2 < 0:
         raise ValueError("noise variance must be >= 0")
@@ -195,69 +185,13 @@ def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> Equa
     w = np.divide(np.conj(c), denom, out=np.zeros_like(c), where=denom > 0)
     grid = np.zeros_like(b)
     grid[..., fdss.k % m] = w * b
-    y = np.fft.ifft(grid, axis=-1) * np.sqrt(m)
-    return EqualizedSymbols(y=y, snr_post=post_equalization_snr(fdss, sigma2, h_c=h_c))
+    return np.fft.ifft(grid, axis=-1) * np.sqrt(m)
 
 
 def _psk_metrics(y: np.ndarray, h: int) -> np.ndarray:
     """t_{l,z} = Re(y_l e^{-j2pi z/H}) for every bin l and phase integer z."""
     phases = np.exp(-2j * np.pi * np.arange(h) / h)
     return np.real(y[..., :, None] * phases)
-
-
-def _cyclic_ok(cand: int, picks: list[int], m: int, delta: int) -> bool:
-    for p in picks:
-        dist = abs(cand - p)
-        if min(dist, m - dist) < delta + 1:
-            return False
-    return True
-
-
-def _select_word(metrics: np.ndarray, cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pick L (bin, phase) pairs from an (M, H) metric table.
-
-    Unconstrained: per-bin best phase, then the L best bins. Separation
-    delta >= 1: greedy, each new bin must keep cyclic distance >= delta+1
-    to all earlier picks. Ties resolve to the lowest bin then lowest phase.
-    """
-    best_z = np.argmax(metrics, axis=-1)
-    best_v = np.take_along_axis(metrics, best_z[..., None], axis=-1)[..., 0]
-    order = np.argsort(-best_v, kind="stable")
-    if cfg.delta == 0:
-        chosen = order[: cfg.length]
-    else:
-        picks: list[int] = []
-        for cand in order:
-            if _cyclic_ok(int(cand), picks, cfg.m, cfg.delta):
-                picks.append(int(cand))
-                if len(picks) == cfg.length:
-                    break
-        if len(picks) < cfg.length:
-            raise DetectionStuck(
-                f"only {len(picks)} of {cfg.length} bins satisfy separation {cfg.delta}")
-        chosen = np.array(picks)
-    chosen = np.sort(chosen)
-    return chosen, best_z[chosen]
-
-
-def ml_detect(eq: EqualizedSymbols, cfg: ModemConfig) -> IndexWord:
-    """Per-bin ML detection without an index constraint (delta = 0 path):
-    evaluates Re(y_l e^{-j2pi z/H}) for all (l, z) and keeps the L best bins."""
-    if cfg.delta != 0:
-        raise ValueError("config carries a separation constraint; use ml_detect_is")
-    idx, psk = _select_word(_psk_metrics(np.asarray(eq.y), cfg.h), cfg)
-    return IndexWord(indices=tuple(int(i) for i in idx), psk=tuple(int(z) for z in psk),
-                     m=cfg.m, h=cfg.h, delta=0)
-
-
-def ml_detect_is(eq: EqualizedSymbols, cfg: ModemConfig) -> IndexWord:
-    """Greedy separation-aware detection: repeatedly take the best (bin,
-    phase) pair whose cyclic distance to every earlier pick is >= delta+1."""
-    if cfg.delta < 1:
-        raise ValueError("ml_detect_is needs delta >= 1")
-    idx, psk = _select_word(_psk_metrics(np.asarray(eq.y), cfg.h), cfg)
-    return IndexWord(indices=tuple(int(i) for i in idx), psk=tuple(int(z) for z in psk),
-                     m=cfg.m, h=cfg.h, delta=cfg.delta)
 
 
 def _ofdm_im_metrics(b: np.ndarray, h_c, cfg: ModemConfig) -> np.ndarray:
@@ -272,46 +206,38 @@ def _ofdm_im_metrics(b: np.ndarray, h_c, cfg: ModemConfig) -> np.ndarray:
     return 2.0 * np.sqrt(cfg.e_s) * corr - cfg.e_s * (np.abs(hc) ** 2)[..., :, None]
 
 
-def rx_bins(b: np.ndarray, h_c, sigma2: float, cfg: ModemConfig) -> IndexWord:
-    """Detect one frame from its received frequency-domain bins."""
-    if cfg.scheme.spreads:
-        eq = equalize_lmmse(b, h_c, cfg.fdss, sigma2)
-        return ml_detect_is(eq, cfg) if cfg.delta >= 1 else ml_detect(eq, cfg)
-    metrics = _ofdm_im_metrics(np.asarray(b, dtype=complex), h_c, cfg)
-    idx, psk = _select_word(metrics, cfg)
-    return IndexWord(indices=tuple(int(i) for i in idx), psk=tuple(int(z) for z in psk),
-                     m=cfg.m, h=cfg.h, delta=cfg.delta)
-
-
 def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
                        cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Detect a batch of frames from bins ``b`` of shape (B, M).
 
-    Returns (indices, psk) int arrays of shape (B, L). The unconstrained
-    path is fully vectorized; the separation-aware path runs the greedy
-    search per frame and falls back to the unconstrained pick for frames
-    where it gets stuck.
+    Returns (indices, psk) int arrays of shape (B, L), indices ascending.
+    Each bin keeps its best phase; the L best bins win, ties going to the
+    lowest bin. Under a separation delta >= 1 the L picks are greedy: each
+    is the best bin left after masking every bin within cyclic distance
+    delta of the earlier picks. A row that runs out of bins falls back to
+    the unconstrained pick, which then breaks the separation.
     """
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     if cfg.scheme.spreads:
-        metrics = _psk_metrics(equalize_lmmse(b, h_c, cfg.fdss, sigma2).y, cfg.h)
+        metrics = _psk_metrics(equalize_lmmse(b, h_c, cfg.fdss, sigma2), cfg.h)
     else:
         metrics = _ofdm_im_metrics(b, h_c, cfg)
-    if cfg.delta == 0:
-        best_z = np.argmax(metrics, axis=-1)
-        best_v = np.take_along_axis(metrics, best_z[..., None], axis=-1)[..., 0]
-        top = np.sort(np.argsort(-best_v, axis=-1, kind="stable")[:, : cfg.length], axis=-1)
-        return top, np.take_along_axis(best_z, top, axis=-1)
-    out_i = np.empty((len(metrics), cfg.length), dtype=np.int64)
-    out_z = np.empty_like(out_i)
-    unconstrained = replace(cfg, delta=0)
-    for row, table in enumerate(metrics):
-        try:
-            idx, psk = _select_word(table, cfg)
-        except DetectionStuck:
-            idx, psk = _select_word(table, unconstrained)
-        out_i[row], out_z[row] = idx, psk
-    return out_i, out_z
+    best_z = np.argmax(metrics, axis=-1)
+    best_v = np.take_along_axis(metrics, best_z[..., None], axis=-1)[..., 0]
+    top = np.argsort(-best_v, axis=-1, kind="stable")[:, : cfg.length]
+    if cfg.delta:
+        bins = np.arange(cfg.m)
+        free = np.ones(best_v.shape, dtype=bool)
+        stuck = np.zeros(len(best_v), dtype=bool)
+        picks = np.empty_like(top)
+        for j in range(cfg.length):
+            stuck |= ~free.any(axis=1)
+            picks[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
+            dist = np.abs(bins - picks[:, j, None])
+            free &= np.minimum(dist, cfg.m - dist) > cfg.delta
+        top = np.where(stuck[:, None], top, picks)
+    top = np.sort(top, axis=-1)
+    return top, np.take_along_axis(best_z, top, axis=-1)
 
 
 def word_bits_folded(word: IndexWord, cfg: ModemConfig) -> np.ndarray:
@@ -331,15 +257,16 @@ def word_bits_folded(word: IndexWord, cfg: ModemConfig) -> np.ndarray:
 def rx_frame(frame: FrameSignal, h_c, sigma2: float, cfg: ModemConfig) -> np.ndarray:
     """Full receiver: time-domain frame -> bins -> equalize/detect -> bits.
 
-    If the greedy separation-aware search gets stuck (possible only for
-    L >= 3 under heavy noise), the unconstrained detector stands in; the
-    frame is almost surely in error at that point anyway.
+    One frame is a batch of one through :func:`detect_words_batch`. A word
+    that breaks the separation is a fallback pick (possible only for
+    L >= 3 under heavy noise); its rank is read without the constraint
+    before folding, and the frame is almost surely in error anyway.
     """
-    b = extract_bins(frame, cfg)
-    try:
-        word = rx_bins(b, h_c, sigma2, cfg)
-    except DetectionStuck:
-        word = rx_bins(b, h_c, sigma2, replace(cfg, delta=0))
+    idx, psk = detect_words_batch(extract_bins(frame, cfg), h_c, sigma2, cfg)
+    idx, psk = idx[0], psk[0]
+    gaps = np.diff(idx, append=idx[0] + cfg.m) - 1
+    word = IndexWord(indices=tuple(int(i) for i in idx), psk=tuple(int(z) for z in psk),
+                     m=cfg.m, h=cfg.h, delta=cfg.delta if gaps.min() >= cfg.delta else 0)
     return word_bits_folded(word, cfg)
 
 

@@ -6,11 +6,13 @@ b = W T a + n, where column s of T is the delay steering vector
     c(tau_s) = e^{-j2pi f_c tau_s} [e^{-j2pi l_d tau_s/T_s}, ...,
                                     e^{-j2pi l_u tau_s/T_s}]^T.
 
-Matched-filter estimation maximizes |Re{c(tau)^H W^H b}| over the CP span
-and divides out w^H w for the coefficient. Multiple targets are handled by
-successive cancellation plus re-estimation passes. An LMMSE variant first
-deconvolves the waveform (h~_k = w_k^* b_k / (|w_k|^2 + sigma2)) and runs
-the same delay search on the channel estimate.
+Matched-filter estimation (:func:`estimate_multi_mf`, which is also the
+single-target estimator) maximizes |Re{c(tau)^H W^H b}| over the CP span
+and divides out w^H w for the coefficient. More than one target is handled
+by successive cancellation plus re-estimation passes. An LMMSE variant
+(:func:`estimate_lmmse`) first deconvolves the waveform
+(h~_k = w_k^* b_k / (|w_k|^2 + sigma2)) and runs the same delay search on
+the channel estimate.
 
 The search is three-phase. The carrier phase factors out of
 |c(tau)^H W^H b| as a pure rotation, so a coarse grid plus zooming on the
@@ -23,7 +25,7 @@ Every stage samples sum_k q_k e^{j2pi k tau/T_s} on a uniform grid
 tau = lo + i step, which is a chirp-z transform of q. Each grid is
 therefore one Bluestein FFT convolution of length about M + P, not a P x M
 steering matrix; the grid points and the argmax rule are those of the
-explicit evaluation.
+explicit evaluation. The grid sizes are the module constants below.
 """
 from __future__ import annotations
 
@@ -72,10 +74,9 @@ class TargetEstimate:
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """Per-target estimates sorted by delay, plus the search resolution."""
+    """Per-target estimates sorted by delay, plus the last search step."""
 
     targets: tuple[TargetEstimate, ...]
-    grid_step: float
     final_step: float
 
     @property
@@ -91,25 +92,21 @@ class EstimateSet:
         return np.array([t.distance for t in self.targets])
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Delay-search resolution knobs.
-
-    The coarse step is 1/(2B) with B the bin-span bandwidth M/T_s. Envelope
-    zoom stages shrink the step by ``env_zoom`` until it is below
-    1/(env_margin * f_c); the carrier stages then sample the full metric
-    across +-carrier_halfspan cycles and zoom twice more.
-    """
-
-    coarse_halfbin: float = 0.5
-    env_points: int = 65
-    env_margin: float = 16.0
-    carrier_halfspan: float = 0.6
-    carrier_points: int = 193
-    carrier_zoom: int = 16
-    carrier_stages: int = 2
-    max_targets: int = 16
-    update_passes: int = 2
+# Delay-search resolution. The coarse step is COARSE_HALFBIN / B with B the
+# bin-span bandwidth M/T_s. Envelope zooms sample ENV_POINTS points across
+# +-1 step until the step is below 1/(ENV_MARGIN f_c); the carrier stages
+# then sample the full metric on CARRIER_POINTS points across
+# +-CARRIER_HALFSPAN cycles and zoom CARRIER_STAGES more times.
+COARSE_HALFBIN = 0.5
+ENV_POINTS = 65
+ENV_MARGIN = 16.0
+CARRIER_HALFSPAN = 0.6
+CARRIER_POINTS = 193
+CARRIER_STAGES = 2
+# Successive cancellation handles up to MAX_TARGETS targets, then runs
+# UPDATE_PASSES re-estimation passes when there is more than one.
+MAX_TARGETS = 16
+UPDATE_PASSES = 2
 
 
 def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
@@ -164,121 +161,97 @@ def _window(q: np.ndarray, lo: float, hi: float, points: int,
     return float(np.linspace(lo, hi, points)[np.argmax(metric)]), step
 
 
-def _search_delay(q: np.ndarray, obs: RadarObservation,
-                  search: SearchConfig) -> tuple[float, float, float]:
+def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[float, float]:
     """Three-phase delay search of the generic metric vector q
     (q = conj(w) * b for the MF, q = h~ for the LMMSE variant).
 
-    Returns (tau_hat, coarse_step, final_step).
+    Returns (tau_hat, final_step).
     """
     span = int(obs.k.max() - obs.k.min() + 1)
-    coarse_step = search.coarse_halfbin * obs.t_s / span
+    coarse_step = COARSE_HALFBIN * obs.t_s / span
     taus = np.arange(0.0, obs.t_cp, coarse_step)
     metric = _grid_metric(q, 0.0, coarse_step, len(taus), obs, envelope=True)
     best = float(taus[np.argmax(metric)])
 
     # envelope zoom until the step is well inside a carrier half-cycle
     step = coarse_step
-    target = 1.0 / (search.env_margin * obs.f_c)
+    target = 1.0 / (ENV_MARGIN * obs.f_c)
     while step > target:
         best, step = _window(q, max(best - step, 0.0), min(best + step, obs.t_cp),
-                             search.env_points, obs, envelope=True)
+                             ENV_POINTS, obs, envelope=True)
 
     # full metric across the carrier lobes nearest the envelope peak
-    half = search.carrier_halfspan / obs.f_c
+    half = CARRIER_HALFSPAN / obs.f_c
     best, step = _window(q, max(best - half, 0.0), min(best + half, obs.t_cp),
-                         search.carrier_points, obs, envelope=False)
-    for _ in range(search.carrier_stages):
+                         CARRIER_POINTS, obs, envelope=False)
+    for _ in range(CARRIER_STAGES):
         best, step = _window(q, max(best - step, 0.0), min(best + step, obs.t_cp),
-                             search.carrier_points, obs, envelope=False)
-    return best, coarse_step, step
+                             CARRIER_POINTS, obs, envelope=False)
+    return best, step
 
 
-def _single(q: np.ndarray, obs: RadarObservation, search: SearchConfig,
-            coeff_denom: float) -> tuple[TargetEstimate, float, float]:
-    tau, coarse, final = _search_delay(q, obs, search)
-    inner = np.sum(np.conj(obs.steering(tau)) * q)
-    coeff = float(np.real(inner)) / coeff_denom
-    return TargetEstimate(delay=tau, coeff=coeff), coarse, final
-
-
-def estimate_single_mf(obs: RadarObservation,
-                       search: SearchConfig | None = None) -> EstimateSet:
-    """One-target matched-filter estimate: coarse grid over [0, T_cp),
-    envelope zoom, carrier-phase refinement."""
-    search = search or SearchConfig()
-    w2 = float(np.real(np.vdot(obs.w, obs.w)))
-    if w2 == 0:
-        raise ValueError("reference bins are all zero")
-    est, coarse, final = _single(np.conj(obs.w) * obs.b, obs, search, w2)
-    return EstimateSet(targets=(est,), grid_step=coarse, final_step=final)
-
-
-def _cancel_and_update(obs: RadarObservation, n_targets: int, search: SearchConfig,
-                       estimate_one) -> EstimateSet:
+def _cancel_and_update(obs: RadarObservation, n_targets: int, estimate_one) -> EstimateSet:
     """Successive cancellation, then fixed re-estimation passes where each
     target is re-sought on the observation minus all other reconstructions."""
-    if not 1 <= n_targets <= search.max_targets:
-        raise ValueError(f"target count {n_targets} outside 1..{search.max_targets}")
+    if not 1 <= n_targets <= MAX_TARGETS:
+        raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
 
     def reconstruct(est: TargetEstimate) -> np.ndarray:
         return est.coeff * obs.w * obs.steering(est.delay)
 
     residual = obs.b.copy()
     ests: list[TargetEstimate] = []
-    coarse = final = 0.0
     for _ in range(n_targets):
-        est, coarse, final = estimate_one(residual, search)
+        est, final = estimate_one(residual)
         ests.append(est)
         residual = residual - reconstruct(est)
-    for _ in range(search.update_passes if n_targets > 1 else 0):
+    for _ in range(UPDATE_PASSES if n_targets > 1 else 0):
         for s in range(n_targets):
             others = sum((reconstruct(ests[j]) for j in range(n_targets) if j != s),
                          np.zeros_like(obs.b))
-            ests[s], coarse, final = estimate_one(obs.b - others, search)
+            ests[s], final = estimate_one(obs.b - others)
     ests.sort(key=lambda e: e.delay)
-    return EstimateSet(targets=tuple(ests), grid_step=coarse, final_step=final)
+    return EstimateSet(targets=tuple(ests), final_step=final)
 
 
-def estimate_multi_mf(obs: RadarObservation, n_targets: int,
-                      search: SearchConfig | None = None) -> EstimateSet:
-    """Matched-filter estimation of ``n_targets`` targets via successive
-    cancellation plus re-estimation passes (reduces to the single-target
-    search when n_targets = 1)."""
-    search = search or SearchConfig()
+def estimate_multi_mf(obs: RadarObservation, n_targets: int) -> EstimateSet:
+    """Matched-filter estimation of ``n_targets`` targets: the delay search
+    on q = conj(w) * b, the coefficient Re{c(tau)^H q} / (w^H w), successive
+    cancellation plus re-estimation passes when n_targets > 1."""
     w2 = float(np.real(np.vdot(obs.w, obs.w)))
     if w2 == 0:
         raise ValueError("reference bins are all zero")
 
-    def one(b_cur, cfg):
-        return _single(np.conj(obs.w) * b_cur, obs, cfg, w2)
+    def one(b_cur):
+        q = np.conj(obs.w) * b_cur
+        tau, final = _search_delay(q, obs)
+        inner = np.sum(np.conj(obs.steering(tau)) * q)
+        return TargetEstimate(delay=tau, coeff=float(np.real(inner)) / w2), final
 
-    return _cancel_and_update(obs, n_targets, search, one)
+    return _cancel_and_update(obs, n_targets, one)
 
 
-def estimate_lmmse(obs: RadarObservation, n_targets: int = 1,
-                   search: SearchConfig | None = None) -> EstimateSet:
+def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
     """Range estimation on the LMMSE channel estimate.
 
     Per bin h~_k = w_k^* b_k / (|w_k|^2 + sigma2); the delay search runs on
     h~ (waveform deconvolved), and the coefficient uses the matched-filter
     inner product with the regularized denominator w^H w + sigma2.
     """
-    search = search or SearchConfig()
     w2 = np.abs(obs.w) ** 2
     denom_w = float(w2.sum() + obs.sigma2)
     if denom_w == 0:
         raise ValueError("reference bins are all zero and sigma2 = 0")
     per_bin = w2 + obs.sigma2
 
-    def one(b_cur, cfg):
+    def one(b_cur):
         h_est = np.divide(np.conj(obs.w) * b_cur, per_bin,
                           out=np.zeros_like(b_cur), where=per_bin > 0)
-        tau, coarse, final = _search_delay(h_est, obs, cfg)
+        tau, final = _search_delay(h_est, obs)
         inner = np.sum(np.conj(obs.steering(tau)) * np.conj(obs.w) * b_cur)
-        return TargetEstimate(delay=tau, coeff=float(np.real(inner)) / denom_w), coarse, final
+        return TargetEstimate(delay=tau, coeff=float(np.real(inner)) / denom_w), final
 
-    return _cancel_and_update(obs, n_targets, search, one)
+    return _cancel_and_update(obs, n_targets, one)
 
 
 def _weights(w_or_fdss) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force or first principles: Fourier
 coefficients by composite Gauss-Legendre quadrature of the chirp phase,
 index sets by filtering all combinations, ML detection by enumerating every
-hypothesis. None of it shares code with the library paths under test.
+hypothesis, the greedy separation-aware detector as a plain Python loop.
+None of it shares code with the library paths under test.
 """
 from __future__ import annotations
 
@@ -89,3 +90,46 @@ def exhaustive_ml(y: np.ndarray, m: int, length: int, h: int,
             if metric > best[0]:
                 best = (metric, combo, zs)
     return best[1], best[2], best[0]
+
+
+def psk_metric_table(y, h: int) -> list[list[float]]:
+    """Per-bin table Re(y_l e^{-j 2 pi z / H}) for the spread schemes."""
+    return [[float(np.real(v * np.exp(-2j * np.pi * z / h))) for z in range(h)] for v in y]
+
+
+def ofdm_im_metric_table(b, h_c, e_s: float, h: int) -> list[list[float]]:
+    """Per-subcarrier table 2 sqrt(E_s) Re(b_l conj(H_l) e^{-j 2 pi z / H})
+    - E_s |H_l|^2: the part of -||b - diag(H) d||^2 that bin l contributes."""
+    return [[2.0 * np.sqrt(e_s) * float(np.real(bl * np.conj(hl) * np.exp(-2j * np.pi * z / h)))
+             - e_s * abs(hl) ** 2 for z in range(h)] for bl, hl in zip(b, h_c)]
+
+
+def greedy_ml(table, length: int, delta: int):
+    """Plain-loop greedy detector on an (M, H) metric table.
+
+    Each bin keeps its best phase (first maximum). Bins are visited by
+    decreasing value, lowest bin first on ties, and a bin is taken unless it
+    lies within cyclic distance ``delta`` of an earlier pick. If fewer than
+    ``length`` bins get taken, the ``length`` best bins are returned with
+    no separation. Returns (indices ascending, psk, stuck).
+    """
+    m = len(table)
+    best = []
+    for row in table:
+        z_best = 0
+        for z in range(1, len(row)):
+            if row[z] > row[z_best]:
+                z_best = z
+        best.append((row[z_best], z_best))
+    ranked = sorted(range(m), key=lambda l: (-best[l][0], l))
+    picks: list[int] = []
+    for cand in ranked:
+        if len(picks) == length:
+            break
+        if all(min(abs(cand - p), m - abs(cand - p)) > delta for p in picks):
+            picks.append(cand)
+    stuck = len(picks) < length
+    if stuck:
+        picks = ranked[:length]
+    picks.sort()
+    return tuple(picks), tuple(best[l][1] for l in picks), stuck

@@ -4,7 +4,6 @@ import pytest
 
 from chirpim.chirps import (ChirpFamily, ChirpSpec, apac, chirp_fdss,
                             distinct_cs_count, flat_fdss, fourier_coeffs,
-                            fourier_coeffs_linear, fourier_coeffs_sinusoidal,
                             gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
                             sinusoidal_chirp_coeffs, synthesize)
@@ -70,7 +69,7 @@ def test_sinusoidal_center_bin_high_accuracy():
 def test_zero_deviation_is_pure_tone():
     lin = spec(ChirpFamily.LINEAR, 0.0, 8)
     sin = spec(ChirpFamily.SINUSOIDAL, 0.0, 8)
-    for coeffs in (fourier_coeffs_linear(lin), fourier_coeffs_sinusoidal(sin)):
+    for coeffs in (fourier_coeffs(lin), fourier_coeffs(sin)):
         assert coeffs[lin.k == 0] == 1.0
         assert np.all(coeffs[lin.k != 0] == 0.0)
 
@@ -90,13 +89,6 @@ def test_linear_tail_decays():
     f = np.abs(linear_chirp_coeffs(d, np.array([0, edge + 50, edge + 60])))
     assert f[1] / f[0] < 0.12
     assert f[2] / f[0] < 0.10
-
-
-def test_family_mismatch_rejected():
-    with pytest.raises(ValueError):
-        fourier_coeffs_linear(spec(ChirpFamily.SINUSOIDAL, 12.0, 24))
-    with pytest.raises(ValueError):
-        fourier_coeffs_sinusoidal(spec(ChirpFamily.LINEAR, 12.0, 24))
 
 
 def test_spec_invariants():

@@ -44,6 +44,17 @@ def test_cli_rejects_invalid_input(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--trials", "trials must be at least 1"),
+    ("--L", "need 1 <= L"),
+    ("--workers", "workers must be at least 1"),
+])
+def test_cli_rejects_zero_values(flag, message, capsys):
+    # a zero must reach the config, not fall back to the preset's value
+    assert main(["pmepr", flag, "0"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_gcp_check(capsys):
     assert main(["gcp-check", "--D", "12", "--M", "24"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -161,12 +172,26 @@ path = out.csv
     assert cfg.m == 64  # untouched desk value
 
 
-@pytest.mark.parametrize("field", ["trials", "batch", "max_trials", "target_errors"])
+@pytest.mark.parametrize("field", ["trials", "batch", "max_trials", "target_errors",
+                                   "workers"])
 def test_config_rejects_zero_counts(field):
     with pytest.raises(ValueError, match=field):
         desk_preset(**{field: 0})
     with pytest.raises(ValueError, match=field):
         replace(desk_preset(), **{field: -1})
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[waveform]\nschem = ofdm-im\n", "key 'schem' in [waveform]"),
+    ("[montecarlo]\ntirals = 5\n", "key 'tirals' in [montecarlo]"),
+    ("[waveform]\npreset = desk\n[bogus]\nseed = 3\n", "section [bogus]"),
+])
+def test_config_rejects_unknown_names(tmp_path, text, named):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert named in str(err.value)
 
 
 def test_config_sha_ignores_workers_and_out():

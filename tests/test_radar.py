@@ -6,10 +6,10 @@ from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import ChirpFamily, ChirpSpec
 from chirpim.modem import ModemConfig, Scheme, encode, tx_bins
 from chirpim.config import desk_preset
-from chirpim.radar import (RadarObservation, SearchConfig, _grid_metric,
-                           crlb_coeff, crlb_range, crlb_range_no_phase,
-                           estimate_lmmse, estimate_multi_mf,
-                           estimate_single_mf, fim, mf_objective,
+from chirpim import radar
+from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
+                           crlb_range, crlb_range_no_phase, estimate_lmmse,
+                           estimate_multi_mf, fim, mf_objective,
                            min_resolution)
 from chirpim.runners import run_radar_rmse
 from chirpim.util import SPEED_OF_LIGHT
@@ -83,13 +83,13 @@ def test_single_target_noiseless_precision():
     for _ in range(10):
         tau0 = rng.uniform(0.3, 0.7) * T_CP
         scene = scene_of((tau0 * SPEED_OF_LIGHT / 2, 1.0))
-        est = estimate_single_mf(observation(scene, cfg, 0.0, word_rng=rng))
+        est = estimate_multi_mf(observation(scene, cfg, 0.0, word_rng=rng), 1)
         assert abs(est.delays[0] - tau0) < 1e-4 / bandwidth
 
 
 def test_single_target_negative_coefficient_recovered():
     scene = scene_of((1.9, -1.0))
-    est = estimate_single_mf(observation(scene, modem(), 0.0))
+    est = estimate_multi_mf(observation(scene, modem(), 0.0), 1)
     assert est.coeffs[0] < 0
     assert abs(est.coeffs[0] + 1.0) < 1e-3
 
@@ -102,7 +102,7 @@ def test_single_target_high_snr_attains_range_bound():
     for _ in range(300):
         scene = scene_of((rng.uniform(1.0, 2.5), -1.0))
         obs = observation(scene, cfg, sigma2, rng=rng, word_rng=rng)
-        est = estimate_single_mf(obs)
+        est = estimate_multi_mf(obs, 1)
         err2.append((est.distances[0] - scene.distances[0]) ** 2)
         bound.append(crlb_range(scene, (cfg.k, obs.w), sigma2))
     gap_db = 10 * np.log10(np.mean(err2) / np.mean(bound))
@@ -115,7 +115,7 @@ def test_rejects_zero_reference():
                            k=np.arange(-31, 33), sigma2=0.0, f_c=F_C,
                            t_s=T_S, t_cp=T_CP)
     with pytest.raises(ValueError):
-        estimate_single_mf(obs)
+        estimate_multi_mf(obs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +133,25 @@ def test_two_well_separated_targets_recovered():
 
 
 def test_multi_with_one_target_reduces_to_single():
+    # one target: a single delay search, no update pass; the coefficient is
+    # the matched-filter coefficient at the found delay, a grid maximum
     scene = scene_of((1.8, -1.0))
     obs = observation(scene, modem(), 0.0)
-    single = estimate_single_mf(obs)
-    multi = estimate_multi_mf(obs, 1)
-    assert single.delays[0] == multi.delays[0]
-    assert single.coeffs[0] == multi.coeffs[0]
+    est = estimate_multi_mf(obs, 1)
+    tau = est.delays[0]
+    metric, coeff = mf_objective(tau, obs)
+    assert np.isclose(est.coeffs[0], coeff, rtol=1e-12, atol=0.0)
+    for off in (-est.final_step, est.final_step):
+        assert mf_objective(tau + off, obs)[0] <= metric * (1 + 1e-9)
 
 
-def test_second_update_pass_tightens_two_target_estimates():
+def test_second_update_pass_tightens_two_target_estimates(monkeypatch):
     rng = np.random.default_rng(3)
     cfg = modem(length=1)
     r_min = min_resolution(cfg.chirp.bandwidth_hz)
     rmse = {}
     for passes in (1, 2):
+        monkeypatch.setattr(radar, "UPDATE_PASSES", passes)
         rng_t = np.random.default_rng(4)
         err2 = []
         for _ in range(40):
@@ -154,7 +159,7 @@ def test_second_update_pass_tightens_two_target_estimates():
             dr = rng_t.uniform(1.5, 2.0) * r_min
             scene = scene_of((d0, -0.7), (d0 + dr, -0.7))
             obs = observation(scene, cfg, 0.0, word_rng=rng_t)
-            est = estimate_multi_mf(obs, 2, SearchConfig(update_passes=passes))
+            est = estimate_multi_mf(obs, 2)
             err2.append(np.sum((est.distances - np.array(scene.distances)) ** 2))
         rmse[passes] = np.sqrt(np.mean(err2))
     assert rmse[2] <= rmse[1]
@@ -179,7 +184,7 @@ def test_lmmse_equals_mf_for_unimodular_reference():
     scene = scene_of((2.1, -1.0))
     obs = observation(scene, cfg, 1e-4)
     assert np.allclose(np.abs(obs.w), 1.0)
-    t_mf = estimate_single_mf(obs).delays[0]
+    t_mf = estimate_multi_mf(obs, 1).delays[0]
     t_lm = estimate_lmmse(obs, 1).delays[0]
     assert abs(t_mf - t_lm) < 1e-12  # identical up to grid jitter, << 1e-6 s
 
