@@ -43,7 +43,8 @@ class ChirpSpec:
     ``d`` is the dimensionless deviation (instantaneous frequency swings
     over +-d/(2*t_s) Hz); ``l_d < 0 < l_u`` bound the retained Fourier bins.
     The retained bin count M = l_u - l_d + 1 must exceed d, otherwise the
-    truncated series no longer resembles the chirp.
+    truncated series no longer resembles the chirp. ``family`` may be given
+    by value ("linear"); a value that names no family raises ValueError.
     """
 
     family: ChirpFamily
@@ -53,6 +54,7 @@ class ChirpSpec:
     t_s: float
 
     def __post_init__(self):
+        object.__setattr__(self, "family", ChirpFamily(self.family))
         if self.d < 0:
             raise ValueError("deviation d must be >= 0")
         if not (self.l_d < 0 < self.l_u):
@@ -206,32 +208,29 @@ class FrameSignal:
         return self.samples[..., self.n_cp:]
 
 
-def synthesize(d: np.ndarray, fdss: FdssProfile, n: int, n_cp: int,
+def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int,
                t_s: float = 1.0) -> FrameSignal:
-    """DFT-s-OFDM synthesis of modulation symbols ``d`` (shape (..., M)).
+    """OFDM synthesis of frequency-domain symbols ``w`` (shape (..., M)).
 
-    Pipeline: normalized M-point DFT of d, per-bin multiply by g, placement
-    of bin k at IDFT position k mod N, plain-sum N-point IDFT, cyclic-prefix
-    prepend. Body sample n is
+    Bin value w_i is placed at IDFT position k_i mod N (negative bins wrap),
+    a plain-sum N-point IDFT gives the body, and the last ``n_cp`` body
+    samples are prepended as the cyclic prefix. Body sample n is
 
-        x[n] = sum_k g_k * (1/sqrt(M)) sum_m d_m e^{-j2pi k m/M} * e^{j2pi k n/N}.
+        x[n] = sum_i w_i e^{j2pi k_i n/N}.
 
-    Bin indices k run over the profile window; negative k wrap mod M on the
-    DFT side and mod N on the IDFT side.
+    The bins come from :func:`chirpim.modem.tx_bins`, every scheme's one
+    bin mapping (DFT spreading times the FDSS profile, or the identity).
     """
-    d = np.asarray(d, dtype=complex)
-    m = fdss.m
-    if d.shape[-1] != m:
-        raise ValueError(f"d has {d.shape[-1]} symbols, profile expects {m}")
+    w = np.asarray(w, dtype=complex)
+    m = len(k)
+    if w.shape[-1] != m:
+        raise ValueError(f"w has {w.shape[-1]} bins, k lists {m}")
     if n <= m:
         raise ValueError(f"IDFT size N={n} must exceed M={m}")
     if not 0 <= n_cp < n:
         raise ValueError("need 0 <= N_cp < N")
-    k = fdss.k
-    s = np.fft.fft(d, axis=-1) / np.sqrt(m)
-    shaped = fdss.g * s[..., k % m]
-    grid = np.zeros(d.shape[:-1] + (n,), dtype=complex)
-    grid[..., k % n] = shaped
+    grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+    grid[..., k % n] = w
     body = np.fft.ifft(grid, axis=-1) * n
     samples = np.concatenate([body[..., n - n_cp:], body], axis=-1)
     return FrameSignal(samples=samples, n=n, n_cp=n_cp, sample_rate=n / t_s)
@@ -245,8 +244,9 @@ def measure_pmepr(frame: FrameSignal, oversample: int = 8,
     time, so inter-sample peaks are captured. ``p_av`` is the mean-power
     reference; by default the body's own time-averaged power is used. Pass
     the average power of the whole transmission (for frames built by
-    :func:`synthesize` that is sum |g_k|^2 = M) to reference the peak
-    against the ensemble power instead of the per-frame power.
+    :func:`chirpim.modem.frame_from_symbols` that is sum |g_k|^2 = M) to
+    reference the peak against the ensemble power instead of the per-frame
+    power.
 
     Returns a scalar, or an array matching the frame's batch axes.
     """

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,49 +17,27 @@ from . import indexing
 from .channel import RadarScene
 from .chirps import ChirpFamily, gcp_from_chirps, is_gcp, linear_chirp_coeffs, \
     sinusoidal_chirp_coeffs
-from .config import ExperimentConfig, load_config, preset
-from .modem import Scheme
+from .config import CONFIG_KEYS, ExperimentConfig, load_config, preset
 from .radar import crlb_coeff, crlb_range, crlb_range_no_phase, min_resolution
 from .runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 from .util import default_band
 
 
+_RUNNERS = {"pmepr": run_pmepr_ccdf, "bler": run_bler, "radar-rmse": run_radar_rmse,
+            "resolution": run_resolution}
+
+
 def _experiment_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file (overrides the preset)")
-    sub.add_argument("--preset", default="desk", choices=["desk", "paper", "paper1448"])
-    sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--scheme", choices=[s.value for s in Scheme])
-    sub.add_argument("--family", choices=[f.value for f in ChirpFamily])
-    sub.add_argument("--L", dest="length", type=int)
-    sub.add_argument("--delta", type=int)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--snrs", help="comma-separated SNR dB sweep")
-    sub.add_argument("--workers", type=int)
+    sub.add_argument("--config", help="INI config file; flags override its keys")
+    for (section, key), (field, _, flag) in CONFIG_KEYS.items():
+        if flag:
+            sub.add_argument(flag, dest=field, type=str, default=None,
+                             help=f"same as [{section}] {key}")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else preset(args.preset)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.scheme:
-        updates["scheme"] = Scheme(args.scheme)
-    if args.family:
-        updates["family"] = ChirpFamily(args.family)
-    if args.length is not None:
-        updates["length"] = args.length
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.snrs:
-        updates["snr_db"] = tuple(float(s) for s in args.snrs.split(","))
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    return replace(cfg, **updates) if updates else cfg
+    return load_config(args.config, {field: getattr(args, field)
+                                     for field, _, flag in CONFIG_KEYS.values() if flag})
 
 
 def _print_rows(rows: list[dict]) -> None:
@@ -72,15 +49,15 @@ def _print_rows(rows: list[dict]) -> None:
         print(",".join(str(row[n]) for n in names))
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chirpim")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("pmepr", "bler", "resolution"):
-        _experiment_args(subs.add_parser(name))
-    radar = subs.add_parser("radar-rmse")
-    _experiment_args(radar)
-    radar.add_argument("--scenario", default="single", choices=["single", "two"])
+    experiments = {name: subs.add_parser(name) for name in _RUNNERS}
+    for sub in experiments.values():
+        _experiment_args(sub)
+    experiments["radar-rmse"].add_argument("--scenario", default="single",
+                                           choices=["single", "two"])
 
     count = subs.add_parser("count", help="number of separation-valid index sequences")
     unrank = subs.add_parser("unrank", help="rank -> index sequence")
@@ -106,8 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     crlb.add_argument("--snr", type=float, default=30.0)
     crlb.add_argument("--range-m", type=float, default=2.0)
     crlb.add_argument("--coeff", type=float, default=-1.0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError) as exc:
@@ -117,16 +97,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
-    if cmd in ("pmepr", "bler", "radar-rmse", "resolution"):
+    if cmd in _RUNNERS:
         cfg = _build_config(args)
-        if cmd == "pmepr":
-            rows = run_pmepr_ccdf(cfg, out=cfg.out)
-        elif cmd == "bler":
-            rows = run_bler(cfg, out=cfg.out)
-        elif cmd == "radar-rmse":
-            rows = run_radar_rmse(cfg, scenario=args.scenario, out=cfg.out)
-        else:
-            rows = run_resolution(cfg, out=cfg.out)
+        scenario = {"scenario": args.scenario} if cmd == "radar-rmse" else {}
+        rows = _RUNNERS[cmd](cfg, out=cfg.out, **scenario)
         if cfg.out:
             print(f"wrote {cfg.out} ({len(rows)} rows)")
         else:

@@ -10,7 +10,8 @@ Two built-in numerologies:
   is taken literally, giving M=1448.
 
 Config files are flat INI text (``key = value`` under sections); every key
-defaults from the chosen preset. See docs/formats.md for the schema.
+defaults from the chosen preset, and CLI flags are spellings of some keys.
+See docs/formats.md for the schema.
 """
 from __future__ import annotations
 
@@ -20,8 +21,12 @@ from dataclasses import dataclass, replace
 
 from .chirps import ChirpFamily, ChirpSpec
 from .modem import ModemConfig, Scheme
+from .radar import min_resolution
+from .util import SPEED_OF_LIGHT
 
 EXPERIMENT_IDS = {"pmepr": 1, "bler": 2, "radar-rmse": 3, "resolution": 4}
+# spacings (in r_min units) a resolution run sweeps when spacing_rmin is empty
+RESOLUTION_SPACING_RMIN = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,23 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        object.__setattr__(self, "family", ChirpFamily(self.family))
         for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("single_range_m", "two_range_m", "two_spacing_rmin"):
+            window = getattr(self, name)
+            if len(window) != 2 or not 0 < window[0] <= window[1]:
+                raise ValueError(f"{name} must be two values 0 < lo <= hi, got {window}")
+        # the farthest target the radar runners can draw must lie inside the CP
+        spacing = max(self.two_spacing_rmin[1], *(self.spacing_rmin or RESOLUTION_SPACING_RMIN))
+        for name, far in (("single_range_m", self.single_range_m[1]),
+                          ("two_range_m", self.two_range_m[1]
+                           + spacing * min_resolution(self.bandwidth_hz))):
+            if 2.0 * far / SPEED_OF_LIGHT > self.t_cp:
+                raise ValueError(f"{name} places a target at {far:.3f} m, beyond c*T_cp/2 = "
+                                 f"{SPEED_OF_LIGHT * self.t_cp / 2.0:.3f} m")
 
     @property
     def t_s(self) -> float:
@@ -158,56 +177,76 @@ def _flag(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
-# (section, key) -> (ExperimentConfig field, parser); see docs/formats.md
-_INI_KEYS = {
-    ("waveform", "preset"): ("preset", str),
-    ("waveform", "scheme"): ("scheme", Scheme),
-    ("waveform", "family"): ("family", ChirpFamily),
-    ("waveform", "m"): ("m", int),
-    ("waveform", "n"): ("n", int),
-    ("waveform", "n_cp"): ("n_cp", int),
-    ("waveform", "l"): ("length", int),
-    ("waveform", "h"): ("h", int),
-    ("waveform", "delta"): ("delta", int),
-    ("waveform", "d"): ("d", float),
-    ("waveform", "sample_rate_hz"): ("sample_rate", float),
-    ("waveform", "carrier_hz"): ("f_c", float),
-    ("sweep", "snr_db"): ("snr_db", _floats),
-    ("sweep", "ebn0_db"): ("ebn0_db", _floats),
-    ("sweep", "spacing_rmin"): ("spacing_rmin", _floats),
-    ("sweep", "resolution_snr_db"): ("resolution_snr_db", float),
-    ("montecarlo", "trials"): ("trials", int),
-    ("montecarlo", "target_errors"): ("target_errors", int),
-    ("montecarlo", "max_trials"): ("max_trials", int),
-    ("montecarlo", "batch"): ("batch", int),
-    ("montecarlo", "seed"): ("seed", int),
-    ("montecarlo", "workers"): ("workers", int),
-    ("channel", "fading"): ("fading", _flag),
-    ("channel", "pdp"): ("pdp", _pdp),
-    ("radar", "single_range_m"): ("single_range_m", _floats),
-    ("radar", "two_range_m"): ("two_range_m", _floats),
-    ("radar", "two_spacing_rmin"): ("two_spacing_rmin", _floats),
-    ("radar", "single_coeff"): ("single_coeff", float),
-    ("radar", "two_coeff"): ("two_coeff", float),
-    ("output", "path"): ("out", str),
+# (section, key) -> (ExperimentConfig field, parser, CLI flag or None): the
+# one schema of the INI loader and the CLI; see docs/formats.md
+CONFIG_KEYS = {
+    ("waveform", "preset"): ("preset", str, "--preset"),
+    ("waveform", "scheme"): ("scheme", str, "--scheme"),
+    ("waveform", "family"): ("family", str, "--family"),
+    ("waveform", "m"): ("m", int, None),
+    ("waveform", "n"): ("n", int, None),
+    ("waveform", "n_cp"): ("n_cp", int, None),
+    ("waveform", "l"): ("length", int, "--L"),
+    ("waveform", "h"): ("h", int, None),
+    ("waveform", "delta"): ("delta", int, "--delta"),
+    ("waveform", "d"): ("d", float, None),
+    ("waveform", "sample_rate_hz"): ("sample_rate", float, None),
+    ("waveform", "carrier_hz"): ("f_c", float, None),
+    ("sweep", "snr_db"): ("snr_db", _floats, "--snrs"),
+    ("sweep", "ebn0_db"): ("ebn0_db", _floats, None),
+    ("sweep", "spacing_rmin"): ("spacing_rmin", _floats, None),
+    ("sweep", "resolution_snr_db"): ("resolution_snr_db", float, None),
+    ("montecarlo", "trials"): ("trials", int, "--trials"),
+    ("montecarlo", "target_errors"): ("target_errors", int, None),
+    ("montecarlo", "max_trials"): ("max_trials", int, None),
+    ("montecarlo", "batch"): ("batch", int, None),
+    ("montecarlo", "seed"): ("seed", int, "--seed"),
+    ("montecarlo", "workers"): ("workers", int, "--workers"),
+    ("channel", "fading"): ("fading", _flag, None),
+    ("channel", "pdp"): ("pdp", _pdp, None),
+    ("radar", "single_range_m"): ("single_range_m", _floats, None),
+    ("radar", "two_range_m"): ("two_range_m", _floats, None),
+    ("radar", "two_spacing_rmin"): ("two_spacing_rmin", _floats, None),
+    ("radar", "single_coeff"): ("single_coeff", float, None),
+    ("radar", "two_coeff"): ("two_coeff", float, None),
+    ("output", "path"): ("out", str, "--out"),
 }
+_PARSERS = {field: parse for field, parse, _ in CONFIG_KEYS.values()}
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read a flat INI config; unset keys fall back to the preset, unknown
-    sections and keys are rejected by name."""
+def _read_ini(path: str) -> dict[str, str]:
+    """{field: text} of an INI file; unknown sections and keys fail by name."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path) as fh:
         parser.read_file(fh)
-    sections = {section for section, _ in _INI_KEYS}
+    sections = {section for section, _ in CONFIG_KEYS}
     unknown = [f"section [{section}]" for section in parser.sections()
                if section not in sections]
     unknown += [f"key {key!r} in [{section}]" for section in parser.sections()
                 if section in sections for key in parser[section]
-                if (section, key) not in _INI_KEYS]
+                if (section, key) not in CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown {', '.join(unknown)}")
-    values = {field: conv(parser[section][key])
-              for (section, key), (field, conv) in _INI_KEYS.items()
-              if parser.has_option(section, key)}
+    return {field: parser[section][key]
+            for (section, key), (field, _, _) in CONFIG_KEYS.items()
+            if parser.has_option(section, key)}
+
+
+def load_config(path: str | None = None,
+                cli: dict[str, str | None] | None = None) -> ExperimentConfig:
+    """Build a config from an INI file and command-line values.
+
+    ``cli`` maps config fields to the text given on the command line (None
+    means not given). Both sources go through the parsers of
+    :data:`CONFIG_KEYS`. Precedence: the preset named by the merged
+    ``preset`` value (default ``desk``), then the INI keys, then the CLI.
+    """
+    text = _read_ini(path) if path else {}
+    text.update((field, value) for field, value in (cli or {}).items() if value is not None)
+    values = {}
+    for field, value in text.items():
+        try:
+            values[field] = _PARSERS[field](value)
+        except ValueError as exc:
+            raise ValueError(f"{field} = {value!r}: {exc}") from None
     return replace(preset(values.get("preset", "desk")), **values)

@@ -1,7 +1,9 @@
 """Transmitter and receiver chains for index-modulated waveforms.
 
 Three schemes share one frame structure (M modulation symbols, N-point
-IDFT, cyclic prefix):
+IDFT, cyclic prefix) and one transmitter: :func:`tx_bins` maps the symbols
+to frequency bins, :func:`chirpim.chirps.synthesize` does the IDFT and the
+prefix. Only the bin mapping differs:
 
 * ``CSC_IM``      - M-point DFT spreading shaped by a chirp FDSS profile;
                     each active index becomes a circularly-shifted chirp.
@@ -45,6 +47,7 @@ class ModemConfig:
 
     ``e_s = m/length`` is the per-active-index symbol energy, which keeps
     every frame at total power m regardless of how many indices are active.
+    ``scheme`` may be given by value ("csc-im"); others raise ValueError.
     """
 
     scheme: Scheme
@@ -58,6 +61,7 @@ class ModemConfig:
     chirp: ChirpSpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.n <= self.m:
             raise ValueError(f"N={self.n} must exceed M={self.m}")
         if not 1 <= self.length <= self.m // 2:
@@ -119,7 +123,8 @@ def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     """Frequency-domain reference symbols w on bins k (shape (..., M)).
 
     Spread schemes: w_k = g_k * (normalized M-point DFT of d)_k. OFDM-IM
-    maps symbol m straight onto bin k = l_d + m.
+    maps symbol m straight onto bin k = l_d + m. This is the transmitter's
+    only bin mapping; the radar reference and the frame both start here.
     """
     d = np.asarray(d, dtype=complex)
     if not cfg.scheme.spreads:
@@ -129,19 +134,14 @@ def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
 
 
 def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> FrameSignal:
-    """Time-domain frame for modulation symbols ``d`` (batchable)."""
-    d = np.asarray(d, dtype=complex)
-    if cfg.scheme.spreads:
-        return synthesize(d, cfg.fdss, cfg.n, cfg.n_cp, t_s=cfg.t_s)
-    grid = np.zeros(d.shape[:-1] + (cfg.n,), dtype=complex)
-    grid[..., cfg.k % cfg.n] = d
-    body = np.fft.ifft(grid, axis=-1) * cfg.n
-    samples = np.concatenate([body[..., cfg.n - cfg.n_cp:], body], axis=-1)
-    return FrameSignal(samples=samples, n=cfg.n, n_cp=cfg.n_cp, sample_rate=cfg.sample_rate)
+    """Time-domain frame for modulation symbols ``d`` (batchable): the bins
+    of :func:`tx_bins`, then the IDFT and cyclic prefix of :func:`synthesize`.
+    Every scheme takes this one path."""
+    return synthesize(tx_bins(d, cfg), cfg.k, cfg.n, cfg.n_cp, cfg.t_s)
 
 
 def tx_frame(bits, cfg: ModemConfig) -> FrameSignal:
-    """Full transmitter: bits -> encode -> synthesize -> CP prepend."""
+    """Full transmitter: bits -> encode -> bin mapping -> IDFT + CP."""
     _, d = encode(bits, cfg)
     return frame_from_symbols(d, cfg)
 

@@ -9,7 +9,6 @@ recording the preset, seed, and a config hash.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from typing import Iterable, Literal
@@ -17,7 +16,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .channel import RadarScene, radar_cfr, rician_realize
-from .config import EXPERIMENT_IDS, ExperimentConfig
+from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
 from .modem import ModemConfig, detect_words_batch, frame_from_symbols, \
     post_equalization_snr, tx_bins, union_bound_bler
@@ -33,10 +32,6 @@ def _rng(cfg: ExperimentConfig, experiment: str, sweep_idx: int,
          batch_idx: int) -> np.random.Generator:
     return np.random.default_rng(
         [cfg.seed, EXPERIMENT_IDS[experiment], sweep_idx, batch_idx])
-
-
-def _workers(cfg: ExperimentConfig) -> int:
-    return int(os.environ.get("CHIRPIM_WORKERS", cfg.workers))
 
 
 def _map_ordered(fn, tasks: Iterable[tuple], workers: int):
@@ -121,7 +116,7 @@ def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     exceed = np.zeros(len(PMEPR_THRESHOLDS), dtype=np.int64)
     total = 0
     max_pmepr = -np.inf
-    for values in _map_ordered(_pmepr_batch, batches, _workers(cfg)):
+    for values in _map_ordered(_pmepr_batch, batches, cfg.workers):
         exceed += (values[:, None] > PMEPR_THRESHOLDS[None, :]).sum(axis=0)
         total += len(values)
         max_pmepr = max(max_pmepr, float(values.max()))
@@ -186,7 +181,6 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     use_ebn0 = len(cfg.ebn0_db) > 0
     points = cfg.ebn0_db if use_ebn0 else cfg.snr_db
     rows = []
-    workers = _workers(cfg)
     for sweep_idx, value in enumerate(points):
         snr_db = value + 10 * np.log10(bits / cfg.m) if use_ebn0 else value
         sigma2 = 10.0 ** (-snr_db / 10.0)
@@ -195,7 +189,7 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
         trials = errors = 0
         max_batches = (cfg.max_trials + cfg.batch - 1) // cfg.batch
         tasks = ((cfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
-        for n, e in _map_ordered(_bler_batch, tasks, workers):
+        for n, e in _map_ordered(_bler_batch, tasks, cfg.workers):
             trials += n
             errors += e
             if errors >= cfg.target_errors or trials >= cfg.max_trials:
@@ -267,7 +261,7 @@ def _radar_point(cfg: ExperimentConfig, scenario: str, sweep_idx: int,
                 min(RADAR_BATCH, cfg.trials - bi * RADAR_BATCH), spacing_m)
                for bi in range((cfg.trials + RADAR_BATCH - 1) // RADAR_BATCH)]
     acc = np.zeros(6)
-    for part in _map_ordered(_radar_batch, batches, _workers(cfg)):
+    for part in _map_ordered(_radar_batch, batches, cfg.workers):
         acc += part
     n = acc[5]
     return {
@@ -304,7 +298,7 @@ def run_radar_rmse(cfg: ExperimentConfig,
 def run_resolution(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     """Two-target RMSE versus spacing (in units of the minimum resolution)
     at the fixed SNR ``cfg.resolution_snr_db``."""
-    factors = cfg.spacing_rmin or (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
+    factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
     r_min = min_resolution(cfg.bandwidth_hz)
     sigma2 = 10.0 ** (-cfg.resolution_snr_db / 10.0)
     rows = []

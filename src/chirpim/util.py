@@ -1,20 +1,10 @@
-"""Small shared helpers: constants, dB conversion, Gaussian tail."""
+"""Small shared helpers: constants, Gaussian tail, default bin band."""
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erfc
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-def db(x):
-    """Linear power ratio to dB."""
-    return 10.0 * np.log10(x)
-
-
-def undb(x_db):
-    """dB to linear power ratio."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def qfunc(x):

@@ -7,6 +7,7 @@ from chirpim.chirps import (ChirpFamily, ChirpSpec, apac, chirp_fdss,
                             gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
                             sinusoidal_chirp_coeffs, synthesize)
+from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins
 
 from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
                      quadrature_panels, sinusoidal_chirp_phase)
@@ -91,6 +92,15 @@ def test_linear_tail_decays():
     assert f[2] / f[0] < 0.10
 
 
+def test_spec_family_coerced_by_value():
+    by_value = ChirpSpec("linear", 12.0, -11, 12, 1.0)
+    assert by_value.family is ChirpFamily.LINEAR
+    assert np.array_equal(fourier_coeffs(by_value),
+                          fourier_coeffs(ChirpSpec(ChirpFamily.LINEAR, 12.0, -11, 12, 1.0)))
+    with pytest.raises(ValueError, match="'bogus' is not a valid ChirpFamily"):
+        ChirpSpec("bogus", 12.0, -11, 12, 1.0)
+
+
 def test_spec_invariants():
     with pytest.raises(ValueError):
         ChirpSpec(ChirpFamily.LINEAR, 24.0, -11, 12, 1.0)  # M must exceed d
@@ -129,14 +139,19 @@ def test_normalize_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# Synthesis
+# Synthesis (tx_bins mapping, then the IDFT + CP of synthesize)
 # ---------------------------------------------------------------------------
 
+def modem(scheme, m, n, n_cp, family=ChirpFamily.SINUSOIDAL, d=12.0, length=1):
+    chirp = spec(family, d, m) if scheme is Scheme.CSC_IM else None
+    return ModemConfig(scheme, m=m, n=n, n_cp=n_cp, length=length, h=4, chirp=chirp)
+
+
 def test_single_chirp_constant_envelope():
-    sp = spec(ChirpFamily.SINUSOIDAL, 12.0, 32)
+    cfg = modem(Scheme.CSC_IM, 32, 64, 16)
     d = np.zeros(32, dtype=complex)
     d[0] = np.sqrt(32.0)
-    frame = synthesize(d, chirp_fdss(sp), n=64, n_cp=16)
+    frame = frame_from_symbols(d, cfg)
     mag_db = 20 * np.log10(np.abs(frame.body))
     assert mag_db.max() - mag_db.min() < 0.5
 
@@ -145,7 +160,7 @@ def test_flat_profile_impulse_gives_dirichlet_peak():
     m, n = 16, 64
     d = np.zeros(m, dtype=complex)
     d[0] = np.sqrt(m)
-    frame = synthesize(d, flat_fdss(m), n=n, n_cp=8)
+    frame = frame_from_symbols(d, modem(Scheme.DFT_S_OFDM_IM, m, n, 8))
     peak = np.argmax(np.abs(frame.body))
     assert peak == 0
     # Dirichlet mainlobe is much higher than the mean level
@@ -154,13 +169,12 @@ def test_flat_profile_impulse_gives_dirichlet_peak():
 
 def test_circular_shift_property():
     m, n = 16, 64  # m divides n
-    sp = spec(ChirpFamily.SINUSOIDAL, 6.0, m)
-    prof = chirp_fdss(sp)
-    ref = synthesize(np.eye(m, dtype=complex)[0] * np.sqrt(m), prof, n, 0).body
+    cfg = modem(Scheme.CSC_IM, m, n, 0, d=6.0)
+    ref = frame_from_symbols(np.eye(m, dtype=complex)[0] * np.sqrt(m), cfg).body
     for shift in (1, 5, 11):
         d = np.zeros(m, dtype=complex)
         d[shift] = np.sqrt(m)
-        shifted = synthesize(d, prof, n, 0).body
+        shifted = frame_from_symbols(d, cfg).body
         expect = np.roll(ref, shift * n // m)
         err = np.linalg.norm(shifted - expect) / np.linalg.norm(ref)
         assert 20 * np.log10(err + 1e-300) < -40
@@ -168,24 +182,37 @@ def test_circular_shift_property():
 
 def test_synthesize_linearity():
     rng = np.random.default_rng(7)
-    prof = chirp_fdss(spec(ChirpFamily.LINEAR, 10.0, 16))
+    cfg = modem(Scheme.CSC_IM, 16, 32, 8, family=ChirpFamily.LINEAR, d=10.0)
     d1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     d2 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    lhs = synthesize(d1 + d2, prof, 32, 8).samples
-    rhs = synthesize(d1, prof, 32, 8).samples + synthesize(d2, prof, 32, 8).samples
+    lhs = frame_from_symbols(d1 + d2, cfg).samples
+    rhs = frame_from_symbols(d1, cfg).samples + frame_from_symbols(d2, cfg).samples
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
 
 
 def test_synthesize_rejects_small_idft():
     with pytest.raises(ValueError):
-        synthesize(np.ones(16, dtype=complex), flat_fdss(16), n=16, n_cp=4)
+        modem(Scheme.DFT_S_OFDM_IM, 16, 16, 4)
+    with pytest.raises(ValueError):
+        synthesize(np.ones(16, dtype=complex), np.arange(-7, 9), n=16, n_cp=4)
 
 
 def test_cyclic_prefix_property():
     rng = np.random.default_rng(9)
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    frame = synthesize(d, flat_fdss(16), n=32, n_cp=8)
-    assert np.allclose(frame.samples[:8], frame.body[-8:])
+    for scheme in Scheme:
+        frame = frame_from_symbols(d, modem(scheme, 16, 32, 8))
+        assert np.allclose(frame.samples[:8], frame.body[-8:])
+
+
+def test_synthesize_places_bins_mod_n():
+    # the body is the plain-sum IDFT of the tx_bins values on bins k
+    cfg = modem(Scheme.CSC_IM, 16, 32, 8)
+    d = np.random.default_rng(3).standard_normal(16) + 0j
+    w = tx_bins(d, cfg)
+    t = np.arange(32)
+    expect = np.exp(2j * np.pi * np.outer(t, cfg.k) / 32) @ w
+    assert np.allclose(frame_from_symbols(d, cfg).body, expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +222,13 @@ def test_cyclic_prefix_property():
 def chirp_frames(family, d, m, n, length, n_frames, seed):
     """Random index-modulated chirp frames plus the nominal mean power."""
     rng = np.random.default_rng(seed)
-    prof = chirp_fdss(spec(family, d, m))
+    cfg = modem(Scheme.CSC_IM, m, n, n // 4, family=family, d=d, length=length)
     e_s = m / length
     data = np.zeros((n_frames, m), dtype=complex)
     idx = np.argsort(rng.random((n_frames, m)), axis=1)[:, :length]
     h = rng.integers(0, 4, (n_frames, length))
     np.put_along_axis(data, idx, np.sqrt(e_s) * np.exp(2j * np.pi * h / 4), axis=1)
-    return synthesize(data, prof, n, n // 4), float(m)
+    return frame_from_symbols(data, cfg), float(m)
 
 
 def test_pmepr_single_chirp_near_zero_db():
@@ -231,7 +258,8 @@ def test_pmepr_guards():
     frame, _ = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
     with pytest.raises(ValueError):
         measure_pmepr(frame, oversample=2)
-    zero = synthesize(np.zeros(16, dtype=complex) + 0j, flat_fdss(16), 32, 8)
+    flat = modem(Scheme.DFT_S_OFDM_IM, 16, 32, 8)
+    zero = frame_from_symbols(np.zeros(16, dtype=complex), flat)
     with pytest.raises(ValueError):
         measure_pmepr(zero, 8)
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import chirpim
-from chirpim.cli import main
-from chirpim.config import desk_preset, load_config, paper_preset, preset
-from chirpim.modem import Scheme
+import chirpim.modem
+from chirpim.chirps import ChirpFamily
+from chirpim.cli import _build_config, _parser, main
+from chirpim.config import CONFIG_KEYS, desk_preset, load_config, paper_preset, preset
+from chirpim.modem import Scheme, frame_from_symbols
 from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 
 
@@ -53,6 +55,13 @@ def test_cli_rejects_zero_values(flag, message, capsys):
     # a zero must reach the config, not fall back to the preset's value
     assert main(["pmepr", flag, "0"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_values_by_name(capsys):
+    assert main(["pmepr", "--scheme", "bogus"]) == 1
+    assert "'bogus' is not a valid Scheme" in capsys.readouterr().err
+    assert main(["pmepr", "--trials", "many"]) == 1
+    assert "trials = 'many'" in capsys.readouterr().err
 
 
 def test_cli_gcp_check(capsys):
@@ -194,6 +203,107 @@ def test_config_rejects_unknown_names(tmp_path, text, named):
     assert named in str(err.value)
 
 
+def cli_config(*argv):
+    return _build_config(_parser().parse_args(["pmepr", *argv]))
+
+
+# one sample value per flagged field, as CLI text and as INI text
+FLAG_SAMPLES = {
+    "preset": ("paper", "paper"), "scheme": ("ofdm-im", "ofdm-im"),
+    "family": ("sinusoidal", "sinusoidal"), "length": ("3", "3"),
+    "delta": ("5", "5"), "snr_db": ("10,20", "10, 20"), "trials": ("77", "77"),
+    "seed": ("9", "9"), "workers": ("2", "2"), "out": ("rows.csv", "rows.csv"),
+}
+FLAGGED = [(section, key, field, flag)
+           for (section, key), (field, _, flag) in CONFIG_KEYS.items() if flag]
+
+
+@pytest.mark.parametrize("section, key, field, flag", FLAGGED,
+                         ids=[flag for *_, flag in FLAGGED])
+def test_cli_flag_equals_ini_key(tmp_path, section, key, field, flag):
+    cli_text, ini_text = FLAG_SAMPLES[field]
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[{section}]\n{key} = {ini_text}\n")
+    from_ini = load_config(str(path))
+    assert cli_config(flag, cli_text) == from_ini
+    assert from_ini != preset("desk")
+
+
+@pytest.mark.parametrize("text", ["10 20", "10,20", "10, 20"])
+def test_cli_snrs_spellings(text):
+    assert cli_config("--snrs", text).snr_db == (10.0, 20.0)
+
+
+def test_cli_preset_flag_beats_ini_preset(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[waveform]\npreset = desk\n[montecarlo]\ntrials = 5\n")
+    cfg = cli_config("--config", str(path), "--preset", "paper")
+    assert cfg.preset == "paper" and cfg.m == 1536
+    assert cfg.trials == 5
+
+
+def test_cli_flag_overrides_ini_key(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[waveform]\nl = 3\n[montecarlo]\ntrials = 5\nseed = 4\n")
+    cfg = cli_config("--config", str(path), "--trials", "7")
+    assert (cfg.trials, cfg.seed, cfg.length) == (7, 4, 3)
+    assert cli_config() == preset("desk")
+
+
+def test_enum_fields_coerced_by_value():
+    cfg = desk_preset(scheme="dft-s-ofdm-im", family="sinusoidal")
+    assert cfg.scheme is Scheme.DFT_S_OFDM_IM and cfg.family is ChirpFamily.SINUSOIDAL
+    assert cfg.modem_config().scheme.spreads
+    assert desk_preset(scheme="csc-im").sha() == desk_preset().sha()
+    with pytest.raises(ValueError, match="'bogus' is not a valid Scheme"):
+        desk_preset(scheme="bogus")
+    with pytest.raises(ValueError, match="'chirpy' is not a valid ChirpFamily"):
+        desk_preset(family="chirpy")
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"single_range_m": (1.0, 5.0)}, "single_range_m"),   # c*T_cp/2 = 3.33 m
+    ({"single_range_m": (2.0, 1.0)}, "single_range_m"),
+    ({"single_range_m": (0.0, 1.0)}, "single_range_m"),
+    ({"single_range_m": (1.0, 2.0, 3.0)}, "single_range_m"),
+    ({"two_range_m": (1.0, 3.2)}, "two_range_m"),         # + 3 r_min spacing
+    ({"two_range_m": (1.0, 2.3), "two_spacing_rmin": (1.5, 4.0)}, "two_range_m"),
+    ({"two_range_m": (1.0, 2.3), "spacing_rmin": (0.5, 4.0)}, "two_range_m"),
+    ({"two_spacing_rmin": (-1.0, 2.0)}, "two_spacing_rmin"),
+])
+def test_config_rejects_radar_windows(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        desk_preset(**overrides)
+
+
+def test_radar_windows_that_fit_build():
+    for name in ("desk", "paper", "paper1448"):
+        preset(name)
+    cfg = desk_preset(single_range_m=(3.3, 3.3), two_range_m=(1.0, 2.9),
+                      two_spacing_rmin=(1.0, 1.2), spacing_rmin=(0.5, 1.0))
+    assert run_resolution(replace(cfg, trials=2))[1]["trials"] == 2
+    assert run_radar_rmse(replace(cfg, trials=2, snr_db=(20.0,)), "single")[0]["trials"] == 2
+
+
+def test_bench_hooks_resolve():
+    # the benchmark patches these names; a deleted one would break it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = {"__name__": "perfbench_spans"}  # exec the text: no bytecode cache written
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    for owner, attr, _ in spans["TARGETS"]:
+        assert callable(getattr(owner, attr)), (owner, attr)
+
+
+def test_frame_from_symbols_calls_modem_synthesize(monkeypatch):
+    calls = []
+    original = chirpim.modem.synthesize
+    monkeypatch.setattr(chirpim.modem, "synthesize",
+                        lambda *args: calls.append(args) or original(*args))
+    mcfg = desk_preset().modem_config()
+    frame_from_symbols(np.ones(mcfg.m), mcfg)
+    assert len(calls) == 1
+
+
 def test_config_sha_ignores_workers_and_out():
     cfg = desk_preset()
     assert cfg.sha() == "f64f15ff0c05"
@@ -239,12 +349,11 @@ def test_csv_byte_identical_for_fixed_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_csv_independent_of_worker_count(tmp_path, monkeypatch):
+def test_csv_independent_of_worker_count(tmp_path):
     cfg = desk_preset(length=1, trials=130, snr_db=(14.0,), batch=64)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_radar_rmse(cfg, "single", out=str(a))
-    monkeypatch.setenv("CHIRPIM_WORKERS", "2")
-    run_radar_rmse(cfg, "single", out=str(b))
+    run_radar_rmse(replace(cfg, workers=2), "single", out=str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -259,14 +368,13 @@ def test_cli_csv_independent_of_workers_flag(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_bler_stopping_rule_independent_of_workers(tmp_path, monkeypatch):
+def test_bler_stopping_rule_independent_of_workers(tmp_path):
     # the error-count stop must count a deterministic prefix of batches
     cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-8.0, -5.0),
                       target_errors=40, batch=128, max_trials=4096)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_bler(cfg, out=str(a))
-    monkeypatch.setenv("CHIRPIM_WORKERS", "2")
-    run_bler(cfg, out=str(b))
+    run_bler(replace(cfg, workers=2), out=str(b))
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -71,6 +71,13 @@ def test_modem_config_validation():
         make_cfg(length=2, delta=32)  # no valid sequence at all
 
 
+def test_modem_config_scheme_coerced_by_value():
+    cfg = ModemConfig("ofdm-im", 16, 32, 8, 2, 4, t_s=T_S)
+    assert cfg.scheme is Scheme.OFDM_IM and not cfg.scheme.spreads
+    with pytest.raises(ValueError, match="'csc' is not a valid Scheme"):
+        ModemConfig("csc", 16, 32, 8, 2, 4, t_s=T_S)
+
+
 # ---------------------------------------------------------------------------
 # LMMSE equalizer
 # ---------------------------------------------------------------------------
