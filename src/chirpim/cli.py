@@ -9,6 +9,7 @@ complementary-pair test and the range bounds.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -86,8 +87,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line. argparse takes a value such as ``-4,0,3`` for an
+    option, so a value that starts with a minus and a digit joins its flag
+    first (``--snrs=-4,0,3``)."""
+    joined: list[str] = []
+    for tok in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] \
+                and re.match(r"-\.?\d", tok):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return _parser().parse_args(joined)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError) as exc:

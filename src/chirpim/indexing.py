@@ -7,11 +7,28 @@ functions here count the constrained index sequences, rank/unrank them with
 an exact bijection, and convert information bits to and from (indices, PSK
 integers). Counts and ranks use Python integers throughout, so full-scale
 configurations (thousands of positions) do not overflow.
+
+Ranking never walks the positions one by one. With
+F_p(t) = compositions_count(p, delta, t), non-decreasing in t, two closed
+forms give every cumulative count the bijection needs:
+
+* compositions of t into p parts whose last part is <= x:
+  F_p(t) - F_p(t - x - 1 + delta);
+* index sequences whose first index is < i_0:
+  min(i_0, delta) F_L(M - L)
+  + [i_0 > delta] (F_{L+1}(M - L + delta) - F_{L+1}(M - L + 2 delta - i_0)).
+
+Unranking finds each position by binary search over these counts, so a word
+costs O(L log M) binomials rather than O(L M).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +38,10 @@ def compositions_count(parts: int, delta: int, total: int) -> int:
 
     Substituting s_q' = s_q - delta reduces to weak compositions:
     C(total - parts*delta + parts - 1, parts - 1) when total >= parts*delta,
-    else 0.
+    else 0 (negative totals included).
     """
-    if parts < 1 or delta < 0 or total < 0:
-        raise ValueError("need parts >= 1, delta >= 0, total >= 0")
+    if parts < 1 or delta < 0:
+        raise ValueError("need parts >= 1, delta >= 0")
     if total < parts * delta:
         return 0
     return comb(total - parts * delta + parts - 1, parts - 1)
@@ -69,34 +86,31 @@ def delta_no_loss(m: int, length: int) -> int:
 def rank_to_gaps(rank: int, total: int, parts: int, delta: int) -> tuple[int, ...]:
     """Gap vector (s_1..s_parts) of the given 1-based rank.
 
-    Ranks order the compositions by the last part first: the last gap s_P is
-    the smallest x >= delta whose cumulative count sum_{r=delta..x}
-    compositions_count(parts-1, delta, total-r) reaches the rank, and the
-    remainder recurses on the leading parts. With one part left the gap is
-    forced to the remaining total.
+    Ranks order the compositions by the last part first. F_P(total) -
+    F_P(total - x - 1 + delta) of them have a last part <= x, so the last gap
+    is the smallest x where that reaches the rank, found by binary search for
+    the largest t = total - x - 1 + delta with F_P(t) <= F_P(total) - rank.
+    The remainder recurses on the leading parts; the first gap takes the rest.
     """
     count = compositions_count(parts, delta, total)
     if not 1 <= rank <= count:
         raise ValueError(f"rank {rank} outside 1..{count}")
     gaps: list[int] = []
     while parts > 1:
-        x, acc = delta, 0
-        while True:
-            c = compositions_count(parts - 1, delta, total - x)
-            if acc + c >= rank:
-                break
-            acc += c
-            x += 1
-        gaps.append(x)
-        rank -= acc
-        total -= x
+        full = compositions_count(parts, delta, total)
+        lo = parts * delta  # F_P(lo - 1) = 0, so t >= lo - 1
+        t = lo - 1 + bisect_right(range(lo, total), full - rank,
+                                  key=partial(compositions_count, parts, delta))
+        rank -= full - compositions_count(parts, delta, t + 1)
+        gaps.append(total - 1 + delta - t)
+        total -= gaps[-1]
         parts -= 1
-    gaps.append(total)
-    return tuple(reversed(gaps))
+    return (total, *reversed(gaps))
 
 
 def gaps_to_rank(gaps, total: int, parts: int, delta: int) -> int:
-    """Inverse of :func:`rank_to_gaps`."""
+    """Inverse of :func:`rank_to_gaps`: one count difference per level,
+    F_P(remaining) - F_P(remaining - last + delta)."""
     gaps = tuple(int(g) for g in gaps)
     if len(gaps) != parts:
         raise ValueError(f"expected {parts} gaps, got {len(gaps)}")
@@ -105,46 +119,42 @@ def gaps_to_rank(gaps, total: int, parts: int, delta: int) -> int:
     if any(g < delta for g in gaps):
         raise ValueError(f"gap below the separation {delta}: {gaps}")
     rank = 1
-    remaining = total
     for level in range(parts, 1, -1):
         last = gaps[level - 1]
-        rank += sum(compositions_count(level - 1, delta, remaining - r)
-                    for r in range(delta, last))
-        remaining -= last
+        rank += compositions_count(level, delta, total) - \
+            compositions_count(level, delta, total - last + delta)
+        total -= last
     return rank
 
 
-def _block_size(i0: int, m: int, length: int, delta: int) -> int:
-    """Number of valid sequences whose first index equals i0."""
-    return compositions_count(length, delta, m - length + min(0, delta - i0))
+def _first_index_prefix(i0: int, m: int, length: int, delta: int) -> int:
+    """Number of valid sequences whose first index is below ``i0`` (the
+    hockey-stick closed form in the module docstring)."""
+    prefix = min(i0, delta) * compositions_count(length, delta, m - length)
+    if i0 > delta:
+        prefix += compositions_count(length + 1, delta, m - length + delta) - \
+            compositions_count(length + 1, delta, m - length + 2 * delta - i0)
+    return prefix
 
 
 def rank_to_indices(rank: int, m: int, length: int, delta: int) -> tuple[int, ...]:
     """Index sequence of the given 1-based rank.
 
-    The first index i_0 is located by accumulating per-i_0 block sizes; the
-    within-block remainder is unranked into gaps (over a reduced total of
-    m - length + delta - i_0 once i_0 >= delta, since the wrap-around gap
-    then absorbs i_0 - delta extra slack), and the indices are rebuilt as
+    The first index i_0 is the last one whose prefix count
+    min(i_0, delta) F_L(m - L) + [i_0 > delta] (F_{L+1}(m - L + delta) -
+    F_{L+1}(m - L + 2 delta - i_0)) is below the rank, found by binary search.
+    The rest of the rank unranks into gaps summing to m - L - max(0, i_0 - delta)
+    (the wrap-around gap absorbs the slack beyond delta), and
     i_l = i_0 + sum_{j<=l} (1 + s_j).
     """
     count = index_count(length, delta, m)
     if not 1 <= rank <= count:
         raise ValueError(f"rank {rank} outside 1..{count}")
-    i0, acc = 0, 0
-    while True:
-        block = _block_size(i0, m, length, delta)
-        if acc + block >= rank:
-            break
-        acc += block
-        i0 += 1
-    within = rank - acc
-    total = m - length if i0 < delta else m - length + delta - i0
-    gaps = rank_to_gaps(within, total, length, delta)
-    indices = [i0]
-    for j in range(length - 1):
-        indices.append(indices[-1] + 1 + gaps[j])
-    return tuple(indices)
+    i0 = bisect_left(range(m), rank,
+                     key=lambda a: _first_index_prefix(a, m, length, delta)) - 1
+    gaps = rank_to_gaps(rank - _first_index_prefix(i0, m, length, delta),
+                        m - length - max(0, i0 - delta), length, delta)
+    return tuple(accumulate((1 + g for g in gaps[:-1]), initial=i0))
 
 
 def indices_to_rank(indices, m: int, length: int, delta: int) -> int:
@@ -158,18 +168,14 @@ def indices_to_rank(indices, m: int, length: int, delta: int) -> int:
     if any(idx[q] <= idx[q - 1] for q in range(1, length)):
         raise ValueError(f"indices must be strictly increasing: {idx}")
     gaps = [idx[q] - idx[q - 1] - 1 for q in range(1, length)]
-    wrap = m - 1 - idx[-1] + idx[0]
-    for q, g in enumerate(gaps + [wrap], start=1):
+    gaps.append(m - 1 - idx[-1] + idx[0])
+    for q, g in enumerate(gaps, start=1):
         if g < delta:
             raise ValueError(f"cyclic gap s_{q}={g} violates separation {delta}")
-    i0 = idx[0]
-    if i0 < delta:
-        total, gap_vec = m - length, gaps + [wrap]
-    else:
-        total, gap_vec = m - length + delta - i0, gaps + [wrap - i0 + delta]
-    within = gaps_to_rank(gap_vec, total, length, delta)
-    before = sum(_block_size(a, m, length, delta) for a in range(i0))
-    return before + within
+    slack = max(0, idx[0] - delta)
+    gaps[-1] -= slack
+    return _first_index_prefix(idx[0], m, length, delta) + \
+        gaps_to_rank(gaps, m - length - slack, length, delta)
 
 
 @dataclass(frozen=True)
@@ -201,25 +207,12 @@ class IndexWord:
         return indices_to_rank(self.indices, self.m, self.length, self.delta)
 
 
-class BitCapacity(tuple):
-    """(index_bits, psk_bits, total) carried by one frame."""
+class BitCapacity(NamedTuple):
+    """Bits carried by one frame."""
 
-    __slots__ = ()
-
-    def __new__(cls, index_bits: int, psk_bits: int):
-        return super().__new__(cls, (index_bits, psk_bits, index_bits + psk_bits))
-
-    @property
-    def index_bits(self):
-        return self[0]
-
-    @property
-    def psk_bits(self):
-        return self[1]
-
-    @property
-    def total(self):
-        return self[2]
+    index_bits: int
+    psk_bits: int
+    total: int
 
 
 def bit_capacity(m: int, length: int, h: int, delta: int = 0) -> BitCapacity:
@@ -230,22 +223,8 @@ def bit_capacity(m: int, length: int, h: int, delta: int = 0) -> BitCapacity:
     count = index_count(length, delta, m)
     if count < 1:
         raise ValueError(f"no valid index sequence for m={m}, length={length}, delta={delta}")
-    return BitCapacity(count.bit_length() - 1, length * (h.bit_length() - 1))
-
-
-def bits_to_int(bits) -> int:
-    """MSB-first binary to integer."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Integer to MSB-first binary of fixed width."""
-    if value < 0 or value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    index_bits, psk_bits = count.bit_length() - 1, length * (h.bit_length() - 1)
+    return BitCapacity(index_bits, psk_bits, index_bits + psk_bits)
 
 
 def bits_to_word(bits, m: int, length: int, h: int, delta: int = 0) -> IndexWord:
@@ -253,21 +232,30 @@ def bits_to_word(bits, m: int, length: int, h: int, delta: int = 0) -> IndexWord
 
     The leading index bits convert to a 1-based rank (value + 1) and unrank
     into indices; the remaining bits split into log2(h)-sized groups, one
-    PSK integer per active index, natural binary order.
+    PSK integer per active index, natural binary order. MSB first throughout.
     """
     cap = bit_capacity(m, length, h, delta)
     bits = np.asarray(bits).ravel()
     if len(bits) != cap.total:
         raise ValueError(f"expected {cap.total} bits, got {len(bits)}")
-    rank = bits_to_int(bits[: cap.index_bits]) + 1
-    indices = rank_to_indices(rank, m, length, delta)
-    bits_per_psk = h.bit_length() - 1
-    psk = tuple(
-        bits_to_int(bits[cap.index_bits + i * bits_per_psk:
-                         cap.index_bits + (i + 1) * bits_per_psk])
-        for i in range(length)
-    )
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    width = cap.psk_bits // length
+    psk = tuple((value >> (width * (length - 1 - i))) & ((1 << width) - 1)
+                for i in range(length))
+    indices = rank_to_indices((value >> cap.psk_bits) + 1, m, length, delta)
     return IndexWord(indices=indices, psk=psk, m=m, h=h, delta=delta)
+
+
+def pack_bits(value: int, psk, cap: BitCapacity) -> np.ndarray:
+    """MSB-first bits of an index value (rank - 1, below 2**cap.index_bits)
+    followed by each PSK integer in its share of ``cap.psk_bits``: the
+    inverse of :func:`bits_to_word`'s split."""
+    width = cap.psk_bits // len(psk)
+    for z in psk:
+        value = (value << width) | int(z)
+    return np.array([(value >> i) & 1 for i in reversed(range(cap.total))], dtype=np.uint8)
 
 
 def word_to_bits(word: IndexWord) -> np.ndarray:
@@ -278,7 +266,4 @@ def word_to_bits(word: IndexWord) -> np.ndarray:
     rank = word.rank
     if rank - 1 >> cap.index_bits:
         raise ValueError(f"rank {rank} is outside the {cap.index_bits}-bit codebook")
-    bits_per_psk = word.h.bit_length() - 1
-    parts = [int_to_bits(rank - 1, cap.index_bits)]
-    parts += [int_to_bits(z, bits_per_psk) for z in word.psk]
-    return np.concatenate([p for p in parts if len(p)]) if cap.total else np.zeros(0, np.uint8)
+    return pack_bits(rank - 1, word.psk, cap)

@@ -27,7 +27,7 @@ import numpy as np
 from . import indexing
 from .chirps import ChirpSpec, FdssProfile, FrameSignal, chirp_fdss, flat_fdss, \
     synthesize
-from .indexing import IndexWord, bit_capacity, bits_to_word, int_to_bits
+from .indexing import IndexWord, bit_capacity, bits_to_word, pack_bits
 from .util import qfunc
 
 
@@ -108,14 +108,16 @@ class ModemConfig:
 def encode(bits, cfg: ModemConfig) -> tuple[IndexWord, np.ndarray]:
     """Information bits -> (index word, length-M modulation vector)."""
     word = bits_to_word(bits, cfg.m, cfg.length, cfg.h, cfg.delta)
-    return word, word_symbols(word, cfg)
+    return word, word_symbols(word.indices, word.psk, cfg)
 
 
-def word_symbols(word: IndexWord, cfg: ModemConfig) -> np.ndarray:
-    """Sparse modulation vector: sqrt(E_s) e^{j2pi h/H} on the active indices."""
-    d = np.zeros(cfg.m, dtype=complex)
-    d[list(word.indices)] = np.sqrt(cfg.e_s) * \
-        np.exp(2j * np.pi * np.asarray(word.psk) / cfg.h)
+def word_symbols(indices, psk, cfg: ModemConfig) -> np.ndarray:
+    """Sparse modulation vectors: sqrt(E_s) e^{j2pi z/H} on the active
+    indices. Index and PSK arrays of shape (..., L) give shape (..., M)."""
+    indices = np.asarray(indices)
+    d = np.zeros(indices.shape[:-1] + (cfg.m,), dtype=complex)
+    np.put_along_axis(d, indices, np.sqrt(cfg.e_s) *
+                      np.exp(2j * np.pi * np.asarray(psk) / cfg.h), axis=-1)
     return d
 
 
@@ -240,34 +242,24 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     return top, np.take_along_axis(best_z, top, axis=-1)
 
 
-def word_bits_folded(word: IndexWord, cfg: ModemConfig) -> np.ndarray:
-    """Bits for a detected word. Detected ranks can exceed the encoder's
-    2**index_bits codebook (the detector searches every valid sequence);
-    those fold back modulo the codebook size so the receiver always emits
-    a bit estimate."""
-    cap = cfg.capacity
-    value = (word.rank - 1) % (1 << cap.index_bits) if cap.index_bits else 0
-    bits_per_psk = cfg.h.bit_length() - 1
-    parts = [int_to_bits(value, cap.index_bits)]
-    parts += [int_to_bits(z, bits_per_psk) for z in word.psk]
-    parts = [p for p in parts if len(p)]
-    return np.concatenate(parts) if parts else np.zeros(0, np.uint8)
-
-
 def rx_frame(frame: FrameSignal, h_c, sigma2: float, cfg: ModemConfig) -> np.ndarray:
     """Full receiver: time-domain frame -> bins -> equalize/detect -> bits.
 
-    One frame is a batch of one through :func:`detect_words_batch`. A word
-    that breaks the separation is a fallback pick (possible only for
-    L >= 3 under heavy noise); its rank is read without the constraint
-    before folding, and the frame is almost surely in error anyway.
+    One frame is a batch of one through :func:`detect_words_batch`. Detected
+    ranks can exceed the encoder's 2**index_bits codebook (the detector
+    searches every valid sequence); those fold back modulo the codebook
+    size so the receiver always emits a bit estimate. A word that breaks
+    the separation is a fallback pick (possible only for L >= 3 under heavy
+    noise); its rank is read without the constraint before folding, and the
+    frame is almost surely in error anyway.
     """
     idx, psk = detect_words_batch(extract_bins(frame, cfg), h_c, sigma2, cfg)
     idx, psk = idx[0], psk[0]
     gaps = np.diff(idx, append=idx[0] + cfg.m) - 1
     word = IndexWord(indices=tuple(int(i) for i in idx), psk=tuple(int(z) for z in psk),
                      m=cfg.m, h=cfg.h, delta=cfg.delta if gaps.min() >= cfg.delta else 0)
-    return word_bits_folded(word, cfg)
+    cap = cfg.capacity
+    return pack_bits((word.rank - 1) % (1 << cap.index_bits), word.psk, cap)
 
 
 def union_bound_bler(cfg: ModemConfig, n0: float) -> float:

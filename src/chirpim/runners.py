@@ -19,7 +19,7 @@ from .channel import RadarScene, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
 from .modem import ModemConfig, detect_words_batch, frame_from_symbols, \
-    post_equalization_snr, tx_bins, union_bound_bler
+    post_equalization_snr, tx_bins, union_bound_bler, word_symbols
 from .chirps import measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_lmmse, estimate_multi_mf, min_resolution
@@ -72,6 +72,14 @@ def write_csv(path: str, cfg: ExperimentConfig, experiment: str,
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
+def _modem(cfg: ExperimentConfig) -> ModemConfig:
+    """The run's one ModemConfig for every batch, its FDSS profile and
+    capacity filled in so that workers receive them instead of recomputing."""
+    mcfg = cfg.modem_config()
+    mcfg.fdss, mcfg.capacity  # noqa: B018 (fills the cached properties)
+    return mcfg
+
+
 def random_words(mcfg: ModemConfig, batch: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform random codewords: index rows, PSK rows, modulation vectors.
@@ -79,14 +87,11 @@ def random_words(mcfg: ModemConfig, batch: int,
     Ranks are drawn from the 2**index_bits codebook the bit mapper uses,
     which is equivalent to encoding uniform random bits.
     """
-    p1 = mcfg.capacity.index_bits
-    ranks = rng.integers(1, (1 << p1) + 1, size=batch)
+    ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
     idx = np.array([rank_to_indices(int(n), mcfg.m, mcfg.length, mcfg.delta)
                     for n in ranks], dtype=np.int64)
     psk = rng.integers(0, mcfg.h, size=(batch, mcfg.length))
-    d = np.zeros((batch, mcfg.m), dtype=complex)
-    np.put_along_axis(d, idx, np.sqrt(mcfg.e_s) * np.exp(2j * np.pi * psk / mcfg.h), axis=1)
-    return idx, psk, d
+    return idx, psk, word_symbols(idx, psk, mcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +99,7 @@ def random_words(mcfg: ModemConfig, batch: int,
 # ---------------------------------------------------------------------------
 
 def _pmepr_batch(task) -> np.ndarray:
-    cfg, batch_idx, batch = task
-    mcfg = cfg.modem_config()
+    cfg, mcfg, batch_idx, batch = task
     rng = _rng(cfg, "pmepr", 0, batch_idx)
     _, _, d = random_words(mcfg, batch, rng)
     frame = frame_from_symbols(d, mcfg)
@@ -111,7 +115,8 @@ def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     nominal transmit power (sum |g_k|^2 = M), i.e. the average power of the
     whole transmission rather than the individual frame.
     """
-    batches = [(cfg, bi, min(cfg.batch, cfg.trials - bi * cfg.batch))
+    mcfg = _modem(cfg)
+    batches = [(cfg, mcfg, bi, min(cfg.batch, cfg.trials - bi * cfg.batch))
                for bi in range((cfg.trials + cfg.batch - 1) // cfg.batch)]
     exceed = np.zeros(len(PMEPR_THRESHOLDS), dtype=np.int64)
     total = 0
@@ -133,8 +138,7 @@ def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _bler_batch(task) -> tuple[int, int]:
-    cfg, sweep_idx, batch_idx, sigma2, batch = task
-    mcfg = cfg.modem_config()
+    cfg, mcfg, sweep_idx, batch_idx, sigma2, batch = task
     rng = _rng(cfg, "bler", sweep_idx, batch_idx)
     idx, psk, d = random_words(mcfg, batch, rng)
     w = tx_bins(d, mcfg)
@@ -169,7 +173,7 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     bound at the post-equalization noise level; under fading it is reported
     unchanged as a reference curve.
     """
-    mcfg = cfg.modem_config()
+    mcfg = _modem(cfg)
     if cfg.fading:
         if not cfg.pdp:
             raise ValueError("fading runs need a power-delay profile")
@@ -188,7 +192,7 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
         bound = union_bound_bler(mcfg, n0)
         trials = errors = 0
         max_batches = (cfg.max_trials + cfg.batch - 1) // cfg.batch
-        tasks = ((cfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
+        tasks = ((cfg, mcfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
         for n, e in _map_ordered(_bler_batch, tasks, cfg.workers):
             trials += n
             errors += e
@@ -228,8 +232,7 @@ def _draw_scene(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
 def _radar_batch(task) -> np.ndarray:
     """Accumulates [sum err2 MF, sum err2 LMMSE, sum crlb, sum crlb_expected,
     sum crlb_nophase, trials] over one batch."""
-    cfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
-    mcfg = cfg.modem_config()
+    cfg, mcfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
     rng = _rng(cfg, "radar-rmse" if spacing_m is None else "resolution",
                sweep_idx, batch_idx)
     n_targets = 1 if scenario == "single" else 2
@@ -255,9 +258,9 @@ def _radar_batch(task) -> np.ndarray:
     return acc
 
 
-def _radar_point(cfg: ExperimentConfig, scenario: str, sweep_idx: int,
-                 sigma2: float, spacing_m: float | None) -> dict:
-    batches = [(cfg, scenario, sweep_idx, bi, sigma2,
+def _radar_point(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str,
+                 sweep_idx: int, sigma2: float, spacing_m: float | None) -> dict:
+    batches = [(cfg, mcfg, scenario, sweep_idx, bi, sigma2,
                 min(RADAR_BATCH, cfg.trials - bi * RADAR_BATCH), spacing_m)
                for bi in range((cfg.trials + RADAR_BATCH - 1) // RADAR_BATCH)]
     acc = np.zeros(6)
@@ -282,11 +285,12 @@ def run_radar_rmse(cfg: ExperimentConfig,
     bounds (all reported as root values in meters)."""
     if scenario not in ("single", "two"):
         raise ValueError("scenario must be 'single' or 'two'")
+    mcfg = _modem(cfg)
     rows = []
     for sweep_idx, snr_db in enumerate(cfg.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         row = {"snr_db": float(snr_db), "scenario": scenario}
-        row.update(_radar_point(cfg, scenario, sweep_idx, sigma2, None))
+        row.update(_radar_point(cfg, mcfg, scenario, sweep_idx, sigma2, None))
         rows.append(row)
     if out:
         write_csv(out, cfg, "radar-rmse",
@@ -301,11 +305,12 @@ def run_resolution(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
     r_min = min_resolution(cfg.bandwidth_hz)
     sigma2 = 10.0 ** (-cfg.resolution_snr_db / 10.0)
+    mcfg = _modem(cfg)
     rows = []
     for sweep_idx, factor in enumerate(factors):
         row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
                "snr_db": float(cfg.resolution_snr_db)}
-        row.update(_radar_point(cfg, "two", sweep_idx, sigma2, float(factor * r_min)))
+        row.update(_radar_point(cfg, mcfg, "two", sweep_idx, sigma2, float(factor * r_min)))
         rows.append(row)
     if out:
         write_csv(out, cfg, "resolution",

@@ -2,13 +2,15 @@
 
 Everything here is deliberately brute force or first principles: Fourier
 coefficients by composite Gauss-Legendre quadrature of the chirp phase,
-index sets by filtering all combinations, ML detection by enumerating every
+index sets by filtering all combinations, unranking by walking the counts
+one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop.
 None of it shares code with the library paths under test.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -73,6 +75,36 @@ def enumerate_gap_vectors(total: int, parts: int, delta: int) -> list[tuple[int,
         for rest in enumerate_gap_vectors(total - first, parts - 1, delta):
             out.append((first,) + rest)
     return out
+
+
+def _compositions(parts: int, delta: int, total: int) -> int:
+    slack = total - parts * delta
+    return comb(slack + parts - 1, parts - 1) if slack >= 0 else 0
+
+
+def walking_unrank(rank: int, m: int, length: int, delta: int) -> tuple[int, ...]:
+    """The library's rank order, walked one position at a time: the first
+    index i_0 = 0, 1, ... by the size of each i_0 block, then the gaps from
+    the last one back, each x = delta, delta + 1, ... by the compositions of
+    the leading gaps it leaves."""
+    i0 = 0
+    while rank > (block := _compositions(length, delta, m - length + min(0, delta - i0))):
+        rank -= block
+        i0 += 1
+    total = m - length - max(0, i0 - delta)
+    gaps = []
+    for parts in range(length, 1, -1):
+        x = delta
+        while rank > (count := _compositions(parts - 1, delta, total - x)):
+            rank -= count
+            x += 1
+        gaps.append(x)
+        total -= x
+    gaps = [total] + gaps[::-1]
+    indices = [i0]
+    for g in gaps[:-1]:
+        indices.append(indices[-1] + 1 + g)
+    return tuple(indices)
 
 
 def exhaustive_ml(y: np.ndarray, m: int, length: int, h: int,

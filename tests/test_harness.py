@@ -10,8 +10,9 @@ import pytest
 import chirpim
 import chirpim.modem
 from chirpim.chirps import ChirpFamily
-from chirpim.cli import _build_config, _parser, main
-from chirpim.config import CONFIG_KEYS, desk_preset, load_config, paper_preset, preset
+from chirpim.cli import _build_config, _parse_args, main
+from chirpim.config import (CONFIG_KEYS, ExperimentConfig, desk_preset, load_config,
+                            paper_preset, preset)
 from chirpim.modem import Scheme, frame_from_symbols
 from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 
@@ -34,6 +35,21 @@ def test_cli_rank(capsys):
     assert main(["rank", "--indices", "0,4,7", "--M", "10", "--L", "3",
                  "--delta", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+# paper-scale (M=1536) rows captured from the earlier walking unranker
+@pytest.mark.parametrize("length, delta, rank, indices", [
+    ("2", "84", "1000000", "1135,1306"),
+    ("2", "0", "999999", "937,1316"),
+    ("5", "252", "12345678901", "52,316,600,866,1188"),
+    ("5", "252", "23492213852", "100,400,700,1000,1300"),
+])
+def test_cli_unrank_rank_paper_scale(length, delta, rank, indices, capsys):
+    code = ["--M", "1536", "--L", length, "--delta", delta]
+    assert main(["unrank", "--n", rank, *code]) == 0
+    assert capsys.readouterr().out.strip() == indices
+    assert main(["rank", "--indices", indices, *code]) == 0
+    assert capsys.readouterr().out.strip() == rank
 
 
 def test_cli_delta_no_loss(capsys):
@@ -204,7 +220,7 @@ def test_config_rejects_unknown_names(tmp_path, text, named):
 
 
 def cli_config(*argv):
-    return _build_config(_parser().parse_args(["pmepr", *argv]))
+    return _build_config(_parse_args(["pmepr", *argv]))
 
 
 # one sample value per flagged field, as CLI text and as INI text
@@ -232,6 +248,17 @@ def test_cli_flag_equals_ini_key(tmp_path, section, key, field, flag):
 @pytest.mark.parametrize("text", ["10 20", "10,20", "10, 20"])
 def test_cli_snrs_spellings(text):
     assert cli_config("--snrs", text).snr_db == (10.0, 20.0)
+
+
+def test_cli_snrs_negative_list(tmp_path, capsys):
+    configs = [cli_config(*argv)
+               for argv in (["--snrs", "-4,0,3"], ["--snrs=-4,0,3"], ["--snrs", "-4 0 3"])]
+    assert configs[0].snr_db == (-4.0, 0.0, 3.0)
+    assert configs[0] == configs[1] == configs[2]
+    out = tmp_path / "rows.csv"
+    assert main(["radar-rmse", "--L", "1", "--trials", "3", "--snrs", "-4,0",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_cli_preset_flag_beats_ini_preset(tmp_path):
@@ -366,6 +393,15 @@ def test_cli_csv_independent_of_workers_flag(tmp_path):
                      "--out", str(out)]) == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_run_builds_modem_config_once(monkeypatch):
+    calls = []
+    original = ExperimentConfig.modem_config
+    monkeypatch.setattr(ExperimentConfig, "modem_config",
+                        lambda self: calls.append(1) or original(self))
+    run_pmepr_ccdf(desk_preset(trials=40, batch=8))
+    assert len(calls) == 1
 
 
 def test_bler_stopping_rule_independent_of_workers(tmp_path):

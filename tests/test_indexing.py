@@ -9,7 +9,7 @@ from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word,
                               index_count, indices_to_rank, rank_to_gaps,
                               rank_to_indices, word_to_bits)
 
-from oracles import enumerate_gap_vectors, enumerate_index_sequences
+from oracles import enumerate_gap_vectors, enumerate_index_sequences, walking_unrank
 
 # Reference enumeration for M=10, L=3: every hand-checked (rank, indices) row.
 TABLE_M10_L3 = {
@@ -177,6 +177,18 @@ def test_random_valid_ranks_yield_valid_words():
         IndexWord(indices=idx, psk=(0,) * length, m=m, h=2, delta=delta)
 
 
+def test_rank_to_indices_equals_walking_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(rng.integers(2, 400))
+        length = int(rng.integers(1, min(6, m // 2) + 1))
+        delta = int(rng.integers(0, m // length))
+        count = index_count(length, delta, m)
+        for rank in (1, count, int(rng.integers(1, count + 1))):
+            assert rank_to_indices(rank, m, length, delta) == \
+                walking_unrank(rank, m, length, delta), (m, length, delta, rank)
+
+
 def test_rank_range_errors():
     with pytest.raises(ValueError):
         rank_to_indices(11, 10, 3, 2)
@@ -199,6 +211,41 @@ def test_single_index_roundtrip():
             idx = rank_to_indices(rank, 10, 1, delta)
             assert idx == (rank - 1,)
             assert indices_to_rank(idx, 10, 1, delta) == rank
+
+
+# rank -> indices at paper scale (M=1536), captured from the earlier
+# unranking that walked the counts one position at a time: the first and
+# last ranks plus eight drawn with random.Random(2026)
+PAPER_SCALE_ROWS = {
+    (2, 84): {
+        1: (0, 1451), 1049856: (1450, 1535), 215246: (159, 868), 249813: (186, 834),
+        468262: (372, 470), 503179: (405, 632), 670008: (579, 756), 882094: (872, 1388),
+        925044: (951, 1098), 1029502: (1249, 1387)},
+    (2, 0): {
+        1: (0, 1535), 1178880: (1534, 1535), 5316: (3, 822), 24094: (15, 362),
+        169290: (114, 795), 205630: (140, 1076), 232232: (159, 808), 602387: (461, 754),
+        942995: (848, 1093), 1028206: (986, 1235)},
+    (5, 252): {
+        1: (0, 524, 777, 1030, 1283),
+        71618426880: (523, 776, 1029, 1282, 1535),
+        10051918166: (43, 322, 576, 1030, 1318),
+        19144592516: (82, 434, 734, 1048, 1357),
+        39909359553: (171, 520, 808, 1078, 1441),
+        45867626258: (196, 490, 770, 1144, 1400),
+        48324880829: (207, 487, 778, 1038, 1469),
+        51236027661: (219, 567, 874, 1130, 1418),
+        52442515585: (224, 501, 784, 1104, 1365),
+        54997639905: (235, 526, 783, 1121, 1396)},
+}
+
+
+@pytest.mark.parametrize("length, delta", list(PAPER_SCALE_ROWS))
+def test_rank_to_indices_pinned_at_paper_scale(length, delta):
+    rows = PAPER_SCALE_ROWS[length, delta]
+    assert max(rows) == index_count(length, delta, 1536)
+    for rank, indices in rows.items():
+        assert rank_to_indices(rank, 1536, length, delta) == indices
+        assert indices_to_rank(indices, 1536, length, delta) == rank
 
 
 def test_full_scale_uses_exact_integers():

@@ -1,4 +1,5 @@
 """Encoder, LMMSE equalizer, batched ML detector, union bound, full tx/rx chains."""
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from chirpim.indexing import IndexWord, rank_to_indices
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch, encode,
                            equalize_lmmse, extract_bins, frame_from_symbols,
                            post_equalization_snr, rx_frame, tx_bins, tx_frame,
-                           union_bound_bler, word_bits_folded, word_symbols)
+                           union_bound_bler, word_symbols)
 
 from oracles import (exhaustive_ml, greedy_ml, ofdm_im_metric_table,
                      psk_metric_table)
@@ -408,10 +409,11 @@ def test_fading_bler_orderings():
 def test_rx_folds_out_of_codebook_rank():
     cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 10, 16, 4, 3, 2, t_s=T_S)
     word = IndexWord(indices=(7, 8, 9), psk=(0, 1, 0), m=10, h=2, delta=0)
-    bits = word_bits_folded(word, cfg)
+    frame = frame_from_symbols(word_symbols(word.indices, word.psk, cfg), cfg)
+    bits = rx_frame(frame, 1.0, 0.0, cfg)
     assert len(bits) == cfg.capacity.total
-    # rank 120 folds to (120-1) mod 64 = 55 -> 110111
-    assert list(bits[:6]) == [1, 1, 0, 1, 1, 1]
+    # rank 120 folds to (120-1) mod 64 = 55 -> 110111, then the PSK bits 010
+    assert list(bits) == [1, 1, 0, 1, 1, 1, 0, 1, 0]
 
 
 # rx_frame bits for eight pure-noise desk L=5 delta=10 frames (seed 2024,
@@ -443,7 +445,27 @@ def test_rx_frame_pinned_on_stuck_frames():
 def test_word_symbols_matches_manual_construction():
     cfg = make_cfg(length=2, delta=15)
     word = IndexWord(indices=(3, 40), psk=(1, 2), m=64, h=4, delta=15)
-    d = word_symbols(word, cfg)
+    d = word_symbols(word.indices, word.psk, cfg)
     assert np.isclose(d[3], np.sqrt(32.0) * 1j)
     assert np.isclose(d[40], -np.sqrt(32.0))
     assert np.count_nonzero(d) == 2
+
+
+def test_word_symbols_batch_equals_rows():
+    cfg = make_cfg(length=5, delta=10)
+    rng = np.random.default_rng(4)
+    idx = np.array([rank_to_indices(int(r), cfg.m, cfg.length, cfg.delta)
+                    for r in rng.integers(1, 1 << cfg.capacity.index_bits, size=6)])
+    psk = rng.integers(0, cfg.h, size=idx.shape)
+    d = word_symbols(idx, psk, cfg)
+    assert d.shape == (6, cfg.m)
+    for row, i, z in zip(d, idx, psk):
+        assert np.array_equal(row, word_symbols(tuple(i), tuple(z), cfg))
+
+
+def test_modem_config_pickles_with_cached_properties():
+    for cfg in (make_cfg(length=2, delta=15), make_cfg(Scheme.OFDM_IM, length=3)):
+        cfg.fdss, cfg.capacity  # noqa: B018 (fills the cached properties)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and copy.capacity == cfg.capacity
+        assert np.array_equal(copy.fdss.g, cfg.fdss.g)
