@@ -240,6 +240,8 @@ def load_config(path: str | None = None,
     means not given). Both sources go through the parsers of
     :data:`CONFIG_KEYS`. Precedence: the preset named by the merged
     ``preset`` value (default ``desk``), then the INI keys, then the CLI.
+    A BLER run sweeps ``ebn0_db`` when it is set, so setting it next to an
+    ``snr_db`` list is rejected; the preset's own ``snr_db`` does not count.
     """
     text = _read_ini(path) if path else {}
     text.update((field, value) for field, value in (cli or {}).items() if value is not None)
@@ -249,4 +251,7 @@ def load_config(path: str | None = None,
             values[field] = _PARSERS[field](value)
         except ValueError as exc:
             raise ValueError(f"{field} = {value!r}: {exc}") from None
+    if values.get("snr_db") and values.get("ebn0_db"):
+        raise ValueError("[sweep] snr_db (--snrs) and [sweep] ebn0_db are both set; "
+                         "a run sweeps one of them")
     return replace(preset(values.get("preset", "desk")), **values)

@@ -24,7 +24,7 @@ costs O(L log M) binomials rather than O(L M).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from math import comb
@@ -188,6 +188,8 @@ class IndexWord:
     m: int
     h: int
     delta: int = 0
+    # the 1-based rank of ``indices``, computed once by __post_init__
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         length = len(self.indices)
@@ -195,16 +197,13 @@ class IndexWord:
             raise ValueError("indices and psk must have equal length")
         if any(not 0 <= z < self.h for z in self.psk):
             raise ValueError(f"psk values outside [0, {self.h})")
-        # re-validates ordering, range, and every cyclic gap
-        indices_to_rank(self.indices, self.m, length, self.delta)
+        # ranking re-validates ordering, range, and every cyclic gap
+        object.__setattr__(self, "rank",
+                           indices_to_rank(self.indices, self.m, length, self.delta))
 
     @property
     def length(self) -> int:
         return len(self.indices)
-
-    @property
-    def rank(self) -> int:
-        return indices_to_rank(self.indices, self.m, self.length, self.delta)
 
 
 class BitCapacity(NamedTuple):

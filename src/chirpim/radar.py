@@ -26,6 +26,15 @@ tau = lo + i step, which is a chirp-z transform of q. Each grid is
 therefore one Bluestein FFT convolution of length about M + P, not a P x M
 steering matrix; the grid points and the argmax rule are those of the
 explicit evaluation. The grid sizes are the module constants below.
+
+The search runs on stacked rows: q has shape (rows, M), every row keeps
+its own windows (and so its own chirp), and each stage is one batched FFT
+over the rows. An observation holds one frame (b, w of shape (M,)) or a
+stack of B frames ((B, M)). :func:`estimate_mf_lmmse` puts the MF and the
+LMMSE rows of a stack into the same searches, so each cancellation step is
+one search call; :func:`estimate_multi_mf` and :func:`estimate_lmmse` run
+the same core on their rows alone, one frame being a batch of one. A row's
+estimate is bit-for-bit the same whatever else is in its batch.
 """
 from __future__ import annotations
 
@@ -41,7 +50,8 @@ from .util import SPEED_OF_LIGHT
 @dataclass(frozen=True)
 class RadarObservation:
     """Received bins b, reference bins w on bin indices k, noise variance,
-    and the timing/carrier context of the frame."""
+    and the timing/carrier context of the frame. b and w are one
+    observation of shape (M,) or a stack of them of shape (B, M)."""
 
     b: np.ndarray
     w: np.ndarray
@@ -52,8 +62,10 @@ class RadarObservation:
     t_cp: float
 
     def __post_init__(self):
-        if not (len(self.b) == len(self.w) == len(self.k)):
-            raise ValueError("b, w, k must be aligned")
+        shape = np.shape(self.b)
+        if shape != np.shape(self.w) or len(shape) not in (1, 2) or \
+                shape[-1] != len(self.k):
+            raise ValueError("b, w must be aligned with k, of shape (M,) or (B, M)")
 
     def steering(self, tau) -> np.ndarray:
         """c(tau); tau may be scalar or a grid (returns (..., M))."""
@@ -63,33 +75,18 @@ class RadarObservation:
 
 
 @dataclass(frozen=True)
-class TargetEstimate:
-    delay: float
-    coeff: float
-
-    @property
-    def distance(self) -> float:
-        return self.delay * SPEED_OF_LIGHT / 2.0
-
-
-@dataclass(frozen=True)
 class EstimateSet:
-    """Per-target estimates sorted by delay, plus the last search step."""
+    """Delays and coefficients sorted by delay, shape (R,) for one
+    observation or (B, R) for a stack, plus the last search step (a float,
+    or one per row)."""
 
-    targets: tuple[TargetEstimate, ...]
-    final_step: float
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([t.delay for t in self.targets])
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([t.coeff for t in self.targets])
+    delays: np.ndarray
+    coeffs: np.ndarray
+    final_step: float | np.ndarray
 
     @property
     def distances(self) -> np.ndarray:
-        return np.array([t.distance for t in self.targets])
+        return self.delays * SPEED_OF_LIGHT / 2.0
 
 
 # Delay-search resolution. The coarse step is COARSE_HALFBIN / B with B the
@@ -117,35 +114,44 @@ def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
 
 
-def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
-    """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1.
+def _chirp_z(x: np.ndarray, phi, n: int) -> np.ndarray:
+    """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1, along the last axis.
 
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
     into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
-    zero-padded FFT product (Rabiner, Schafer & Rader 1969).
+    zero-padded FFT product (Rabiner, Schafer & Rader 1969). ``phi`` is a
+    scalar (one chirp for every row) or one value per row of x.
     """
-    m = len(x)
+    m = x.shape[-1]
     size = 1 << (m + n - 2).bit_length()
-    chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
-    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) *
+    chirp = np.exp(0.5j * np.asarray(phi)[..., None] *
+                   np.arange(1 - m, n, dtype=float) ** 2)
+    conv = np.fft.ifft(np.fft.fft(x * chirp[..., m - 1::-1], size) *
                        np.fft.fft(np.conj(chirp), size))
-    return conv[m - 1:m + n - 1] * chirp[m - 1:]
+    return conv[..., m - 1:m + n - 1] * chirp[..., m - 1:]
 
 
-def _grid_metric(q: np.ndarray, lo: float, step: float, n: int,
+def _grid_metric(q: np.ndarray, lo, step, n: int,
                  obs: RadarObservation, envelope: bool) -> np.ndarray:
     """|c(tau)^H q| on tau = lo + i step (i < n), or |Re{.}| when
-    envelope=False.
+    envelope=False, for q of shape (M,) or (rows, M) with lo and step
+    scalars or one per row; returns (n,) or (rows, n).
 
     c(tau)^H q = e^{j2pi f_c tau} sum_k q_k e^{j2pi k tau/T_s}; the carrier
     rotation drops out of the envelope. With k = k_0 + m the sum is
     e^{j2pi k_0 tau/T_s} times a chirp-z transform over m of
     q_k e^{j2pi k lo/T_s}, so no steering matrix is built.
     """
+    lo = np.asarray(lo)[..., None]
+    step = np.asarray(step)[..., None]
     k0 = int(obs.k.min())
-    x = np.zeros(int(obs.k.max()) - k0 + 1, dtype=complex)
-    x[obs.k - k0] = q * np.exp(2j * np.pi * obs.k * lo / obs.t_s)
-    inner = _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
+    span = int(obs.k.max()) - k0 + 1
+    x = q * np.exp(2j * np.pi * obs.k * lo / obs.t_s)
+    if span != len(obs.k) or np.any(np.diff(obs.k) != 1):
+        spread = np.zeros(x.shape[:-1] + (span,), dtype=complex)
+        spread[..., obs.k - k0] = x
+        x = spread
+    inner = _chirp_z(x, 2.0 * np.pi * step[..., 0] / obs.t_s, n)
     if envelope:
         return np.abs(inner)
     i = np.arange(n)
@@ -153,82 +159,144 @@ def _grid_metric(q: np.ndarray, lo: float, step: float, n: int,
     return np.abs(np.real(np.exp(2j * np.pi * phase) * inner))
 
 
-def _window(q: np.ndarray, lo: float, hi: float, points: int,
-            obs: RadarObservation, envelope: bool) -> tuple[float, float]:
-    """Grid maximizer over np.linspace(lo, hi, points), and the grid step."""
+def _window(q: np.ndarray, lo, hi, points: int, obs: RadarObservation,
+            envelope: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row grid maximizer over np.linspace(lo, hi, points), and the
+    grid step: the last point is hi and point i is i * step + lo, as
+    np.linspace computes them."""
     step = (hi - lo) / (points - 1)
-    metric = _grid_metric(q, lo, step, points, obs, envelope)
-    return float(np.linspace(lo, hi, points)[np.argmax(metric)]), step
+    i = np.argmax(_grid_metric(q, lo, step, points, obs, envelope), axis=-1)
+    return np.where(i == points - 1, hi, i * step + lo), step
 
 
-def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[float, float]:
-    """Three-phase delay search of the generic metric vector q
+def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, np.ndarray]:
+    """Three-phase delay search of the metric rows q, shape (rows, M)
     (q = conj(w) * b for the MF, q = h~ for the LMMSE variant).
 
-    Returns (tau_hat, final_step).
+    Returns (tau_hat, final_step), one of each per row.
     """
     span = int(obs.k.max() - obs.k.min() + 1)
     coarse_step = COARSE_HALFBIN * obs.t_s / span
     taus = np.arange(0.0, obs.t_cp, coarse_step)
+    # one grid for every row, so one chirp kernel
     metric = _grid_metric(q, 0.0, coarse_step, len(taus), obs, envelope=True)
-    best = float(taus[np.argmax(metric)])
+    best = taus[np.argmax(metric, axis=-1)]
+    step = np.full(len(best), coarse_step)
 
-    # envelope zoom until the step is well inside a carrier half-cycle
-    step = coarse_step
+    # envelope zoom until the step is well inside a carrier half-cycle; a
+    # row leaves the zoom as soon as its own step is small enough
     target = 1.0 / (ENV_MARGIN * obs.f_c)
-    while step > target:
-        best, step = _window(q, max(best - step, 0.0), min(best + step, obs.t_cp),
-                             ENV_POINTS, obs, envelope=True)
+    zoom = step > target
+    while zoom.any():
+        rows = slice(None) if zoom.all() else zoom
+        b, s = best[rows], step[rows]
+        best[rows], step[rows] = _window(q[rows], np.maximum(b - s, 0.0),
+                                         np.minimum(b + s, obs.t_cp),
+                                         ENV_POINTS, obs, envelope=True)
+        zoom = step > target
 
     # full metric across the carrier lobes nearest the envelope peak
     half = CARRIER_HALFSPAN / obs.f_c
-    best, step = _window(q, max(best - half, 0.0), min(best + half, obs.t_cp),
+    best, step = _window(q, np.maximum(best - half, 0.0), np.minimum(best + half, obs.t_cp),
                          CARRIER_POINTS, obs, envelope=False)
     for _ in range(CARRIER_STAGES):
-        best, step = _window(q, max(best - step, 0.0), min(best + step, obs.t_cp),
+        best, step = _window(q, np.maximum(best - step, 0.0),
+                             np.minimum(best + step, obs.t_cp),
                              CARRIER_POINTS, obs, envelope=False)
     return best, step
 
 
-def _cancel_and_update(obs: RadarObservation, n_targets: int, estimate_one) -> EstimateSet:
-    """Successive cancellation, then fixed re-estimation passes where each
-    target is re-sought on the observation minus all other reconstructions."""
+def _estimate_rows(obs: RadarObservation, n_targets: int, mf: bool,
+                   lmmse: bool) -> list[EstimateSet]:
+    """The estimator core: one MF row (when ``mf``) and one LMMSE row (when
+    ``lmmse``) per observation row, all in the same searches.
+
+    Successive cancellation, then UPDATE_PASSES re-estimation passes where
+    each target is re-sought on the observation minus all other
+    reconstructions. Each estimator keeps its own residuals, q and
+    coefficient formula, in the single-observation float operation order:
+    MF q = conj(w) * b_cur and coefficient Re{c^H q} / (w^H w); LMMSE
+    q = h~ and coefficient Re{c^H W^H b_cur} / (w^H w + sigma2). Returns
+    the (B, R) EstimateSet of each estimator asked for, MF first.
+    """
     if not 1 <= n_targets <= MAX_TARGETS:
         raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
+    b, w = np.atleast_2d(obs.b), np.atleast_2d(obs.w)
+    w2 = np.abs(w) ** 2
+    per_bin = w2 + obs.sigma2
+    denoms = []
+    if mf:
+        denoms += [float(np.real(np.vdot(row, row))) for row in w]
+        if 0 in denoms:
+            raise ValueError("reference bins are all zero")
+    if lmmse:
+        lm_denoms = [float(row.sum() + obs.sigma2) for row in w2]
+        if 0 in lm_denoms:
+            raise ValueError("reference bins are all zero and sigma2 = 0")
+        denoms += lm_denoms
+    denom = np.array(denoms)
+    b_all, w_all = (np.tile(x, (mf + lmmse, 1)) for x in (b, w))
+    rows = len(b_all)
+    mf_rows = slice(0, len(b) * mf)  # the MF rows come first
+    lm_rows = slice(mf_rows.stop, rows)
+    delays = np.zeros((rows, n_targets))
+    coeffs = np.zeros((rows, n_targets))
+    recon = np.zeros((n_targets, rows, b.shape[-1]), dtype=complex)
 
-    def reconstruct(est: TargetEstimate) -> np.ndarray:
-        return est.coeff * obs.w * obs.steering(est.delay)
+    def one(s: int, b_cur: np.ndarray) -> np.ndarray:
+        q = np.conj(w_all) * b_cur
+        if lmmse:
+            q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
+                                   where=per_bin > 0)
+        tau, final = _search_delay(q, obs)
+        steer = obs.steering(tau)
+        inner = np.empty(rows, dtype=complex)
+        inner[mf_rows] = np.sum(np.conj(steer[mf_rows]) * q[mf_rows], axis=-1)
+        inner[lm_rows] = np.sum(np.conj(steer[lm_rows]) * np.conj(w_all[lm_rows])
+                                * b_cur[lm_rows], axis=-1)
+        delays[:, s] = tau
+        coeffs[:, s] = np.real(inner) / denom
+        recon[s] = coeffs[:, s, None] * w_all * steer
+        return final
 
-    residual = obs.b.copy()
-    ests: list[TargetEstimate] = []
-    for _ in range(n_targets):
-        est, final = estimate_one(residual)
-        ests.append(est)
-        residual = residual - reconstruct(est)
+    residual = b_all
+    for s in range(n_targets):
+        final = one(s, residual)
+        residual = residual - recon[s]
     for _ in range(UPDATE_PASSES if n_targets > 1 else 0):
         for s in range(n_targets):
-            others = sum((reconstruct(ests[j]) for j in range(n_targets) if j != s),
-                         np.zeros_like(obs.b))
-            ests[s], final = estimate_one(obs.b - others)
-    ests.sort(key=lambda e: e.delay)
-    return EstimateSet(targets=tuple(ests), final_step=final)
+            others = sum((recon[j] for j in range(n_targets) if j != s), np.zeros_like(b_all))
+            final = one(s, b_all - others)
+    order = np.argsort(delays, axis=-1, kind="stable")
+    delays = np.take_along_axis(delays, order, axis=-1)
+    coeffs = np.take_along_axis(coeffs, order, axis=-1)
+    return [EstimateSet(delays[part], coeffs[part], final[part])
+            for part in (mf_rows, lm_rows) if part.stop > part.start]
+
+
+def _shaped(est: EstimateSet, obs: RadarObservation) -> EstimateSet:
+    """``est`` as computed for stacked rows, or its row 0 as a single
+    observation's EstimateSet when obs.b is one observation."""
+    if np.ndim(obs.b) == 2:
+        return est
+    return EstimateSet(est.delays[0], est.coeffs[0], float(est.final_step[0]))
+
+
+def estimate_mf_lmmse(obs: RadarObservation,
+                      n_targets: int) -> tuple[EstimateSet, EstimateSet]:
+    """:func:`estimate_multi_mf` and :func:`estimate_lmmse` of the same
+    observations in one pass: the MF and the LMMSE rows share each delay
+    search, and every row equals what the two calls return for it."""
+    mf, lm = _estimate_rows(obs, n_targets, mf=True, lmmse=True)
+    return _shaped(mf, obs), _shaped(lm, obs)
 
 
 def estimate_multi_mf(obs: RadarObservation, n_targets: int) -> EstimateSet:
     """Matched-filter estimation of ``n_targets`` targets: the delay search
     on q = conj(w) * b, the coefficient Re{c(tau)^H q} / (w^H w), successive
-    cancellation plus re-estimation passes when n_targets > 1."""
-    w2 = float(np.real(np.vdot(obs.w, obs.w)))
-    if w2 == 0:
-        raise ValueError("reference bins are all zero")
-
-    def one(b_cur):
-        q = np.conj(obs.w) * b_cur
-        tau, final = _search_delay(q, obs)
-        inner = np.sum(np.conj(obs.steering(tau)) * q)
-        return TargetEstimate(delay=tau, coeff=float(np.real(inner)) / w2), final
-
-    return _cancel_and_update(obs, n_targets, one)
+    cancellation plus re-estimation passes when n_targets > 1. One
+    observation gives (R,) delays; stacked observations (B, M) give (B, R)."""
+    return _shaped(_estimate_rows(obs, n_targets, mf=True, lmmse=False)[0], obs)
 
 
 def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
@@ -236,22 +304,10 @@ def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
 
     Per bin h~_k = w_k^* b_k / (|w_k|^2 + sigma2); the delay search runs on
     h~ (waveform deconvolved), and the coefficient uses the matched-filter
-    inner product with the regularized denominator w^H w + sigma2.
+    inner product with the regularized denominator w^H w + sigma2. Shapes
+    as for :func:`estimate_multi_mf`.
     """
-    w2 = np.abs(obs.w) ** 2
-    denom_w = float(w2.sum() + obs.sigma2)
-    if denom_w == 0:
-        raise ValueError("reference bins are all zero and sigma2 = 0")
-    per_bin = w2 + obs.sigma2
-
-    def one(b_cur):
-        h_est = np.divide(np.conj(obs.w) * b_cur, per_bin,
-                          out=np.zeros_like(b_cur), where=per_bin > 0)
-        tau, final = _search_delay(h_est, obs)
-        inner = np.sum(np.conj(obs.steering(tau)) * np.conj(obs.w) * b_cur)
-        return TargetEstimate(delay=tau, coeff=float(np.real(inner)) / denom_w), final
-
-    return _cancel_and_update(obs, n_targets, one)
+    return _shaped(_estimate_rows(obs, n_targets, mf=False, lmmse=True)[0], obs)
 
 
 def _weights(w_or_fdss) -> tuple[np.ndarray, np.ndarray]:

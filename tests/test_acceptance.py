@@ -176,11 +176,12 @@ def test_crlb_attainment():
 
 
 def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
+    """Draw the trials one by one, then estimate them as one stack."""
     mcfg = cfg.modem_config()
     rng = np.random.default_rng(seed)
     sigma2 = 10.0 ** (-snr_db / 10.0)
     r_min = min_resolution(cfg.bandwidth_hz)
-    err2 = np.zeros(trials)
+    bs, ws, truths = [], [], []
     bound = np.zeros(trials)
     for t in range(trials):
         _, _, d = random_words(mcfg, 1, rng)
@@ -191,12 +192,15 @@ def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
         noise = (rng.standard_normal(mcfg.m) + 1j * rng.standard_normal(mcfg.m)) \
             * np.sqrt(sigma2 / 2)
-        obs = RadarObservation(b=radar_cfr(scene, mcfg.k) * w + noise, w=w,
-                               k=mcfg.k, sigma2=sigma2, f_c=cfg.f_c,
-                               t_s=cfg.t_s, t_cp=cfg.t_cp)
-        est = estimate_multi_mf(obs, 2) if estimator == "mf" else estimate_lmmse(obs, 2)
-        err2[t] = np.sum((est.distances - np.array(scene.distances)) ** 2)
+        bs.append(radar_cfr(scene, mcfg.k) * w + noise)
+        ws.append(w)
+        truths.append(np.array(scene.distances))
         bound[t] = crlb_range(scene, (mcfg.k, w), sigma2)
+    obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
+                           f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+    est = estimate_multi_mf(obs, 2) if estimator == "mf" else estimate_lmmse(obs, 2)
+    err2 = np.array([np.sum((row - truth) ** 2)
+                     for row, truth in zip(est.distances, truths)])
     return float(np.sqrt(err2.mean())), float(np.sqrt(bound.mean()))
 
 

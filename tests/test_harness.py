@@ -219,6 +219,21 @@ def test_config_rejects_unknown_names(tmp_path, text, named):
     assert named in str(err.value)
 
 
+def test_config_rejects_snr_and_ebn0_sweeps(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[sweep]\nebn0_db = 4, 6\n")
+    cfg = load_config(str(path))  # the preset's snr_db does not count
+    assert cfg.ebn0_db == (4.0, 6.0) and cfg.snr_db == preset("desk").snr_db
+    assert run_bler(replace(cfg, max_trials=64, batch=64))[0]["axis_db"] == 4.0
+    for ini, cli in (("snr_db = 0\nebn0_db = 4, 6\n", None),
+                     ("ebn0_db = 4, 6\n", {"snr_db": "0, 2"})):
+        path.write_text(f"[sweep]\n{ini}")
+        with pytest.raises(ValueError, match=r"snr_db .* ebn0_db"):
+            load_config(str(path), cli)
+    path.write_text("[sweep]\nsnr_db = 0, 2\nebn0_db =\n")  # an empty list is not set
+    assert load_config(str(path)).snr_db == (0.0, 2.0)
+
+
 def cli_config(*argv):
     return _build_config(_parse_args(["pmepr", *argv]))
 

@@ -9,6 +9,7 @@ from chirpim.channel import rician_realize
 from chirpim.chirps import (ChirpFamily, ChirpSpec, FrameSignal, chirp_fdss, flat_fdss,
                             measure_pmepr)
 from chirpim.config import desk_preset
+from chirpim import indexing
 from chirpim.indexing import IndexWord, rank_to_indices
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch, encode,
                            equalize_lmmse, extract_bins, frame_from_symbols,
@@ -414,6 +415,25 @@ def test_rx_folds_out_of_codebook_rank():
     assert len(bits) == cfg.capacity.total
     # rank 120 folds to (120-1) mod 64 = 55 -> 110111, then the PSK bits 010
     assert list(bits) == [1, 1, 0, 1, 1, 1, 0, 1, 0]
+
+
+def test_rx_frame_ranks_the_word_once(monkeypatch):
+    # IndexWord keeps the rank it computes to validate itself
+    calls = []
+    original = indexing.indices_to_rank
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(indexing, "indices_to_rank", counting)
+    cfg = make_cfg(length=2, delta=15)
+    bits = random_bits(cfg, np.random.default_rng(8))
+    word, d = encode(bits, cfg)
+    calls.clear()
+    assert np.array_equal(rx_frame(frame_from_symbols(d, cfg), 1.0, 0.0, cfg), bits)
+    assert len(calls) == 1
+    assert word.rank == original(word.indices, cfg.m, cfg.length, cfg.delta)
 
 
 # rx_frame bits for eight pure-noise desk L=5 delta=10 frames (seed 2024,

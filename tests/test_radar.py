@@ -9,9 +9,9 @@ from chirpim.config import desk_preset
 from chirpim import radar
 from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
                            crlb_range, crlb_range_no_phase, estimate_lmmse,
-                           estimate_multi_mf, fim, mf_objective,
-                           min_resolution)
-from chirpim.runners import run_radar_rmse
+                           estimate_mf_lmmse, estimate_multi_mf, fim,
+                           mf_objective, min_resolution)
+from chirpim.runners import run_radar_rmse, run_resolution
 from chirpim.util import SPEED_OF_LIGHT
 
 T_S = 88.9e-9
@@ -331,6 +331,113 @@ def test_radar_rows_pinned(scenario):
             r["crlb_expected_m"], r["crlb_nophase_m"]) for r in rows]
     assert got == PINNED_RADAR_ROWS[scenario]
     assert all(r["trials"] == 16 and r["scenario"] == scenario for r in rows)
+
+
+# Rows of run_radar_rmse at the desk preset with 80 trials (a batch of
+# RADAR_BATCH = 64 trials and one of 16) at 0/10/20 dB, and of
+# run_resolution with 24 trials, as the per-trial estimator produced them:
+# stacking a batch's trials into one estimator call must leave every row
+# unchanged, at any worker count.
+PINNED_RADAR_ROWS_80 = {
+    "single": [
+        (0.0, 0.01613201504777892, 0.016848625944019573, 0.00032564467073368885, 0.0003253137785433174, 0.010146517333270785),
+        (10.0, 0.005603243376949082, 0.006588250322410973, 0.00010291784686042291, 0.00010287324944324964, 0.003208610509151345),
+        (20.0, 3.53554610338847e-05, 0.005015020413069182, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
+    ],
+    "two": [
+        (0.0, 0.031942016414388215, 0.03740538052670597, 0.0006510131929294685, 0.0006506275570866348, 0.020293034666541566),
+        (10.0, 0.010524751797426098, 0.016151196131319236, 0.00020581182755226532, 0.00020574649888649928, 0.006417221018302683),
+        (20.0, 0.0036527925404299423, 0.00892632494146441, 6.516931512999886e-05, 6.50627557086635e-05, 0.0020293034666541555),
+    ],
+}
+PINNED_RESOLUTION_ROWS_24 = [
+    (0.5, 0.22652357913505503, 0.18245215793978878, 6.492400738616114e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (0.75, 0.15914526134100992, 0.14264650370995569, 6.536727275829171e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (1.0, 0.1327002500692149, 0.0723276390893838, 6.499204964723514e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (1.25, 0.07777263177688569, 0.009164456422694185, 6.513346201548676e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (1.5, 0.0070746821497702185, 0.010341946077188031, 6.51900249050003e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (2.0, 0.0023938599569388354, 0.008151974016904, 6.505821627618897e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (3.0, 0.002357640598839527, 0.009137284352249938, 6.47688929300375e-05, 6.506275570866354e-05, 0.002029303466654155),
+]
+
+
+def row_values(rows, axis):
+    return [(r[axis], r["rmse_mf_m"], r["rmse_lmmse_m"], r["crlb_m"],
+             r["crlb_expected_m"], r["crlb_nophase_m"]) for r in rows]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scenario", ["single", "two"])
+def test_radar_rows_pinned_across_batches(scenario, workers):
+    cfg = desk_preset(trials=80, seed=1, snr_db=(0.0, 10.0, 20.0), workers=workers)
+    rows = run_radar_rmse(cfg, scenario=scenario)
+    assert row_values(rows, "snr_db") == PINNED_RADAR_ROWS_80[scenario]
+    assert all(r["trials"] == 80 for r in rows)
+
+
+def test_resolution_rows_pinned():
+    rows = run_resolution(desk_preset(trials=24, seed=1))
+    assert row_values(rows, "spacing_rmin") == PINNED_RESOLUTION_ROWS_24
+    assert all(r["trials"] == 24 for r in rows)
+
+
+def stacked_observations(k, n_targets, seed):
+    """Observations at f_c = 4.17 GHz, where a delay search whose first
+    envelope window is clamped at 0 needs one envelope pass and any other
+    needs two; targets near 0, mid-CP and near T_cp."""
+    rng = np.random.default_rng(seed)
+    f_c, sigma2 = 4.17e9, 1e-3
+    rows = []
+    for tau in (0.02e-9, 0.05e-9, 0.4 * T_CP, 0.6 * T_CP, T_CP - 0.02e-9, T_CP - 0.05e-9):
+        w = np.exp(2j * np.pi * rng.uniform(size=len(k))) * rng.uniform(0.2, 1.5, len(k))
+        ref = RadarObservation(b=w, w=w, k=k, sigma2=sigma2, f_c=f_c, t_s=T_S, t_cp=T_CP)
+        spacing = 2.0 * T_S / len(k) * (1 if tau < T_CP / 2 else -1)
+        b = sum(-0.7 * w * ref.steering(tau + s * spacing) for s in range(n_targets))
+        rows.append((b + (rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+                     * np.sqrt(sigma2 / 2), w))
+    b, w = (np.stack(part) for part in zip(*rows))
+    return RadarObservation(b=b, w=w, k=k, sigma2=sigma2, f_c=f_c, t_s=T_S, t_cp=T_CP)
+
+
+@pytest.mark.parametrize("n_targets", [1, 2])
+@pytest.mark.parametrize("k", [np.arange(-31, 33), np.arange(-31, 33)[np.arange(64) % 3 != 1]],
+                         ids=["contiguous", "two-bins-in-three"])
+def test_batched_rows_equal_single_observation_calls(monkeypatch, k, n_targets):
+    obs = stacked_observations(k, n_targets, seed=len(k) + n_targets)
+    windows = []
+    window = radar._window
+
+    def recording(q, lo, hi, points, obs_, envelope):
+        windows.append((len(q), np.min(lo), np.max(hi), envelope))
+        return window(q, lo, hi, points, obs_, envelope)
+
+    monkeypatch.setattr(radar, "_window", recording)
+    est_mf, est_lm = estimate_mf_lmmse(obs, n_targets)
+    monkeypatch.undo()
+    rows = 2 * len(obs.b)  # every search carries the MF and the LMMSE rows
+    assert max(n for n, *_ in windows) == rows
+    assert any(env and n < rows for n, _, _, env in windows)  # zoom finished early
+    assert any(lo == 0.0 for _, lo, _, _ in windows)
+    assert any(hi == T_CP for _, _, hi, _ in windows)
+    assert est_mf.delays.shape == est_lm.delays.shape == (len(obs.b), n_targets)
+    for i, (b, w) in enumerate(zip(obs.b, obs.w)):
+        one = RadarObservation(b=b, w=w, k=obs.k, sigma2=obs.sigma2, f_c=obs.f_c,
+                               t_s=obs.t_s, t_cp=obs.t_cp)
+        for batched, single in ((est_mf, estimate_multi_mf(one, n_targets)),
+                                (est_lm, estimate_lmmse(one, n_targets))):
+            assert np.array_equal(batched.delays[i], single.delays)
+            assert np.array_equal(batched.coeffs[i], single.coeffs)
+            assert batched.final_step[i] == single.final_step
+
+
+def test_observation_shapes_checked():
+    k = np.arange(-31, 33)
+    with pytest.raises(ValueError):
+        RadarObservation(b=np.ones((2, 64), complex), w=np.ones(64, complex), k=k,
+                         sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    with pytest.raises(ValueError):
+        RadarObservation(b=np.ones((1, 2, 64), complex), w=np.ones((1, 2, 64), complex),
+                         k=k, sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
 
 
 # ---------------------------------------------------------------------------
