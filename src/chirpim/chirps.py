@@ -285,7 +285,8 @@ def occupied_bandwidth(fdss: FdssProfile, fraction: float) -> int:
     centroid = float(np.sum(k * energy) / total)
     lo = hi = int(np.argmin(np.abs(k - centroid)))
     acc = energy[lo]
-    while acc < fraction * total:
+    # rounding can leave acc short of fraction * total with every bin taken
+    while acc < fraction * total and hi - lo + 1 < len(k):
         left = energy[lo - 1] if lo > 0 else -1.0
         right = energy[hi + 1] if hi < len(k) - 1 else -1.0
         if left > right:

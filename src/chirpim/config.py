@@ -69,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "family", ChirpFamily(self.family))
+        for name, key in (("sample_rate", "sample_rate_hz"), ("f_c", "carrier_hz")):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} ([waveform] {key}) must be positive, "
+                                 f"got {getattr(self, name)}")
         for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -27,14 +27,16 @@ therefore one Bluestein FFT convolution of length about M + P, not a P x M
 steering matrix; the grid points and the argmax rule are those of the
 explicit evaluation. The grid sizes are the module constants below.
 
-The search runs on stacked rows: q has shape (rows, M), every row keeps
-its own windows (and so its own chirp), and each stage is one batched FFT
-over the rows. An observation holds one frame (b, w of shape (M,)) or a
-stack of B frames ((B, M)). :func:`estimate_mf_lmmse` puts the MF and the
-LMMSE rows of a stack into the same searches, so each cancellation step is
-one search call; :func:`estimate_multi_mf` and :func:`estimate_lmmse` run
-the same core on their rows alone, one frame being a batch of one. A row's
-estimate is bit-for-bit the same whatever else is in its batch.
+The search runs on stacked rows: q has shape (rows, M). Each zoom window
+is centred on its row's best delay and shifted, not clamped, to lie inside
+[0, T_cp], so all rows share each stage's step and chirp kernel, and a
+stage is one batched FFT over the rows. An observation holds one frame
+(b, w of shape (M,)) or a stack of B frames ((B, M)).
+:func:`estimate_mf_lmmse` puts the MF and the LMMSE rows of a stack into
+the same searches, so each cancellation step is one search call;
+:func:`estimate_multi_mf` and :func:`estimate_lmmse` run the same core on
+their rows alone, one frame being a batch of one. A row's estimate is
+bit-for-bit the same whatever else is in its batch.
 """
 from __future__ import annotations
 
@@ -66,6 +68,9 @@ class RadarObservation:
         if shape != np.shape(self.w) or len(shape) not in (1, 2) or \
                 shape[-1] != len(self.k):
             raise ValueError("b, w must be aligned with k, of shape (M,) or (B, M)")
+        for name in ("f_c", "t_s", "t_cp"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def steering(self, tau) -> np.ndarray:
         """c(tau); tau may be scalar or a grid (returns (..., M))."""
@@ -77,12 +82,12 @@ class RadarObservation:
 @dataclass(frozen=True)
 class EstimateSet:
     """Delays and coefficients sorted by delay, shape (R,) for one
-    observation or (B, R) for a stack, plus the last search step (a float,
-    or one per row)."""
+    observation or (B, R) for a stack, plus the last search step, which is
+    the same for every row."""
 
     delays: np.ndarray
     coeffs: np.ndarray
-    final_step: float | np.ndarray
+    final_step: float
 
     @property
     def distances(self) -> np.ndarray:
@@ -114,28 +119,27 @@ def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
 
 
-def _chirp_z(x: np.ndarray, phi, n: int) -> np.ndarray:
+def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
     """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1, along the last axis.
 
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
     into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
-    zero-padded FFT product (Rabiner, Schafer & Rader 1969). ``phi`` is a
-    scalar (one chirp for every row) or one value per row of x.
+    zero-padded FFT product (Rabiner, Schafer & Rader 1969). One chirp and
+    one kernel FFT serve every row of x.
     """
     m = x.shape[-1]
     size = 1 << (m + n - 2).bit_length()
-    chirp = np.exp(0.5j * np.asarray(phi)[..., None] *
-                   np.arange(1 - m, n, dtype=float) ** 2)
-    conv = np.fft.ifft(np.fft.fft(x * chirp[..., m - 1::-1], size) *
+    chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
+    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) *
                        np.fft.fft(np.conj(chirp), size))
-    return conv[..., m - 1:m + n - 1] * chirp[..., m - 1:]
+    return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
 
 
-def _grid_metric(q: np.ndarray, lo, step, n: int,
+def _grid_metric(q: np.ndarray, lo, step: float, n: int,
                  obs: RadarObservation, envelope: bool) -> np.ndarray:
     """|c(tau)^H q| on tau = lo + i step (i < n), or |Re{.}| when
-    envelope=False, for q of shape (M,) or (rows, M) with lo and step
-    scalars or one per row; returns (n,) or (rows, n).
+    envelope=False, for q of shape (M,) or (rows, M) with lo a scalar or
+    one per row; returns (n,) or (rows, n).
 
     c(tau)^H q = e^{j2pi f_c tau} sum_k q_k e^{j2pi k tau/T_s}; the carrier
     rotation drops out of the envelope. With k = k_0 + m the sum is
@@ -143,7 +147,6 @@ def _grid_metric(q: np.ndarray, lo, step, n: int,
     q_k e^{j2pi k lo/T_s}, so no steering matrix is built.
     """
     lo = np.asarray(lo)[..., None]
-    step = np.asarray(step)[..., None]
     k0 = int(obs.k.min())
     span = int(obs.k.max()) - k0 + 1
     x = q * np.exp(2j * np.pi * obs.k * lo / obs.t_s)
@@ -151,7 +154,7 @@ def _grid_metric(q: np.ndarray, lo, step, n: int,
         spread = np.zeros(x.shape[:-1] + (span,), dtype=complex)
         spread[..., obs.k - k0] = x
         x = spread
-    inner = _chirp_z(x, 2.0 * np.pi * step[..., 0] / obs.t_s, n)
+    inner = _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
     if envelope:
         return np.abs(inner)
     i = np.arange(n)
@@ -159,50 +162,33 @@ def _grid_metric(q: np.ndarray, lo, step, n: int,
     return np.abs(np.real(np.exp(2j * np.pi * phase) * inner))
 
 
-def _window(q: np.ndarray, lo, hi, points: int, obs: RadarObservation,
-            envelope: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row grid maximizer over np.linspace(lo, hi, points), and the
-    grid step: the last point is hi and point i is i * step + lo, as
-    np.linspace computes them."""
-    step = (hi - lo) / (points - 1)
+def _window(q: np.ndarray, best: np.ndarray, half: float, points: int,
+            obs: RadarObservation, envelope: bool) -> tuple[np.ndarray, float]:
+    """Per-row grid maximizer over ``points`` points spanning 2 half,
+    centred on the row's ``best`` and shifted to lie inside [0, T_cp];
+    returns the new best delays and the grid step."""
+    step = 2.0 * half / (points - 1)
+    lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
     i = np.argmax(_grid_metric(q, lo, step, points, obs, envelope), axis=-1)
-    return np.where(i == points - 1, hi, i * step + lo), step
+    return lo + i * step, step
 
 
-def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, np.ndarray]:
+def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, float]:
     """Three-phase delay search of the metric rows q, shape (rows, M)
-    (q = conj(w) * b for the MF, q = h~ for the LMMSE variant).
-
-    Returns (tau_hat, final_step), one of each per row.
-    """
+    (q = conj(w) * b for the MF, q = h~ for the LMMSE variant). Returns
+    tau_hat, one per row, and the final step, which every row shares."""
     span = int(obs.k.max() - obs.k.min() + 1)
-    coarse_step = COARSE_HALFBIN * obs.t_s / span
-    taus = np.arange(0.0, obs.t_cp, coarse_step)
-    # one grid for every row, so one chirp kernel
-    metric = _grid_metric(q, 0.0, coarse_step, len(taus), obs, envelope=True)
-    best = taus[np.argmax(metric, axis=-1)]
-    step = np.full(len(best), coarse_step)
-
-    # envelope zoom until the step is well inside a carrier half-cycle; a
-    # row leaves the zoom as soon as its own step is small enough
-    target = 1.0 / (ENV_MARGIN * obs.f_c)
-    zoom = step > target
-    while zoom.any():
-        rows = slice(None) if zoom.all() else zoom
-        b, s = best[rows], step[rows]
-        best[rows], step[rows] = _window(q[rows], np.maximum(b - s, 0.0),
-                                         np.minimum(b + s, obs.t_cp),
-                                         ENV_POINTS, obs, envelope=True)
-        zoom = step > target
-
+    step = COARSE_HALFBIN * obs.t_s / span
+    metric = _grid_metric(q, 0.0, step, int(np.ceil(obs.t_cp / step)), obs, envelope=True)
+    best = np.argmax(metric, axis=-1) * step
+    # envelope zoom until the step is well inside a carrier half-cycle
+    while step > 1.0 / (ENV_MARGIN * obs.f_c):
+        best, step = _window(q, best, step, ENV_POINTS, obs, envelope=True)
     # full metric across the carrier lobes nearest the envelope peak
-    half = CARRIER_HALFSPAN / obs.f_c
-    best, step = _window(q, np.maximum(best - half, 0.0), np.minimum(best + half, obs.t_cp),
-                         CARRIER_POINTS, obs, envelope=False)
+    best, step = _window(q, best, CARRIER_HALFSPAN / obs.f_c, CARRIER_POINTS, obs,
+                         envelope=False)
     for _ in range(CARRIER_STAGES):
-        best, step = _window(q, np.maximum(best - step, 0.0),
-                             np.minimum(best + step, obs.t_cp),
-                             CARRIER_POINTS, obs, envelope=False)
+        best, step = _window(q, best, step, CARRIER_POINTS, obs, envelope=False)
     return best, step
 
 
@@ -243,7 +229,7 @@ def _estimate_rows(obs: RadarObservation, n_targets: int, mf: bool,
     coeffs = np.zeros((rows, n_targets))
     recon = np.zeros((n_targets, rows, b.shape[-1]), dtype=complex)
 
-    def one(s: int, b_cur: np.ndarray) -> np.ndarray:
+    def one(s: int, b_cur: np.ndarray) -> float:
         q = np.conj(w_all) * b_cur
         if lmmse:
             q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
@@ -270,7 +256,7 @@ def _estimate_rows(obs: RadarObservation, n_targets: int, mf: bool,
     order = np.argsort(delays, axis=-1, kind="stable")
     delays = np.take_along_axis(delays, order, axis=-1)
     coeffs = np.take_along_axis(coeffs, order, axis=-1)
-    return [EstimateSet(delays[part], coeffs[part], final[part])
+    return [EstimateSet(delays[part], coeffs[part], final)
             for part in (mf_rows, lm_rows) if part.stop > part.start]
 
 
@@ -279,7 +265,7 @@ def _shaped(est: EstimateSet, obs: RadarObservation) -> EstimateSet:
     observation's EstimateSet when obs.b is one observation."""
     if np.ndim(obs.b) == 2:
         return est
-    return EstimateSet(est.delays[0], est.coeffs[0], float(est.final_step[0]))
+    return EstimateSet(est.delays[0], est.coeffs[0], est.final_step)
 
 
 def estimate_mf_lmmse(obs: RadarObservation,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import islice
 from typing import Iterable, Literal
 
@@ -77,8 +78,13 @@ def write_csv(path: str, cfg: ExperimentConfig, experiment: str,
 
 def _modem(cfg: ExperimentConfig) -> ModemConfig:
     """The run's one ModemConfig for every batch, its FDSS profile and
-    capacity filled in so that workers receive them instead of recomputing."""
-    mcfg = cfg.modem_config()
+    capacity filled in once per process for each distinct (frozen) config,
+    so that neither later runs nor workers recompute them."""
+    return _filled(cfg.modem_config())
+
+
+@cache
+def _filled(mcfg: ModemConfig) -> ModemConfig:
     mcfg.fdss, mcfg.capacity  # noqa: B018 (fills the cached properties)
     return mcfg
 

@@ -281,6 +281,9 @@ def test_ocb_flat():
 def test_ocb_full_band_limit():
     prof = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 12.0, 24))
     assert occupied_bandwidth(prof, 1 - 1e-12) == 24
+    # the summed energy falls short of fraction * total by rounding
+    wide = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 48.0, 64))
+    assert occupied_bandwidth(wide, 1 - 2 ** -53) == 64
 
 
 def test_ocb_fraction_domain():

@@ -14,6 +14,7 @@ from chirpim.cli import _build_config, _parse_args, main
 from chirpim.config import (CONFIG_KEYS, ExperimentConfig, desk_preset, load_config,
                             paper_preset, preset)
 from chirpim.modem import Scheme, frame_from_symbols
+from chirpim import runners
 from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 
 
@@ -318,6 +319,15 @@ def test_config_rejects_radar_windows(overrides, named):
         desk_preset(**overrides)
 
 
+@pytest.mark.parametrize("field, key", [("f_c", "carrier_hz"),
+                                        ("sample_rate", "sample_rate_hz")])
+def test_config_rejects_nonpositive_carrier_and_rate(field, key):
+    # caught when built: later, f_c <= 0 stalls or breaks the radar delay search
+    for value in (0.0, -6.48e9):
+        with pytest.raises(ValueError, match=rf"{field} \(\[waveform\] {key}\)"):
+            desk_preset(**{field: value})
+
+
 def test_radar_windows_that_fit_build():
     for name in ("desk", "paper", "paper1448"):
         preset(name)
@@ -325,6 +335,17 @@ def test_radar_windows_that_fit_build():
                       two_spacing_rmin=(1.0, 1.2), spacing_rmin=(0.5, 1.0))
     assert run_resolution(replace(cfg, trials=2))[1]["trials"] == 2
     assert run_radar_rmse(replace(cfg, trials=2, snr_db=(20.0,)), "single")[0]["trials"] == 2
+
+
+def test_fdss_profile_built_once_per_modem_config(monkeypatch):
+    calls = []
+    original = chirpim.modem.chirp_fdss
+    monkeypatch.setattr(chirpim.modem, "chirp_fdss",
+                        lambda spec: calls.append(spec) or original(spec))
+    runners._filled.cache_clear()
+    for seed in (1, 2):
+        run_radar_rmse(desk_preset(trials=2, seed=seed, snr_db=(20.0,)), "single")
+    assert len(calls) == 1
 
 
 def test_bench_hooks_resolve():
