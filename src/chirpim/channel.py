@@ -5,6 +5,11 @@ at distance d contributes a real reflection coefficient, a carrier phase
 e^{-j2pi f_c tau} tied to its round-trip delay tau = 2d/c, and a per-bin
 phase ramp e^{-j2pi k tau/T_s}. Path delays must stay inside the cyclic
 prefix, which caps the unambiguous range at c*T_cp/2.
+
+The communication link fades through Rician multipath taps. One call of
+:func:`rician_realize` draws a whole batch of realizations, and
+:meth:`CommChannel.cfr` renders them on the bins as one (B, M) response;
+a single realization is a batch of one.
 """
 from __future__ import annotations
 
@@ -71,48 +76,67 @@ def radar_cfr(scene: RadarScene, k: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommChannel:
-    """Realized multipath taps: complex gains at (possibly fractional) delays."""
+    """Realized multipath taps: complex gains at (possibly fractional) delays.
+
+    ``gains`` has shape (T,) for one realization or (B, T) for a batch of B,
+    one column per tap of ``delays``.
+    """
 
     delays: tuple[float, ...]
-    gains: tuple[complex, ...]
+    gains: np.ndarray
     pdp: tuple[tuple[float, float, float], ...] = field(default=())
 
     def cfr(self, k: np.ndarray, t_s: float) -> np.ndarray:
         """CFR on bins ``k``: taps rendered exactly in frequency,
-        H_k = sum_t g_t e^{-j2pi k tau_t / t_s}."""
+        H_k = sum_t g_t e^{-j2pi k tau_t / t_s}, of shape k.shape for one
+        realization or (B,) + k.shape for a batch. Each tap's phase ramp is
+        computed once for the whole batch; taps are added in delay order."""
         k = np.asarray(k)
-        h = np.zeros(k.shape, dtype=complex)
-        for tau, g in zip(self.delays, self.gains):
-            h += g * np.exp(-2j * np.pi * k * tau / t_s)
+        gains = np.asarray(self.gains)
+        h = np.zeros(gains.shape[:-1] + k.shape, dtype=complex)
+        for tau, g in zip(self.delays, np.moveaxis(gains, -1, 0)):
+            h += g.reshape(g.shape + (1,) * k.ndim) * np.exp(-2j * np.pi * k * tau / t_s)
         return h
 
 
-def rician_realize(pdp, rng: np.random.Generator,
-                   los_phase: float | None = None) -> CommChannel:
-    """Draw one channel realization from a power-delay profile.
+def rician_realize(pdp, rng: np.random.Generator, los_phase: float | None = None,
+                   *, batch: int | None = None) -> CommChannel:
+    """Draw one channel realization, or ``batch`` of them, from a
+    power-delay profile.
 
     ``pdp`` lists taps as (delay_seconds, mean_power_db, rician_k). Mean
     linear powers are normalized to sum to 1. Each tap is
     sqrt(P) * (sqrt(K/(K+1)) e^{j theta} + sqrt(1/(K+1)) CN(0,1)); K = 0 is
     Rayleigh. The LOS phase theta is drawn uniformly unless pinned via
     ``los_phase`` (regression tests want it deterministic).
+
+    The stream is read per realization, per tap: theta (unless pinned),
+    then the real and imaginary normals. So a batch of B consumes exactly
+    what B single calls would and equals them bit for bit; a single call is
+    a batch of one whose gains have shape (T,) instead of (1, T).
     """
     pdp = tuple((float(d), float(p), float(kf)) for d, p, kf in pdp)
     if any(kf < 0 for _, _, kf in pdp):
         raise ValueError("Rician K factors must be >= 0")
     powers = np.array([10.0 ** (p / 10.0) for _, p, _ in pdp])
     powers = powers / powers.sum()
-    gains = []
-    for (_, _, kf), p in zip(pdp, powers):
-        theta = rng.uniform(0, 2 * np.pi) if los_phase is None else los_phase
-        los = np.sqrt(kf / (kf + 1.0)) * np.exp(1j * theta)
-        scatter = np.sqrt(1.0 / (kf + 1.0)) * \
-            (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-        gains.append(np.sqrt(p) * (los + scatter))
+    kf = np.array([kf for _, _, kf in pdp])
+    rows, taps = 1 if batch is None else batch, len(pdp)
+    if los_phase is None:
+        uniform, normal = rng.uniform, rng.standard_normal
+        draws = np.array([(uniform(0, 2 * np.pi), normal(), normal())
+                          for _ in range(rows * taps)]).reshape(rows, taps, 3)
+        theta, normals = draws[..., 0], draws[..., 1:]
+    else:
+        theta, normals = los_phase, rng.standard_normal((rows, taps, 2))
+    re, im = normals[..., 0], normals[..., 1]
+    los = np.sqrt(kf / (kf + 1.0)) * np.exp(1j * theta)
+    scatter = np.sqrt(1.0 / (kf + 1.0)) * (re + 1j * im) / np.sqrt(2.0)
+    gains = np.sqrt(powers) * (los + scatter)
     return CommChannel(delays=tuple(d for d, _, _ in pdp),
-                       gains=tuple(gains), pdp=pdp)
+                       gains=gains if batch is not None else gains[0], pdp=pdp)
 
 
 def add_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:

@@ -236,6 +236,11 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int,
     return FrameSignal(samples=samples, n=n, n_cp=n_cp, sample_rate=n / t_s)
 
 
+# frames per oversampled transform in measure_pmepr: 32 paper-scale frames
+# hold about 8 MB of 8x spectrum at once
+PMEPR_BLOCK = 32
+
+
 def measure_pmepr(frame: FrameSignal, oversample: int = 8,
                   p_av: float | None = None):
     """Peak-to-mean envelope power ratio of the frame body, in dB.
@@ -246,26 +251,34 @@ def measure_pmepr(frame: FrameSignal, oversample: int = 8,
     the average power of the whole transmission (for frames built by
     :func:`chirpim.modem.frame_from_symbols` that is sum |g_k|^2 = M) to
     reference the peak against the ensemble power instead of the per-frame
-    power.
+    power. Frames are transformed :data:`PMEPR_BLOCK` at a time, so memory
+    stays bounded whatever the batch; every frame's value is the same as
+    when it is measured alone.
 
     Returns a scalar, or an array matching the frame's batch axes.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
-    body = frame.body
     n = frame.n
-    spec = np.fft.fft(body, axis=-1)
     half = n // 2
-    padded = np.zeros(body.shape[:-1] + (n * oversample,), dtype=complex)
-    padded[..., :half] = spec[..., :half]
-    padded[..., -(n - half):] = spec[..., half:]
-    x = np.fft.ifft(padded, axis=-1) * oversample
-    power = np.abs(x) ** 2
-    if p_av is None:
-        p_av = power.mean(axis=-1)
+    rows = frame.samples.reshape(-1, frame.samples.shape[-1])
+    peak = np.empty(len(rows))
+    mean = np.empty(len(rows)) if p_av is None else None
+    for lo in range(0, len(rows), PMEPR_BLOCK):
+        spec = np.fft.fft(rows[lo:lo + PMEPR_BLOCK, frame.n_cp:], axis=-1)
+        padded = np.zeros((len(spec), n * oversample), dtype=complex)
+        padded[:, :half] = spec[:, :half]
+        padded[:, -(n - half):] = spec[:, half:]
+        power = np.abs(np.fft.ifft(padded, axis=-1) * oversample) ** 2
+        peak[lo:lo + len(spec)] = power.max(axis=-1)
+        if mean is not None:
+            mean[lo:lo + len(spec)] = power.mean(axis=-1)
+    batch = frame.samples.shape[:-1]
+    if mean is not None:
+        p_av = mean.reshape(batch)
     if np.any(np.asarray(p_av) <= 0):
         raise ValueError("frame has zero power")
-    out = 10.0 * np.log10(power.max(axis=-1) / p_av)
+    out = 10.0 * np.log10(peak.reshape(batch) / p_av)
     return out if out.ndim else float(out)
 
 

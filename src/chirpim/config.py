@@ -19,6 +19,8 @@ import configparser
 import hashlib
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .chirps import ChirpFamily, ChirpSpec
 from .modem import ModemConfig, Scheme
 from .radar import min_resolution
@@ -72,6 +74,13 @@ class ExperimentConfig:
         for name, key in (("sample_rate", "sample_rate_hz"), ("f_c", "carrier_hz")):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} ([waveform] {key}) must be positive, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.n_cp < self.n:
+            raise ValueError(f"n_cp ([waveform] n_cp) must satisfy 0 <= n_cp < n = {self.n}, "
+                             f"got {self.n_cp}")
+        for name in ("snr_db", "ebn0_db", "resolution_snr_db"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} ([sweep] {name}) must be finite, "
                                  f"got {getattr(self, name)}")
         for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:

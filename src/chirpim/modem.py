@@ -64,6 +64,8 @@ class ModemConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.n <= self.m:
             raise ValueError(f"N={self.n} must exceed M={self.m}")
+        if not 0 <= self.n_cp < self.n:
+            raise ValueError(f"need 0 <= N_cp < N={self.n}, got N_cp={self.n_cp}")
         if not 1 <= self.length <= self.m // 2:
             raise ValueError(f"need 1 <= L <= M/2, got L={self.length}")
         if self.h < 1 or self.h & (self.h - 1):
@@ -185,9 +187,8 @@ def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> np.n
     c2 = np.abs(c) ** 2
     denom = c2 + sigma2
     w = np.divide(np.conj(c), denom, out=np.zeros_like(c), where=denom > 0)
-    grid = np.zeros_like(b)
-    grid[..., fdss.k % m] = w * b
-    return np.fft.ifft(grid, axis=-1) * np.sqrt(m)
+    # bins l_d..l_d+M-1 land at IDFT positions k mod M: a rotation by l_d
+    return np.fft.ifft(np.roll(w * b, fdss.l_d, axis=-1), axis=-1) * np.sqrt(m)
 
 
 def _psk_metrics(y: np.ndarray, h: int) -> np.ndarray:
@@ -208,6 +209,11 @@ def _ofdm_im_metrics(b: np.ndarray, h_c, cfg: ModemConfig) -> np.ndarray:
     return 2.0 * np.sqrt(cfg.e_s) * corr - cfg.e_s * (np.abs(hc) ** 2)[..., :, None]
 
 
+def _best_bins(values: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` largest entries of each row, ties going to the lowest bin."""
+    return np.argsort(-values, axis=-1, kind="stable")[:, :count]
+
+
 def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
                        cfg: ModemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Detect a batch of frames from bins ``b`` of shape (B, M).
@@ -216,8 +222,9 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     Each bin keeps its best phase; the L best bins win, ties going to the
     lowest bin. Under a separation delta >= 1 the L picks are greedy: each
     is the best bin left after masking every bin within cyclic distance
-    delta of the earlier picks. A row that runs out of bins falls back to
-    the unconstrained pick, which then breaks the separation.
+    delta of the earlier picks. A row that runs out of bins (a stuck row)
+    falls back to the unconstrained pick, which then breaks the separation;
+    only the stuck rows are sorted for it, the others never are.
     """
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     if cfg.scheme.spreads:
@@ -226,18 +233,20 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
         metrics = _ofdm_im_metrics(b, h_c, cfg)
     best_z = np.argmax(metrics, axis=-1)
     best_v = np.take_along_axis(metrics, best_z[..., None], axis=-1)[..., 0]
-    top = np.argsort(-best_v, axis=-1, kind="stable")[:, : cfg.length]
     if cfg.delta:
         bins = np.arange(cfg.m)
         free = np.ones(best_v.shape, dtype=bool)
         stuck = np.zeros(len(best_v), dtype=bool)
-        picks = np.empty_like(top)
+        top = np.empty((len(best_v), cfg.length), dtype=np.intp)
         for j in range(cfg.length):
             stuck |= ~free.any(axis=1)
-            picks[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
-            dist = np.abs(bins - picks[:, j, None])
+            top[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
+            dist = np.abs(bins - top[:, j, None])
             free &= np.minimum(dist, cfg.m - dist) > cfg.delta
-        top = np.where(stuck[:, None], top, picks)
+        if stuck.any():
+            top[stuck] = _best_bins(best_v[stuck], cfg.length)
+    else:
+        top = _best_bins(best_v, cfg.length)
     top = np.sort(top, axis=-1)
     return top, np.take_along_axis(best_z, top, axis=-1)
 

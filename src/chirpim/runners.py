@@ -152,12 +152,14 @@ def _bler_batch(task) -> tuple[int, int]:
     idx, psk, d = random_words(mcfg, batch, rng)
     w = tx_bins(d, mcfg)
     if cfg.fading:
-        h_c = np.stack([rician_realize(cfg.pdp, rng).cfr(mcfg.k, cfg.t_s)
-                        for _ in range(batch)])
+        h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s)
     else:
         h_c = np.ones_like(w)
-    noise = (rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)) \
-        * np.sqrt(sigma2 / 2.0)
+    # bit for bit (re + 1j im) * scale, without its complex temporaries
+    scale = np.sqrt(sigma2 / 2.0)
+    noise = np.empty(w.shape, dtype=complex)
+    noise.real = rng.standard_normal(w.shape) * scale
+    noise.imag = rng.standard_normal(w.shape) * scale
     det_i, det_z = detect_words_batch(h_c * w + noise, h_c, sigma2, mcfg)
     errors = np.any((det_i != idx) | (det_z != psk), axis=1)
     return batch, int(errors.sum())

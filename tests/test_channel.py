@@ -97,6 +97,22 @@ def test_pinned_los_phase_is_deterministic():
     assert np.isclose(a.gains[0].real, b.gains[0].real, atol=1e-4)
 
 
+@pytest.mark.parametrize("los_phase", [None, 0.0, 1.3])
+def test_batch_equals_single_realizations(los_phase):
+    # one batched call reads the stream as B single calls do: same gains,
+    # same CFR rows, same stream position afterwards, bit for bit
+    k = np.arange(-768, 768)
+    one, many = np.random.default_rng(6), np.random.default_rng(6)
+    singles = [rician_realize(PDP, one, los_phase) for _ in range(9)]
+    batch = rician_realize(PDP, many, los_phase, batch=9)
+    assert batch.gains.shape == (9, 3) and singles[0].gains.shape == (3,)
+    assert np.array_equal(batch.gains, np.stack([ch.gains for ch in singles]))
+    h = batch.cfr(k, T_S)
+    assert h.shape == (9, len(k))
+    assert np.array_equal(h, np.stack([ch.cfr(k, T_S) for ch in singles]))
+    assert one.random() == many.random()
+
+
 def test_negative_k_factor_rejected():
     with pytest.raises(ValueError):
         rician_realize(((0.0, 0.0, -1.0),), np.random.default_rng(0))

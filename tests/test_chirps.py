@@ -1,4 +1,6 @@
 """Chirp coefficients, DFT-s-OFDM synthesis, PMEPR/OCB, Golay pairs."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,19 @@ def test_pmepr_superposition_bound_wide_margin():
                                (24.0, 64, 5, 12), (20.0, 48, 3, 13)):
         frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, d, m, 2 * m, length, 300, seed)
         assert np.max(measure_pmepr(frame, 8, p_av=p_av)) <= 10 * np.log10(length) + 0.6
+
+
+def test_pmepr_blocks_equal_single_frames():
+    # 75 frames run as blocks of 32, 32 and 11: every value equals the
+    # frame measured alone, with and without a power reference
+    frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 75, 7)
+    for ref in (p_av, None):
+        values = measure_pmepr(frame, 8, p_av=ref)
+        assert values.shape == (75,)
+        alone = [measure_pmepr(replace(frame, samples=row), 8, p_av=ref)
+                 for row in frame.samples]
+        assert all(isinstance(v, float) for v in alone)
+        assert np.array_equal(values, alone)
 
 
 def test_pmepr_guards():

@@ -328,6 +328,26 @@ def test_config_rejects_nonpositive_carrier_and_rate(field, key):
             desk_preset(**{field: value})
 
 
+def test_config_rejects_cyclic_prefix_of_a_symbol():
+    # with T_cp >= T_s the radar search spans a whole symbol and aliases
+    for n_cp in (128, 200, -1):
+        with pytest.raises(ValueError, match=r"n_cp \(\[waveform\] n_cp\)"):
+            desk_preset(n_cp=n_cp)
+        with pytest.raises(ValueError, match="N_cp"):
+            replace(desk_preset().modem_config(), n_cp=n_cp)
+    assert desk_preset(n_cp=127).modem_config().n_cp == 127
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", (0.0, float("nan"))), ("snr_db", (float("inf"),)),
+    ("ebn0_db", (float("-inf"),)), ("resolution_snr_db", float("nan")),
+])
+def test_config_rejects_nonfinite_snr(field, value):
+    # a NaN SNR used to run to the end and write NaN rows
+    with pytest.raises(ValueError, match=rf"{field} \(\[sweep\] {field}\) must be finite"):
+        desk_preset(**{field: value})
+
+
 def test_radar_windows_that_fit_build():
     for name in ("desk", "paper", "paper1448"):
         preset(name)
@@ -459,6 +479,55 @@ def test_bler_runner_stops_on_error_count(tmp_path):
     assert rows[0]["ci_lo"] <= rows[0]["bler"] <= rows[0]["ci_hi"]
     header = (tmp_path / "bler.csv").read_text().splitlines()[1]
     assert header == "axis_db,snr_db,bler,union_bound,trials,errors,ci_lo,ci_hi"
+
+
+# fading BLER rows captured before the link was batched over frames: paper
+# L=2 delta=84 at the bench SNRs, desk L=5 delta=10 (236 of its 2304 frames
+# leave the greedy detector stuck) and desk OFDM-IM, whose 0 dB point stops
+# on its error count
+_PINNED_BLER_CONFIGS = {
+    "paper": lambda: paper_preset(Scheme.CSC_IM, length=2, separated=True, fading=True,
+                                  snr_db=(-16.0, -14.0, -12.0), max_trials=200,
+                                  batch=96, target_errors=1000, seed=8),
+    "desk_l5": lambda: desk_preset(Scheme.CSC_IM, length=5, separated=True, fading=True,
+                                   snr_db=(-6.0, 0.0, 6.0), max_trials=600, batch=256,
+                                   target_errors=100_000, seed=8),
+    "desk_ofdm": lambda: desk_preset(Scheme.OFDM_IM, length=2, fading=True,
+                                     snr_db=(0.0, 6.0, 12.0), max_trials=600, batch=256,
+                                     target_errors=20, seed=8),
+}
+PINNED_BLER_ROWS = {
+    "paper": [
+        (-16.0, -16.0, 0.11458333333333333, 0.07090950193685153, 288, 33,
+         0.08276262474648552, 0.15655038822609676),
+        (-14.0, -14.0, 0.027777777777777776, 0.00021172357435372824, 288, 8,
+         0.014141265039176312, 0.05384584995425788),
+        (-12.0, -12.0, 0.003472222222222222, 2.4684884802894658e-08, 288, 1,
+         0.0006131956629725245, 0.019402667896300206),
+    ],
+    "desk_l5": [
+        (-6.0, -6.0, 0.8450520833333334, 1.0, 768, 649,
+         0.8177489494537191, 0.8689205653062078),
+        (0.0, 0.0, 0.12630208333333334, 1.0, 768, 97,
+         0.10465302277251003, 0.151670936713909),
+        (6.0, 6.0, 0.0013020833333333333, 0.00012419532591367854, 768, 1,
+         0.00022988667049250603, 0.007338324072707738),
+    ],
+    "desk_ofdm": [
+        (0.0, 0.0, 0.046875, 3.885148966542573e-06, 512, 24,
+         0.031699460685993844, 0.06879936106286864),
+        (6.0, 6.0, 0.00390625, 0.0, 768, 3,
+         0.0013293478028299222, 0.011421274372520713),
+        (12.0, 12.0, 0.0013020833333333333, 0.0, 768, 1,
+         0.00022988667049250603, 0.007338324072707738),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BLER_ROWS))
+def test_bler_rows_pinned(name):
+    rows = run_bler(_PINNED_BLER_CONFIGS[name]())
+    assert [tuple(row.values()) for row in rows] == PINNED_BLER_ROWS[name]
 
 
 def test_bler_ebn0_axis_conversion():
