@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import SPEED_OF_LIGHT
+from .util import SPEED_OF_LIGHT, check_noise_variance
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def rician_realize(pdp, rng: np.random.Generator, los_phase: float | None = None
 
 def add_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular complex Gaussian noise of variance ``sigma2`` per sample."""
-    if sigma2 < 0:
-        raise ValueError("noise variance must be >= 0")
+    check_noise_variance(sigma2)
     x = np.asarray(x, dtype=complex)
     if sigma2 == 0:
         return x.copy()

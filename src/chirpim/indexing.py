@@ -18,19 +18,26 @@ forms give every cumulative count the bijection needs:
   min(i_0, delta) F_L(M - L)
   + [i_0 > delta] (F_{L+1}(M - L + delta) - F_{L+1}(M - L + 2 delta - i_0)).
 
-Unranking finds each position by binary search over these counts, so a word
-costs O(L log M) binomials rather than O(L M).
+Unranking finds each position by binary search over these counts. The first
+index searches a table of the M prefix counts, built once per (M, L, delta)
+per process; the gaps search the composition counts directly. A word costs
+O(L log M) binomials for its gaps, and none for its first index, rather than
+O(L M).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
+
+
+# (M, L, delta) configurations whose first-index prefix table is kept.
+PREFIX_CACHE_SIZE = 16
 
 
 def compositions_count(parts: int, delta: int, total: int) -> int:
@@ -137,12 +144,20 @@ def _first_index_prefix(i0: int, m: int, length: int, delta: int) -> int:
     return prefix
 
 
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _first_index_prefixes(m: int, length: int, delta: int) -> tuple[int, ...]:
+    """The prefix counts of first indices 0..m-1, built once per
+    configuration per process."""
+    return tuple(_first_index_prefix(a, m, length, delta) for a in range(m))
+
+
 def rank_to_indices(rank: int, m: int, length: int, delta: int) -> tuple[int, ...]:
     """Index sequence of the given 1-based rank.
 
     The first index i_0 is the last one whose prefix count
     min(i_0, delta) F_L(m - L) + [i_0 > delta] (F_{L+1}(m - L + delta) -
-    F_{L+1}(m - L + 2 delta - i_0)) is below the rank, found by binary search.
+    F_{L+1}(m - L + 2 delta - i_0)) is below the rank, found by binary search
+    in the configuration's table of the m prefix counts.
     The rest of the rank unranks into gaps summing to m - L - max(0, i_0 - delta)
     (the wrap-around gap absorbs the slack beyond delta), and
     i_l = i_0 + sum_{j<=l} (1 + s_j).
@@ -150,10 +165,10 @@ def rank_to_indices(rank: int, m: int, length: int, delta: int) -> tuple[int, ..
     count = index_count(length, delta, m)
     if not 1 <= rank <= count:
         raise ValueError(f"rank {rank} outside 1..{count}")
-    i0 = bisect_left(range(m), rank,
-                     key=lambda a: _first_index_prefix(a, m, length, delta)) - 1
-    gaps = rank_to_gaps(rank - _first_index_prefix(i0, m, length, delta),
-                        m - length - max(0, i0 - delta), length, delta)
+    prefixes = _first_index_prefixes(m, length, delta)
+    i0 = bisect_left(prefixes, rank) - 1
+    gaps = rank_to_gaps(rank - prefixes[i0], m - length - max(0, i0 - delta),
+                        length, delta)
     return tuple(accumulate((1 + g for g in gaps[:-1]), initial=i0))
 
 

@@ -28,7 +28,7 @@ from . import indexing
 from .chirps import ChirpSpec, FdssProfile, FrameSignal, chirp_fdss, flat_fdss, \
     synthesize
 from .indexing import IndexWord, bit_capacity, bits_to_word, pack_bits
-from .util import qfunc
+from .util import check_noise_variance, qfunc
 
 
 class Scheme(str, Enum):
@@ -179,8 +179,7 @@ def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> np.n
     modulation-symbol estimates y_l (exactly d in noiseless AWGN); their SNR
     is :func:`post_equalization_snr`.
     """
-    if sigma2 < 0:
-        raise ValueError("noise variance must be >= 0")
+    check_noise_variance(sigma2)
     b = np.asarray(b, dtype=complex)
     m = fdss.m
     c = np.broadcast_to(np.asarray(h_c, dtype=complex) * fdss.g, b.shape)
@@ -226,6 +225,7 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     falls back to the unconstrained pick, which then breaks the separation;
     only the stuck rows are sorted for it, the others never are.
     """
+    check_noise_variance(sigma2)
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     if cfg.scheme.spreads:
         metrics = _psk_metrics(equalize_lmmse(b, h_c, cfg.fdss, sigma2), cfg.h)

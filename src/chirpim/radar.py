@@ -26,6 +26,9 @@ tau = lo + i step, which is a chirp-z transform of q. Each grid is
 therefore one Bluestein FFT convolution of length about M + P, not a P x M
 steering matrix; the grid points and the argmax rule are those of the
 explicit evaluation. The grid sizes are the module constants below.
+Each stage's chirp and kernel FFT depend only on the search geometry
+(bin span, grid size and step), so they are built once per geometry per
+process and reused by every later search.
 
 The search runs on stacked rows: q has shape (rows, M). Each zoom window
 is centred on its row's best delay and shifted, not clamped, to lie inside
@@ -41,12 +44,13 @@ bit-for-bit the same whatever else is in its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import RadarScene
 from .chirps import FdssProfile
-from .util import SPEED_OF_LIGHT
+from .util import SPEED_OF_LIGHT, check_noise_variance
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,7 @@ class RadarObservation:
         for name in ("f_c", "t_s", "t_cp"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_noise_variance(self.sigma2)
 
     def steering(self, tau) -> np.ndarray:
         """c(tau); tau may be scalar or a grid (returns (..., M))."""
@@ -109,6 +114,9 @@ CARRIER_STAGES = 2
 # UPDATE_PASSES re-estimation passes when there is more than one.
 MAX_TARGETS = 16
 UPDATE_PASSES = 2
+# Bluestein chirps and kernels kept per process: a search geometry uses
+# about six (coarse grid, envelope zooms, carrier window and zooms).
+BLUESTEIN_CACHE_SIZE = 32
 
 
 def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
@@ -119,19 +127,30 @@ def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
 
 
+@lru_cache(maxsize=BLUESTEIN_CACHE_SIZE)
+def _bluestein(m: int, phi: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """FFT size, chirp c_d = e^{j phi d^2 / 2} for d = 1-m..n-1 and kernel
+    FFT(conj(c)) of an m-in, n-out chirp-z transform, read-only."""
+    size = 1 << (m + n - 2).bit_length()
+    chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
+    kernel = np.fft.fft(np.conj(chirp), size)
+    chirp.flags.writeable = kernel.flags.writeable = False
+    return size, chirp, kernel
+
+
 def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
     """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1, along the last axis.
 
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
     into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
-    zero-padded FFT product (Rabiner, Schafer & Rader 1969). One chirp and
-    one kernel FFT serve every row of x.
+    zero-padded FFT product (Rabiner, Schafer & Rader 1969). The chirp and
+    its kernel FFT depend only on (m, phi, n), so they are built once per
+    process by :func:`_bluestein` and serve every row of x and every later
+    call with the same search geometry.
     """
     m = x.shape[-1]
-    size = 1 << (m + n - 2).bit_length()
-    chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
-    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) *
-                       np.fft.fft(np.conj(chirp), size))
+    size, chirp, kernel = _bluestein(m, phi, n)
+    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) * kernel)
     return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
 
 

@@ -1,5 +1,8 @@
-"""Small shared helpers: constants, Gaussian tail, default bin band."""
+"""Small shared helpers: constants, Gaussian tail, default bin band,
+noise-variance check."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erfc
@@ -22,3 +25,10 @@ def default_band(m: int) -> tuple[int, int]:
         raise ValueError("band needs at least 2 bins")
     hi = m // 2
     return hi - m + 1, hi
+
+
+def check_noise_variance(sigma2) -> None:
+    """Raise unless the noise variance ``sigma2`` is finite and >= 0 (0 is
+    the noiseless case)."""
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")

@@ -163,6 +163,12 @@ def test_awgn_empirical_variance():
     assert abs(np.var(noise.imag) - sigma2 / 2) < 0.01 * sigma2
 
 
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+def test_awgn_rejects_nonfinite_variance(sigma2):
+    with pytest.raises(ValueError, match="sigma2"):
+        add_awgn(np.zeros(4, dtype=complex), sigma2, np.random.default_rng(0))
+
+
 def test_awgn_rejects_negative_variance():
     with pytest.raises(ValueError):
         add_awgn(np.zeros(4, dtype=complex), -0.1, np.random.default_rng(0))

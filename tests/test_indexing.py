@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from chirpim import indexing
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word,
                               compositions_count, delta_no_loss, gaps_to_rank,
                               index_count, indices_to_rank, rank_to_gaps,
@@ -187,6 +188,20 @@ def test_rank_to_indices_equals_walking_reference():
         for rank in (1, count, int(rng.integers(1, count + 1))):
             assert rank_to_indices(rank, m, length, delta) == \
                 walking_unrank(rank, m, length, delta), (m, length, delta, rank)
+
+
+def test_first_index_prefix_table_built_once_per_configuration():
+    table = indexing._first_index_prefixes(1536, 2, 84)
+    assert isinstance(table, tuple) and len(table) == 1536
+    assert table == tuple(indexing._first_index_prefix(a, 1536, 2, 84) for a in range(1536))
+    before = indexing._first_index_prefixes.cache_info()
+    for rank in (1, 5000, index_count(2, 84, 1536)):
+        rank_to_indices(rank, 1536, 2, 84)
+    after = indexing._first_index_prefixes.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 3
+    # configurations that differ only in delta keep their own tables
+    for delta in (0, 84, 0):
+        assert rank_to_indices(5000, 1536, 2, delta) == walking_unrank(5000, 1536, 2, delta)
 
 
 def test_rank_range_errors():

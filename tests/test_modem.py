@@ -132,6 +132,21 @@ def test_equalizer_rejects_negative_noise():
         equalize_lmmse(np.ones(16, complex), 1.0, flat_fdss(16), -1e-3)
 
 
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+def test_equalizer_rejects_nonfinite_noise(sigma2):
+    with pytest.raises(ValueError, match="sigma2"):
+        equalize_lmmse(np.ones(16, complex), 1.0, flat_fdss(16), sigma2)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CSC_IM, Scheme.OFDM_IM])
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+def test_detector_rejects_invalid_noise(scheme, sigma2):
+    # a NaN variance used to pass the equalizer and give arbitrary picks
+    cfg = make_cfg(scheme, delta=3)
+    with pytest.raises(ValueError, match="sigma2"):
+        detect_words_batch(np.ones((2, 64), complex), 1.0, sigma2, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Detector
 # ---------------------------------------------------------------------------

@@ -291,6 +291,88 @@ def test_grid_metric_noncontiguous_bins():
     assert_grid_matches_steering(obs, 0.4 * T_CP, 1e-3 / F_C, 193)
 
 
+def chirp_z_reference(x, phi, n):
+    """The chirp-z transform with its chirp and kernel built on every call."""
+    m = x.shape[-1]
+    size = 1 << (m + n - 2).bit_length()
+    chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
+    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) *
+                       np.fft.fft(np.conj(chirp), size))
+    return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
+
+
+@pytest.mark.parametrize("m, n", [
+    (1536, 768), (1536, 65), (1536, 193),  # paper coarse grid and zooms
+    (1536, 512), (1536, 513), (1536, 514),  # m + n - 2 around 2048
+    (64, 1), (64, 64), (64, 65), (64, 66),  # m + n - 2 around 128
+])
+def test_chirp_z_equals_uncached_formula(m, n):
+    # two steps per (m, n), each called twice: the cached chirp and kernel
+    # belong to their own step, and reuse gives the same bits
+    rng = np.random.default_rng(m + n)
+    x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    for phi in (np.pi / m, 0.37 * np.pi / m, np.pi / m):
+        assert np.array_equal(radar._chirp_z(x, phi, n), chirp_z_reference(x, phi, n))
+
+
+def record_chirp_z(monkeypatch):
+    calls = []
+    chirp_z = radar._chirp_z
+
+    def recording(x, phi, n):
+        calls.append((x.copy(), phi, n, chirp_z(x, phi, n)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(radar, "_chirp_z", recording)
+    return calls
+
+
+def test_search_stages_equal_uncached_formula(monkeypatch):
+    # every stage of two paper-scale searches: the coarse grid, the 65-point
+    # envelope zooms (one step each) and the 193-point carrier stages
+    paper = grid_obs(np.arange(-767, 769), PAPER_T_S, PAPER_F_C, PAPER_T_CP, seed=8)
+    calls = record_chirp_z(monkeypatch)
+    for _ in range(2):
+        estimate_multi_mf(paper, 1)
+    monkeypatch.undo()
+    assert {(x.shape[-1], n) for x, _, n, _ in calls} == {(1536, 768), (1536, 65), (1536, 193)}
+    assert len({phi for x, phi, n, _ in calls if (x.shape[-1], n) == (1536, 65)}) > 1
+    for x, phi, n, got in calls:
+        assert np.array_equal(got, chirp_z_reference(x, phi, n))
+
+
+def test_grid_metric_noncontiguous_bins_equal_uncached_formula(monkeypatch):
+    rng = np.random.default_rng(12)
+    obs = grid_obs(np.sort(rng.choice(np.arange(-40, 60), size=37, replace=False)), seed=13)
+    step, n = coarse(obs)
+    grids = [(0.0, step, n), (0.0, 0.37 * step, n), (0.4 * T_CP, 1e-3 / F_C, 193),
+             (np.array([0.1, 0.5]) * T_CP, 2e-3 / F_C, 193)]
+    got = [_grid_metric(obs.b, lo, s, n_, obs, env) for lo, s, n_ in grids for env in (True, False)]
+    monkeypatch.setattr(radar, "_chirp_z", chirp_z_reference)
+    ref = [_grid_metric(obs.b, lo, s, n_, obs, env) for lo, s, n_ in grids for env in (True, False)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_second_search_on_same_geometry_only_hits_cache(monkeypatch):
+    obs = stacked_observations(np.arange(-31, 33), 2, seed=14)
+    estimate_mf_lmmse(obs, 2)
+    before = radar._bluestein.cache_info()
+    calls = record_chirp_z(monkeypatch)
+    estimate_mf_lmmse(obs, 2)
+    after = radar._bluestein.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits - before.hits == len(calls) > 0
+
+
+def test_cached_chirp_and_kernel_are_read_only():
+    size, chirp, kernel = radar._bluestein(64, np.pi / 64, 65)
+    assert (size, chirp.shape, kernel.shape) == (128, (128,), (128,))
+    for array in (chirp, kernel):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 # Rows of run_radar_rmse at the desk preset (16 trials, seed 1), from the
 # delay search whose zoom windows are shifted inside [0, T_cp]: a change
 # that moves any estimate, even in its last bits, shows here.
@@ -451,6 +533,15 @@ def test_observation_shapes_checked():
     with pytest.raises(ValueError):
         RadarObservation(b=np.ones((1, 2, 64), complex), w=np.ones((1, 2, 64), complex),
                          k=k, sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, -2.0, np.inf, -np.inf])
+def test_observation_noise_variance_checked(sigma2):
+    # NaN gave a NaN LMMSE coefficient, a negative value zeroed every LMMSE
+    # bin and infinity drove the coefficient to 0, all without an error
+    with pytest.raises(ValueError, match="sigma2"):
+        RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=np.arange(-31, 33),
+                         sigma2=sigma2, f_c=F_C, t_s=T_S, t_cp=T_CP)
 
 
 @pytest.mark.parametrize("name", ["f_c", "t_s", "t_cp"])
