@@ -218,12 +218,13 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     """Detect a batch of frames from bins ``b`` of shape (B, M).
 
     Returns (indices, psk) int arrays of shape (B, L), indices ascending.
-    Each bin keeps its best phase; the L best bins win, ties going to the
-    lowest bin. Under a separation delta >= 1 the L picks are greedy: each
-    is the best bin left after masking every bin within cyclic distance
-    delta of the earlier picks. A row that runs out of bins (a stuck row)
-    falls back to the unconstrained pick, which then breaks the separation;
-    only the stuck rows are sorted for it, the others never are.
+    Each bin keeps its best phase, the lowest on a tie; the L best bins
+    win, ties going to the lowest bin. Under a separation delta >= 1 the L
+    picks are greedy: each is the best bin left after masking every bin
+    within cyclic distance delta of the earlier picks. A row that runs out
+    of bins (a stuck row) falls back to the unconstrained pick, which then
+    breaks the separation; only the stuck rows are sorted for it, the
+    others never are.
     """
     check_noise_variance(sigma2)
     b = np.atleast_2d(np.asarray(b, dtype=complex))
@@ -231,8 +232,12 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
         metrics = _psk_metrics(equalize_lmmse(b, h_c, cfg.fdss, sigma2), cfg.h)
     else:
         metrics = _ofdm_im_metrics(b, h_c, cfg)
-    best_z = np.argmax(metrics, axis=-1)
-    best_v = np.take_along_axis(metrics, best_z[..., None], axis=-1)[..., 0]
+    best_v = metrics[..., 0]
+    best_z = np.zeros(best_v.shape, dtype=np.intp)
+    for z in range(1, metrics.shape[-1]):  # a later phase wins only when strictly better
+        plane = metrics[..., z]
+        best_z += (plane > best_v) * (z - best_z)
+        best_v = np.maximum(best_v, plane)
     if cfg.delta:
         bins = np.arange(cfg.m)
         free = np.ones(best_v.shape, dtype=bool)

@@ -22,11 +22,16 @@ repeat every 1/(2 f_c), at a resolution fine enough that grid quantization
 stays negligible against the range CRLB even at 40 dB SNR.
 
 Every stage samples sum_k q_k e^{j2pi k tau/T_s} on a uniform grid
-tau = lo + i step, which is a chirp-z transform of q. Each grid is
-therefore one Bluestein FFT convolution of length about M + P, not a P x M
-steering matrix; the grid points and the argmax rule are those of the
-explicit evaluation. The grid sizes are the module constants below.
-Each stage's chirp and kernel FFT depend only on the search geometry
+tau = lo + i step, which is a chirp-z transform of q rotated by
+e^{j2pi k lo/T_s}. Each grid is therefore one Bluestein FFT convolution,
+not a P x M steering matrix, whose length is the smallest 2^a 3^b 5^c
+that holds its M + P - 1 points (2304, 1600 and 1728 for the paper's
+coarse grid, envelope zooms and carrier windows, against 4096 and 2048
+as powers of two). The rotation is the product of two per-row tables of
+about sqrt(M) entries each, one per block of bins and one within a block,
+instead of M complex exps per row. The grid points and the argmax rule are
+those of the explicit evaluation. The grid sizes are the module constants
+below. Each stage's chirp and kernel FFT depend only on the search geometry
 (bin span, grid size and step), so they are built once per geometry per
 process and reused by every later search.
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -57,7 +63,8 @@ from .util import SPEED_OF_LIGHT, check_noise_variance
 class RadarObservation:
     """Received bins b, reference bins w on bin indices k, noise variance,
     and the timing/carrier context of the frame. b and w are one
-    observation of shape (M,) or a stack of them of shape (B, M)."""
+    observation of shape (M,) or a stack of them of shape (B, M); k holds
+    M distinct integers."""
 
     b: np.ndarray
     w: np.ndarray
@@ -68,6 +75,12 @@ class RadarObservation:
     t_cp: float
 
     def __post_init__(self):
+        k = np.asarray(self.k)
+        if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
+            raise ValueError("k must be a 1-D array of integer bin indices, "
+                             f"got shape {k.shape} of {k.dtype}")
+        if not np.all(np.diff(np.sort(k))):
+            raise ValueError("k must not repeat a bin index")
         shape = np.shape(self.b)
         if shape != np.shape(self.w) or len(shape) not in (1, 2) or \
                 shape[-1] != len(self.k):
@@ -127,11 +140,26 @@ def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 @lru_cache(maxsize=BLUESTEIN_CACHE_SIZE)
 def _bluestein(m: int, phi: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """FFT size, chirp c_d = e^{j phi d^2 / 2} for d = 1-m..n-1 and kernel
-    FFT(conj(c)) of an m-in, n-out chirp-z transform, read-only."""
-    size = 1 << (m + n - 2).bit_length()
+    FFT(conj(c)) of an m-in, n-out chirp-z transform, read-only. The size
+    is the smallest 5-smooth length that holds the m + n - 1 point linear
+    convolution."""
+    size = _smooth_length(m + n - 1)
     chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
     kernel = np.fft.fft(np.conj(chirp), size)
     chirp.flags.writeable = kernel.flags.writeable = False
@@ -143,15 +171,37 @@ def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
 
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
     into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
-    zero-padded FFT product (Rabiner, Schafer & Rader 1969). The chirp and
-    its kernel FFT depend only on (m, phi, n), so they are built once per
-    process by :func:`_bluestein` and serve every row of x and every later
-    call with the same search geometry.
+    zero-padded FFT product (Bluestein 1970; Rabiner, Schafer & Rader
+    1969). The product only has to hold the m + n - 1 point linear
+    convolution, so its length is the smallest 2^a 3^b 5^c at least that,
+    not the next power of two. The chirp and its kernel FFT depend only on
+    (m, phi, n), so they are built once per process by :func:`_bluestein`
+    and serve every row of x and every later call with the same search
+    geometry.
     """
     m = x.shape[-1]
     size, chirp, kernel = _bluestein(m, phi, n)
     conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) * kernel)
     return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
+
+
+def _bin_rotation(k: np.ndarray, lo: np.ndarray, t_s: float) -> np.ndarray:
+    """e^{j2pi k lo/T_s} for the bins k, shape (M,), and lo of shape (1,) or
+    (rows, 1); returns (M,) or (rows, M).
+
+    With theta = 2pi lo/T_s and each bin offset k - k_0 = B a + b in blocks
+    of B, about the square root of the bin span, the rotation is the
+    product of two short per-row tables, e^{j theta (k_0 + B a)} and
+    e^{j theta b}, so only about 2 sqrt(span) exps run per row.
+    """
+    k0 = int(k.min())
+    span = int(k.max()) - k0 + 1
+    block = isqrt(span - 1) + 1
+    blocks = -(-span // block)
+    offsets = np.concatenate((k0 + block * np.arange(blocks), np.arange(block)))
+    tables = np.exp(2j * np.pi * lo / t_s * offsets)
+    table = tables[..., :blocks, None] * tables[..., None, blocks:]
+    return np.take(table.reshape(lo.shape[:-1] + (-1,)), k - k0, axis=-1)
 
 
 def _grid_metric(q: np.ndarray, lo, step: float, n: int,
@@ -163,12 +213,13 @@ def _grid_metric(q: np.ndarray, lo, step: float, n: int,
     c(tau)^H q = e^{j2pi f_c tau} sum_k q_k e^{j2pi k tau/T_s}; the carrier
     rotation drops out of the envelope. With k = k_0 + m the sum is
     e^{j2pi k_0 tau/T_s} times a chirp-z transform over m of
-    q_k e^{j2pi k lo/T_s}, so no steering matrix is built.
+    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`), so no steering matrix
+    is built.
     """
     lo = np.asarray(lo)[..., None]
     k0 = int(obs.k.min())
     span = int(obs.k.max()) - k0 + 1
-    x = q * np.exp(2j * np.pi * obs.k * lo / obs.t_s)
+    x = q * _bin_rotation(obs.k, lo, obs.t_s)
     if span != len(obs.k) or np.any(np.diff(obs.k) != 1):
         spread = np.zeros(x.shape[:-1] + (span,), dtype=complex)
         spread[..., obs.k - k0] = x

@@ -9,7 +9,7 @@ from chirpim.channel import rician_realize
 from chirpim.chirps import (ChirpFamily, ChirpSpec, FrameSignal, chirp_fdss, flat_fdss,
                             measure_pmepr)
 from chirpim.config import desk_preset
-from chirpim import indexing
+from chirpim import indexing, modem
 from chirpim.indexing import IndexWord, rank_to_indices
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch, encode,
                            equalize_lmmse, extract_bins, frame_from_symbols,
@@ -265,6 +265,21 @@ def test_detect_words_batch_equals_greedy_oracle(scheme, m, length, delta, signa
         assert tuple(det_i[row]) == idx and tuple(det_z[row]) == psk, row
         stuck += was_stuck
     assert stuck_share[0] <= stuck / rows <= stuck_share[1]
+
+
+@pytest.mark.parametrize("delta", [0, 3])
+def test_detect_words_batch_phase_ties_go_to_lowest_phase(monkeypatch, delta):
+    # small-integer metrics tie between phases in most bins and between
+    # bins in most rows; each bin keeps the lowest of its tied phases
+    rng = np.random.default_rng(17)
+    cfg = make_cfg(Scheme.OFDM_IM, length=3, h=4, delta=delta)
+    table = rng.integers(0, 3, size=(200, 64, 4)).astype(float)
+    monkeypatch.setattr(modem, "_ofdm_im_metrics", lambda b, h_c, cfg_: table)
+    det_i, det_z = detect_words_batch(np.zeros((200, 64), complex), 1.0, 0.5, cfg)
+    for row in range(200):
+        idx, psk, _ = greedy_ml(table[row].tolist(), cfg.length, delta)
+        assert tuple(det_i[row]) == idx and tuple(det_z[row]) == psk, row
+    assert np.any(det_z > 0)
 
 
 def test_detect_words_batch_matches_single_path():

@@ -291,10 +291,21 @@ def test_grid_metric_noncontiguous_bins():
     assert_grid_matches_steering(obs, 0.4 * T_CP, 1e-3 / F_C, 193)
 
 
+def smooth_length(n):
+    """The smallest 2^a 3^b 5^c >= n, by trial division of n, n + 1, ..."""
+    for size in range(n, 2 * n + 1):
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+
+
 def chirp_z_reference(x, phi, n):
     """The chirp-z transform with its chirp and kernel built on every call."""
     m = x.shape[-1]
-    size = 1 << (m + n - 2).bit_length()
+    size = smooth_length(m + n - 1)
     chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
     conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) *
                        np.fft.fft(np.conj(chirp), size))
@@ -371,6 +382,148 @@ def test_cached_chirp_and_kernel_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_smooth_length_is_minimal():
+    assert [radar._smooth_length(n) for n in range(1, 5001)] == \
+        [smooth_length(n) for n in range(1, 5001)]
+
+
+@pytest.mark.parametrize("m, n, size", [
+    (1536, 768, 2304), (1536, 65, 1600), (1536, 193, 1728),  # paper stages
+    (1536, 514, 2160), (64, 66, 135), (64, 65, 128),  # m + n - 2 is 5-smooth
+])
+def test_bluestein_length_holds_the_linear_convolution(m, n, size):
+    assert radar._bluestein(m, np.pi / m, n)[0] == size == smooth_length(m + n - 1)
+
+
+@pytest.mark.parametrize("k", [
+    np.arange(-767, 769),  # paper bins: 39 blocks of 40, the last one short
+    np.arange(-31, 33),  # desk bins: span 64, blocks of 8
+    np.arange(-31, 33)[np.arange(64) % 3 != 1],  # two bins in three
+    np.sort(np.random.default_rng(15).choice(np.arange(-40, 60), size=37, replace=False)),
+    np.array([7]),
+], ids=["paper", "desk", "two-in-three", "scattered", "one-bin"])
+def test_bin_rotation_equals_exp(k):
+    t_s = PAPER_T_S
+    for lo in (np.array([0.0]), np.array([0.37 * PAPER_T_CP]), np.array([PAPER_T_CP]),
+               np.array([[0.0], [1e-12], [0.5 * PAPER_T_CP], [PAPER_T_CP]])):
+        got = radar._bin_rotation(k, lo, t_s)
+        ref = np.exp(2j * np.pi * k * lo / t_s)
+        assert got.shape == ref.shape == lo.shape[:-1] + k.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def paper_observations(n_targets, rows, seed):
+    """Paper-scale observations (M = 1536, f_c = 64.8 GHz) whose first
+    target lies 2, 5 and 20 ps from 0 and from T_cp (the first two of each
+    for two targets), so zoom windows shift to both edges; the other rows
+    are spread over [0, T_cp]. A second target lies 3 bins' resolution
+    further inside."""
+    rng = np.random.default_rng(seed)
+    k, sigma2 = np.arange(-767, 769), 1e-3
+    near = (2e-12, 5e-12, 20e-12)[:3 if n_targets == 1 else 2]
+    taus = list(near) + [PAPER_T_CP - e for e in near]
+    taus += list(rng.uniform(0.05, 0.95, rows - len(taus)) * PAPER_T_CP)
+    bs, ws = [], []
+    for tau in taus:
+        w = np.exp(2j * np.pi * rng.uniform(size=len(k))) * rng.uniform(0.2, 1.5, len(k))
+        ref = RadarObservation(b=w, w=w, k=k, sigma2=sigma2, f_c=PAPER_F_C, t_s=PAPER_T_S,
+                               t_cp=PAPER_T_CP)
+        spacing = 3.0 * PAPER_T_S / len(k) * (1 if tau < PAPER_T_CP / 2 else -1)
+        b = sum(-0.7 * w * ref.steering(tau + s * spacing) for s in range(n_targets))
+        bs.append(b + (rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+                  * np.sqrt(sigma2 / 2))
+        ws.append(w)
+    return RadarObservation(b=np.stack(bs), w=np.stack(ws), k=k, sigma2=sigma2,
+                            f_c=PAPER_F_C, t_s=PAPER_T_S, t_cp=PAPER_T_CP)
+
+
+# estimate_mf_lmmse on paper_observations(1, 24, 101) and (2, 8, 102), from
+# the search with power-of-two Bluestein lengths and a full exp per
+# rotation: the stage lengths and the rotation may change only bits that no
+# argmax sees.
+PINNED_PAPER_ESTIMATES = {
+    1: {
+        "final_step": 1.0465561771262002e-17,
+        "mf_delays": [
+            1.996714064777306e-12, 5.000612863297325e-12, 1.999852211045155e-11, 4.848285045212293e-08,
+            4.847984657425553e-08, 4.846484803707466e-08, 4.359657013590221e-08,
+            1.8108066214901477e-08, 3.667029795781649e-08, 2.822547421572526e-08,
+            1.526767015724739e-08, 4.268864024293469e-08, 4.0358707837562543e-08,
+            1.8313918002749755e-08, 4.48901390801613e-08, 1.22216696662489e-08, 3.757315363933327e-08,
+            3.2136078073996556e-08, 2.2979610983043082e-08, 3.768482248687078e-09,
+            4.146998393254649e-08, 2.7455480203320522e-08, 1.945587461038426e-08,
+            1.7901144695365232e-08,
+        ],
+        "mf_coeffs": [
+            -0.6988512268600482, -0.6996121052140308, -0.6997684880860635, -0.6995217824865309,
+            -0.700495938965156, -0.7000454836130187, -0.6992986969472992, -0.6996114270560431,
+            -0.7005172518785324, -0.7002871876018693, -0.7002429990038109, -0.7004056224164509,
+            -0.6999014309211411, -0.6996975228113034, -0.6996078846361783, -0.7006383128323435,
+            -0.6995800258593565, -0.7001804645208353, -0.6990335969386213, -0.6997292829117455,
+            -0.7003729892482767, -0.6999001211234163, -0.6996811750565328, -0.6996052309475541,
+        ],
+        "lmmse_delays": [
+            1.994558159052426e-12, 5.000979157959319e-12, 2.0003315337742784e-11,
+            4.8482847595024564e-08, 4.8479852152399955e-08, 4.846484425900687e-08,
+            4.3596566577611206e-08, 1.810806372314636e-08, 3.6670293405297113e-08,
+            2.82254698706143e-08, 1.5267673516692718e-08, 4.268864003457487e-08, 4.035870963763917e-08,
+            1.8313914715611947e-08, 4.489013758644021e-08, 1.2221662392683468e-08,
+            3.757315130456158e-08, 3.213607598183561e-08, 2.297960874531569e-08,
+            3.7684814647213605e-09, 4.146998228850188e-08, 2.745548070566749e-08,
+            1.945587787468812e-08, 1.7901149937660265e-08,
+        ],
+        "lmmse_coeffs": [
+            -0.6988504358441854, -0.6996115637700298, -0.6997666223457578, -0.6995207889314131,
+            -0.7004935869827089, -0.7000441195243631, -0.6992974344818714, -0.6996105437910753,
+            -0.7005155255688134, -0.7002855538700975, -0.7002418217450748, -0.7004051084819863,
+            -0.6999007066185312, -0.6996963664139392, -0.6996072116813074, -0.7006347086876028,
+            -0.6995791779586255, -0.7001797070463182, -0.6990327997899307, -0.6997287338250923,
+            -0.7003723093722302, -0.6998995879428519, -0.6996800340939102, -0.6996031217021892,
+        ],
+    },
+    2: {
+        "final_step": 1.0465561771262002e-17,
+        "mf_delays": [
+            2.0005549259473593e-12, 3.807895858770358e-10, 4.999901205096879e-12,
+            3.8378590094893034e-10, 4.8104061088176694e-08, 4.848285024281169e-08,
+            4.810105997702326e-08, 4.847984802896862e-08, 9.405673710986823e-09, 9.78446148416767e-09,
+            2.761390042117683e-08, 2.7992684866309038e-08, 3.799469869537296e-08,
+            3.837348891749526e-08, 1.539559936904003e-08, 1.5774386209834466e-08,
+        ],
+        "mf_coeffs": [
+            -0.6987095931600534, -0.6992939419633716, -0.7010744783981431, -0.6998961569998137,
+            -0.6994225589567774, -0.7004264094261727, -0.7001080122654968, -0.7003915677388025,
+            -0.7012966696833917, -0.7007604728792856, -0.6982529004753589, -0.699377397887876,
+            -0.6999055939006056, -0.700843581969341, -0.7000802217575031, -0.7002915365475062,
+        ],
+        "lmmse_delays": [
+            2.0023236058867023e-12, 3.8078882379385576e-10, 4.998247646337019e-12,
+            3.837867496108486e-10, 4.8104060396498205e-08, 4.84828478880603e-08, 4.810105813413297e-08,
+            4.847984277525661e-08, 9.405676026730222e-09, 9.784465073855356e-09,
+            2.7613900115772714e-08, 2.7992683923457063e-08, 3.7994698601182905e-08,
+            3.837348555804993e-08, 1.539559599912914e-08, 1.5774386470522094e-08,
+        ],
+        "lmmse_coeffs": [
+            -0.6987101480653588, -0.6992961857071955, -0.701072098092684, -0.6998922445171846,
+            -0.6994137016687203, -0.7004279739634967, -0.7001370009326439, -0.7003785617608338,
+            -0.7012794539765359, -0.7007697422412902, -0.6982454201411774, -0.699379053755656,
+            -0.6999186561175343, -0.7008421594934153, -0.7000792066229483, -0.7002926281558822,
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("n_targets, rows, seed", [(1, 24, 101), (2, 8, 102)])
+def test_paper_estimates_pinned(n_targets, rows, seed):
+    obs = paper_observations(n_targets, rows, seed)
+    pinned = PINNED_PAPER_ESTIMATES[n_targets]
+    for name, est in zip(("mf", "lmmse"), estimate_mf_lmmse(obs, n_targets)):
+        assert est.delays.shape == (rows, n_targets)
+        assert est.delays.ravel().tolist() == pinned[name + "_delays"]
+        assert est.coeffs.ravel().tolist() == pinned[name + "_coeffs"]
+        assert est.final_step == pinned["final_step"]
 
 
 # Rows of run_radar_rmse at the desk preset (16 trials, seed 1), from the
@@ -533,6 +686,30 @@ def test_observation_shapes_checked():
     with pytest.raises(ValueError):
         RadarObservation(b=np.ones((1, 2, 64), complex), w=np.ones((1, 2, 64), complex),
                          k=k, sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+
+
+@pytest.mark.parametrize("k", [
+    np.arange(-31, 33) + 0.5,  # crashed inside the search on a float index
+    np.arange(-31, 33).astype(float),
+    np.arange(-31, 33).reshape(2, 32),
+], ids=["half-bins", "integral-floats", "2-D"])
+def test_observation_bins_must_be_integers(k):
+    with pytest.raises(ValueError, match="k must be a 1-D array of integer"):
+        RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=k,
+                         sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+
+
+def test_observation_bins_must_not_repeat():
+    # the chirp-z scatter kept one copy of a repeated bin while steering and
+    # mf_objective counted both, so the grid and the steering metrics differed
+    k = np.arange(-31, 33)
+    k[10] = 9
+    with pytest.raises(ValueError, match="k must not repeat"):
+        RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=k,
+                         sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex),
+                     k=np.arange(-31, 33)[::-1] + 40, sigma2=0.0, f_c=F_C, t_s=T_S,
+                     t_cp=T_CP)  # distinct bins in any order
 
 
 @pytest.mark.parametrize("sigma2", [np.nan, -2.0, np.inf, -np.inf])
