@@ -22,18 +22,12 @@ repeat every 1/(2 f_c), at a resolution fine enough that grid quantization
 stays negligible against the range CRLB even at 40 dB SNR.
 
 Every stage samples sum_k q_k e^{j2pi k tau/T_s} on a uniform grid
-tau = lo + i step, which is a chirp-z transform of q rotated by
-e^{j2pi k lo/T_s}. Each grid is therefore one Bluestein FFT convolution,
-not a P x M steering matrix, whose length is the smallest 2^a 3^b 5^c
-that holds its M + P - 1 points (2304, 1600 and 1728 for the paper's
-coarse grid, envelope zooms and carrier windows, against 4096 and 2048
-as powers of two). The rotation is the product of two per-row tables of
-about sqrt(M) entries each, one per block of bins and one within a block,
-instead of M complex exps per row. The grid points and the argmax rule are
-those of the explicit evaluation. The grid sizes are the module constants
-below. Each stage's chirp and kernel FFT depend only on the search geometry
-(bin span, grid size and step), so they are built once per geometry per
-process and reused by every later search.
+tau = lo + i step, a chirp-z transform of q rotated by e^{j2pi k lo/T_s}
+(:func:`_bin_rotation`), so each grid is one 5-smooth Bluestein FFT
+convolution (:func:`_chirp_z`), not a P x M steering matrix, with the grid
+points and argmax rule of the explicit evaluation. The grid sizes are the
+module constants below; each stage's chirp and kernel depend only on the
+search geometry, so they are built once per process.
 
 The search runs on stacked rows: q has shape (rows, M). Each zoom window
 is centred on its row's best delay and shifted, not clamped, to lie inside
@@ -45,6 +39,11 @@ the same searches, so each cancellation step is one search call;
 :func:`estimate_multi_mf` and :func:`estimate_lmmse` run the same core on
 their rows alone, one frame being a batch of one. A row's estimate is
 bit-for-bit the same whatever else is in its batch.
+
+The bounds read one matrix, :func:`fim`: the Fisher information of all
+delays and coefficients jointly, cross terms between targets included
+(Stoica & Nehorai, IEEE TASSP 1989). :func:`crlb_range` and
+:func:`crlb_coeff` are traces of blocks of its inverse.
 """
 from __future__ import annotations
 
@@ -76,6 +75,7 @@ class RadarObservation:
 
     def __post_init__(self):
         k = np.asarray(self.k)
+        object.__setattr__(self, "k", k)
         if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
             raise ValueError("k must be a 1-D array of integer bin indices, "
                              f"got shape {k.shape} of {k.dtype}")
@@ -172,12 +172,9 @@ def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
     into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
     zero-padded FFT product (Bluestein 1970; Rabiner, Schafer & Rader
-    1969). The product only has to hold the m + n - 1 point linear
-    convolution, so its length is the smallest 2^a 3^b 5^c at least that,
-    not the next power of two. The chirp and its kernel FFT depend only on
-    (m, phi, n), so they are built once per process by :func:`_bluestein`
-    and serve every row of x and every later call with the same search
-    geometry.
+    1969). Its length, chirp and kernel FFT depend only on (m, phi, n), so
+    :func:`_bluestein` builds them once per process for every row of x and
+    every later call with the same search geometry.
     """
     m = x.shape[-1]
     size, chirp, kernel = _bluestein(m, phi, n)
@@ -366,60 +363,62 @@ def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
     return _shaped(_estimate_rows(obs, n_targets, mf=False, lmmse=True)[0], obs)
 
 
-def _weights(w_or_fdss) -> tuple[np.ndarray, np.ndarray]:
-    """(bin indices, |w_k|^2) from either raw bins + explicit k or a profile."""
-    if isinstance(w_or_fdss, FdssProfile):
-        return w_or_fdss.k, np.abs(w_or_fdss.g) ** 2
-    k, w = w_or_fdss
-    return np.asarray(k), np.abs(np.asarray(w)) ** 2
-
-
 def fim(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
-    """Fisher information for [tau_1..tau_R, alpha_1..alpha_R].
+    """Fisher information J of [tau_1..tau_R, alpha_1..alpha_R] for the mean
+    w_k sum_s alpha_s e^{-j2pi nu_k tau_s}, nu_k = f_c + k/T_s. From the sums
+    s_n(dt) = sum_k |w_k|^2 nu_k^n e^{j2pi nu_k dt} at dt = tau_s - tau_t:
+    J_tau,tau = (8 pi^2/sigma2) alpha_s alpha_t Re s_2, J_tau,alpha =
+    J_alpha,tau^T = -(4 pi/sigma2) alpha_s Im s_1 and J_alpha,alpha =
+    (2/sigma2) Re s_0. ``w_or_fdss`` is ``(k, w)`` for one frame or an
+    :class:`FdssProfile` for the expectation form (|w_k|^2 -> |g_k|^2)."""
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    k, w = (w_or_fdss.k, w_or_fdss.g) if isinstance(w_or_fdss, FdssProfile) else w_or_fdss
+    nu = scene.f_c + np.asarray(k) / scene.t_s
+    w2 = np.abs(np.asarray(w)) ** 2
+    tau, alpha = np.asarray(scene.delays), np.asarray(scene.coeffs, dtype=float)
+    r = len(tau)
+    phase = 2.0 * np.pi * np.subtract.outer(tau, tau)[..., None] * nu
+    cos = np.cos(phase)  # Re s_n = cos @ (|w|^2 nu^n), Im s_n = sin @ (|w|^2 nu^n)
+    j = np.empty((2 * r, 2 * r))
+    j[:r, :r] = alpha[:, None] * alpha * (8.0 * np.pi ** 2 * (cos @ (w2 * nu * nu)))
+    j[:r, r:] = -4.0 * np.pi * alpha[:, None] * (np.sin(phase) @ (w2 * nu))
+    j[r:, :r] = j[:r, r:].T
+    j[r:, r:] = 2.0 * (cos @ w2)
+    return j / sigma2
 
-    Diagonal: (8 pi^2 alpha_s^2 / sigma2) sum_k |w_k|^2 (k/T_s + f_c)^2 for
-    the delay block and (2 alpha_s^2 / sigma2) sum_k |w_k|^2 for the
-    coefficient block; cross terms vanish. Pass an :class:`FdssProfile` to
-    evaluate the expectation form (|w_k|^2 -> |g_k|^2) or ``(k, w)`` for a
-    specific frame.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    k, w2 = _weights(w_or_fdss)
-    alphas = np.asarray(scene.coeffs, dtype=float)
-    r = len(alphas)
-    freq2 = np.sum(w2 * (k / scene.t_s + scene.f_c) ** 2)
-    j = np.zeros((2 * r, 2 * r))
-    j[np.arange(r), np.arange(r)] = 8.0 * np.pi ** 2 * alphas ** 2 / sigma2 * freq2
-    j[np.arange(r, 2 * r), np.arange(r, 2 * r)] = 2.0 * alphas ** 2 / sigma2 * np.sum(w2)
-    return j
+
+def _fim_inverse(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
+    """J^{-1}; targets at one distance make J singular and are refused."""
+    d = scene.distances
+    for s in range(len(d) - 1):
+        if d[s] == d[s + 1]:
+            raise ValueError(f"targets {s} and {s + 1} coincide at {d[s]} m: "
+                             "the Fisher information is singular")
+    return np.linalg.inv(fim(scene, w_or_fdss, sigma2))
 
 
 def crlb_range(scene: RadarScene, w_or_fdss, sigma2: float) -> float:
-    """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2:
-    sigma2 c^2 / (32 pi^2 sum_k |w_k|^2 (k/T_s + f_c)^2) * sum_s 1/alpha_s^2."""
-    k, w2 = _weights(w_or_fdss)
-    freq2 = np.sum(w2 * (k / scene.t_s + scene.f_c) ** 2)
-    inv_a2 = np.sum(1.0 / np.asarray(scene.coeffs, dtype=float) ** 2)
-    return float(sigma2 * SPEED_OF_LIGHT ** 2 / (32.0 * np.pi ** 2 * freq2) * inv_a2)
+    """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2: c^2/4 times the
+    trace of the tau block of J^{-1} (:func:`fim`)."""
+    r = scene.n_targets
+    inverse = _fim_inverse(scene, w_or_fdss, sigma2)
+    return float(SPEED_OF_LIGHT ** 2 / 4.0 * inverse[:r, :r].trace())
 
 
 def crlb_coeff(scene: RadarScene, w_or_fdss, sigma2: float) -> float:
-    """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2:
-    sigma2 / (2 sum_k |w_k|^2) * sum_s 1/alpha_s^2."""
-    _, w2 = _weights(w_or_fdss)
-    inv_a2 = np.sum(1.0 / np.asarray(scene.coeffs, dtype=float) ** 2)
-    return float(sigma2 / (2.0 * np.sum(w2)) * inv_a2)
+    """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2: the trace of the
+    alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target."""
+    r = scene.n_targets
+    return float(_fim_inverse(scene, w_or_fdss, sigma2)[r:, r:].trace())
 
 
 def crlb_range_no_phase(scene: RadarScene, m: int, sigma2: float) -> float:
     """Range bound when the carrier phase is treated as unknown rather than
-    range-dependent (unimodular bins):
-    3 sigma2 c^2 T_s^2 / (8 pi^2 M (M^2 - 1)) * sum_s 1/alpha_s^2.
-
-    Equals :func:`crlb_range` with f_c -> 0 and |w_k| = 1 on m symmetric
-    bins, via sum k^2 = M (M^2 - 1) / 12.
-    """
+    range-dependent (unimodular bins), without cross terms between targets:
+    3 sigma2 c^2 T_s^2 / (8 pi^2 M (M^2 - 1)) * sum_s 1/alpha_s^2. For one
+    target, :func:`crlb_range` with f_c -> 0 and |w_k| = 1 on m symmetric
+    bins, via sum k^2 = M (M^2 - 1) / 12."""
     inv_a2 = np.sum(1.0 / np.asarray(scene.coeffs, dtype=float) ** 2)
     return float(3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * scene.t_s ** 2 /
                  (8.0 * np.pi ** 2 * m * (m ** 2 - 1)) * inv_a2)

@@ -4,7 +4,8 @@ Everything here is deliberately brute force or first principles: Fourier
 coefficients by composite Gauss-Legendre quadrature of the chirp phase,
 index sets by filtering all combinations, unranking by walking the counts
 one position at a time, ML detection by enumerating every
-hypothesis, the greedy separation-aware detector as a plain Python loop.
+hypothesis, the greedy separation-aware detector as a plain Python loop,
+the radar Fisher information as the Gram matrix of the mean's Jacobian.
 None of it shares code with the library paths under test.
 """
 from __future__ import annotations
@@ -165,3 +166,17 @@ def greedy_ml(table, length: int, delta: int):
         picks = ranked[:length]
     picks.sort()
     return tuple(picks), tuple(best[l][1] for l in picks), stuck
+
+
+def fim_jacobian_gram(k, w, delays, coeffs, f_c: float, t_s: float,
+                      sigma2: float) -> np.ndarray:
+    """(2/sigma2) Re{D^H D} for the Jacobian D of the noiseless radar bins
+    mu_k = w_k sum_s alpha_s e^{-j2pi (f_c + k/t_s) tau_s} with respect to
+    [tau_1..tau_R, alpha_1..alpha_R]: one column per parameter, written out
+    target by target."""
+    nu = f_c + np.asarray(k, dtype=float) / t_s
+    w = np.asarray(w, dtype=complex)
+    ramps = [w * np.exp(-2j * np.pi * nu * tau) for tau in delays]
+    d = np.stack([-2j * np.pi * nu * alpha * ramp for alpha, ramp in zip(coeffs, ramps)]
+                 + ramps, axis=1)
+    return 2.0 / sigma2 * np.real(d.conj().T @ d)

@@ -19,8 +19,9 @@ from chirpim.indexing import (delta_no_loss, index_count, indices_to_rank,
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch,
                            extract_bins, frame_from_symbols,
                            post_equalization_snr, tx_bins, union_bound_bler)
-from chirpim.radar import (RadarObservation, crlb_range, crlb_range_no_phase,
-                           estimate_lmmse, estimate_multi_mf, min_resolution)
+from chirpim.radar import (RadarObservation, crlb_coeff, crlb_range,
+                           crlb_range_no_phase, estimate_lmmse, estimate_multi_mf,
+                           min_resolution)
 from chirpim.runners import (random_words, run_bler, run_pmepr_ccdf,
                              run_radar_rmse, run_resolution)
 
@@ -173,6 +174,39 @@ def test_crlb_attainment():
            f"MF gaps {[f'{g:+.2f}' for g in gaps]} dB at 30/35/40 dB SNR "
            f"(2000 trials each); phase-aware bound {np.sqrt(aware):.2e} m < "
            f"phase-unaware {np.sqrt(unaware):.2e} m, {elapsed:.0f}s")
+
+
+def test_coefficient_crlb_attainment():
+    # alpha = 0.5: a bound scaled by 1/alpha^2 would sit 4x too low here
+    t0 = time.time()
+    cfg = desk_preset(length=1)
+    mcfg = cfg.modem_config()
+    rng = np.random.default_rng(305)
+    alpha, trials = 0.5, 1000
+    gaps = []
+    for snr_db in (30.0, 35.0, 40.0):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        bs, ws = [], []
+        bound = np.zeros(trials)
+        for t in range(trials):
+            _, _, d = random_words(mcfg, 1, rng)
+            w = tx_bins(d[0], mcfg)
+            scene = RadarScene(targets=((rng.uniform(*cfg.single_range_m), alpha),),
+                               f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+            noise = (rng.standard_normal(mcfg.m) + 1j * rng.standard_normal(mcfg.m)) \
+                * np.sqrt(sigma2 / 2)
+            bs.append(radar_cfr(scene, mcfg.k) * w + noise)
+            ws.append(w)
+            bound[t] = crlb_coeff(scene, (mcfg.k, w), sigma2)
+        obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
+                               f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+        err2 = (estimate_multi_mf(obs, 1).coeffs[:, 0] - alpha) ** 2
+        gaps.append(10 * np.log10(err2.mean() / bound.mean()))
+    ok = all(abs(g) <= 1.0 for g in gaps)
+    elapsed = time.time() - t0
+    report("coefficient-crlb-attainment", ok and elapsed < 600,
+           f"MF coefficient gaps {[f'{g:+.2f}' for g in gaps]} dB at 30/35/40 dB SNR "
+           f"({trials} trials each, alpha = {alpha}), {elapsed:.0f}s")
 
 
 def _two_target_rmse(cfg, snr_db, trials, seed, estimator):

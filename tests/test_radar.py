@@ -531,30 +531,30 @@ def test_paper_estimates_pinned(n_targets, rows, seed):
 # that moves any estimate, even in its last bits, shows here.
 PINNED_RADAR_ROWS = {
     "single": [
-        (0.0, 0.01801180808843388, 0.018832282346245056, 0.0003261844051157466, 0.00032531377854331763, 0.010146517333270783),
+        (0.0, 0.01801180808843388, 0.018832282346245056, 0.00032618440511574654, 0.00032531377854331763, 0.010146517333270783),
         (2.0, 0.009238942807042535, 0.01084232572517683, 0.00025751716059848646, 0.0002584059194417993, 0.008059665201936305),
-        (4.0, 0.01044578180100878, 0.012975487892338324, 0.00020622152320017034, 0.00020525911783250933, 0.006402019632322784),
+        (4.0, 0.01044578180100878, 0.012975487892338324, 0.00020622152320017034, 0.00020525911783250938, 0.006402019632322784),
         (6.0, 0.007067210873258459, 0.011929987058672622, 0.0001654840080591812, 0.00016304311272896047, 0.0050853049532131505),
         (8.0, 0.005809556209202027, 0.007120129483261347, 0.00012964511694380995, 0.00012950974791794718, 0.004039401306520448),
         (10.0, 0.006534011932461783, 0.010067768974211196, 0.00010273407076699621, 0.0001028732494432497, 0.0032086105091513432),
         (12.0, 0.004083037564086137, 0.0077383088744070365, 8.163456703362234e-05, 8.171512663060718e-05, 0.0025486899216519646),
         (14.0, 0.0029373862238797825, 0.008182857448960431, 6.519757077386024e-05, 6.490863228676136e-05, 0.0020244963663253726),
-        (16.0, 3.8396007059117386e-05, 0.005837341389792616, 5.2287395660121626e-05, 5.155875930271062e-05, 0.001608114624868955),
+        (16.0, 3.8396007059117386e-05, 0.005837341389792616, 5.2287395660121626e-05, 5.155875930271063e-05, 0.001608114624868955),
         (18.0, 3.976788523255559e-05, 0.0057595630579336, 4.105089006450583e-05, 4.0954578261496265e-05, 0.0012773708512064572),
-        (20.0, 3.245310980564303e-05, 0.004970803824855553, 3.2628963909558705e-05, 3.2531377854331764e-05, 0.0010146517333270782),
+        (20.0, 3.245310980564303e-05, 0.004970803824855553, 3.26289639095587e-05, 3.2531377854331764e-05, 0.0010146517333270782),
     ],
     "two": [
-        (0.0, 0.03628650149198875, 0.040799278578144936, 0.0006537605927834797, 0.0006506275570866353, 0.02029303466654156),
-        (2.0, 0.02414072062539784, 0.030131868490781883, 0.0005222024855749649, 0.0005168118388835986, 0.016119330403872603),
-        (4.0, 0.025240917409223983, 0.0253413583649002, 0.00041036818576976506, 0.0004105182356650186, 0.012804039264645566),
-        (6.0, 0.018731447468044896, 0.026741644857334695, 0.00032670205969850076, 0.00032608622545792095, 0.010170609906426301),
-        (8.0, 0.012322751177250102, 0.013873725717885173, 0.0002586322091282679, 0.00025901949583589435, 0.008078802613040894),
-        (10.0, 0.009642080057538258, 0.016371834059391757, 0.00020720725862056726, 0.00020574649888649936, 0.006417221018302686),
-        (12.0, 0.009187073458649803, 0.012905422611309711, 0.00016320887964107282, 0.00016343025326121435, 0.005097379843303929),
-        (14.0, 0.007087633421642464, 0.011681414433451828, 0.0001304665646346622, 0.00012981726457352268, 0.004048992732650745),
-        (16.0, 0.004991464495554901, 0.010441118455741204, 0.00010299231365180587, 0.00010311751860542124, 0.00321622924973791),
-        (18.0, 0.0028938015742029275, 0.007646685046953063, 8.208425599929022e-05, 8.190915652299252e-05, 0.0025547417024129144),
-        (20.0, 0.004068907009963186, 0.00868479192280001, 6.571866187613164e-05, 6.506275570866353e-05, 0.0020293034666541555),
+        (0.0, 0.03628650149198875, 0.040799278578144936, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
+        (2.0, 0.02414072062539784, 0.030131868490781883, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
+        (4.0, 0.025240917409223983, 0.0253413583649002, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
+        (6.0, 0.018731447468044896, 0.026741644857334695, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
+        (8.0, 0.012322751177250102, 0.013873725717885173, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
+        (10.0, 0.009642080057538258, 0.016371834059391757, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
+        (12.0, 0.009187073458649803, 0.012905422611309711, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
+        (14.0, 0.007087633421642464, 0.011681414433451828, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
+        (16.0, 0.004991464495554901, 0.010441118455741204, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
+        (18.0, 0.0028938015742029275, 0.007646685046953063, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
+        (20.0, 0.004068907009963186, 0.00868479192280001, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
     ],
 }
 
@@ -579,19 +579,19 @@ PINNED_RADAR_ROWS_80 = {
         (20.0, 3.53554610338934e-05, 0.0050150204130692076, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
     ],
     "two": [
-        (0.0, 0.031942016414388236, 0.037405380526705966, 0.0006510131929294685, 0.0006506275570866348, 0.020293034666541566),
-        (10.0, 0.010524751797426136, 0.016151196131319236, 0.00020581182755226532, 0.00020574649888649928, 0.006417221018302683),
-        (20.0, 0.0036527925404299957, 0.008926324941464317, 6.516931512999886e-05, 6.50627557086635e-05, 0.0020293034666541555),
+        (0.0, 0.031942016414388236, 0.037405380526705966, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
+        (10.0, 0.010524751797426136, 0.016151196131319236, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
+        (20.0, 0.0036527925404299957, 0.008926324941464317, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
     ],
 }
 PINNED_RESOLUTION_ROWS_24 = [
-    (0.5, 0.22652357913505497, 0.18245215793978883, 6.492400738616114e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (0.75, 0.15914526134100987, 0.1426465037099556, 6.536727275829171e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (1.0, 0.13270025006921493, 0.07232763908938376, 6.499204964723514e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (1.25, 0.0777726317768857, 0.00916445642269422, 6.513346201548676e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (1.5, 0.007074682149770187, 0.010341946077187946, 6.51900249050003e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (2.0, 0.002393859956938882, 0.008151974016903962, 6.505821627618897e-05, 6.506275570866354e-05, 0.002029303466654155),
-    (3.0, 0.0023576405988396222, 0.009137284352249857, 6.47688929300375e-05, 6.506275570866354e-05, 0.002029303466654155),
+    (0.5, 0.22652357913505497, 0.18245215793978883, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
+    (0.75, 0.15914526134100987, 0.1426465037099556, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
+    (1.0, 0.13270025006921493, 0.07232763908938376, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
+    (1.25, 0.0777726317768857, 0.00916445642269422, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
+    (1.5, 0.007074682149770187, 0.010341946077187946, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
+    (2.0, 0.002393859956938882, 0.008151974016903962, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
+    (3.0, 0.0023576405988396222, 0.009137284352249857, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
 ]
 
 
@@ -712,6 +712,19 @@ def test_observation_bins_must_not_repeat():
                      t_cp=T_CP)  # distinct bins in any order
 
 
+def test_observation_accepts_list_bins():
+    # the search calls k.max(), so a list k must be stored as an array
+    scene = scene_of((1.7, -0.8))
+    obs = observation(scene, modem(), 1e-3, rng=np.random.default_rng(9))
+    as_list = RadarObservation(b=obs.b, w=obs.w, k=obs.k.tolist(), sigma2=obs.sigma2,
+                               f_c=obs.f_c, t_s=obs.t_s, t_cp=obs.t_cp)
+    assert isinstance(as_list.k, np.ndarray)
+    est, est_list = estimate_multi_mf(obs, 1), estimate_multi_mf(as_list, 1)
+    assert np.array_equal(est.delays, est_list.delays)
+    assert np.array_equal(est.coeffs, est_list.coeffs)
+    assert est.final_step == est_list.final_step
+
+
 @pytest.mark.parametrize("sigma2", [np.nan, -2.0, np.inf, -np.inf])
 def test_observation_noise_variance_checked(sigma2):
     # NaN gave a NaN LMMSE coefficient, a negative value zeroed every LMMSE
@@ -761,10 +774,12 @@ def test_crlb_consistent_with_fim_inverse():
     rng = np.random.default_rng(6)
     w = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     sigma2 = 0.02
-    j = fim(scene, (k, w), sigma2)
-    from_fim = SPEED_OF_LIGHT ** 2 / 4 * np.sum(1.0 / np.diag(j)[:2])
+    inverse = np.linalg.inv(fim(scene, (k, w), sigma2))
+    from_fim = SPEED_OF_LIGHT ** 2 / 4 * np.trace(inverse[:2, :2])
     direct = crlb_range(scene, (k, w), sigma2)
     assert abs(from_fim - direct) < 1e-12 * direct
+    direct = crlb_coeff(scene, (k, w), sigma2)
+    assert abs(np.trace(inverse[2:, 2:]) - direct) < 1e-12 * direct
 
 
 def test_crlb_linear_in_noise_and_targets():
@@ -773,8 +788,50 @@ def test_crlb_linear_in_noise_and_targets():
     k = np.arange(-31, 33)
     w = np.ones(len(k), complex)
     assert np.isclose(crlb_range(scene1, (k, w), 0.2), 2 * crlb_range(scene1, (k, w), 0.1))
-    assert np.isclose(crlb_range(scene2, (k, w), 0.1), 2 * crlb_range(scene1, (k, w), 0.1))
-    assert np.isclose(crlb_coeff(scene2, (k, w), 0.1), 2 * crlb_coeff(scene1, (k, w), 0.1))
+    # targets couple, so the joint bound is never below the one-target bounds
+    for scene in (scene1, scene2):
+        for bound in (crlb_range, crlb_coeff):
+            joint = bound(scene, (k, w), 0.1)
+            alone = sum(bound(scene_of(t), (k, w), 0.1) for t in scene.targets)
+            assert joint >= alone if scene.n_targets > 1 else joint == alone
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, -0.25])
+def test_coeff_bound_does_not_depend_on_coefficient(alpha):
+    # d mean / d alpha = w_k e^{-j2pi nu_k tau} holds no alpha, so neither
+    # does the bound
+    k = np.arange(-31, 33)
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
+    sigma2 = 0.01
+    expect = sigma2 / (2 * np.sum(np.abs(w) ** 2))
+    assert np.isclose(crlb_coeff(scene_of((1.5, alpha)), (k, w), sigma2), expect,
+                      rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("targets, pair", [
+    (((1.5, 0.5), (1.5, -0.3)), "0 and 1"),
+    (((1.2, 1.0), (1.9, 0.5), (1.9, 0.5)), "1 and 2"),
+], ids=["two", "last-two-of-three"])
+def test_bounds_refuse_coincident_targets(targets, pair):
+    # two targets at one distance make the Fisher information singular
+    scene = scene_of(*targets)
+    k = np.arange(-31, 33)
+    w = np.ones(len(k), complex)
+    for bound in (crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match=f"targets {pair} coincide"):
+            bound(scene, (k, w), 0.01)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf])
+def test_bounds_need_positive_noise(sigma2):
+    # the bounds invert fim, which needs a finite positive noise variance
+    scene = scene_of((1.5, 0.5))
+    k = np.arange(-31, 33)
+    w = np.ones(len(k), complex)
+    for bound in (fim, crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match="sigma2"):
+            bound(scene, (k, w), sigma2)
 
 
 def test_phase_aware_bound_far_below_phase_unaware():
