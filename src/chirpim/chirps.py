@@ -237,43 +237,37 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int,
 
 
 # frames per oversampled transform in measure_pmepr: 32 paper-scale frames
-# hold about 8 MB of 8x spectrum at once
+# hold about 8 MB of 8x oversampled body at once
 PMEPR_BLOCK = 32
 
 
-def measure_pmepr(frame: FrameSignal, oversample: int = 8,
+def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, oversample: int = 8,
                   p_av: float | None = None):
-    """Peak-to-mean envelope power ratio of the frame body, in dB.
+    """Peak-to-mean envelope power ratio, in dB, of the frame body carrying
+    bins ``w`` (shape (..., M)) on bin indices ``k`` of an N-point IDFT.
 
-    The body spectrum is zero-padded by ``oversample`` before returning to
-    time, so inter-sample peaks are captured. ``p_av`` is the mean-power
-    reference; by default the body's own time-averaged power is used. Pass
-    the average power of the whole transmission (for frames built by
-    :func:`chirpim.modem.frame_from_symbols` that is sum |g_k|^2 = M) to
-    reference the peak against the ensemble power instead of the per-frame
-    power. Frames are transformed :data:`PMEPR_BLOCK` at a time, so memory
-    stays bounded whatever the batch; every frame's value is the same as
-    when it is measured alone.
+    The peak is taken on the ``oversample * n``-point IDFT of the bins
+    (:func:`synthesize`, no prefix), which captures inter-sample peaks.
+    ``p_av`` is the mean-power reference, by default the body's own mean
+    power; pass sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins`
+    to reference the ensemble power instead. Frames are synthesized
+    :data:`PMEPR_BLOCK` at a time, so memory stays bounded whatever the
+    batch; every frame's value is the same as when it is measured alone.
 
-    Returns a scalar, or an array matching the frame's batch axes.
+    Returns a scalar, or an array matching the batch axes of ``w``.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
-    n = frame.n
-    half = n // 2
-    rows = frame.samples.reshape(-1, frame.samples.shape[-1])
+    rows = np.reshape(w, (-1, np.shape(w)[-1]))
     peak = np.empty(len(rows))
     mean = np.empty(len(rows)) if p_av is None else None
     for lo in range(0, len(rows), PMEPR_BLOCK):
-        spec = np.fft.fft(rows[lo:lo + PMEPR_BLOCK, frame.n_cp:], axis=-1)
-        padded = np.zeros((len(spec), n * oversample), dtype=complex)
-        padded[:, :half] = spec[:, :half]
-        padded[:, -(n - half):] = spec[:, half:]
-        power = np.abs(np.fft.ifft(padded, axis=-1) * oversample) ** 2
-        peak[lo:lo + len(spec)] = power.max(axis=-1)
+        block = rows[lo:lo + PMEPR_BLOCK]
+        power = np.abs(synthesize(block, k, oversample * n, 0).samples) ** 2
+        peak[lo:lo + len(block)] = power.max(axis=-1)
         if mean is not None:
-            mean[lo:lo + len(spec)] = power.mean(axis=-1)
-    batch = frame.samples.shape[:-1]
+            mean[lo:lo + len(block)] = power.mean(axis=-1)
+    batch = np.shape(w)[:-1]
     if mean is not None:
         p_av = mean.reshape(batch)
     if np.any(np.asarray(p_av) <= 0):

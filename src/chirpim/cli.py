@@ -42,8 +42,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _print_rows(rows: list[dict]) -> None:
-    if not rows:
-        return
     names = list(rows[0])
     print(",".join(names))
     for row in rows:

@@ -218,13 +218,13 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     """Detect a batch of frames from bins ``b`` of shape (B, M).
 
     Returns (indices, psk) int arrays of shape (B, L), indices ascending.
-    Each bin keeps its best phase, the lowest on a tie; the L best bins
-    win, ties going to the lowest bin. Under a separation delta >= 1 the L
-    picks are greedy: each is the best bin left after masking every bin
-    within cyclic distance delta of the earlier picks. A row that runs out
-    of bins (a stuck row) falls back to the unconstrained pick, which then
-    breaks the separation; only the stuck rows are sorted for it, the
-    others never are.
+    Each bin keeps its best phase, the lowest on a tie. The L picks are
+    greedy: each is the best bin left after masking every bin within cyclic
+    distance delta of the earlier picks, ties going to the lowest bin (with
+    delta = 0 only the picks are masked, so the L best bins win). A row
+    that runs out of bins (a stuck row) falls back to the unconstrained
+    pick, which then breaks the separation; only the stuck rows are sorted
+    for it, the others never are.
     """
     check_noise_variance(sigma2)
     b = np.atleast_2d(np.asarray(b, dtype=complex))
@@ -238,20 +238,16 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
         plane = metrics[..., z]
         best_z += (plane > best_v) * (z - best_z)
         best_v = np.maximum(best_v, plane)
-    if cfg.delta:
-        bins = np.arange(cfg.m)
-        free = np.ones(best_v.shape, dtype=bool)
-        stuck = np.zeros(len(best_v), dtype=bool)
-        top = np.empty((len(best_v), cfg.length), dtype=np.intp)
-        for j in range(cfg.length):
-            stuck |= ~free.any(axis=1)
-            top[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
-            dist = np.abs(bins - top[:, j, None])
-            free &= np.minimum(dist, cfg.m - dist) > cfg.delta
-        if stuck.any():
-            top[stuck] = _best_bins(best_v[stuck], cfg.length)
-    else:
-        top = _best_bins(best_v, cfg.length)
+    free = np.ones(best_v.shape, dtype=bool)
+    stuck = np.zeros(len(best_v), dtype=bool)
+    top = np.empty((len(best_v), cfg.length), dtype=np.intp)
+    for j in range(cfg.length):
+        stuck |= ~free.any(axis=1)
+        top[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
+        dist = np.abs(np.arange(cfg.m) - top[:, j, None])
+        free &= np.minimum(dist, cfg.m - dist) > cfg.delta
+    if stuck.any():
+        top[stuck] = _best_bins(best_v[stuck], cfg.length)
     top = np.sort(top, axis=-1)
     return top, np.take_along_axis(best_z, top, axis=-1)
 

@@ -389,13 +389,17 @@ def fim(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
 
 
 def _fim_inverse(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
-    """J^{-1}; targets at one distance make J singular and are refused."""
+    """J^{-1}; coinciding targets or all-zero reference bins make J
+    singular and are refused."""
     d = scene.distances
     for s in range(len(d) - 1):
         if d[s] == d[s + 1]:
             raise ValueError(f"targets {s} and {s + 1} coincide at {d[s]} m: "
                              "the Fisher information is singular")
-    return np.linalg.inv(fim(scene, w_or_fdss, sigma2))
+    j = fim(scene, w_or_fdss, sigma2)
+    if j[-1, -1] == 0:  # (2/sigma2) sum_k |w_k|^2
+        raise ValueError("reference bins are all zero")
+    return np.linalg.inv(j)
 
 
 def crlb_range(scene: RadarScene, w_or_fdss, sigma2: float) -> float:

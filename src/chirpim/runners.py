@@ -19,13 +19,14 @@ import numpy as np
 from .channel import RadarScene, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
-from .modem import ModemConfig, detect_words_batch, frame_from_symbols, \
-    post_equalization_snr, tx_bins, union_bound_bler, word_symbols
+from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
+    tx_bins, union_bound_bler, word_symbols
 from .chirps import measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_mf_lmmse, min_resolution
-# perfbench/spans.py wraps these two names here; the runners call the
-# batched estimate_mf_lmmse instead
+# perfbench/spans.py wraps these names here; the runners call the batched
+# estimate_mf_lmmse instead, and measure PMEPR from the bins, not a frame
+from .modem import frame_from_symbols  # noqa: F401
 from .radar import estimate_lmmse, estimate_multi_mf  # noqa: F401
 
 PMEPR_THRESHOLDS = np.round(np.arange(0.0, 12.0 + 1e-9, 0.05), 2)
@@ -108,12 +109,13 @@ def random_words(mcfg: ModemConfig, batch: int,
 # ---------------------------------------------------------------------------
 
 def _pmepr_batch(task) -> np.ndarray:
+    """PMEPR of a batch of random codewords from their bins (no time-domain
+    frame), against the nominal transmit power sum |g|^2 = M."""
     cfg, mcfg, batch_idx, batch = task
     rng = _rng(cfg, "pmepr", 0, batch_idx)
     _, _, d = random_words(mcfg, batch, rng)
-    frame = frame_from_symbols(d, mcfg)
-    # reference the peak against the nominal transmit power sum|g|^2 = M
-    return np.atleast_1d(measure_pmepr(frame, oversample=8, p_av=float(mcfg.m)))
+    return np.atleast_1d(measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n,
+                                       oversample=8, p_av=float(mcfg.m)))
 
 
 def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
@@ -195,6 +197,8 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     bits = mcfg.capacity.total
     use_ebn0 = len(cfg.ebn0_db) > 0
     points = cfg.ebn0_db if use_ebn0 else cfg.snr_db
+    if not points:
+        raise ValueError("[sweep] snr_db (--snrs) and ebn0_db are both empty")
     rows = []
     for sweep_idx, value in enumerate(points):
         snr_db = value + 10 * np.log10(bits / cfg.m) if use_ebn0 else value
@@ -304,6 +308,8 @@ def run_radar_rmse(cfg: ExperimentConfig,
     bounds (all reported as root values in meters)."""
     if scenario not in ("single", "two"):
         raise ValueError("scenario must be 'single' or 'two'")
+    if not cfg.snr_db:
+        raise ValueError("[sweep] snr_db (--snrs) is empty: nothing to sweep")
     mcfg = _modem(cfg)
     rows = []
     for sweep_idx, snr_db in enumerate(cfg.snr_db):

@@ -5,7 +5,8 @@ coefficients by composite Gauss-Legendre quadrature of the chirp phase,
 index sets by filtering all combinations, unranking by walking the counts
 one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop,
-the radar Fisher information as the Gram matrix of the mean's Jacobian.
+the radar Fisher information as the Gram matrix of the mean's Jacobian,
+the oversampled PMEPR by zero-padding the spectrum of a time-domain body.
 None of it shares code with the library paths under test.
 """
 from __future__ import annotations
@@ -166,6 +167,26 @@ def greedy_ml(table, length: int, delta: int):
         picks = ranked[:length]
     picks.sort()
     return tuple(picks), tuple(best[l][1] for l in picks), stuck
+
+
+def zero_padded_pmepr_db(samples, n: int, n_cp: int, oversample: int,
+                         p_av: float | None = None) -> np.ndarray:
+    """PMEPR in dB of time-domain frames (..., N_cp + N), prefix first.
+
+    The body's N-point spectrum is split at N/2 (bins N/2..N-1 are the
+    negative frequencies), zero-padded to oversample * N and returned to
+    time; the peak power is divided by ``p_av``, or by the padded body's
+    own mean power when ``p_av`` is None. For odd N the split puts bin
+    (N-1)/2 on the negative side.
+    """
+    spec = np.fft.fft(np.asarray(samples)[..., n_cp:], axis=-1)
+    half = n // 2
+    padded = np.zeros(spec.shape[:-1] + (oversample * n,), dtype=complex)
+    padded[..., :half] = spec[..., :half]
+    padded[..., -(n - half):] = spec[..., half:]
+    power = np.abs(np.fft.ifft(padded, axis=-1) * oversample) ** 2
+    mean = power.mean(axis=-1) if p_av is None else p_av
+    return 10.0 * np.log10(power.max(axis=-1) / mean)
 
 
 def fim_jacobian_gram(k, w, delays, coeffs, f_c: float, t_s: float,

@@ -1,6 +1,4 @@
 """Chirp coefficients, DFT-s-OFDM synthesis, PMEPR/OCB, Golay pairs."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,13 @@ from chirpim.chirps import (ChirpFamily, ChirpSpec, apac, chirp_fdss,
                             gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
                             sinusoidal_chirp_coeffs, synthesize)
+from chirpim.config import desk_preset, paper_preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins
+from chirpim.runners import random_words
 
 from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
-                     quadrature_panels, sinusoidal_chirp_phase)
+                     quadrature_panels, sinusoidal_chirp_phase,
+                     zero_padded_pmepr_db)
 
 
 def spec(family, d, m, t_s=1.0):
@@ -221,8 +222,9 @@ def test_synthesize_places_bins_mod_n():
 # PMEPR
 # ---------------------------------------------------------------------------
 
-def chirp_frames(family, d, m, n, length, n_frames, seed):
-    """Random index-modulated chirp frames plus the nominal mean power."""
+def chirp_bins(family, d, m, n, length, n_frames, seed):
+    """Transmit bins of random index-modulated chirp frames, their modem
+    config, and the nominal mean power."""
     rng = np.random.default_rng(seed)
     cfg = modem(Scheme.CSC_IM, m, n, n // 4, family=family, d=d, length=length)
     e_s = m / length
@@ -230,53 +232,66 @@ def chirp_frames(family, d, m, n, length, n_frames, seed):
     idx = np.argsort(rng.random((n_frames, m)), axis=1)[:, :length]
     h = rng.integers(0, 4, (n_frames, length))
     np.put_along_axis(data, idx, np.sqrt(e_s) * np.exp(2j * np.pi * h / 4), axis=1)
-    return frame_from_symbols(data, cfg), float(m)
+    return tx_bins(data, cfg), cfg, float(m)
+
+
+def chirp_pmepr(family, d, m, n, length, n_frames, seed):
+    w, cfg, p_av = chirp_bins(family, d, m, n, length, n_frames, seed)
+    return measure_pmepr(w, cfg.k, cfg.n, 8, p_av=p_av)
 
 
 def test_pmepr_single_chirp_near_zero_db():
-    frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 8, 3)
-    assert np.max(measure_pmepr(frame, 8, p_av=p_av)) <= 0.5
+    assert np.max(chirp_pmepr(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 8, 3)) <= 0.5
 
 
 def test_pmepr_two_chirps_bounded():
-    frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 400, 4)
-    assert np.max(measure_pmepr(frame, 8, p_av=p_av)) <= 3.0 + 0.1
+    assert np.max(chirp_pmepr(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 400, 4)) <= 3.0 + 0.1
 
 
 def test_pmepr_five_chirps_bounded():
-    frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 5, 400, 5)
-    assert np.max(measure_pmepr(frame, 8, p_av=p_av)) <= 10 * np.log10(5) + 0.1
+    values = chirp_pmepr(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 5, 400, 5)
+    assert np.max(values) <= 10 * np.log10(5) + 0.1
 
 
 def test_pmepr_superposition_bound_wide_margin():
     # unimodular symbols, M >= 2D: bound 10 log10 L + 0.6 dB
     for d, m, length, seed in ((6.0, 16, 2, 10), (12.0, 32, 4, 11),
                                (24.0, 64, 5, 12), (20.0, 48, 3, 13)):
-        frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, d, m, 2 * m, length, 300, seed)
-        assert np.max(measure_pmepr(frame, 8, p_av=p_av)) <= 10 * np.log10(length) + 0.6
+        values = chirp_pmepr(ChirpFamily.SINUSOIDAL, d, m, 2 * m, length, 300, seed)
+        assert np.max(values) <= 10 * np.log10(length) + 0.6
 
 
 def test_pmepr_blocks_equal_single_frames():
     # 75 frames run as blocks of 32, 32 and 11: every value equals the
     # frame measured alone, with and without a power reference
-    frame, p_av = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 75, 7)
+    w, cfg, p_av = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 75, 7)
     for ref in (p_av, None):
-        values = measure_pmepr(frame, 8, p_av=ref)
+        values = measure_pmepr(w, cfg.k, cfg.n, 8, p_av=ref)
         assert values.shape == (75,)
-        alone = [measure_pmepr(replace(frame, samples=row), 8, p_av=ref)
-                 for row in frame.samples]
+        alone = [measure_pmepr(row, cfg.k, cfg.n, 8, p_av=ref) for row in w]
         assert all(isinstance(v, float) for v in alone)
         assert np.array_equal(values, alone)
 
 
+@pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
+def test_pmepr_equals_zero_padded_oracle(make):
+    # the 8x IDFT of the bins against the spectrum of the synthesized body
+    # zero-padded to 8N: the same peak up to rounding
+    mcfg = make(family=ChirpFamily.SINUSOIDAL, length=2).modem_config()
+    _, _, d = random_words(mcfg, 40, np.random.default_rng(8))
+    frames = frame_from_symbols(d, mcfg).samples
+    for p_av in (float(mcfg.m), None):
+        values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, 8, p_av=p_av)
+        oracle = zero_padded_pmepr_db(frames, mcfg.n, mcfg.n_cp, 8, p_av)
+        assert np.max(np.abs(values - oracle)) <= 1e-12
+
+
 def test_pmepr_guards():
-    frame, _ = chirp_frames(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
+    w, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
     with pytest.raises(ValueError):
-        measure_pmepr(frame, oversample=2)
-    flat = modem(Scheme.DFT_S_OFDM_IM, 16, 32, 8)
-    zero = frame_from_symbols(np.zeros(16, dtype=complex), flat)
+        measure_pmepr(w, cfg.k, cfg.n, oversample=2)
     with pytest.raises(ValueError):
-        measure_pmepr(zero, 8)
+        measure_pmepr(np.zeros(32, dtype=complex), cfg.k, cfg.n, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 import chirpim
 import chirpim.modem
 from chirpim.chirps import ChirpFamily
-from chirpim.cli import _build_config, _parse_args, main
+from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
 from chirpim.config import (CONFIG_KEYS, ExperimentConfig, desk_preset, load_config,
                             paper_preset, preset)
 from chirpim.modem import Scheme, frame_from_symbols
@@ -106,6 +107,33 @@ def test_cli_experiment_roundtrip(tmp_path, capsys):
     assert lines[0].startswith("# chirpim radar-rmse preset=desk seed=7")
     assert lines[1].split(",")[0] == "snr_db"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["radar-rmse", "--snrs", ""], "[sweep] snr_db (--snrs)"),
+    (["bler", "--snrs", " "], "[sweep] snr_db (--snrs) and ebn0_db"),
+])
+def test_cli_rejects_empty_sweep(argv, axis, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert axis in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``chirpim ...`` lines of the README's CLI code block, comments cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("chirpim ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_parse(line):
+    # parse only: nothing runs, and a --config file need not exist
+    args = _parse_args(shlex.split(line)[1:])
+    if args.command in _RUNNERS and not args.config:
+        _build_config(args)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,8 @@ def test_detector_ignores_inactive_bin_permutation():
 @pytest.mark.parametrize("m, length, delta, signal, stuck_share", [
     (12, 3, 2, True, (0.0, 0.0)),      # two picks mask at most 10 of 12 bins
     (64, 5, 10, False, (0.4, 0.7)),    # pure noise: about 55% of rows stuck
+    (12, 3, 0, True, (0.0, 0.0)),      # delta = 0: the picks mask only themselves
+    (64, 16, 0, False, (0.0, 0.0)),
 ])
 def test_detect_words_batch_equals_greedy_oracle(scheme, m, length, delta, signal,
                                                  stuck_share):
@@ -376,9 +378,8 @@ def test_tx_rx_loopback_through_fading_known_cfr():
 def test_csc_frame_pmepr_within_superposition_bound():
     rng = np.random.default_rng(12)
     cfg = make_cfg(length=2, family=ChirpFamily.SINUSOIDAL)
-    frames = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(400)])
-    frame = frame_from_symbols(frames, cfg)
-    worst = np.max(measure_pmepr(frame, 8, p_av=float(cfg.m)))
+    d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(400)])
+    worst = np.max(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, 8, p_av=float(cfg.m)))
     assert worst <= 10 * np.log10(2) + 0.6
 
 
@@ -388,7 +389,7 @@ def test_dft_s_ofdm_pmepr_exceeds_csc_by_3db():
     for scheme in (Scheme.CSC_IM, Scheme.DFT_S_OFDM_IM):
         cfg = make_cfg(scheme, length=2, family=ChirpFamily.SINUSOIDAL)
         d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(5000)])
-        values = np.sort(measure_pmepr(frame_from_symbols(d, cfg), 8, p_av=float(cfg.m)))
+        values = np.sort(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, 8, p_av=float(cfg.m)))
         out[scheme] = values[int(len(values) * (1 - 1e-3))]  # ~1e-3 CCDF point
     assert out[Scheme.DFT_S_OFDM_IM] > out[Scheme.CSC_IM] + 3.0
 

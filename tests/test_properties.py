@@ -1,18 +1,19 @@
-"""Property-based checks of the index codec, the noiseless tx/rx chain and
-the radar Fisher information."""
+"""Property-based checks of the index codec, the noiseless tx/rx chain, the
+oversampled PMEPR and the radar Fisher information."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene
-from chirpim.chirps import ChirpFamily, ChirpSpec
+from chirpim.chirps import PMEPR_BLOCK, ChirpFamily, ChirpSpec, measure_pmepr
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
                               indices_to_rank, rank_to_indices, word_to_bits)
-from chirpim.modem import ModemConfig, Scheme, rx_frame, tx_frame
+from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
+    tx_bins, tx_frame
 from chirpim.radar import crlb_range, fim
 from chirpim.util import SPEED_OF_LIGHT
 
-from oracles import fim_jacobian_gram
+from oracles import fim_jacobian_gram, zero_padded_pmepr_db
 
 T_S = 88.9e-9
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -75,6 +76,29 @@ def test_noiseless_loopback(cfg, data):
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=total, max_size=total)),
                     dtype=np.uint8)
     assert np.array_equal(rx_frame(tx_frame(bits, cfg), 1.0, 0.0, cfg), bits)
+
+
+@PROPERTY
+@given(st.data())
+def test_pmepr_from_bins_equals_zero_padded_oracle(data):
+    # N is even: for odd N = M + 1 the oracle's split at N//2 puts the top
+    # bin (N-1)/2 on the negative side, where the bins are not
+    scheme = data.draw(st.sampled_from(list(Scheme)))
+    m = data.draw(st.integers(4, 48))
+    n = 2 * data.draw(st.integers(m // 2 + 1, 2 * m))
+    chirp = ChirpSpec.centered(data.draw(st.sampled_from(list(ChirpFamily))),
+                               0.75 * m, m, T_S) if scheme is Scheme.CSC_IM else None
+    cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, t_s=T_S,
+                      chirp=chirp)
+    oversample = data.draw(st.sampled_from([4, 8, 16]))
+    p_av = data.draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda x: x * m)))
+    batch = data.draw(st.integers(1, 3 * PMEPR_BLOCK + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m))
+    values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, oversample, p_av=p_av)
+    oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg).samples, n, cfg.n_cp,
+                                  oversample, p_av)
+    assert np.max(np.abs(values - oracle)) <= 1e-12
 
 
 @st.composite

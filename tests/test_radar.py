@@ -116,6 +116,9 @@ def test_rejects_zero_reference():
                            t_s=T_S, t_cp=T_CP)
     with pytest.raises(ValueError):
         estimate_multi_mf(obs, 1)
+    for bound in (crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match="reference bins are all zero"):
+            bound(scene, (np.arange(-31, 33), np.zeros(M)), 0.1)
 
 
 # ---------------------------------------------------------------------------
