@@ -56,11 +56,11 @@ class ChirpSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", ChirpFamily(self.family))
         if self.d < 0:
-            raise ValueError("deviation d must be >= 0")
+            raise ValueError(f"d = {self.d}: deviation must be >= 0")
         if not (self.l_d < 0 < self.l_u):
             raise ValueError("need l_d < 0 < l_u")
         if self.m <= self.d:
-            raise ValueError(f"bin count M={self.m} must exceed d={self.d}")
+            raise ValueError(f"d = {self.d}: must be below the bin count m = {self.m}")
         if self.t_s <= 0:
             raise ValueError("t_s must be positive")
 
@@ -140,12 +140,10 @@ def fourier_coeffs(spec: ChirpSpec) -> np.ndarray:
 class FdssProfile:
     """Spectral-shaping coefficients over the bin window l_d..l_d+M-1.
 
-    ``g`` is normalized so that sum |g_k|^2 = M (unit mean bin power);
-    ``raw`` keeps the coefficients the profile was built from.
+    ``g`` is normalized so that sum |g_k|^2 = M (unit mean bin power).
     """
 
     g: np.ndarray
-    raw: np.ndarray
     l_d: int
 
     @property
@@ -177,7 +175,7 @@ def normalize_fdss(raw: np.ndarray, l_d: int | None = None) -> FdssProfile:
     if l_d is None:
         l_d = default_band(m)[0]
     g = np.sqrt(m) * raw / np.sqrt(power)
-    return FdssProfile(g=g, raw=raw, l_d=l_d)
+    return FdssProfile(g=g, l_d=l_d)
 
 
 def chirp_fdss(spec: ChirpSpec) -> FdssProfile:
@@ -201,15 +199,13 @@ class FrameSignal:
     samples: np.ndarray
     n: int
     n_cp: int
-    sample_rate: float
 
     @property
     def body(self) -> np.ndarray:
         return self.samples[..., self.n_cp:]
 
 
-def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int,
-               t_s: float = 1.0) -> FrameSignal:
+def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int) -> FrameSignal:
     """OFDM synthesis of frequency-domain symbols ``w`` (shape (..., M)).
 
     Bin value w_i is placed at IDFT position k_i mod N (negative bins wrap),
@@ -233,21 +229,22 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int,
     grid[..., k % n] = w
     body = np.fft.ifft(grid, axis=-1) * n
     samples = np.concatenate([body[..., n - n_cp:], body], axis=-1)
-    return FrameSignal(samples=samples, n=n, n_cp=n_cp, sample_rate=n / t_s)
+    return FrameSignal(samples=samples, n=n, n_cp=n_cp)
 
 
-# frames per oversampled transform in measure_pmepr: 32 paper-scale frames
-# hold about 8 MB of 8x oversampled body at once
+# measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
+# transform per PMEPR_BLOCK frames: 32 paper-scale frames hold about 8 MB of
+# 8x oversampled body at once
+PMEPR_OVERSAMPLE = 8
 PMEPR_BLOCK = 32
 
 
-def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, oversample: int = 8,
-                  p_av: float | None = None):
+def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = None):
     """Peak-to-mean envelope power ratio, in dB, of the frame body carrying
     bins ``w`` (shape (..., M)) on bin indices ``k`` of an N-point IDFT.
 
-    The peak is taken on the ``oversample * n``-point IDFT of the bins
-    (:func:`synthesize`, no prefix), which captures inter-sample peaks.
+    The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) IDFT of the
+    bins (:func:`synthesize`, no prefix), which captures inter-sample peaks.
     ``p_av`` is the mean-power reference, by default the body's own mean
     power; pass sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins`
     to reference the ensemble power instead. Frames are synthesized
@@ -256,14 +253,12 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, oversample: int = 8,
 
     Returns a scalar, or an array matching the batch axes of ``w``.
     """
-    if oversample < 4:
-        raise ValueError("oversample must be >= 4")
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
     peak = np.empty(len(rows))
     mean = np.empty(len(rows)) if p_av is None else None
     for lo in range(0, len(rows), PMEPR_BLOCK):
         block = rows[lo:lo + PMEPR_BLOCK]
-        power = np.abs(synthesize(block, k, oversample * n, 0).samples) ** 2
+        power = np.abs(synthesize(block, k, PMEPR_OVERSAMPLE * n, 0).samples) ** 2
         peak[lo:lo + len(block)] = power.max(axis=-1)
         if mean is not None:
             mean[lo:lo + len(block)] = power.mean(axis=-1)

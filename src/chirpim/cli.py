@@ -113,7 +113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd in _RUNNERS:
         cfg = _build_config(args)
         scenario = {"scenario": args.scenario} if cmd == "radar-rmse" else {}
-        rows = _RUNNERS[cmd](cfg, out=cfg.out, **scenario)
+        rows = _RUNNERS[cmd](cfg, **scenario)
         if cfg.out:
             print(f"wrote {cfg.out} ({len(rows)} rows)")
         else:
@@ -147,10 +147,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                            t_s=cfg.t_s, t_cp=cfg.t_cp)
         sigma2 = 10.0 ** (-args.snr / 10.0)
         fdss = cfg.modem_config().fdss
+        bins = (fdss.k, fdss.g)
         print(f"r_min_m={min_resolution(cfg.bandwidth_hz):.6g}")
-        print(f"crlb_range_m={np.sqrt(crlb_range(scene, fdss, sigma2)):.6g}")
+        print(f"crlb_range_m={np.sqrt(crlb_range(scene, bins, sigma2)):.6g}")
         print(f"crlb_range_no_phase_m={np.sqrt(crlb_range_no_phase(scene, cfg.m, sigma2)):.6g}")
-        print(f"crlb_coeff={np.sqrt(crlb_coeff(scene, fdss, sigma2)):.6g}")
+        print(f"crlb_coeff={np.sqrt(crlb_coeff(scene, bins, sigma2)):.6g}")
     return 0
 
 

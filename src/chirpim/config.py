@@ -78,6 +78,16 @@ class ExperimentConfig:
         if not 0 <= self.n_cp < self.n:
             raise ValueError(f"n_cp ([waveform] n_cp) must satisfy 0 <= n_cp < n = {self.n}, "
                              f"got {self.n_cp}")
+        # every run needs the modem: build it once, here, so that a bad
+        # waveform key fails now and not when a runner starts
+        try:
+            chirp = self.chirp_spec() if self.scheme is Scheme.CSC_IM else None
+            modem = ModemConfig(scheme=self.scheme, m=self.m, n=self.n, n_cp=self.n_cp,
+                                length=self.length, h=self.h, delta=self.delta,
+                                t_s=self.t_s, chirp=chirp)
+        except ValueError as exc:
+            raise ValueError(f"[waveform] {exc}") from None
+        object.__setattr__(self, "_modem", modem)
         for name in ("snr_db", "ebn0_db", "resolution_snr_db"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} ([sweep] {name}) must be finite, "
@@ -89,6 +99,13 @@ class ExperimentConfig:
             window = getattr(self, name)
             if len(window) != 2 or not 0 < window[0] <= window[1]:
                 raise ValueError(f"{name} must be two values 0 < lo <= hi, got {window}")
+        if not all(0 < factor < np.inf for factor in self.spacing_rmin):
+            raise ValueError("spacing_rmin ([sweep] spacing_rmin) must be finite and positive, "
+                             f"got {self.spacing_rmin}")
+        for name in ("single_coeff", "two_coeff"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) != 0):
+                raise ValueError(f"{name} ([radar] {name}) must be finite and nonzero, "
+                                 f"got {getattr(self, name)}")
         # the farthest target the radar runners can draw must lie inside the CP
         spacing = max(self.two_spacing_rmin[1], *(self.spacing_rmin or RESOLUTION_SPACING_RMIN))
         for name, far in (("single_range_m", self.single_range_m[1]),
@@ -114,10 +131,8 @@ class ExperimentConfig:
         return ChirpSpec.centered(self.family, self.d, self.m, self.t_s)
 
     def modem_config(self) -> ModemConfig:
-        chirp = self.chirp_spec() if self.scheme is Scheme.CSC_IM else None
-        return ModemConfig(scheme=self.scheme, m=self.m, n=self.n, n_cp=self.n_cp,
-                           length=self.length, h=self.h, delta=self.delta,
-                           t_s=self.t_s, chirp=chirp)
+        """The config's ModemConfig, built once when the config is."""
+        return self._modem
 
     def sha(self) -> str:
         """Hash of the result-relevant fields: ``workers`` and ``out`` do not

@@ -63,13 +63,13 @@ class ModemConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.n <= self.m:
-            raise ValueError(f"N={self.n} must exceed M={self.m}")
+            raise ValueError(f"n = {self.n}: must exceed m = {self.m}")
         if not 0 <= self.n_cp < self.n:
             raise ValueError(f"need 0 <= N_cp < N={self.n}, got N_cp={self.n_cp}")
         if not 1 <= self.length <= self.m // 2:
-            raise ValueError(f"need 1 <= L <= M/2, got L={self.length}")
+            raise ValueError(f"l = {self.length}: need 1 <= L <= m/2 = {self.m // 2}")
         if self.h < 1 or self.h & (self.h - 1):
-            raise ValueError("H must be a power of two")
+            raise ValueError(f"h = {self.h}: must be a power of two")
         if self.scheme is Scheme.CSC_IM:
             if self.chirp is None:
                 raise ValueError("CSC-IM needs a chirp spec")
@@ -78,7 +78,8 @@ class ModemConfig:
             if self.chirp.t_s != self.t_s:
                 raise ValueError("chirp and config disagree on t_s")
         if indexing.index_count(self.length, self.delta, self.m) < 2:
-            raise ValueError("separation leaves fewer than 2 index sequences")
+            raise ValueError(f"delta = {self.delta}: leaves fewer than 2 index sequences "
+                             f"of l = {self.length} in m = {self.m}")
 
     @property
     def e_s(self) -> float:
@@ -141,7 +142,7 @@ def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> FrameSignal:
     """Time-domain frame for modulation symbols ``d`` (batchable): the bins
     of :func:`tx_bins`, then the IDFT and cyclic prefix of :func:`synthesize`.
     Every scheme takes this one path."""
-    return synthesize(tx_bins(d, cfg), cfg.k, cfg.n, cfg.n_cp, cfg.t_s)
+    return synthesize(tx_bins(d, cfg), cfg.k, cfg.n, cfg.n_cp)
 
 
 def tx_frame(bits, cfg: ModemConfig) -> FrameSignal:

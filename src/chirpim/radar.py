@@ -6,13 +6,13 @@ b = W T a + n, where column s of T is the delay steering vector
     c(tau_s) = e^{-j2pi f_c tau_s} [e^{-j2pi l_d tau_s/T_s}, ...,
                                     e^{-j2pi l_u tau_s/T_s}]^T.
 
-Matched-filter estimation (:func:`estimate_multi_mf`, which is also the
-single-target estimator) maximizes |Re{c(tau)^H W^H b}| over the CP span
+Matched-filter estimation maximizes |Re{c(tau)^H W^H b}| over the CP span
 and divides out w^H w for the coefficient. More than one target is handled
-by successive cancellation plus re-estimation passes. An LMMSE variant
-(:func:`estimate_lmmse`) first deconvolves the waveform
-(h~_k = w_k^* b_k / (|w_k|^2 + sigma2)) and runs the same delay search on
-the channel estimate.
+by successive cancellation plus re-estimation passes. The LMMSE variant
+first deconvolves the waveform (h~_k = w_k^* b_k / (|w_k|^2 + sigma2)) and
+runs the same delay search on the channel estimate. One core,
+:func:`estimate_mf_lmmse`, returns both; :func:`estimate_multi_mf` and
+:func:`estimate_lmmse` are its two halves.
 
 The search is three-phase. The carrier phase factors out of
 |c(tau)^H W^H b| as a pure rotation, so a coarse grid plus zooming on the
@@ -33,12 +33,11 @@ The search runs on stacked rows: q has shape (rows, M). Each zoom window
 is centred on its row's best delay and shifted, not clamped, to lie inside
 [0, T_cp], so all rows share each stage's step and chirp kernel, and a
 stage is one batched FFT over the rows. An observation holds one frame
-(b, w of shape (M,)) or a stack of B frames ((B, M)).
-:func:`estimate_mf_lmmse` puts the MF and the LMMSE rows of a stack into
-the same searches, so each cancellation step is one search call;
-:func:`estimate_multi_mf` and :func:`estimate_lmmse` run the same core on
-their rows alone, one frame being a batch of one. A row's estimate is
-bit-for-bit the same whatever else is in its batch.
+(b, w of shape (M,)) or a stack of B frames ((B, M)), one frame being a
+batch of one. :func:`estimate_mf_lmmse` puts the MF and the LMMSE rows of
+a stack into the same searches, so each cancellation step is one search
+call. A row's estimate is bit-for-bit the same whatever else is in its
+batch.
 
 The bounds read one matrix, :func:`fim`: the Fisher information of all
 delays and coefficients jointly, cross terms between targets included
@@ -54,7 +53,6 @@ from math import isqrt
 import numpy as np
 
 from .channel import RadarScene
-from .chirps import FdssProfile
 from .util import SPEED_OF_LIGHT, check_noise_variance
 
 
@@ -259,48 +257,40 @@ def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, flo
     return best, step
 
 
-def _estimate_rows(obs: RadarObservation, n_targets: int, mf: bool,
-                   lmmse: bool) -> list[EstimateSet]:
-    """The estimator core: one MF row (when ``mf``) and one LMMSE row (when
-    ``lmmse``) per observation row, all in the same searches.
+def estimate_mf_lmmse(obs: RadarObservation,
+                      n_targets: int) -> tuple[EstimateSet, EstimateSet]:
+    """The estimator core: the MF and the LMMSE estimates of ``n_targets``
+    targets, one MF row and one LMMSE row per observation row, all in the
+    same searches.
 
     Successive cancellation, then UPDATE_PASSES re-estimation passes where
     each target is re-sought on the observation minus all other
     reconstructions. Each estimator keeps its own residuals, q and
     coefficient formula, in the single-observation float operation order:
     MF q = conj(w) * b_cur and coefficient Re{c^H q} / (w^H w); LMMSE
-    q = h~ and coefficient Re{c^H W^H b_cur} / (w^H w + sigma2). Returns
-    the (B, R) EstimateSet of each estimator asked for, MF first.
+    q = h~ and coefficient Re{c^H W^H b_cur} / (w^H w + sigma2). One
+    observation gives (R,) delays; stacked observations (B, M) give (B, R).
     """
     if not 1 <= n_targets <= MAX_TARGETS:
         raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
     b, w = np.atleast_2d(obs.b), np.atleast_2d(obs.w)
     w2 = np.abs(w) ** 2
     per_bin = w2 + obs.sigma2
-    denoms = []
-    if mf:
-        denoms += [float(np.real(np.vdot(row, row))) for row in w]
-        if 0 in denoms:
-            raise ValueError("reference bins are all zero")
-    if lmmse:
-        lm_denoms = [float(row.sum() + obs.sigma2) for row in w2]
-        if 0 in lm_denoms:
-            raise ValueError("reference bins are all zero and sigma2 = 0")
-        denoms += lm_denoms
-    denom = np.array(denoms)
-    b_all, w_all = (np.tile(x, (mf + lmmse, 1)) for x in (b, w))
+    mf_denoms = [float(np.real(np.vdot(row, row))) for row in w]
+    if 0 in mf_denoms:
+        raise ValueError("reference bins are all zero")
+    denom = np.array(mf_denoms + [float(row.sum() + obs.sigma2) for row in w2])
+    b_all, w_all = np.tile(b, (2, 1)), np.tile(w, (2, 1))
     rows = len(b_all)
-    mf_rows = slice(0, len(b) * mf)  # the MF rows come first
-    lm_rows = slice(mf_rows.stop, rows)
+    mf_rows, lm_rows = slice(0, len(b)), slice(len(b), rows)  # MF rows first
     delays = np.zeros((rows, n_targets))
     coeffs = np.zeros((rows, n_targets))
     recon = np.zeros((n_targets, rows, b.shape[-1]), dtype=complex)
 
     def one(s: int, b_cur: np.ndarray) -> float:
         q = np.conj(w_all) * b_cur
-        if lmmse:
-            q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
-                                   where=per_bin > 0)
+        q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
+                               where=per_bin > 0)
         tau, final = _search_delay(q, obs)
         steer = obs.steering(tau)
         inner = np.empty(rows, dtype=complex)
@@ -321,59 +311,36 @@ def _estimate_rows(obs: RadarObservation, n_targets: int, mf: bool,
             others = sum((recon[j] for j in range(n_targets) if j != s), np.zeros_like(b_all))
             final = one(s, b_all - others)
     order = np.argsort(delays, axis=-1, kind="stable")
-    delays = np.take_along_axis(delays, order, axis=-1)
-    coeffs = np.take_along_axis(coeffs, order, axis=-1)
-    return [EstimateSet(delays[part], coeffs[part], final)
-            for part in (mf_rows, lm_rows) if part.stop > part.start]
-
-
-def _shaped(est: EstimateSet, obs: RadarObservation) -> EstimateSet:
-    """``est`` as computed for stacked rows, or its row 0 as a single
-    observation's EstimateSet when obs.b is one observation."""
-    if np.ndim(obs.b) == 2:
-        return est
-    return EstimateSet(est.delays[0], est.coeffs[0], est.final_step)
-
-
-def estimate_mf_lmmse(obs: RadarObservation,
-                      n_targets: int) -> tuple[EstimateSet, EstimateSet]:
-    """:func:`estimate_multi_mf` and :func:`estimate_lmmse` of the same
-    observations in one pass: the MF and the LMMSE rows share each delay
-    search, and every row equals what the two calls return for it."""
-    mf, lm = _estimate_rows(obs, n_targets, mf=True, lmmse=True)
-    return _shaped(mf, obs), _shaped(lm, obs)
+    shape = (2,) + np.shape(obs.b)[:-1] + (n_targets,)  # (MF/LMMSE, [B,] R)
+    delays = np.take_along_axis(delays, order, axis=-1).reshape(shape)
+    coeffs = np.take_along_axis(coeffs, order, axis=-1).reshape(shape)
+    return EstimateSet(delays[0], coeffs[0], final), EstimateSet(delays[1], coeffs[1], final)
 
 
 def estimate_multi_mf(obs: RadarObservation, n_targets: int) -> EstimateSet:
-    """Matched-filter estimation of ``n_targets`` targets: the delay search
-    on q = conj(w) * b, the coefficient Re{c(tau)^H q} / (w^H w), successive
-    cancellation plus re-estimation passes when n_targets > 1. One
-    observation gives (R,) delays; stacked observations (B, M) give (B, R)."""
-    return _shaped(_estimate_rows(obs, n_targets, mf=True, lmmse=False)[0], obs)
+    """The matched-filter half of :func:`estimate_mf_lmmse`: the delay
+    search on q = conj(w) * b and the coefficient Re{c(tau)^H q} / (w^H w)."""
+    return estimate_mf_lmmse(obs, n_targets)[0]
 
 
 def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
-    """Range estimation on the LMMSE channel estimate.
-
-    Per bin h~_k = w_k^* b_k / (|w_k|^2 + sigma2); the delay search runs on
-    h~ (waveform deconvolved), and the coefficient uses the matched-filter
-    inner product with the regularized denominator w^H w + sigma2. Shapes
-    as for :func:`estimate_multi_mf`.
-    """
-    return _shaped(_estimate_rows(obs, n_targets, mf=False, lmmse=True)[0], obs)
+    """The LMMSE half of :func:`estimate_mf_lmmse`: the delay search on the
+    channel estimate h~_k = w_k^* b_k / (|w_k|^2 + sigma2) (waveform
+    deconvolved) and the coefficient Re{c(tau)^H W^H b} / (w^H w + sigma2)."""
+    return estimate_mf_lmmse(obs, n_targets)[1]
 
 
-def fim(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
+def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
     """Fisher information J of [tau_1..tau_R, alpha_1..alpha_R] for the mean
     w_k sum_s alpha_s e^{-j2pi nu_k tau_s}, nu_k = f_c + k/T_s. From the sums
     s_n(dt) = sum_k |w_k|^2 nu_k^n e^{j2pi nu_k dt} at dt = tau_s - tau_t:
     J_tau,tau = (8 pi^2/sigma2) alpha_s alpha_t Re s_2, J_tau,alpha =
     J_alpha,tau^T = -(4 pi/sigma2) alpha_s Im s_1 and J_alpha,alpha =
-    (2/sigma2) Re s_0. ``w_or_fdss`` is ``(k, w)`` for one frame or an
-    :class:`FdssProfile` for the expectation form (|w_k|^2 -> |g_k|^2)."""
+    (2/sigma2) Re s_0. ``bins`` is ``(k, w)``: one frame's bin indices and
+    reference bins, or ``(fdss.k, fdss.g)`` for the expectation form."""
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    k, w = (w_or_fdss.k, w_or_fdss.g) if isinstance(w_or_fdss, FdssProfile) else w_or_fdss
+    k, w = bins
     nu = scene.f_c + np.asarray(k) / scene.t_s
     w2 = np.abs(np.asarray(w)) ** 2
     tau, alpha = np.asarray(scene.delays), np.asarray(scene.coeffs, dtype=float)
@@ -388,7 +355,7 @@ def fim(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
     return j / sigma2
 
 
-def _fim_inverse(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
+def _fim_inverse(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
     """J^{-1}; coinciding targets or all-zero reference bins make J
     singular and are refused."""
     d = scene.distances
@@ -396,25 +363,25 @@ def _fim_inverse(scene: RadarScene, w_or_fdss, sigma2: float) -> np.ndarray:
         if d[s] == d[s + 1]:
             raise ValueError(f"targets {s} and {s + 1} coincide at {d[s]} m: "
                              "the Fisher information is singular")
-    j = fim(scene, w_or_fdss, sigma2)
+    j = fim(scene, bins, sigma2)
     if j[-1, -1] == 0:  # (2/sigma2) sum_k |w_k|^2
         raise ValueError("reference bins are all zero")
     return np.linalg.inv(j)
 
 
-def crlb_range(scene: RadarScene, w_or_fdss, sigma2: float) -> float:
+def crlb_range(scene: RadarScene, bins, sigma2: float) -> float:
     """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2: c^2/4 times the
     trace of the tau block of J^{-1} (:func:`fim`)."""
     r = scene.n_targets
-    inverse = _fim_inverse(scene, w_or_fdss, sigma2)
+    inverse = _fim_inverse(scene, bins, sigma2)
     return float(SPEED_OF_LIGHT ** 2 / 4.0 * inverse[:r, :r].trace())
 
 
-def crlb_coeff(scene: RadarScene, w_or_fdss, sigma2: float) -> float:
+def crlb_coeff(scene: RadarScene, bins, sigma2: float) -> float:
     """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2: the trace of the
     alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target."""
     r = scene.n_targets
-    return float(_fim_inverse(scene, w_or_fdss, sigma2)[r:, r:].trace())
+    return float(_fim_inverse(scene, bins, sigma2)[r:, r:].trace())
 
 
 def crlb_range_no_phase(scene: RadarScene, m: int, sigma2: float) -> float:

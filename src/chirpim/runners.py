@@ -3,8 +3,9 @@
 Every runner draws its randomness from per-batch streams seeded by
 (master seed, experiment id, sweep index, batch index), so results are
 byte-identical for a fixed config regardless of the worker count. Rows are
-returned as dicts and optionally written as CSV with one comment line
-recording the preset, seed, and a config hash.
+returned as dicts and, when ``cfg.out`` is set, written there as CSV with
+one comment line recording the preset, seed, and a config hash, and a
+header of the row keys in order.
 """
 from __future__ import annotations
 
@@ -66,9 +67,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, cfg: ExperimentConfig, experiment: str,
-              fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+def write_csv(cfg: ExperimentConfig, experiment: str, rows: list[dict]) -> None:
+    """Write ``rows`` to ``cfg.out`` when it is set; the header is the keys
+    of the first row."""
+    if not cfg.out:
+        return
+    fieldnames = list(rows[0])
+    with open(cfg.out, "w", newline="") as fh:
         fh.write(f"# chirpim {experiment} preset={cfg.preset} seed={cfg.seed} "
                  f"config={cfg.sha()}\n")
         writer = csv.writer(fh)
@@ -114,11 +119,10 @@ def _pmepr_batch(task) -> np.ndarray:
     cfg, mcfg, batch_idx, batch = task
     rng = _rng(cfg, "pmepr", 0, batch_idx)
     _, _, d = random_words(mcfg, batch, rng)
-    return np.atleast_1d(measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n,
-                                       oversample=8, p_av=float(mcfg.m)))
+    return np.atleast_1d(measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m)))
 
 
-def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
+def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
     """Empirical CCDF of the oversampled PMEPR over random frames.
 
     Rows: (scheme, pmepr_db, ccdf) on a fixed 0.05 dB threshold grid; every
@@ -139,8 +143,7 @@ def run_pmepr_ccdf(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
     rows = [{"scheme": cfg.scheme.value, "pmepr_db": float(t),
              "ccdf": float(exceed[i] / total), "max_pmepr_db": max_pmepr}
             for i, t in enumerate(PMEPR_THRESHOLDS)]
-    if out:
-        write_csv(out, cfg, "pmepr", ["scheme", "pmepr_db", "ccdf", "max_pmepr_db"], rows)
+    write_csv(cfg, "pmepr", rows)
     return rows
 
 
@@ -177,7 +180,7 @@ def _wilson(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[flo
     return float(max(center - half, 0.0)), float(min(center + half, 1.0))
 
 
-def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
+def run_bler(cfg: ExperimentConfig) -> list[dict]:
     """Simulated block-error rate plus the analytical union bound.
 
     Sweeps ``cfg.snr_db`` (or ``cfg.ebn0_db``, converted through the frame's
@@ -219,10 +222,7 @@ def run_bler(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
             "bler": float(errors / trials), "union_bound": bound,
             "trials": trials, "errors": errors, "ci_lo": lo, "ci_hi": hi,
         })
-    if out:
-        write_csv(out, cfg, "bler",
-                  ["axis_db", "snr_db", "bler", "union_bound", "trials",
-                   "errors", "ci_lo", "ci_hi"], rows)
+    write_csv(cfg, "bler", rows)
     return rows
 
 
@@ -269,7 +269,7 @@ def _radar_batch(task) -> np.ndarray:
         ws.append(w)
         truths.append(np.array(scene.distances))
         acc[2] += crlb_range(scene, (mcfg.k, w), sigma2)
-        acc[3] += crlb_range(scene, mcfg.fdss, sigma2)
+        acc[3] += crlb_range(scene, (mcfg.k, mcfg.fdss.g), sigma2)
         acc[4] += crlb_range_no_phase(scene, mcfg.m, sigma2)
         acc[5] += 1
     obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
@@ -301,8 +301,7 @@ def _radar_point(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str,
 
 
 def run_radar_rmse(cfg: ExperimentConfig,
-                   scenario: Literal["single", "two"] = "single",
-                   out: str | None = None) -> list[dict]:
+                   scenario: Literal["single", "two"] = "single") -> list[dict]:
     """Range-estimation RMSE versus SNR for the MF and LMMSE estimators,
     alongside the phase-aware, expectation-form, and phase-unaware range
     bounds (all reported as root values in meters)."""
@@ -317,14 +316,11 @@ def run_radar_rmse(cfg: ExperimentConfig,
         row = {"snr_db": float(snr_db), "scenario": scenario}
         row.update(_radar_point(cfg, mcfg, scenario, sweep_idx, sigma2, None))
         rows.append(row)
-    if out:
-        write_csv(out, cfg, "radar-rmse",
-                  ["snr_db", "scenario", "rmse_mf_m", "rmse_lmmse_m", "crlb_m",
-                   "crlb_expected_m", "crlb_nophase_m", "trials"], rows)
+    write_csv(cfg, "radar-rmse", rows)
     return rows
 
 
-def run_resolution(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
+def run_resolution(cfg: ExperimentConfig) -> list[dict]:
     """Two-target RMSE versus spacing (in units of the minimum resolution)
     at the fixed SNR ``cfg.resolution_snr_db``."""
     factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
@@ -337,9 +333,5 @@ def run_resolution(cfg: ExperimentConfig, out: str | None = None) -> list[dict]:
                "snr_db": float(cfg.resolution_snr_db)}
         row.update(_radar_point(cfg, mcfg, "two", sweep_idx, sigma2, float(factor * r_min)))
         rows.append(row)
-    if out:
-        write_csv(out, cfg, "resolution",
-                  ["spacing_m", "spacing_rmin", "snr_db", "rmse_mf_m",
-                   "rmse_lmmse_m", "crlb_m", "crlb_expected_m",
-                   "crlb_nophase_m", "trials"], rows)
+    write_csv(cfg, "resolution", rows)
     return rows

@@ -166,7 +166,7 @@ def test_crlb_attainment():
     scene = RadarScene(targets=((2.5, -1.0),), f_c=paper.f_c, t_s=paper.t_s,
                        t_cp=paper.t_cp)
     fdss = paper.modem_config().fdss
-    aware = crlb_range(scene, fdss, 1e-3)
+    aware = crlb_range(scene, (fdss.k, fdss.g), 1e-3)
     unaware = crlb_range_no_phase(scene, paper.m, 1e-3)
     ok = ok and aware < unaware
     elapsed = time.time() - t0

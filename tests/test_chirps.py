@@ -237,7 +237,7 @@ def chirp_bins(family, d, m, n, length, n_frames, seed):
 
 def chirp_pmepr(family, d, m, n, length, n_frames, seed):
     w, cfg, p_av = chirp_bins(family, d, m, n, length, n_frames, seed)
-    return measure_pmepr(w, cfg.k, cfg.n, 8, p_av=p_av)
+    return measure_pmepr(w, cfg.k, cfg.n, p_av=p_av)
 
 
 def test_pmepr_single_chirp_near_zero_db():
@@ -266,9 +266,9 @@ def test_pmepr_blocks_equal_single_frames():
     # frame measured alone, with and without a power reference
     w, cfg, p_av = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 75, 7)
     for ref in (p_av, None):
-        values = measure_pmepr(w, cfg.k, cfg.n, 8, p_av=ref)
+        values = measure_pmepr(w, cfg.k, cfg.n, p_av=ref)
         assert values.shape == (75,)
-        alone = [measure_pmepr(row, cfg.k, cfg.n, 8, p_av=ref) for row in w]
+        alone = [measure_pmepr(row, cfg.k, cfg.n, p_av=ref) for row in w]
         assert all(isinstance(v, float) for v in alone)
         assert np.array_equal(values, alone)
 
@@ -281,17 +281,15 @@ def test_pmepr_equals_zero_padded_oracle(make):
     _, _, d = random_words(mcfg, 40, np.random.default_rng(8))
     frames = frame_from_symbols(d, mcfg).samples
     for p_av in (float(mcfg.m), None):
-        values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, 8, p_av=p_av)
+        values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=p_av)
         oracle = zero_padded_pmepr_db(frames, mcfg.n, mcfg.n_cp, 8, p_av)
         assert np.max(np.abs(values - oracle)) <= 1e-12
 
 
 def test_pmepr_guards():
-    w, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
+    _, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
     with pytest.raises(ValueError):
-        measure_pmepr(w, cfg.k, cfg.n, oversample=2)
-    with pytest.raises(ValueError):
-        measure_pmepr(np.zeros(32, dtype=complex), cfg.k, cfg.n, 8)
+        measure_pmepr(np.zeros(32, dtype=complex), cfg.k, cfg.n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import re
 import shlex
 import subprocess
 import sys
@@ -347,6 +348,36 @@ def test_config_rejects_radar_windows(overrides, named):
         desk_preset(**overrides)
 
 
+@pytest.mark.parametrize("ini, flags, named", [
+    ("", {"length": "0"}, "l = 0"),
+    ("", {"length": "40"}, "l = 40"),
+    ("", {"delta": "40"}, "delta = 40"),
+    ("h = 3", {}, "h = 3"),
+    ("m = 200", {}, "n = 128: must exceed m = 200"),
+    ("d = 100", {}, "d = 100.0"),
+])
+def test_config_rejects_waveform_the_modem_refuses(tmp_path, ini, flags, named):
+    # refused when the config is built, before any runner starts
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[waveform]\n{ini}\n")
+    with pytest.raises(ValueError, match=re.escape(f"[waveform] {named}")):
+        load_config(str(path), flags)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"spacing_rmin": (1.0, 0.0)}, r"spacing_rmin \(\[sweep\] spacing_rmin\)"),
+    ({"spacing_rmin": (1.0, -0.5)}, r"spacing_rmin \(\[sweep\] spacing_rmin\)"),
+    ({"spacing_rmin": (1.0, float("inf"))}, r"spacing_rmin \(\[sweep\] spacing_rmin\)"),
+    ({"single_coeff": 0.0}, r"single_coeff \(\[radar\] single_coeff\)"),
+    ({"two_coeff": float("nan")}, r"two_coeff \(\[radar\] two_coeff\)"),
+    ({"two_coeff": float("-inf")}, r"two_coeff \(\[radar\] two_coeff\)"),
+])
+def test_config_rejects_radar_fields_when_built(overrides, named):
+    # each used to fail halfway through a sweep, or to write NaN bounds
+    with pytest.raises(ValueError, match=named):
+        desk_preset(**overrides)
+
+
 @pytest.mark.parametrize("field, key", [("f_c", "carrier_hz"),
                                         ("sample_rate", "sample_rate_hz")])
 def test_config_rejects_nonpositive_carrier_and_rate(field, key):
@@ -455,16 +486,16 @@ pdp = 0:0:10, 10:-10:0, 20:-20:0
 def test_csv_byte_identical_for_fixed_seed(tmp_path):
     cfg = desk_preset(length=1, trials=12, snr_db=(20.0,))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_radar_rmse(cfg, "single", out=str(a))
-    run_radar_rmse(cfg, "single", out=str(b))
+    run_radar_rmse(replace(cfg, out=str(a)), "single")
+    run_radar_rmse(replace(cfg, out=str(b)), "single")
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_independent_of_worker_count(tmp_path):
     cfg = desk_preset(length=1, trials=130, snr_db=(14.0,), batch=64)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_radar_rmse(cfg, "single", out=str(a))
-    run_radar_rmse(replace(cfg, workers=2), "single", out=str(b))
+    run_radar_rmse(replace(cfg, out=str(a)), "single")
+    run_radar_rmse(replace(cfg, workers=2, out=str(b)), "single")
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -493,15 +524,15 @@ def test_bler_stopping_rule_independent_of_workers(tmp_path):
     cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-8.0, -5.0),
                       target_errors=40, batch=128, max_trials=4096)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_bler(cfg, out=str(a))
-    run_bler(replace(cfg, workers=2), out=str(b))
+    run_bler(replace(cfg, out=str(a)))
+    run_bler(replace(cfg, workers=2, out=str(b)))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_bler_runner_stops_on_error_count(tmp_path):
     cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-10.0,),
                       target_errors=50, batch=256, max_trials=10_000)
-    rows = run_bler(cfg, out=str(tmp_path / "bler.csv"))
+    rows = run_bler(replace(cfg, out=str(tmp_path / "bler.csv")))
     assert rows[0]["errors"] >= 50
     assert rows[0]["trials"] <= 10_000
     assert rows[0]["ci_lo"] <= rows[0]["bler"] <= rows[0]["ci_hi"]
@@ -568,7 +599,7 @@ def test_bler_ebn0_axis_conversion():
 
 def test_pmepr_rows_are_a_ccdf(tmp_path):
     cfg = desk_preset(trials=512)
-    rows = run_pmepr_ccdf(cfg, out=str(tmp_path / "pm.csv"))
+    rows = run_pmepr_ccdf(replace(cfg, out=str(tmp_path / "pm.csv")))
     ccdf = [r["ccdf"] for r in rows]
     assert ccdf[0] == 1.0
     assert all(a >= b for a, b in zip(ccdf, ccdf[1:]))
@@ -584,6 +615,28 @@ def test_resolution_runner_sharp_drop():
 def test_radar_runner_rejects_bad_scenario():
     with pytest.raises(ValueError):
         run_radar_rmse(desk_preset(), "three")
+
+
+_CSV_HEADERS = {
+    "pmepr": "scheme,pmepr_db,ccdf,max_pmepr_db",
+    "bler": "axis_db,snr_db,bler,union_bound,trials,errors,ci_lo,ci_hi",
+    "radar-rmse": "snr_db,scenario,rmse_mf_m,rmse_lmmse_m,crlb_m,crlb_expected_m,"
+                  "crlb_nophase_m,trials",
+    "resolution": "spacing_m,spacing_rmin,snr_db,rmse_mf_m,rmse_lmmse_m,crlb_m,"
+                  "crlb_expected_m,crlb_nophase_m,trials",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CSV_HEADERS))
+def test_csv_header_pinned(experiment, tmp_path):
+    # the header is the row keys in order: a reordered key shows here
+    out = tmp_path / "rows.csv"
+    cfg = desk_preset(length=1, trials=2, snr_db=(20.0,), spacing_rmin=(2.0,),
+                      batch=64, max_trials=64, out=str(out))
+    _RUNNERS[experiment](cfg)
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith(f"# chirpim {experiment} preset=desk seed=1 config=")
+    assert lines[1] == _CSV_HEADERS[experiment]
 
 
 def test_bler_rejects_taps_beyond_cp():

@@ -379,7 +379,7 @@ def test_csc_frame_pmepr_within_superposition_bound():
     rng = np.random.default_rng(12)
     cfg = make_cfg(length=2, family=ChirpFamily.SINUSOIDAL)
     d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(400)])
-    worst = np.max(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, 8, p_av=float(cfg.m)))
+    worst = np.max(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, p_av=float(cfg.m)))
     assert worst <= 10 * np.log10(2) + 0.6
 
 
@@ -389,7 +389,7 @@ def test_dft_s_ofdm_pmepr_exceeds_csc_by_3db():
     for scheme in (Scheme.CSC_IM, Scheme.DFT_S_OFDM_IM):
         cfg = make_cfg(scheme, length=2, family=ChirpFamily.SINUSOIDAL)
         d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(5000)])
-        values = np.sort(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, 8, p_av=float(cfg.m)))
+        values = np.sort(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, p_av=float(cfg.m)))
         out[scheme] = values[int(len(values) * (1 - 1e-3))]  # ~1e-3 CCDF point
     assert out[Scheme.DFT_S_OFDM_IM] > out[Scheme.CSC_IM] + 3.0
 
@@ -484,8 +484,7 @@ def test_rx_frame_pinned_on_stuck_frames():
     size = cfg.n + cfg.n_cp
     for stuck, expected in STUCK_FRAME_BITS:
         samples = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
-        frame = FrameSignal(samples=samples, n=cfg.n, n_cp=cfg.n_cp,
-                            sample_rate=cfg.sample_rate)
+        frame = FrameSignal(samples=samples, n=cfg.n, n_cp=cfg.n_cp)
         bits = rx_frame(frame, 1.0, 1.0, cfg)
         assert "".join(str(int(v)) for v in bits) == expected
         det_i, _ = detect_words_batch(extract_bins(frame, cfg), 1.0, 1.0, cfg)

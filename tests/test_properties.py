@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene
-from chirpim.chirps import PMEPR_BLOCK, ChirpFamily, ChirpSpec, measure_pmepr
+from chirpim.chirps import PMEPR_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
+    measure_pmepr
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
                               indices_to_rank, rank_to_indices, word_to_bits)
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
@@ -90,14 +91,13 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
                                0.75 * m, m, T_S) if scheme is Scheme.CSC_IM else None
     cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, t_s=T_S,
                       chirp=chirp)
-    oversample = data.draw(st.sampled_from([4, 8, 16]))
     p_av = data.draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda x: x * m)))
     batch = data.draw(st.integers(1, 3 * PMEPR_BLOCK + 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m))
-    values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, oversample, p_av=p_av)
+    values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, p_av=p_av)
     oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg).samples, n, cfg.n_cp,
-                                  oversample, p_av)
+                                  PMEPR_OVERSAMPLE, p_av)
     assert np.max(np.abs(values - oracle)) <= 1e-12
 
 

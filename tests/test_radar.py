@@ -121,6 +121,15 @@ def test_rejects_zero_reference():
             bound(scene, (np.arange(-31, 33), np.zeros(M)), 0.1)
 
 
+def test_lmmse_rejects_zero_reference_with_noise():
+    # sigma2 > 0 keeps the LMMSE denominator w^H w + sigma2 nonzero, but the
+    # LMMSE rows run in the same searches as the MF rows, which divide by w^H w
+    obs = RadarObservation(b=np.ones(M, complex), w=np.zeros(M, complex),
+                           k=np.arange(-31, 33), sigma2=0.1, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    with pytest.raises(ValueError, match="reference bins are all zero"):
+        estimate_lmmse(obs, 1)
+
+
 # ---------------------------------------------------------------------------
 # Multi-target estimation
 # ---------------------------------------------------------------------------
@@ -668,7 +677,7 @@ def test_search_windows_shifted_inside_cyclic_prefix(monkeypatch):
     est = estimate_multi_mf(obs, 1)
     monkeypatch.undo()
     assert np.array_equal(grids[0][0], [0.0])  # the coarse grid
-    assert all(len(lo) == len(obs.b) for lo, _, _ in grids[1:])
+    assert all(len(lo) == 2 * len(obs.b) for lo, _, _ in grids[1:])  # MF and LMMSE rows
     for lo, step, n in grids:
         assert np.ndim(step) == 0
         assert np.all(lo >= 0.0) and np.all(lo + (n - 1) * step <= T_CP)
