@@ -33,12 +33,13 @@ class RadarScene:
         if not self.targets:
             raise ValueError("scene needs at least one target")
         dists = [d for d, _ in self.targets]
-        if any(d <= 0 for d in dists):
-            raise ValueError("target distances must be positive")
+        if not all(0 < d < np.inf for d in dists):
+            raise ValueError(f"target distances must be finite and positive, got {dists}")
         if sorted(dists) != dists:
             raise ValueError("targets must be sorted by distance")
-        if any(a == 0 for _, a in self.targets):
-            raise ValueError("reflection coefficients must be nonzero")
+        if not all(np.isfinite(a) and a != 0 for _, a in self.targets):
+            raise ValueError("reflection coefficients must be finite and nonzero, "
+                             f"got {list(self.coeffs)}")
         if max(self.delays) > self.t_cp:
             raise ValueError(
                 f"round-trip delay {max(self.delays):.3e}s exceeds the CP {self.t_cp:.3e}s "

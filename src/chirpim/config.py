@@ -71,7 +71,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "family", ChirpFamily(self.family))
-        for name, key in (("sample_rate", "sample_rate_hz"), ("f_c", "carrier_hz")):
+        for name, key in (("sample_rate", "sample_rate_hz"), ("f_c", "carrier_hz"), ("d", "d")):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} ([waveform] {key}) must be positive, "
                                  f"got {getattr(self, name)}")
@@ -99,6 +99,17 @@ class ExperimentConfig:
             window = getattr(self, name)
             if len(window) != 2 or not 0 < window[0] <= window[1]:
                 raise ValueError(f"{name} must be two values 0 < lo <= hi, got {window}")
+        # a fading run draws every tap: check them now, not when run_bler starts
+        if self.fading and not self.pdp:
+            raise ValueError("fading ([channel] fading) needs a power-delay profile "
+                             "([channel] pdp), got none")
+        for delay, power_db, k_factor in self.pdp if self.fading else ():
+            if not 0.0 <= delay < self.t_cp:
+                raise ValueError(f"[channel] pdp tap delay {delay:.3e}s must lie in "
+                                 f"[0, T_cp = {self.t_cp:.3e}s)")
+            if not (np.isfinite(power_db) and 0.0 <= k_factor < np.inf):
+                raise ValueError(f"[channel] pdp tap power {power_db} dB and Rician K "
+                                 f"{k_factor} must be finite, with K >= 0")
         if not all(0 < factor < np.inf for factor in self.spacing_rmin):
             raise ValueError("spacing_rmin ([sweep] spacing_rmin) must be finite and positive, "
                              f"got {self.spacing_rmin}")

@@ -14,30 +14,21 @@ runs the same delay search on the channel estimate. One core,
 :func:`estimate_mf_lmmse`, returns both; :func:`estimate_multi_mf` and
 :func:`estimate_lmmse` are its two halves.
 
-The search is three-phase. The carrier phase factors out of
-|c(tau)^H W^H b| as a pure rotation, so a coarse grid plus zooming on the
-*envelope* localizes the delay to far below a carrier cycle; the final
-phase-of-carrier stages maximize the full Re{...} metric, whose lobes
-repeat every 1/(2 f_c), at a resolution fine enough that grid quantization
-stays negligible against the range CRLB even at 40 dB SNR.
+The search has two parts. The carrier phase factors out of
+|c(tau)^H W^H b|, so a coarse grid plus zooms on this *envelope* localize
+the delay to far below a carrier cycle. Each grid is one 5-smooth
+Bluestein FFT convolution (:func:`_chirp_z`), with the points and argmax
+rule of the explicit evaluation and a chirp and kernel built once per
+process. The full metric Re{...} has lobes every 1/(2 f_c): the carrier
+phase at the envelope peak places them, one Newton step from each
+candidate picks one (:func:`_lobe_moments`), and NEWTON_STEPS refine it.
 
-Every stage samples sum_k q_k e^{j2pi k tau/T_s} on a uniform grid
-tau = lo + i step, a chirp-z transform of q rotated by e^{j2pi k lo/T_s}
-(:func:`_bin_rotation`), so each grid is one 5-smooth Bluestein FFT
-convolution (:func:`_chirp_z`), not a P x M steering matrix, with the grid
-points and argmax rule of the explicit evaluation. The grid sizes are the
-module constants below; each stage's chirp and kernel depend only on the
-search geometry, so they are built once per process.
-
-The search runs on stacked rows: q has shape (rows, M). Each zoom window
-is centred on its row's best delay and shifted, not clamped, to lie inside
-[0, T_cp], so all rows share each stage's step and chirp kernel, and a
-stage is one batched FFT over the rows. An observation holds one frame
-(b, w of shape (M,)) or a stack of B frames ((B, M)), one frame being a
-batch of one. :func:`estimate_mf_lmmse` puts the MF and the LMMSE rows of
-a stack into the same searches, so each cancellation step is one search
-call. A row's estimate is bit-for-bit the same whatever else is in its
-batch.
+The search runs on stacked rows: q has shape (rows, M). Each window is
+shifted, not clamped, to lie inside [0, T_cp], so all rows share each
+stage's step and kernel. An observation holds one frame (b, w of shape
+(M,)) or a stack of B frames ((B, M)). :func:`estimate_mf_lmmse` puts the
+MF and the LMMSE rows of a stack into the same searches, and a row's
+estimate is bit-for-bit the same whatever else is in its batch.
 
 The bounds read one matrix, :func:`fim`: the Fisher information of all
 delays and coefficients jointly, cross terms between targets included
@@ -98,8 +89,8 @@ class RadarObservation:
 @dataclass(frozen=True)
 class EstimateSet:
     """Delays and coefficients sorted by delay, shape (R,) for one
-    observation or (B, R) for a stack, plus the last search step, which is
-    the same for every row."""
+    observation or (B, R) for a stack, plus the last envelope step of the
+    delay search, which is the same for every row."""
 
     delays: np.ndarray
     coeffs: np.ndarray
@@ -112,21 +103,19 @@ class EstimateSet:
 
 # Delay-search resolution. The coarse step is COARSE_HALFBIN / B with B the
 # bin-span bandwidth M/T_s. Envelope zooms sample ENV_POINTS points across
-# +-1 step until the step is below 1/(ENV_MARGIN f_c); the carrier stages
-# then sample the full metric on CARRIER_POINTS points across
-# +-CARRIER_HALFSPAN cycles and zoom CARRIER_STAGES more times.
+# +-1 step until the step is below 1/(ENV_MARGIN f_c); the best carrier lobe
+# within +-CARRIER_HALFSPAN cycles then takes NEWTON_STEPS more Newton steps.
 COARSE_HALFBIN = 0.5
 ENV_POINTS = 65
 ENV_MARGIN = 16.0
 CARRIER_HALFSPAN = 0.6
-CARRIER_POINTS = 193
-CARRIER_STAGES = 2
+NEWTON_STEPS = 1
 # Successive cancellation handles up to MAX_TARGETS targets, then runs
 # UPDATE_PASSES re-estimation passes when there is more than one.
 MAX_TARGETS = 16
 UPDATE_PASSES = 2
 # Bluestein chirps and kernels kept per process: a search geometry uses
-# about six (coarse grid, envelope zooms, carrier window and zooms).
+# three (the coarse grid and two envelope zoom steps).
 BLUESTEIN_CACHE_SIZE = 32
 
 
@@ -166,14 +155,10 @@ def _bluestein(m: int, phi: float, n: int) -> tuple[int, np.ndarray, np.ndarray]
 
 def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
     """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1, along the last axis.
-
     Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
-    into a convolution with the chirp c_d = e^{j phi d^2 / 2}, done as one
+    into a convolution with the chirp c_d = e^{j phi d^2 / 2}, one
     zero-padded FFT product (Bluestein 1970; Rabiner, Schafer & Rader
-    1969). Its length, chirp and kernel FFT depend only on (m, phi, n), so
-    :func:`_bluestein` builds them once per process for every row of x and
-    every later call with the same search geometry.
-    """
+    1969) whose length, chirp and kernel :func:`_bluestein` caches."""
     m = x.shape[-1]
     size, chirp, kernel = _bluestein(m, phi, n)
     conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) * kernel)
@@ -182,13 +167,10 @@ def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
 
 def _bin_rotation(k: np.ndarray, lo: np.ndarray, t_s: float) -> np.ndarray:
     """e^{j2pi k lo/T_s} for the bins k, shape (M,), and lo of shape (1,) or
-    (rows, 1); returns (M,) or (rows, M).
-
-    With theta = 2pi lo/T_s and each bin offset k - k_0 = B a + b in blocks
-    of B, about the square root of the bin span, the rotation is the
+    (rows, 1); returns (M,) or (rows, M). With theta = 2pi lo/T_s and each
+    bin offset k - k_0 = B a + b in blocks of B ~ sqrt(span), it is the
     product of two short per-row tables, e^{j theta (k_0 + B a)} and
-    e^{j theta b}, so only about 2 sqrt(span) exps run per row.
-    """
+    e^{j theta b}, so only about 2 sqrt(span) exps run per row."""
     k0 = int(k.min())
     span = int(k.max()) - k0 + 1
     block = isqrt(span - 1) + 1
@@ -200,61 +182,79 @@ def _bin_rotation(k: np.ndarray, lo: np.ndarray, t_s: float) -> np.ndarray:
 
 
 def _grid_metric(q: np.ndarray, lo, step: float, n: int,
-                 obs: RadarObservation, envelope: bool) -> np.ndarray:
-    """|c(tau)^H q| on tau = lo + i step (i < n), or |Re{.}| when
-    envelope=False, for q of shape (M,) or (rows, M) with lo a scalar or
-    one per row; returns (n,) or (rows, n).
-
-    c(tau)^H q = e^{j2pi f_c tau} sum_k q_k e^{j2pi k tau/T_s}; the carrier
-    rotation drops out of the envelope. With k = k_0 + m the sum is
-    e^{j2pi k_0 tau/T_s} times a chirp-z transform over m of
-    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`), so no steering matrix
-    is built.
-    """
+                 obs: RadarObservation) -> np.ndarray:
+    """The sums g_i with c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i
+    on tau = lo + i step (i < n), so |g| is the envelope |c(tau)^H q|; q
+    has shape (M,) or (rows, M), lo is a scalar or one per row, and g has
+    shape (n,) or (rows, n). g is a chirp-z transform over m = k - k_0 of
+    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`): no steering matrix."""
     lo = np.asarray(lo)[..., None]
-    k0 = int(obs.k.min())
-    span = int(obs.k.max()) - k0 + 1
+    k0, span = int(obs.k.min()), int(obs.k.max() - obs.k.min() + 1)
     x = q * _bin_rotation(obs.k, lo, obs.t_s)
     if span != len(obs.k) or np.any(np.diff(obs.k) != 1):
         spread = np.zeros(x.shape[:-1] + (span,), dtype=complex)
         spread[..., obs.k - k0] = x
         x = spread
-    inner = _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
-    if envelope:
-        return np.abs(inner)
-    i = np.arange(n)
-    phase = obs.f_c * (lo + i * step) + k0 * i * step / obs.t_s
-    return np.abs(np.real(np.exp(2j * np.pi * phase) * inner))
+    return _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
 
 
-def _window(q: np.ndarray, best: np.ndarray, half: float, points: int,
-            obs: RadarObservation, envelope: bool) -> tuple[np.ndarray, float]:
-    """Per-row grid maximizer over ``points`` points spanning 2 half,
-    centred on the row's ``best`` and shifted to lie inside [0, T_cp];
-    returns the new best delays and the grid step."""
-    step = 2.0 * half / (points - 1)
-    lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
-    i = np.argmax(_grid_metric(q, lo, step, points, obs, envelope), axis=-1)
-    return lo + i * step, step
+def _lobe_moments(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
+                  obs: RadarObservation) -> np.ndarray:
+    """s_n = sum_k q_k (k/T_s)^n e^{j2pi nu_k t}, nu_k = f_c + k/T_s, for
+    n = 0, 1, 2 at t = tau + offsets, with q of shape (rows, M), tau (rows,)
+    and offsets (J,); returns (3, rows, J). s_0 is c(t)^H q. The bin phases
+    are a per-row rotation times one offset table, both from
+    :func:`_bin_rotation`; each row and each offset has one carrier exp."""
+    x = q * (_bin_rotation(obs.k, tau[:, None], obs.t_s) *
+             np.exp(2j * np.pi * obs.f_c * tau)[:, None])
+    y = x[:, None, :] * (_bin_rotation(obs.k, offsets[:, None], obs.t_s) *
+                         np.exp(2j * np.pi * obs.f_c * offsets)[:, None])
+    y1 = y * (obs.k / obs.t_s)
+    return np.stack((y.sum(-1), y1.sum(-1), (y1 * (obs.k / obs.t_s)).sum(-1)))
+
+
+def _newton(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
+            obs: RadarObservation) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step from t = tau + offsets toward the nearest extremum of
+    Re z, z = c(t)^H q, and the Re z it predicts there, shapes (rows, J).
+    With u_n = sum_k q_k nu_k^n e^{j2pi nu_k t} from :func:`_lobe_moments`,
+    (Re z)' = -2pi Im u_1 and (Re z)'' = -4pi^2 Re u_2."""
+    s0, s1, s2 = _lobe_moments(q, tau, offsets, obs)
+    u1 = obs.f_c * s0 + s1
+    u2 = (obs.f_c * (obs.f_c * s0 + 2.0 * s1) + s2).real
+    u2 = np.where(u2 != 0, u2, np.inf)  # q = 0: no step
+    return -u1.imag / (2.0 * np.pi * u2), s0.real + 0.5 * u1.imag ** 2 / u2
 
 
 def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, float]:
-    """Three-phase delay search of the metric rows q, shape (rows, M)
-    (q = conj(w) * b for the MF, q = h~ for the LMMSE variant). Returns
-    tau_hat, one per row, and the final step, which every row shares."""
-    span = int(obs.k.max() - obs.k.min() + 1)
-    step = COARSE_HALFBIN * obs.t_s / span
-    metric = _grid_metric(q, 0.0, step, int(np.ceil(obs.t_cp / step)), obs, envelope=True)
-    best = np.argmax(metric, axis=-1) * step
-    # envelope zoom until the step is well inside a carrier half-cycle
-    while step > 1.0 / (ENV_MARGIN * obs.f_c):
-        best, step = _window(q, best, step, ENV_POINTS, obs, envelope=True)
-    # full metric across the carrier lobes nearest the envelope peak
-    best, step = _window(q, best, CARRIER_HALFSPAN / obs.f_c, CARRIER_POINTS, obs,
-                         envelope=False)
-    for _ in range(CARRIER_STAGES):
-        best, step = _window(q, best, step, CARRIER_POINTS, obs, envelope=False)
-    return best, step
+    """Delay search of the metric rows q, shape (rows, M) (q = conj(w) * b
+    for the MF, q = h~ for the LMMSE variant). Returns tau_hat, one per
+    row, and the last envelope step, which every row shares."""
+    k0, span = int(obs.k.min()), int(obs.k.max() - obs.k.min() + 1)
+    step, lo, rows = COARSE_HALFBIN * obs.t_s / span, 0.0, np.arange(len(q))
+    n = int(np.ceil(obs.t_cp / step))
+    # envelope zooms, each across +-1 old step shifted inside [0, T_cp]
+    while True:
+        inner = _grid_metric(q, lo, step, n, obs)
+        i = np.argmax(np.abs(inner), axis=-1)
+        best = lo + i * step
+        if step <= 1.0 / (ENV_MARGIN * obs.f_c):
+            break
+        half, step, n = step, 2.0 * step / (ENV_POINTS - 1), ENV_POINTS
+        lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
+    # lobe candidates tau_e - theta/(2pi f_c) + j/(2 f_c) in the window, where
+    # theta = arg c(tau_e)^H q = 2pi (f_c tau_e + k_0 i step/T_s) + arg g_i
+    half, lobe = CARRIER_HALFSPAN / obs.f_c, 0.5 / obs.f_c
+    lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
+    first = -(np.angle(inner[rows, i]) / (2.0 * np.pi) + k0 * i * step / obs.t_s) / obs.f_c
+    first = first + np.ceil((lo - first) / lobe) * lobe
+    shift, value = _newton(q, first, lobe * np.arange(3), obs)
+    inside = first[:, None] + lobe * np.arange(3) <= (lo + 2.0 * half)[:, None]
+    pick = np.argmax(np.where(inside, np.abs(value), -1.0), axis=-1)
+    best = first + pick * lobe + shift[rows, pick]
+    for _ in range(NEWTON_STEPS):
+        best = best + _newton(q, best, np.zeros(1), obs)[0][:, 0]
+    return np.clip(best, lo, lo + 2.0 * half), step
 
 
 def estimate_mf_lmmse(obs: RadarObservation,

@@ -190,13 +190,6 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
     unchanged as a reference curve.
     """
     mcfg = _modem(cfg)
-    if cfg.fading:
-        if not cfg.pdp:
-            raise ValueError("fading runs need a power-delay profile")
-        longest = max(tap[0] for tap in cfg.pdp)
-        if longest >= cfg.t_cp:
-            raise ValueError(
-                f"tap delay {longest:.3e}s reaches the cyclic prefix {cfg.t_cp:.3e}s")
     bits = mcfg.capacity.total
     use_ebn0 = len(cfg.ebn0_db) > 0
     points = cfg.ebn0_db if use_ebn0 else cfg.snr_db

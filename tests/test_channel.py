@@ -58,6 +58,14 @@ def test_scene_validation():
         scene_of((-1.0, 1.0))
 
 
+@pytest.mark.parametrize("target", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                    (1.0, float("nan")), (1.0, float("inf")),
+                                    (1.0, float("-inf"))])
+def test_scene_rejects_nonfinite_targets(target):
+    with pytest.raises(ValueError, match="must be finite"):
+        scene_of(target)
+
+
 # ---------------------------------------------------------------------------
 # Rician realization
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ def test_cli_crlb(capsys):
     assert values["crlb_range_m"] < values["crlb_range_no_phase_m"]
 
 
+@pytest.mark.parametrize("flag, value", [("--range-m", "nan"), ("--range-m", "inf"),
+                                         ("--coeff", "nan"), ("--coeff", "inf")])
+def test_cli_crlb_rejects_nonfinite_scene(flag, value, capsys):
+    # used to exit 0 and print crlb_range_m=nan
+    assert main(["crlb", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be finite" in captured.err
+
+
 def test_cli_experiment_roundtrip(tmp_path, capsys):
     out = tmp_path / "radar.csv"
     code = main(["radar-rmse", "--preset", "desk", "--L", "1", "--trials", "10",
@@ -387,6 +397,33 @@ def test_config_rejects_nonpositive_carrier_and_rate(field, key):
             desk_preset(**{field: value})
 
 
+@pytest.mark.parametrize("scheme", [Scheme.CSC_IM, Scheme.OFDM_IM])
+def test_config_rejects_nonpositive_spread(scheme):
+    # d sets the radar bandwidth of every scheme; d = 0 used to fail inside
+    # min_resolution with a message that named neither field nor key
+    for d in (0.0, -48.0, float("nan")):
+        with pytest.raises(ValueError, match=r"d \(\[waveform\] d\)"):
+            desk_preset(scheme=scheme, d=d)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"pdp": ()}, r"\[channel\] fading.*\[channel\] pdp"),
+    ({"pdp": ((-5e-9, 0.0, 0.0),)}, r"\[channel\] pdp tap delay"),
+    ({"pdp": ((0.0, 0.0, 10.0), (50e-9, -10.0, 0.0))}, r"\[channel\] pdp tap delay"),
+    ({"pdp": ((0.0, 0.0, 10.0), (22.3e-9, -10.0, 0.0))}, r"\[channel\] pdp tap delay"),
+    ({"pdp": ((float("nan"), 0.0, 0.0),)}, r"\[channel\] pdp tap delay"),
+    ({"pdp": ((0.0, float("inf"), 0.0),)}, r"\[channel\] pdp tap power .* Rician K"),
+    ({"pdp": ((0.0, 0.0, -1.0),)}, r"\[channel\] pdp tap power .* Rician K"),
+    ({"pdp": ((0.0, 0.0, float("nan")),)}, r"\[channel\] pdp tap power .* Rician K"),
+])
+def test_config_rejects_bad_channel_profile(overrides, named):
+    # each used to build, then fail inside run_bler or return BLER 0.0
+    with pytest.raises(ValueError, match=named):
+        desk_preset(fading=True, **overrides)
+    # without fading the profile is not used, so it is not checked
+    assert desk_preset(fading=False, **overrides).pdp == overrides["pdp"]
+
+
 def test_config_rejects_cyclic_prefix_of_a_symbol():
     # with T_cp >= T_s the radar search spans a whole symbol and aliases
     for n_cp in (128, 200, -1):
@@ -640,10 +677,10 @@ def test_csv_header_pinned(experiment, tmp_path):
 
 
 def test_bler_rejects_taps_beyond_cp():
-    cfg = desk_preset(snr_db=(0.0,), fading=True,
-                      pdp=((0.0, 0.0, 10.0), (30e-9, -10.0, 0.0)))
-    with pytest.raises(ValueError):
-        run_bler(cfg)
+    # refused when the config is built, before run_bler can start
+    with pytest.raises(ValueError, match=r"\[channel\] pdp tap delay"):
+        run_bler(desk_preset(snr_db=(0.0,), fading=True,
+                             pdp=((0.0, 0.0, 10.0), (30e-9, -10.0, 0.0))))
 
 
 def test_full_scale_smoke():

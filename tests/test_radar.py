@@ -245,12 +245,13 @@ def grid_obs(k, t_s=T_S, f_c=F_C, t_cp=T_CP, seed=0):
 
 
 def assert_grid_matches_steering(obs, lo, step, n):
+    # c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i, so |g| is the envelope
     taus = lo + step * np.arange(n)
-    inner = np.conj(obs.steering(taus)) @ obs.b
-    for envelope, ref in ((True, np.abs(inner)), (False, np.abs(np.real(inner)))):
-        got = _grid_metric(obs.b, lo, step, n, obs, envelope)
-        assert got.shape == (n,)
-        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
+    ref = np.conj(obs.steering(taus)) @ obs.b
+    got = _grid_metric(obs.b, lo, step, n, obs)
+    assert got.shape == (n,)
+    rotation = np.exp(2j * np.pi * (obs.f_c * taus + obs.k.min() * np.arange(n) * step / obs.t_s))
+    assert np.max(np.abs(rotation * got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def coarse(obs, halfbin=0.5):
@@ -325,7 +326,7 @@ def chirp_z_reference(x, phi, n):
 
 
 @pytest.mark.parametrize("m, n", [
-    (1536, 768), (1536, 65), (1536, 193),  # paper coarse grid and zooms
+    (1536, 768), (1536, 65), (1536, 193),  # paper coarse grid, zooms, odd length
     (1536, 512), (1536, 513), (1536, 514),  # m + n - 2 around 2048
     (64, 1), (64, 64), (64, 65), (64, 66),  # m + n - 2 around 128
 ])
@@ -351,14 +352,14 @@ def record_chirp_z(monkeypatch):
 
 
 def test_search_stages_equal_uncached_formula(monkeypatch):
-    # every stage of two paper-scale searches: the coarse grid, the 65-point
-    # envelope zooms (one step each) and the 193-point carrier stages
+    # every stage of two paper-scale searches: the coarse grid and the
+    # 65-point envelope zooms (one step each); the lobe pick runs no grid
     paper = grid_obs(np.arange(-767, 769), PAPER_T_S, PAPER_F_C, PAPER_T_CP, seed=8)
     calls = record_chirp_z(monkeypatch)
     for _ in range(2):
         estimate_multi_mf(paper, 1)
     monkeypatch.undo()
-    assert {(x.shape[-1], n) for x, _, n, _ in calls} == {(1536, 768), (1536, 65), (1536, 193)}
+    assert {(x.shape[-1], n) for x, _, n, _ in calls} == {(1536, 768), (1536, 65)}
     assert len({phi for x, phi, n, _ in calls if (x.shape[-1], n) == (1536, 65)}) > 1
     for x, phi, n, got in calls:
         assert np.array_equal(got, chirp_z_reference(x, phi, n))
@@ -370,9 +371,9 @@ def test_grid_metric_noncontiguous_bins_equal_uncached_formula(monkeypatch):
     step, n = coarse(obs)
     grids = [(0.0, step, n), (0.0, 0.37 * step, n), (0.4 * T_CP, 1e-3 / F_C, 193),
              (np.array([0.1, 0.5]) * T_CP, 2e-3 / F_C, 193)]
-    got = [_grid_metric(obs.b, lo, s, n_, obs, env) for lo, s, n_ in grids for env in (True, False)]
+    got = [_grid_metric(obs.b, lo, s, n_, obs) for lo, s, n_ in grids]
     monkeypatch.setattr(radar, "_chirp_z", chirp_z_reference)
-    ref = [_grid_metric(obs.b, lo, s, n_, obs, env) for lo, s, n_ in grids for env in (True, False)]
+    ref = [_grid_metric(obs.b, lo, s, n_, obs) for lo, s, n_ in grids]
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
@@ -402,7 +403,7 @@ def test_smooth_length_is_minimal():
 
 
 @pytest.mark.parametrize("m, n, size", [
-    (1536, 768, 2304), (1536, 65, 1600), (1536, 193, 1728),  # paper stages
+    (1536, 768, 2304), (1536, 65, 1600), (1536, 193, 1728),  # paper grids
     (1536, 514, 2160), (64, 66, 135), (64, 65, 128),  # m + n - 2 is 5-smooth
 ])
 def test_bluestein_length_holds_the_linear_convolution(m, n, size):
@@ -426,14 +427,14 @@ def test_bin_rotation_equals_exp(k):
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
-def paper_observations(n_targets, rows, seed):
-    """Paper-scale observations (M = 1536, f_c = 64.8 GHz) whose first
-    target lies 2, 5 and 20 ps from 0 and from T_cp (the first two of each
-    for two targets), so zoom windows shift to both edges; the other rows
-    are spread over [0, T_cp]. A second target lies 3 bins' resolution
-    further inside."""
+def paper_observations(n_targets, rows, seed, k=np.arange(-767, 769)):
+    """Paper-scale observations (bins k, by default the M = 1536 paper bins;
+    f_c = 64.8 GHz) whose first target lies 2, 5 and 20 ps from 0 and from
+    T_cp (the first two of each for two targets), so zoom windows shift to
+    both edges; the other rows are spread over [0, T_cp]. A second target
+    lies 3 bins' resolution further inside."""
     rng = np.random.default_rng(seed)
-    k, sigma2 = np.arange(-767, 769), 1e-3
+    sigma2 = 1e-3
     near = (2e-12, 5e-12, 20e-12)[:3 if n_targets == 1 else 2]
     taus = list(near) + [PAPER_T_CP - e for e in near]
     taus += list(rng.uniform(0.05, 0.95, rows - len(taus)) * PAPER_T_CP)
@@ -452,76 +453,77 @@ def paper_observations(n_targets, rows, seed):
 
 
 # estimate_mf_lmmse on paper_observations(1, 24, 101) and (2, 8, 102), from
-# the search with power-of-two Bluestein lengths and a full exp per
-# rotation: the stage lengths and the rotation may change only bits that no
-# argmax sees.
+# the search that picks the carrier lobe by Newton steps from the lobe
+# candidates; final_step is the last envelope step.
 PINNED_PAPER_ESTIMATES = {
     1: {
-        "final_step": 1.0465561771262002e-17,
+        "final_step": 6.165167297979798e-14,
         "mf_delays": [
-            1.996714064777306e-12, 5.000612863297325e-12, 1.999852211045155e-11, 4.848285045212293e-08,
-            4.847984657425553e-08, 4.846484803707466e-08, 4.359657013590221e-08,
-            1.8108066214901477e-08, 3.667029795781649e-08, 2.822547421572526e-08,
-            1.526767015724739e-08, 4.268864024293469e-08, 4.0358707837562543e-08,
-            1.8313918002749755e-08, 4.48901390801613e-08, 1.22216696662489e-08, 3.757315363933327e-08,
-            3.2136078073996556e-08, 2.2979610983043082e-08, 3.768482248687078e-09,
-            4.146998393254649e-08, 2.7455480203320522e-08, 1.945587461038426e-08,
-            1.7901144695365232e-08,
+            1.996711330489946e-12, 5.000617423343799e-12, 1.9998520560406775e-11,
+            4.8482850449392017e-08, 4.847984657206064e-08, 4.846484803405629e-08,
+            4.35965701380717e-08, 1.8108066218231025e-08, 3.667029795801142e-08,
+            2.8225474215312723e-08, 1.526767015497766e-08, 4.2688640240144856e-08,
+            4.035870783235715e-08, 1.8313918002970523e-08, 4.489013908527818e-08,
+            1.2221669661697591e-08, 3.7573153640718877e-08, 3.213607807345481e-08,
+            2.297961098020519e-08, 3.768482250172011e-09, 4.1469983929335127e-08,
+            2.745548020526537e-08, 1.945587460868697e-08, 1.7901144695976617e-08,
         ],
         "mf_coeffs": [
-            -0.6988512268600482, -0.6996121052140308, -0.6997684880860635, -0.6995217824865309,
-            -0.700495938965156, -0.7000454836130187, -0.6992986969472992, -0.6996114270560431,
-            -0.7005172518785324, -0.7002871876018693, -0.7002429990038109, -0.7004056224164509,
-            -0.6999014309211411, -0.6996975228113034, -0.6996078846361783, -0.7006383128323435,
-            -0.6995800258593565, -0.7001804645208353, -0.6990335969386213, -0.6997292829117455,
-            -0.7003729892482767, -0.6999001211234163, -0.6996811750565328, -0.6996052309475541,
+            -0.6988512268604815, -0.6996121052152366, -0.6997684880862032, -0.6995217824869631,
+            -0.7004959389654363, -0.7000454836135478, -0.6992986969475725, -0.6996114270566872,
+            -0.7005172518785346, -0.7002871876018791, -0.7002429990041106, -0.7004056224169032,
+            -0.6999014309227187, -0.6996975228113061, -0.6996078846376984, -0.700638312833546,
+            -0.699580025859468, -0.7001804645208523, -0.6990335969390891, -0.6997292829118734,
+            -0.7003729892488763, -0.6999001211236362, -0.6996811750567, -0.6996052309475758,
         ],
         "lmmse_delays": [
-            1.994558159052426e-12, 5.000979157959319e-12, 2.0003315337742784e-11,
-            4.8482847595024564e-08, 4.8479852152399955e-08, 4.846484425900687e-08,
-            4.3596566577611206e-08, 1.810806372314636e-08, 3.6670293405297113e-08,
-            2.82254698706143e-08, 1.5267673516692718e-08, 4.268864003457487e-08, 4.035870963763917e-08,
-            1.8313914715611947e-08, 4.489013758644021e-08, 1.2221662392683468e-08,
-            3.757315130456158e-08, 3.213607598183561e-08, 2.297960874531569e-08,
-            3.7684814647213605e-09, 4.146998228850188e-08, 2.745548070566749e-08,
-            1.945587787468812e-08, 1.7901149937660265e-08,
+            1.994559135360849e-12, 5.0009825727322616e-12, 2.0003317803069746e-11,
+            4.848284760003293e-08, 4.8479852155759235e-08, 4.846484425617351e-08,
+            4.359656657889175e-08, 1.810806372635831e-08, 3.667029340588666e-08,
+            2.8225469872115628e-08, 1.5267673520447943e-08, 4.2688640038306897e-08,
+            4.035870963945526e-08, 1.8313914715156998e-08, 4.4890137581455767e-08,
+            1.2221662395281687e-08, 3.7573151301334095e-08, 3.213607597707746e-08,
+            2.2979608740936663e-08, 3.768481460786204e-09, 4.146998229345082e-08,
+            2.7455480705535972e-08, 1.9455877871689037e-08, 1.790114993687341e-08,
         ],
         "lmmse_coeffs": [
-            -0.6988504358441854, -0.6996115637700298, -0.6997666223457578, -0.6995207889314131,
-            -0.7004935869827089, -0.7000441195243631, -0.6992974344818714, -0.6996105437910753,
-            -0.7005155255688134, -0.7002855538700975, -0.7002418217450748, -0.7004051084819863,
-            -0.6999007066185312, -0.6996963664139392, -0.6996072116813074, -0.7006347086876028,
-            -0.6995791779586255, -0.7001797070463182, -0.6990327997899307, -0.6997287338250923,
-            -0.7003723093722302, -0.6998995879428519, -0.6996800340939102, -0.6996031217021892,
+            -0.6988504360878823, -0.6996115636260877, -0.6997666209711745, -0.6995207905868391,
+            -0.7004935848015477, -0.7000441182813695, -0.6992974350114308, -0.6996105447218579,
+            -0.7005155258812383, -0.7002855546289434, -0.7002418202753944, -0.700405108570356,
+            -0.6999007062365749, -0.699696366240441, -0.6996072108123998, -0.7006347108801827,
+            -0.6995791770831009, -0.700179705889425, -0.699032798652216, -0.6997287334655503,
+            -0.7003723103148634, -0.699899587950505, -0.6996800352296918, -0.6996031221807094,
         ],
     },
     2: {
-        "final_step": 1.0465561771262002e-17,
+        "final_step": 6.165167297979798e-14,
         "mf_delays": [
-            2.0005549259473593e-12, 3.807895858770358e-10, 4.999901205096879e-12,
-            3.8378590094893034e-10, 4.8104061088176694e-08, 4.848285024281169e-08,
-            4.810105997702326e-08, 4.847984802896862e-08, 9.405673710986823e-09, 9.78446148416767e-09,
-            2.761390042117683e-08, 2.7992684866309038e-08, 3.799469869537296e-08,
-            3.837348891749526e-08, 1.539559936904003e-08, 1.5774386209834466e-08,
+            2.0005545586176167e-12, 3.8078958943320873e-10, 4.999903872959504e-12,
+            3.8378589870703095e-10, 4.810406108758863e-08, 4.848285024273666e-08,
+            4.810105998004909e-08, 4.8479848033168095e-08, 9.405673707206727e-09,
+            9.784461479540826e-09, 2.7613900421903064e-08, 2.799268486335541e-08,
+            3.799469869166954e-08, 3.8373488921043635e-08, 1.539559936554078e-08,
+            1.5774386205532942e-08,
         ],
         "mf_coeffs": [
-            -0.6987095931600534, -0.6992939419633716, -0.7010744783981431, -0.6998961569998137,
-            -0.6994225589567774, -0.7004264094261727, -0.7001080122654968, -0.7003915677388025,
-            -0.7012966696833917, -0.7007604728792856, -0.6982529004753589, -0.699377397887876,
-            -0.6999055939006056, -0.700843581969341, -0.7000802217575031, -0.7002915365475062,
+            -0.6987095873659858, -0.6992939412162492, -0.7010744829125332, -0.6998961623667238,
+            -0.6994225570830351, -0.7004264115029829, -0.7001080236519339, -0.7003915845225652,
+            -0.7012966907811425, -0.7007604667318911, -0.6982529384212761, -0.699377392927781,
+            -0.6999055788733123, -0.7008435177852659, -0.7000802196700014, -0.7002915376984832,
         ],
         "lmmse_delays": [
-            2.0023236058867023e-12, 3.8078882379385576e-10, 4.998247646337019e-12,
-            3.837867496108486e-10, 4.8104060396498205e-08, 4.84828478880603e-08, 4.810105813413297e-08,
-            4.847984277525661e-08, 9.405676026730222e-09, 9.784465073855356e-09,
-            2.7613900115772714e-08, 2.7992683923457063e-08, 3.7994698601182905e-08,
-            3.837348555804993e-08, 1.539559599912914e-08, 1.5774386470522094e-08,
+            2.0023284199752004e-12, 3.807888282946952e-10, 4.998244763173562e-12,
+            3.837867448823954e-10, 4.810406039328258e-08, 4.8482847892389496e-08,
+            4.810105813446343e-08, 4.847984277391479e-08, 9.405676030605793e-09,
+            9.784465070311415e-09, 2.7613900119984337e-08, 2.7992683927814595e-08,
+            3.7994698601374454e-08, 3.837348555844672e-08, 1.539559599398735e-08,
+            1.5774386466416042e-08,
         ],
         "lmmse_coeffs": [
-            -0.6987101480653588, -0.6992961857071955, -0.701072098092684, -0.6998922445171846,
-            -0.6994137016687203, -0.7004279739634967, -0.7001370009326439, -0.7003785617608338,
-            -0.7012794539765359, -0.7007697422412902, -0.6982454201411774, -0.699379053755656,
-            -0.6999186561175343, -0.7008421594934153, -0.7000792066229483, -0.7002926281558822,
+            -0.6987101392816163, -0.6992961934668069, -0.7010721072388677, -0.699892239036355,
+            -0.6994136835847293, -0.7004279864800484, -0.7001370241102293, -0.7003785623793988,
+            -0.7012794691096451, -0.7007697438054498, -0.6982454010555353, -0.6993790213100405,
+            -0.6999186547235249, -0.7008421800535645, -0.7000792025922001, -0.7002926272024967,
         ],
     },
 }
@@ -539,34 +541,34 @@ def test_paper_estimates_pinned(n_targets, rows, seed):
 
 
 # Rows of run_radar_rmse at the desk preset (16 trials, seed 1), from the
-# delay search whose zoom windows are shifted inside [0, T_cp]: a change
-# that moves any estimate, even in its last bits, shows here.
+# delay search that picks the carrier lobe by Newton steps: a change that
+# moves any estimate, even in its last bits, shows here.
 PINNED_RADAR_ROWS = {
     "single": [
-        (0.0, 0.01801180808843388, 0.018832282346245056, 0.00032618440511574654, 0.00032531377854331763, 0.010146517333270783),
-        (2.0, 0.009238942807042535, 0.01084232572517683, 0.00025751716059848646, 0.0002584059194417993, 0.008059665201936305),
-        (4.0, 0.01044578180100878, 0.012975487892338324, 0.00020622152320017034, 0.00020525911783250938, 0.006402019632322784),
-        (6.0, 0.007067210873258459, 0.011929987058672622, 0.0001654840080591812, 0.00016304311272896047, 0.0050853049532131505),
-        (8.0, 0.005809556209202027, 0.007120129483261347, 0.00012964511694380995, 0.00012950974791794718, 0.004039401306520448),
-        (10.0, 0.006534011932461783, 0.010067768974211196, 0.00010273407076699621, 0.0001028732494432497, 0.0032086105091513432),
-        (12.0, 0.004083037564086137, 0.0077383088744070365, 8.163456703362234e-05, 8.171512663060718e-05, 0.0025486899216519646),
-        (14.0, 0.0029373862238797825, 0.008182857448960431, 6.519757077386024e-05, 6.490863228676136e-05, 0.0020244963663253726),
-        (16.0, 3.8396007059117386e-05, 0.005837341389792616, 5.2287395660121626e-05, 5.155875930271063e-05, 0.001608114624868955),
-        (18.0, 3.976788523255559e-05, 0.0057595630579336, 4.105089006450583e-05, 4.0954578261496265e-05, 0.0012773708512064572),
-        (20.0, 3.245310980564303e-05, 0.004970803824855553, 3.26289639095587e-05, 3.2531377854331764e-05, 0.0010146517333270782),
+        (0.0, 0.018011810056585968, 0.018832282638260013, 0.00032618440511574654, 0.00032531377854331763, 0.010146517333270783),
+        (2.0, 0.009238943417354394, 0.010842325035365979, 0.00025751716059848646, 0.0002584059194417993, 0.008059665201936305),
+        (4.0, 0.010445781700602976, 0.012975488468799727, 0.00020622152320017034, 0.00020525911783250938, 0.006402019632322784),
+        (6.0, 0.0070672118797637865, 0.011929986950310566, 0.0001654840080591812, 0.00016304311272896047, 0.0050853049532131505),
+        (8.0, 0.006480601946295019, 0.007120130822798117, 0.00012964511694380995, 0.00012950974791794718, 0.004039401306520448),
+        (10.0, 0.006534010089146939, 0.010067769795203928, 0.00010273407076699621, 0.0001028732494432497, 0.0032086105091513432),
+        (12.0, 0.004083038932537251, 0.007738310032508476, 8.163456703362234e-05, 8.171512663060718e-05, 0.0025486899216519646),
+        (14.0, 0.0029373850273634785, 0.008182856364870442, 6.519757077386024e-05, 6.490863228676136e-05, 0.0020244963663253726),
+        (16.0, 3.8394675637293365e-05, 0.005837341641439467, 5.2287395660121626e-05, 5.155875930271063e-05, 0.001608114624868955),
+        (18.0, 3.976790262512049e-05, 0.005759562189738675, 4.105089006450583e-05, 4.0954578261496265e-05, 0.0012773708512064572),
+        (20.0, 3.2455599761449096e-05, 0.004970802047820516, 3.26289639095587e-05, 3.2531377854331764e-05, 0.0010146517333270782),
     ],
     "two": [
-        (0.0, 0.03628650149198875, 0.040799278578144936, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
-        (2.0, 0.02414072062539784, 0.030131868490781883, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
-        (4.0, 0.025240917409223983, 0.0253413583649002, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
-        (6.0, 0.018731447468044896, 0.026741644857334695, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
-        (8.0, 0.012322751177250102, 0.013873725717885173, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
-        (10.0, 0.009642080057538258, 0.016371834059391757, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
-        (12.0, 0.009187073458649803, 0.012905422611309711, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
-        (14.0, 0.007087633421642464, 0.011681414433451828, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
-        (16.0, 0.004991464495554901, 0.010441118455741204, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
-        (18.0, 0.0028938015742029275, 0.007646685046953063, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
-        (20.0, 0.004068907009963186, 0.00868479192280001, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
+        (0.0, 0.03628650162156564, 0.04079927843575762, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
+        (2.0, 0.024140720945723417, 0.030131869594015225, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
+        (4.0, 0.025240896412893662, 0.025341375029077906, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
+        (6.0, 0.019366960394704324, 0.02674154192295105, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
+        (8.0, 0.012307857919148292, 0.013873724226067013, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
+        (10.0, 0.009642079956952175, 0.016371836543511112, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
+        (12.0, 0.008720560952632624, 0.012905421075372079, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
+        (14.0, 0.006474133386852526, 0.012017697553603166, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
+        (16.0, 0.004991461633850324, 0.01044111734497486, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
+        (18.0, 0.002893800342835267, 0.007646685367470564, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
+        (20.0, 0.004068908476245112, 0.00868479053926716, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
     ],
 }
 
@@ -586,24 +588,24 @@ def test_radar_rows_pinned(scenario):
 # are batched or on the worker count.
 PINNED_RADAR_ROWS_80 = {
     "single": [
-        (0.0, 0.016132015047778888, 0.016848625944019566, 0.00032564467073368885, 0.0003253137785433174, 0.010146517333270785),
-        (10.0, 0.00560324337694903, 0.006588250322410979, 0.00010291784686042291, 0.00010287324944324964, 0.003208610509151345),
-        (20.0, 3.53554610338934e-05, 0.0050150204130692076, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
+        (0.0, 0.016132015655956334, 0.01670344042982362, 0.00032564467073368885, 0.0003253137785433174, 0.010146517333270785),
+        (10.0, 0.005603243677156378, 0.006196415812114617, 0.00010291784686042291, 0.00010287324944324964, 0.003208610509151345),
+        (20.0, 3.5355212102535394e-05, 0.004842823990103685, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
     ],
     "two": [
-        (0.0, 0.031942016414388236, 0.037405380526705966, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
-        (10.0, 0.010524751797426136, 0.016151196131319236, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
-        (20.0, 0.0036527925404299957, 0.008926324941464317, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
+        (0.0, 0.03194201439966637, 0.03733651596127278, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
+        (10.0, 0.010524763771998414, 0.016202059915210728, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
+        (20.0, 0.004083606394330664, 0.008926223336215912, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
     ],
 }
 PINNED_RESOLUTION_ROWS_24 = [
-    (0.5, 0.22652357913505497, 0.18245215793978883, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
-    (0.75, 0.15914526134100987, 0.1426465037099556, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
-    (1.0, 0.13270025006921493, 0.07232763908938376, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
-    (1.25, 0.0777726317768857, 0.00916445642269422, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
-    (1.5, 0.007074682149770187, 0.010341946077187946, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
-    (2.0, 0.002393859956938882, 0.008151974016903962, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
-    (3.0, 0.0023576405988396222, 0.009137284352249857, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
+    (0.5, 0.22604202699453807, 0.18245216124685543, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
+    (0.75, 0.15874287704562967, 0.14264650339016793, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
+    (1.0, 0.13270025016219733, 0.07255657329064444, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
+    (1.25, 0.07777263297470596, 0.009164455317655286, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
+    (1.5, 0.007074681552063929, 0.010341946681364123, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
+    (2.0, 0.0023938609510312466, 0.008151972912482259, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
+    (3.0, 0.002357639638643548, 0.008827006727606859, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
 ]
 
 
@@ -662,18 +664,50 @@ def test_batched_rows_equal_single_observation_calls(k, n_targets):
             assert batched.final_step == single.final_step
 
 
+def lobe_window(tau_e, obs):
+    """The lobe pick's window: +-CARRIER_HALFSPAN cycles around the
+    envelope estimate tau_e, shifted inside [0, T_cp]; returns (lo, hi)."""
+    half = radar.CARRIER_HALFSPAN / obs.f_c
+    lo = np.clip(tau_e - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
+    return lo, lo + 2.0 * half
+
+
+def record_searches(monkeypatch):
+    """Record every envelope grid as (lo, step, n) and every delay search as
+    (q, tau_e, lobe candidates, tau_hat), tau_e being the maximizer of the
+    search's last envelope grid."""
+    grids, searches, seen = [], [], {}
+    grid_metric, lobe_moments = radar._grid_metric, radar._lobe_moments
+    search_delay = radar._search_delay
+
+    def grid(q, lo, step, n, obs_):
+        g = grid_metric(q, lo, step, n, obs_)
+        grids.append((np.atleast_1d(lo), step, n))
+        seen["tau_e"] = lo + np.argmax(np.abs(g), axis=-1) * step
+        return g
+
+    def moments(q, tau, offsets, obs_):
+        if len(offsets) > 1:
+            seen["cands"] = tau[:, None] + offsets
+        return lobe_moments(q, tau, offsets, obs_)
+
+    def search(q, obs_):
+        tau, step = search_delay(q, obs_)
+        searches.append((q, seen["tau_e"], seen["cands"], tau))
+        return tau, step
+
+    monkeypatch.setattr(radar, "_grid_metric", grid)
+    monkeypatch.setattr(radar, "_lobe_moments", moments)
+    monkeypatch.setattr(radar, "_search_delay", search)
+    return grids, searches
+
+
 def test_search_windows_shifted_inside_cyclic_prefix(monkeypatch):
     # every grid of a search has one scalar step for all rows and lies in
-    # [0, T_cp]; zoom windows at the edges keep their width by shifting
+    # [0, T_cp]; zoom windows and lobe windows at the edges keep their
+    # width by shifting, and the lobe candidates lie inside them
     obs = stacked_observations(np.arange(-31, 33), 1, seed=11)
-    grids = []
-    grid_metric = radar._grid_metric
-
-    def recording(q, lo, step, n, obs_, envelope):
-        grids.append((np.atleast_1d(lo), step, n))
-        return grid_metric(q, lo, step, n, obs_, envelope)
-
-    monkeypatch.setattr(radar, "_grid_metric", recording)
+    grids, searches = record_searches(monkeypatch)
     est = estimate_multi_mf(obs, 1)
     monkeypatch.undo()
     assert np.array_equal(grids[0][0], [0.0])  # the coarse grid
@@ -684,10 +718,47 @@ def test_search_windows_shifted_inside_cyclic_prefix(monkeypatch):
     assert any(np.any(lo == 0.0) for lo, _, _ in grids[1:])
     assert any(np.any(np.isclose(lo + (n - 1) * step, T_CP, rtol=1e-12, atol=0.0))
                for lo, step, n in grids[1:])
+    (_, tau_e, cands, tau), = searches
+    lo, hi = lobe_window(tau_e, obs)
+    assert np.any(lo == 0.0) and np.any(np.isclose(hi, T_CP, rtol=1e-12, atol=0.0))
+    # the first two candidates always lie in the window, the third may not
+    assert np.all((cands[:, :2] >= lo[:, None] - 1e-9 / obs.f_c) & (cands[:, :2] <= hi[:, None]))
+    assert np.all((tau >= lo) & (tau <= hi))
     delays = est.delays[:, 0]
     assert np.all((delays >= 0.0) & (delays <= T_CP))
     assert abs(delays[0] - 0.02e-9) < 0.01e-9
     assert abs(delays[4] - (T_CP - 0.02e-9)) < 0.01e-9
+
+
+@pytest.mark.parametrize("n_targets", [1, 2])
+@pytest.mark.parametrize("bins", ["contiguous", "two-in-three"])
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_lobe_pick_is_the_window_maximum(monkeypatch, scale, bins, n_targets):
+    # every search of the estimator (MF and LMMSE rows, cancellation and
+    # update passes) ends on a delay where |Re{c(tau)^H q}| is at least the
+    # maximum of a dense explicit-steering grid over the lobe window
+    if scale == "desk":
+        k = np.arange(-31, 33)
+        k = k if bins == "contiguous" else k[np.arange(len(k)) % 3 != 1]
+        obs = stacked_observations(k, n_targets, seed=20 + n_targets)
+    else:
+        k = np.arange(-767, 769)
+        k = k if bins == "contiguous" else k[np.arange(len(k)) % 3 != 1]
+        obs = paper_observations(n_targets, 6 if n_targets == 1 else 5, seed=30 + n_targets, k=k)
+    searches = record_searches(monkeypatch)[1]
+    estimate_mf_lmmse(obs, n_targets)
+    monkeypatch.undo()
+    assert len(searches) == (1 if n_targets == 1 else 2 + 2 * radar.UPDATE_PASSES)
+    shifted = set()
+    for q, tau_e, _, tau in searches:
+        lo, hi = lobe_window(tau_e, obs)
+        shifted |= {"0"} if np.any(lo == 0.0) else set()
+        shifted |= {"T_cp"} if np.any(np.isclose(hi, obs.t_cp, rtol=1e-12, atol=0.0)) else set()
+        for row in range(len(q)):
+            dense = np.conj(obs.steering(np.linspace(lo[row], hi[row], 601))) @ q[row]
+            picked = np.conj(obs.steering(tau[row])) @ q[row]
+            assert abs(picked.real) >= (1 - 1e-12) * np.max(np.abs(dense.real))
+    assert shifted == {"0", "T_cp"}
 
 
 def test_observation_shapes_checked():
