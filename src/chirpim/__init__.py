@@ -2,8 +2,8 @@
 radar and communications."""
 
 from .channel import CommChannel, RadarScene, add_awgn, radar_cfr, rician_realize
-from .chirps import (ChirpFamily, ChirpSpec, FdssProfile, FrameSignal, apac,
-                     chirp_fdss, distinct_cs_count, flat_fdss, fourier_coeffs,
+from .chirps import (ChirpFamily, ChirpSpec, FdssProfile, apac, chirp_fdss,
+                     distinct_cs_count, flat_fdss, fourier_coeffs,
                      gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                      measure_pmepr, normalize_fdss, occupied_bandwidth,
                      sinusoidal_chirp_coeffs, synthesize)

@@ -13,7 +13,7 @@ a single realization is a batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class CommChannel:
 
     delays: tuple[float, ...]
     gains: np.ndarray
-    pdp: tuple[tuple[float, float, float], ...] = field(default=())
 
     def cfr(self, k: np.ndarray, t_s: float) -> np.ndarray:
         """CFR on bins ``k``: taps rendered exactly in frequency,
@@ -137,7 +136,21 @@ def rician_realize(pdp, rng: np.random.Generator, los_phase: float | None = None
     scatter = np.sqrt(1.0 / (kf + 1.0)) * (re + 1j * im) / np.sqrt(2.0)
     gains = np.sqrt(powers) * (los + scatter)
     return CommChannel(delays=tuple(d for d, _, _ in pdp),
-                       gains=gains if batch is not None else gains[0], pdp=pdp)
+                       gains=gains if batch is not None else gains[0])
+
+
+def complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Circular complex Gaussian noise of variance ``sigma2`` per entry.
+
+    Every real part is drawn, then every imaginary part, and each is scaled
+    by sqrt(sigma2/2); the parts are written in place, so no complex
+    temporaries are made.
+    """
+    scale = np.sqrt(sigma2 / 2.0)
+    noise = np.empty(shape, dtype=complex)
+    noise.real = rng.standard_normal(shape) * scale
+    noise.imag = rng.standard_normal(shape) * scale
+    return noise
 
 
 def add_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
@@ -146,5 +159,4 @@ def add_awgn(x: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarr
     x = np.asarray(x, dtype=complex)
     if sigma2 == 0:
         return x.copy()
-    noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-    return x + np.sqrt(sigma2 / 2.0) * noise
+    return x + complex_noise(x.shape, sigma2, rng)

@@ -7,7 +7,9 @@ period act as a frequency-domain spectral-shaping (FDSS) filter inside a
 DFT-s-OFDM transmitter: the M-point DFT of the modulation symbols is
 multiplied bin-by-bin by the (normalized) coefficients and placed on the
 IDFT grid, which turns each modulation symbol into a circularly-shifted
-copy of the base chirp.
+copy of the base chirp. :func:`synthesize` returns the frame body only;
+the modem adds the cyclic prefix. Nothing here holds a clock: frequencies
+are in units of 1/T_s, and the experiment config holds T_s.
 
 Also provided: PMEPR and occupied-bandwidth measurement, aperiodic
 autocorrelation, and the construction of Golay complementary pairs from
@@ -38,10 +40,10 @@ class ChirpFamily(str, Enum):
 
 @dataclass(frozen=True)
 class ChirpSpec:
-    """One periodic chirp family over a symbol of duration ``t_s`` seconds.
+    """One periodic chirp family, in units of the symbol duration T_s.
 
     ``d`` is the dimensionless deviation (instantaneous frequency swings
-    over +-d/(2*t_s) Hz); ``l_d < 0 < l_u`` bound the retained Fourier bins.
+    over +-d/(2*T_s) Hz); ``l_d < 0 < l_u`` bound the retained Fourier bins.
     The retained bin count M = l_u - l_d + 1 must exceed d, otherwise the
     truncated series no longer resembles the chirp. ``family`` may be given
     by value ("linear"); a value that names no family raises ValueError.
@@ -51,7 +53,6 @@ class ChirpSpec:
     d: float
     l_d: int
     l_u: int
-    t_s: float
 
     def __post_init__(self):
         object.__setattr__(self, "family", ChirpFamily(self.family))
@@ -61,8 +62,6 @@ class ChirpSpec:
             raise ValueError("need l_d < 0 < l_u")
         if self.m <= self.d:
             raise ValueError(f"d = {self.d}: must be below the bin count m = {self.m}")
-        if self.t_s <= 0:
-            raise ValueError("t_s must be positive")
 
     @property
     def m(self) -> int:
@@ -73,16 +72,11 @@ class ChirpSpec:
         """Retained Fourier bin indices l_d..l_u."""
         return np.arange(self.l_d, self.l_u + 1)
 
-    @property
-    def bandwidth_hz(self) -> float:
-        """Swept bandwidth d/t_s Hz (twice the peak deviation)."""
-        return self.d / self.t_s
-
     @classmethod
-    def centered(cls, family: ChirpFamily, d: float, m: int, t_s: float) -> "ChirpSpec":
+    def centered(cls, family: ChirpFamily, d: float, m: int) -> "ChirpSpec":
         """Spec with the default symmetric-around-DC window of ``m`` bins."""
         l_d, l_u = default_band(m)
-        return cls(family, d, l_d, l_u, t_s)
+        return cls(family, d, l_d, l_u)
 
 
 def linear_chirp_coeffs(d: float, k: np.ndarray) -> np.ndarray:
@@ -188,34 +182,18 @@ def flat_fdss(m: int, l_d: int | None = None) -> FdssProfile:
     return normalize_fdss(np.ones(m, dtype=complex), l_d)
 
 
-@dataclass(frozen=True)
-class FrameSignal:
-    """Time-domain frame: N-sample body with an N_cp-sample cyclic prefix.
-
-    ``samples`` may carry leading batch axes; the last axis has length
-    N + N_cp with the prefix first.
-    """
-
-    samples: np.ndarray
-    n: int
-    n_cp: int
-
-    @property
-    def body(self) -> np.ndarray:
-        return self.samples[..., self.n_cp:]
-
-
-def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int) -> FrameSignal:
+def synthesize(w: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """OFDM synthesis of frequency-domain symbols ``w`` (shape (..., M)).
 
-    Bin value w_i is placed at IDFT position k_i mod N (negative bins wrap),
-    a plain-sum N-point IDFT gives the body, and the last ``n_cp`` body
-    samples are prepended as the cyclic prefix. Body sample n is
+    Bin value w_i is placed at IDFT position k_i mod N (negative bins wrap)
+    and a plain-sum N-point IDFT gives the frame body, of shape (..., N).
+    Body sample n is
 
         x[n] = sum_i w_i e^{j2pi k_i n/N}.
 
     The bins come from :func:`chirpim.modem.tx_bins`, every scheme's one
-    bin mapping (DFT spreading times the FDSS profile, or the identity).
+    bin mapping (DFT spreading times the FDSS profile, or the identity);
+    :func:`chirpim.modem.frame_from_symbols` adds the cyclic prefix.
     """
     w = np.asarray(w, dtype=complex)
     m = len(k)
@@ -223,13 +201,9 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int, n_cp: int) -> FrameSignal:
         raise ValueError(f"w has {w.shape[-1]} bins, k lists {m}")
     if n <= m:
         raise ValueError(f"IDFT size N={n} must exceed M={m}")
-    if not 0 <= n_cp < n:
-        raise ValueError("need 0 <= N_cp < N")
     grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
     grid[..., k % n] = w
-    body = np.fft.ifft(grid, axis=-1) * n
-    samples = np.concatenate([body[..., n - n_cp:], body], axis=-1)
-    return FrameSignal(samples=samples, n=n, n_cp=n_cp)
+    return np.fft.ifft(grid, axis=-1) * n
 
 
 # measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
@@ -244,7 +218,7 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     bins ``w`` (shape (..., M)) on bin indices ``k`` of an N-point IDFT.
 
     The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) IDFT of the
-    bins (:func:`synthesize`, no prefix), which captures inter-sample peaks.
+    bins (:func:`synthesize`), which captures inter-sample peaks.
     ``p_av`` is the mean-power reference, by default the body's own mean
     power; pass sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins`
     to reference the ensemble power instead. Frames are synthesized
@@ -258,7 +232,7 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     mean = np.empty(len(rows)) if p_av is None else None
     for lo in range(0, len(rows), PMEPR_BLOCK):
         block = rows[lo:lo + PMEPR_BLOCK]
-        power = np.abs(synthesize(block, k, PMEPR_OVERSAMPLE * n, 0).samples) ** 2
+        power = np.abs(synthesize(block, k, PMEPR_OVERSAMPLE * n)) ** 2
         peak[lo:lo + len(block)] = power.max(axis=-1)
         if mean is not None:
             mean[lo:lo + len(block)] = power.mean(axis=-1)

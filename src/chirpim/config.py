@@ -84,7 +84,7 @@ class ExperimentConfig:
             chirp = self.chirp_spec() if self.scheme is Scheme.CSC_IM else None
             modem = ModemConfig(scheme=self.scheme, m=self.m, n=self.n, n_cp=self.n_cp,
                                 length=self.length, h=self.h, delta=self.delta,
-                                t_s=self.t_s, chirp=chirp)
+                                chirp=chirp)
         except ValueError as exc:
             raise ValueError(f"[waveform] {exc}") from None
         object.__setattr__(self, "_modem", modem)
@@ -139,7 +139,7 @@ class ExperimentConfig:
         return self.d / self.t_s
 
     def chirp_spec(self) -> ChirpSpec:
-        return ChirpSpec.centered(self.family, self.d, self.m, self.t_s)
+        return ChirpSpec.centered(self.family, self.d, self.m)
 
     def modem_config(self) -> ModemConfig:
         """The config's ModemConfig, built once when the config is."""
@@ -204,16 +204,25 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _pdp(text: str) -> tuple[tuple[float, float, float], ...]:
-    """delay_ns:power_db:rician_k triples; delays stored in seconds."""
+    """delay_ns:power_db:rician_k triples; delays stored in seconds. Empty
+    text is the empty profile."""
     taps = []
-    for tap in text.split(","):
-        d, p, k = tap.split(":")
-        taps.append((float(d) * 1e-9, float(p), float(k)))
+    for tap in text.split(",") if text.strip() else ():
+        try:
+            d, p, k = (float(value) for value in tap.split(":"))
+        except ValueError:
+            raise ValueError(f"tap {tap.strip()!r} is not delay_ns:power_db:rician_k") from None
+        taps.append((d * 1e-9, p, k))
     return tuple(taps)
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    """configparser's boolean words, in any case; any other word fails."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("[channel] fading takes 1, yes, true, on, 0, no, false "
+                         "or off") from None
 
 
 # (section, key) -> (ExperimentConfig field, parser, CLI flag or None): the

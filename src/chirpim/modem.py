@@ -2,8 +2,10 @@
 
 Three schemes share one frame structure (M modulation symbols, N-point
 IDFT, cyclic prefix) and one transmitter: :func:`tx_bins` maps the symbols
-to frequency bins, :func:`chirpim.chirps.synthesize` does the IDFT and the
-prefix. Only the bin mapping differs:
+to frequency bins, :func:`chirpim.chirps.synthesize` does the IDFT and
+:func:`frame_from_symbols` prepends the prefix. A frame is a plain array
+whose last axis holds the N_cp prefix samples, then the N body samples.
+Only the bin mapping differs:
 
 * ``CSC_IM``      - M-point DFT spreading shaped by a chirp FDSS profile;
                     each active index becomes a circularly-shifted chirp.
@@ -25,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import indexing
-from .chirps import ChirpSpec, FdssProfile, FrameSignal, chirp_fdss, flat_fdss, \
-    synthesize
+from .chirps import ChirpSpec, FdssProfile, chirp_fdss, flat_fdss, synthesize
 from .indexing import IndexWord, bit_capacity, bits_to_word, pack_bits
 from .util import check_noise_variance, qfunc
 
@@ -57,7 +58,6 @@ class ModemConfig:
     length: int
     h: int
     delta: int = 0
-    t_s: float = 1.0
     chirp: ChirpSpec | None = None
 
     def __post_init__(self):
@@ -75,8 +75,6 @@ class ModemConfig:
                 raise ValueError("CSC-IM needs a chirp spec")
             if self.chirp.m != self.m:
                 raise ValueError(f"chirp window M={self.chirp.m} != config M={self.m}")
-            if self.chirp.t_s != self.t_s:
-                raise ValueError("chirp and config disagree on t_s")
         if indexing.index_count(self.length, self.delta, self.m) < 2:
             raise ValueError(f"delta = {self.delta}: leaves fewer than 2 index sequences "
                              f"of l = {self.length} in m = {self.m}")
@@ -98,14 +96,6 @@ class ModemConfig:
     @cached_property
     def capacity(self) -> indexing.BitCapacity:
         return bit_capacity(self.m, self.length, self.h, self.delta)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.n / self.t_s
-
-    @property
-    def t_cp(self) -> float:
-        return self.n_cp / self.sample_rate
 
 
 def encode(bits, cfg: ModemConfig) -> tuple[IndexWord, np.ndarray]:
@@ -138,22 +128,32 @@ def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return cfg.fdss.g * s[..., cfg.k % cfg.m]
 
 
-def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> FrameSignal:
-    """Time-domain frame for modulation symbols ``d`` (batchable): the bins
-    of :func:`tx_bins`, then the IDFT and cyclic prefix of :func:`synthesize`.
-    Every scheme takes this one path."""
-    return synthesize(tx_bins(d, cfg), cfg.k, cfg.n, cfg.n_cp)
+def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Time-domain frame for modulation symbols ``d`` (batchable), of shape
+    (..., N_cp + N): the bins of :func:`tx_bins`, the IDFT of
+    :func:`synthesize`, and the last N_cp body samples prepended as the
+    cyclic prefix. Every scheme takes this one path."""
+    body = synthesize(tx_bins(d, cfg), cfg.k, cfg.n)
+    return np.concatenate([body[..., cfg.n - cfg.n_cp:], body], axis=-1)
 
 
-def tx_frame(bits, cfg: ModemConfig) -> FrameSignal:
+def tx_frame(bits, cfg: ModemConfig) -> np.ndarray:
     """Full transmitter: bits -> encode -> bin mapping -> IDFT + CP."""
     _, d = encode(bits, cfg)
     return frame_from_symbols(d, cfg)
 
 
-def extract_bins(frame: FrameSignal, cfg: ModemConfig) -> np.ndarray:
-    """Receiver front end: drop the CP, N-point DFT, pick bins l_d..l_u."""
-    return np.fft.fft(frame.body, axis=-1)[..., cfg.k % cfg.n] / cfg.n
+def extract_bins(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """Receiver front end: drop the CP, N-point DFT, pick bins l_d..l_u.
+
+    ``frame`` has shape (..., N_cp + N), prefix first; another length
+    raises ValueError.
+    """
+    frame = np.asarray(frame)
+    if frame.shape[-1] != cfg.n_cp + cfg.n:
+        raise ValueError(f"frame has {frame.shape[-1]} samples, "
+                         f"need N_cp + N = {cfg.n_cp + cfg.n}")
+    return np.fft.fft(frame[..., cfg.n_cp:], axis=-1)[..., cfg.k % cfg.n] / cfg.n
 
 
 def post_equalization_snr(fdss: FdssProfile, sigma2: float, h_c=None):
@@ -253,7 +253,7 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     return top, np.take_along_axis(best_z, top, axis=-1)
 
 
-def rx_frame(frame: FrameSignal, h_c, sigma2: float, cfg: ModemConfig) -> np.ndarray:
+def rx_frame(frame: np.ndarray, h_c, sigma2: float, cfg: ModemConfig) -> np.ndarray:
     """Full receiver: time-domain frame -> bins -> equalize/detect -> bits.
 
     One frame is a batch of one through :func:`detect_words_batch`. Detected

@@ -17,7 +17,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .channel import RadarScene, radar_cfr, rician_realize
+from .channel import RadarScene, complex_noise, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
 from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
@@ -160,12 +160,8 @@ def _bler_batch(task) -> tuple[int, int]:
         h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s)
     else:
         h_c = np.ones_like(w)
-    # bit for bit (re + 1j im) * scale, without its complex temporaries
-    scale = np.sqrt(sigma2 / 2.0)
-    noise = np.empty(w.shape, dtype=complex)
-    noise.real = rng.standard_normal(w.shape) * scale
-    noise.imag = rng.standard_normal(w.shape) * scale
-    det_i, det_z = detect_words_batch(h_c * w + noise, h_c, sigma2, mcfg)
+    det_i, det_z = detect_words_batch(h_c * w + complex_noise(w.shape, sigma2, rng),
+                                      h_c, sigma2, mcfg)
     errors = np.any((det_i != idx) | (det_z != psk), axis=1)
     return batch, int(errors.sum())
 
@@ -256,9 +252,7 @@ def _radar_batch(task) -> np.ndarray:
         _, _, d = random_words(mcfg, 1, rng)
         w = tx_bins(d[0], mcfg)
         scene = _draw_scene(cfg, scenario, rng, spacing_m)
-        noise = (rng.standard_normal(mcfg.m) + 1j * rng.standard_normal(mcfg.m)) \
-            * np.sqrt(sigma2 / 2.0)
-        bs.append(radar_cfr(scene, mcfg.k) * w + noise)
+        bs.append(radar_cfr(scene, mcfg.k) * w + complex_noise(mcfg.m, sigma2, rng))
         ws.append(w)
         truths.append(np.array(scene.distances))
         acc[2] += crlb_range(scene, (mcfg.k, w), sigma2)

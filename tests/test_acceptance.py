@@ -87,7 +87,7 @@ def test_chirp_coefficients_match_quadrature():
     for d, m in ((12.0, 24), (56.0, 64), (1382.0, 1448)):
         for family, phase in ((ChirpFamily.LINEAR, linear_chirp_phase(d)),
                               (ChirpFamily.SINUSOIDAL, sinusoidal_chirp_phase(d))):
-            spec = ChirpSpec.centered(family, d, m, 1.0)
+            spec = ChirpSpec.centered(family, d, m)
             closed = fourier_coeffs(spec)
             panels = quadrature_panels(d, max(abs(spec.l_d), spec.l_u))
             ref = fourier_coeffs_quadrature(phase, spec.k, panels)
@@ -284,16 +284,15 @@ def test_resolution():
 
 def test_end_to_end_loopback():
     t0 = time.time()
-    t_s = 128 / 1.44e9
-    lin = ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64, t_s)
-    sin = ChirpSpec.centered(ChirpFamily.SINUSOIDAL, 48.0, 64, t_s)
+    lin = ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64)
+    sin = ChirpSpec.centered(ChirpFamily.SINUSOIDAL, 48.0, 64)
     configs = [
-        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 1, 4, t_s=t_s, chirp=lin),
-        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, t_s=t_s, chirp=lin),
-        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, delta=15, t_s=t_s, chirp=lin),
-        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 5, 4, delta=10, t_s=t_s, chirp=sin),
-        ModemConfig(Scheme.DFT_S_OFDM_IM, 64, 128, 32, 2, 4, t_s=t_s),
-        ModemConfig(Scheme.OFDM_IM, 64, 128, 32, 2, 4, t_s=t_s),
+        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 1, 4, chirp=lin),
+        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, chirp=lin),
+        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, delta=15, chirp=lin),
+        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 5, 4, delta=10, chirp=sin),
+        ModemConfig(Scheme.DFT_S_OFDM_IM, 64, 128, 32, 2, 4),
+        ModemConfig(Scheme.OFDM_IM, 64, 128, 32, 2, 4),
     ]
     frames_per_config = 10_000
     total_errors = 0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from chirpim.channel import RadarScene, add_awgn, radar_cfr, rician_realize
+from chirpim.channel import RadarScene, add_awgn, complex_noise, radar_cfr, rician_realize
 from chirpim.util import SPEED_OF_LIGHT
 
 K = np.arange(-16, 16)
@@ -160,6 +160,17 @@ def test_awgn_zero_variance_identity():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
     assert np.array_equal(add_awgn(x, 0.0, rng), x)
+
+
+def test_complex_noise_draws_real_parts_then_imaginary_parts():
+    sigma2, shape = 0.37, (3, 5)
+    noise = complex_noise(shape, sigma2, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert np.array_equal(noise.real, re * np.sqrt(sigma2 / 2))
+    assert np.array_equal(noise.imag, im * np.sqrt(sigma2 / 2))
+    # add_awgn adds the same draws
+    assert np.array_equal(add_awgn(np.zeros(shape), sigma2, np.random.default_rng(8)), noise)
 
 
 def test_awgn_empirical_variance():

@@ -16,8 +16,8 @@ from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
                      zero_padded_pmepr_db)
 
 
-def spec(family, d, m, t_s=1.0):
-    return ChirpSpec.centered(family, d, m, t_s)
+def spec(family, d, m):
+    return ChirpSpec.centered(family, d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +96,21 @@ def test_linear_tail_decays():
 
 
 def test_spec_family_coerced_by_value():
-    by_value = ChirpSpec("linear", 12.0, -11, 12, 1.0)
+    by_value = ChirpSpec("linear", 12.0, -11, 12)
     assert by_value.family is ChirpFamily.LINEAR
     assert np.array_equal(fourier_coeffs(by_value),
-                          fourier_coeffs(ChirpSpec(ChirpFamily.LINEAR, 12.0, -11, 12, 1.0)))
+                          fourier_coeffs(ChirpSpec(ChirpFamily.LINEAR, 12.0, -11, 12)))
     with pytest.raises(ValueError, match="'bogus' is not a valid ChirpFamily"):
-        ChirpSpec("bogus", 12.0, -11, 12, 1.0)
+        ChirpSpec("bogus", 12.0, -11, 12)
 
 
 def test_spec_invariants():
     with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, 24.0, -11, 12, 1.0)  # M must exceed d
+        ChirpSpec(ChirpFamily.LINEAR, 24.0, -11, 12)  # M must exceed d
     with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, 4.0, 3, 12, 1.0)  # l_d must be negative
+        ChirpSpec(ChirpFamily.LINEAR, 4.0, 3, 12)  # l_d must be negative
     with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, -1.0, -8, 8, 1.0)
+        ChirpSpec(ChirpFamily.LINEAR, -1.0, -8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_normalize_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# Synthesis (tx_bins mapping, then the IDFT + CP of synthesize)
+# Synthesis (tx_bins mapping, the IDFT of synthesize, then the CP)
 # ---------------------------------------------------------------------------
 
 def modem(scheme, m, n, n_cp, family=ChirpFamily.SINUSOIDAL, d=12.0, length=1):
@@ -154,8 +154,7 @@ def test_single_chirp_constant_envelope():
     cfg = modem(Scheme.CSC_IM, 32, 64, 16)
     d = np.zeros(32, dtype=complex)
     d[0] = np.sqrt(32.0)
-    frame = frame_from_symbols(d, cfg)
-    mag_db = 20 * np.log10(np.abs(frame.body))
+    mag_db = 20 * np.log10(np.abs(frame_from_symbols(d, cfg)[16:]))
     assert mag_db.max() - mag_db.min() < 0.5
 
 
@@ -163,21 +162,21 @@ def test_flat_profile_impulse_gives_dirichlet_peak():
     m, n = 16, 64
     d = np.zeros(m, dtype=complex)
     d[0] = np.sqrt(m)
-    frame = frame_from_symbols(d, modem(Scheme.DFT_S_OFDM_IM, m, n, 8))
-    peak = np.argmax(np.abs(frame.body))
+    body = frame_from_symbols(d, modem(Scheme.DFT_S_OFDM_IM, m, n, 8))[8:]
+    peak = np.argmax(np.abs(body))
     assert peak == 0
     # Dirichlet mainlobe is much higher than the mean level
-    assert np.abs(frame.body[0]) > 3 * np.mean(np.abs(frame.body))
+    assert np.abs(body[0]) > 3 * np.mean(np.abs(body))
 
 
 def test_circular_shift_property():
     m, n = 16, 64  # m divides n
     cfg = modem(Scheme.CSC_IM, m, n, 0, d=6.0)
-    ref = frame_from_symbols(np.eye(m, dtype=complex)[0] * np.sqrt(m), cfg).body
+    ref = frame_from_symbols(np.eye(m, dtype=complex)[0] * np.sqrt(m), cfg)
     for shift in (1, 5, 11):
         d = np.zeros(m, dtype=complex)
         d[shift] = np.sqrt(m)
-        shifted = frame_from_symbols(d, cfg).body
+        shifted = frame_from_symbols(d, cfg)
         expect = np.roll(ref, shift * n // m)
         err = np.linalg.norm(shifted - expect) / np.linalg.norm(ref)
         assert 20 * np.log10(err + 1e-300) < -40
@@ -188,8 +187,8 @@ def test_synthesize_linearity():
     cfg = modem(Scheme.CSC_IM, 16, 32, 8, family=ChirpFamily.LINEAR, d=10.0)
     d1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     d2 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    lhs = frame_from_symbols(d1 + d2, cfg).samples
-    rhs = frame_from_symbols(d1, cfg).samples + frame_from_symbols(d2, cfg).samples
+    lhs = frame_from_symbols(d1 + d2, cfg)
+    rhs = frame_from_symbols(d1, cfg) + frame_from_symbols(d2, cfg)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
 
 
@@ -197,7 +196,7 @@ def test_synthesize_rejects_small_idft():
     with pytest.raises(ValueError):
         modem(Scheme.DFT_S_OFDM_IM, 16, 16, 4)
     with pytest.raises(ValueError):
-        synthesize(np.ones(16, dtype=complex), np.arange(-7, 9), n=16, n_cp=4)
+        synthesize(np.ones(16, dtype=complex), np.arange(-7, 9), n=16)
 
 
 def test_cyclic_prefix_property():
@@ -205,7 +204,7 @@ def test_cyclic_prefix_property():
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     for scheme in Scheme:
         frame = frame_from_symbols(d, modem(scheme, 16, 32, 8))
-        assert np.allclose(frame.samples[:8], frame.body[-8:])
+        assert np.allclose(frame[:8], frame[-8:])
 
 
 def test_synthesize_places_bins_mod_n():
@@ -215,7 +214,7 @@ def test_synthesize_places_bins_mod_n():
     w = tx_bins(d, cfg)
     t = np.arange(32)
     expect = np.exp(2j * np.pi * np.outer(t, cfg.k) / 32) @ w
-    assert np.allclose(frame_from_symbols(d, cfg).body, expect, atol=1e-12)
+    assert np.allclose(frame_from_symbols(d, cfg)[8:], expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,7 @@ def test_pmepr_equals_zero_padded_oracle(make):
     # zero-padded to 8N: the same peak up to rounding
     mcfg = make(family=ChirpFamily.SINUSOIDAL, length=2).modem_config()
     _, _, d = random_words(mcfg, 40, np.random.default_rng(8))
-    frames = frame_from_symbols(d, mcfg).samples
+    frames = frame_from_symbols(d, mcfg)
     for p_av in (float(mcfg.m), None):
         values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=p_av)
         oracle = zero_padded_pmepr_db(frames, mcfg.n, mcfg.n_cp, 8, p_av)

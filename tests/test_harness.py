@@ -147,6 +147,18 @@ def test_readme_cli_examples_parse(line):
         _build_config(args)
 
 
+def test_readme_python_examples_run():
+    # the blocks run in order in one namespace, as a reader would paste them
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head, *parts = text.split("```python\n")
+    assert parts
+    namespace = {"__name__": "readme"}
+    line = head.count("\n") + 1  # padding keeps tracebacks on README lines
+    for part in parts:
+        exec(compile("\n" * line + part.split("```", 1)[0], "README.md", "exec"), namespace)
+        line += part.count("\n") + 1
+
+
 # ---------------------------------------------------------------------------
 # Presets and config files
 # ---------------------------------------------------------------------------
@@ -514,6 +526,40 @@ pdp = 0:0:10, 10:-10:0, 20:-20:0
     cfg = load_config(str(path))
     assert cfg.fading
     assert cfg.pdp == ((0.0, 0.0, 10.0), (10e-9, -10.0, 0.0), (20e-9, -20.0, 0.0))
+
+
+def channel_ini(tmp_path, lines: str) -> str:
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[waveform]\npreset = desk\n\n[channel]\n{lines}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("word, fading", [
+    ("1", True), ("yes", True), ("TRUE", True), ("on", True), ("On", True),
+    ("0", False), ("no", False), ("False", False), ("off", False), ("OFF", False),
+])
+def test_config_fading_takes_boolean_words(tmp_path, word, fading):
+    # "on" used to read as false and run an AWGN BLER
+    assert load_config(channel_ini(tmp_path, f"fading = {word}")).fading is fading
+
+
+@pytest.mark.parametrize("word", ["maybe", "ture", "2", "enabled"])
+def test_config_fading_rejects_other_words(tmp_path, word):
+    with pytest.raises(ValueError, match=r"\[channel\] fading"):
+        load_config(channel_ini(tmp_path, f"fading = {word}"))
+
+
+def test_config_empty_pdp_is_no_taps(tmp_path):
+    # an empty profile used to fail to unpack, even with fading off
+    assert load_config(channel_ini(tmp_path, "fading = false\npdp =")).pdp == ()
+    with pytest.raises(ValueError, match=r"\[channel\] fading.*\[channel\] pdp"):
+        load_config(channel_ini(tmp_path, "fading = true\npdp ="))
+
+
+@pytest.mark.parametrize("text", ["0:0", "0:0:10:1", "0:0:10, 10:-10", "a:0:0", "0:0:10,"])
+def test_config_malformed_pdp_tap_names_the_form(tmp_path, text):
+    with pytest.raises(ValueError, match="delay_ns:power_db:rician_k"):
+        load_config(channel_ini(tmp_path, f"pdp = {text}"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from chirpim.channel import rician_realize
-from chirpim.chirps import (ChirpFamily, ChirpSpec, FrameSignal, chirp_fdss, flat_fdss,
-                            measure_pmepr)
+from chirpim.chirps import ChirpFamily, ChirpSpec, chirp_fdss, flat_fdss, measure_pmepr
 from chirpim.config import desk_preset
 from chirpim import indexing, modem
 from chirpim.indexing import IndexWord, rank_to_indices
@@ -24,8 +23,8 @@ T_S = 88.9e-9
 
 def make_cfg(scheme=Scheme.CSC_IM, m=64, n=128, n_cp=32, length=2, h=4,
              delta=0, d=48.0, family=ChirpFamily.LINEAR):
-    chirp = ChirpSpec.centered(family, d, m, T_S) if scheme is Scheme.CSC_IM else None
-    return ModemConfig(scheme, m, n, n_cp, length, h, delta=delta, t_s=T_S, chirp=chirp)
+    chirp = ChirpSpec.centered(family, d, m) if scheme is Scheme.CSC_IM else None
+    return ModemConfig(scheme, m, n, n_cp, length, h, delta=delta, chirp=chirp)
 
 
 def random_bits(cfg, rng):
@@ -37,7 +36,7 @@ def random_bits(cfg, rng):
 # ---------------------------------------------------------------------------
 
 def test_encode_zero_bits_places_first_sequence():
-    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 10, 16, 4, 3, 4, delta=2, t_s=T_S)
+    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 10, 16, 4, 3, 4, delta=2)
     word, d = encode(np.zeros(cfg.capacity.total, np.uint8), cfg)
     assert word.indices == (0, 4, 7)
     active = np.flatnonzero(d)
@@ -68,16 +67,16 @@ def test_modem_config_validation():
     with pytest.raises(ValueError):
         make_cfg(h=3)
     with pytest.raises(ValueError):
-        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, t_s=T_S, chirp=None)
+        ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, chirp=None)
     with pytest.raises(ValueError):
         make_cfg(length=2, delta=32)  # no valid sequence at all
 
 
 def test_modem_config_scheme_coerced_by_value():
-    cfg = ModemConfig("ofdm-im", 16, 32, 8, 2, 4, t_s=T_S)
+    cfg = ModemConfig("ofdm-im", 16, 32, 8, 2, 4)
     assert cfg.scheme is Scheme.OFDM_IM and not cfg.scheme.spreads
     with pytest.raises(ValueError, match="'csc' is not a valid Scheme"):
-        ModemConfig("csc", 16, 32, 8, 2, 4, t_s=T_S)
+        ModemConfig("csc", 16, 32, 8, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ def test_equalizer_flat_profile_closed_form():
 def test_equalizer_snr_matches_monte_carlo_sinr():
     # iid full-data transmission through the chirp-shaped chain
     rng = np.random.default_rng(3)
-    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 56.0, 64, 1.0))
+    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 56.0, 64))
     sigma2, m, trials = 0.1, 64, 3000
     num = 0.0
     pow_y = 0.0
@@ -122,7 +121,7 @@ def test_equalizer_snr_matches_monte_carlo_sinr():
 
 
 def test_equalizer_snr_monotone_in_noise():
-    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64, 1.0))
+    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64))
     snrs = [post_equalization_snr(fdss, s2) for s2 in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)]
     assert all(a > b for a, b in zip(snrs, snrs[1:]))
 
@@ -169,7 +168,7 @@ def test_detect_noiseless_loopback():
 
 
 def test_detect_bpsk_signs():
-    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 16, 32, 8, 1, 2, t_s=T_S)
+    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 16, 32, 8, 1, 2)
     y = np.zeros(16, dtype=complex)
     y[5] = 1.0
     (det_i, det_z), _ = detect_y(y, cfg)
@@ -181,7 +180,7 @@ def test_detect_bpsk_signs():
 def test_detect_equals_exhaustive_search():
     rng = np.random.default_rng(5)
     for m, length, h in ((10, 2, 4), (12, 3, 2), (8, 3, 4)):
-        cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, m, 2 * m, 4, length, h, t_s=T_S)
+        cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, m, 2 * m, 4, length, h)
         y = rng.standard_normal((100, m)) + 1j * rng.standard_normal((100, m))
         (det_i, det_z), y_eq = detect_y(y, cfg)
         for row in range(100):
@@ -200,7 +199,7 @@ def test_detect_is_noiseless_loopback():
 
 def test_detect_is_skips_conflicting_bin():
     # second-strongest bin violates the separation; third-strongest wins
-    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 16, 32, 8, 2, 2, delta=3, t_s=T_S)
+    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 16, 32, 8, 2, 2, delta=3)
     y = np.zeros(16, dtype=complex)
     y[5] = 3.0
     y[7] = 2.0   # cyclic distance 2 < delta+1
@@ -213,7 +212,7 @@ def test_detect_is_feasible_and_never_beats_exhaustive():
     # M=12, L=3, delta=1: two picks mask at most 6 bins, so no row gets stuck
     rng = np.random.default_rng(7)
     m, length, h, delta = 12, 3, 2, 1
-    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, m, 2 * m, 4, length, h, delta=delta, t_s=T_S)
+    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, m, 2 * m, 4, length, h, delta=delta)
     y = rng.standard_normal((200, m)) + 1j * rng.standard_normal((200, m))
     (det_i, det_z), y_eq = detect_y(y, cfg)
     for row in range(200):
@@ -369,7 +368,7 @@ def test_tx_rx_loopback_through_fading_known_cfr():
         for _ in range(50):
             bits = random_bits(cfg, rng)
             _, d = encode(bits, cfg)
-            h_c = rician_realize(pdp, rng).cfr(cfg.k, cfg.t_s)
+            h_c = rician_realize(pdp, rng).cfr(cfg.k, T_S)
             b = h_c * tx_bins(d, cfg)
             det_i, _ = detect_words_batch(b, h_c, 0.0, cfg)
             assert tuple(det_i[0]) == tuple(np.flatnonzero(d))
@@ -403,6 +402,16 @@ def test_extract_bins_inverts_synthesis():
         assert np.max(np.abs(extract_bins(frame, cfg) - tx_bins(d, cfg))) < 1e-10
 
 
+def test_extract_bins_rejects_wrong_frame_length():
+    # a frame without its prefix, or with extra samples, used to give wrong bins
+    cfg = make_cfg()
+    frames = frame_from_symbols(np.ones((3, cfg.m)), cfg)
+    assert frames.shape == (3, cfg.n_cp + cfg.n)
+    for bad in (frames[:, cfg.n_cp:], frames[:, :-1], np.pad(frames, ((0, 0), (0, 1)))):
+        with pytest.raises(ValueError, match="N_cp \\+ N = 160"):
+            extract_bins(bad, cfg)
+
+
 def test_fading_bler_orderings():
     # paired channel/noise draws: separation trims the codebook and lowers
     # BLER; OFDM-IM cannot exploit the frequency selectivity and is worst
@@ -423,7 +432,7 @@ def test_fading_bler_orderings():
             d = np.zeros((nb, 64), complex)
             np.put_along_axis(d, idx, np.sqrt(32.0) * np.exp(2j * np.pi * psk / 4), axis=1)
             w = tx_bins(d, cfg)
-            h_c = np.stack([rician_realize(pdp, rng).cfr(cfg.k, cfg.t_s)
+            h_c = np.stack([rician_realize(pdp, rng).cfr(cfg.k, T_S)
                             for _ in range(nb)])
             noise = (rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)) \
                 * np.sqrt(sigma2 / 2)
@@ -439,7 +448,7 @@ def test_fading_bler_orderings():
 
 
 def test_rx_folds_out_of_codebook_rank():
-    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 10, 16, 4, 3, 2, t_s=T_S)
+    cfg = ModemConfig(Scheme.DFT_S_OFDM_IM, 10, 16, 4, 3, 2)
     word = IndexWord(indices=(7, 8, 9), psk=(0, 1, 0), m=10, h=2, delta=0)
     frame = frame_from_symbols(word_symbols(word.indices, word.psk, cfg), cfg)
     bits = rx_frame(frame, 1.0, 0.0, cfg)
@@ -484,10 +493,9 @@ def test_rx_frame_pinned_on_stuck_frames():
     size = cfg.n + cfg.n_cp
     for stuck, expected in STUCK_FRAME_BITS:
         samples = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
-        frame = FrameSignal(samples=samples, n=cfg.n, n_cp=cfg.n_cp)
-        bits = rx_frame(frame, 1.0, 1.0, cfg)
+        bits = rx_frame(samples, 1.0, 1.0, cfg)
         assert "".join(str(int(v)) for v in bits) == expected
-        det_i, _ = detect_words_batch(extract_bins(frame, cfg), 1.0, 1.0, cfg)
+        det_i, _ = detect_words_batch(extract_bins(samples, cfg), 1.0, 1.0, cfg)
         gaps = np.diff(det_i[0], append=det_i[0, 0] + cfg.m) - 1
         assert (gaps.min() < cfg.delta) == stuck  # fallback words break the separation
 

@@ -64,10 +64,9 @@ def modems(draw):
     if scheme is Scheme.CSC_IM:
         family = draw(st.sampled_from(list(ChirpFamily)))
         d = draw(st.floats(0.5, 0.9)) * m
-        chirp = ChirpSpec.centered(family, d, m, T_S)
+        chirp = ChirpSpec.centered(family, d, m)
     h = draw(st.sampled_from([1, 2, 4, 8]))
-    return ModemConfig(scheme, m, 2 * m, m // 2, length, h, delta=delta, t_s=T_S,
-                       chirp=chirp)
+    return ModemConfig(scheme, m, 2 * m, m // 2, length, h, delta=delta, chirp=chirp)
 
 
 @PROPERTY
@@ -88,15 +87,14 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
     m = data.draw(st.integers(4, 48))
     n = 2 * data.draw(st.integers(m // 2 + 1, 2 * m))
     chirp = ChirpSpec.centered(data.draw(st.sampled_from(list(ChirpFamily))),
-                               0.75 * m, m, T_S) if scheme is Scheme.CSC_IM else None
-    cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, t_s=T_S,
-                      chirp=chirp)
+                               0.75 * m, m) if scheme is Scheme.CSC_IM else None
+    cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, chirp=chirp)
     p_av = data.draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda x: x * m)))
     batch = data.draw(st.integers(1, 3 * PMEPR_BLOCK + 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m))
     values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, p_av=p_av)
-    oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg).samples, n, cfg.n_cp,
+    oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg), n, cfg.n_cp,
                                   PMEPR_OVERSAMPLE, p_av)
     assert np.max(np.abs(values - oracle)) <= 1e-12
 

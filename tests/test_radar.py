@@ -21,9 +21,8 @@ T_CP = N_CP * T_S / N
 
 
 def modem(length=1, delta=0, scheme=Scheme.CSC_IM, d=48.0):
-    chirp = ChirpSpec.centered(ChirpFamily.LINEAR, d, M, T_S) \
-        if scheme is Scheme.CSC_IM else None
-    return ModemConfig(scheme, M, N, N_CP, length, 4, delta=delta, t_s=T_S, chirp=chirp)
+    chirp = ChirpSpec.centered(ChirpFamily.LINEAR, d, M) if scheme is Scheme.CSC_IM else None
+    return ModemConfig(scheme, M, N, N_CP, length, 4, delta=delta, chirp=chirp)
 
 
 def observation(scene, cfg, sigma2, rng=None, word_rng=None):
@@ -68,7 +67,7 @@ def test_mf_objective_mainlobe_dominates():
     cfg = modem()
     obs = observation(scene, cfg, 0.0)
     tau0 = scene.delays[0]
-    off = tau0 + 1.0 / (2 * cfg.chirp.bandwidth_hz)
+    off = tau0 + 1.0 / (2 * cfg.chirp.d / T_S)
     assert mf_objective(tau0, obs)[0] > mf_objective(off, obs)[0]
 
 
@@ -79,7 +78,7 @@ def test_mf_objective_mainlobe_dominates():
 def test_single_target_noiseless_precision():
     rng = np.random.default_rng(1)
     cfg = modem()
-    bandwidth = cfg.chirp.bandwidth_hz
+    bandwidth = cfg.chirp.d / T_S
     for _ in range(10):
         tau0 = rng.uniform(0.3, 0.7) * T_CP
         scene = scene_of((tau0 * SPEED_OF_LIGHT / 2, 1.0))
@@ -136,7 +135,7 @@ def test_lmmse_rejects_zero_reference_with_noise():
 
 def test_two_well_separated_targets_recovered():
     cfg = modem()
-    r_min = min_resolution(cfg.chirp.bandwidth_hz)
+    r_min = min_resolution(cfg.chirp.d / T_S)
     scene = scene_of((1.2, 0.9), (1.2 + 3 * r_min, -0.6))
     est = estimate_multi_mf(observation(scene, cfg, 0.0), 2)
     err = np.abs(est.distances - np.array(scene.distances))
@@ -160,7 +159,7 @@ def test_multi_with_one_target_reduces_to_single():
 def test_second_update_pass_tightens_two_target_estimates(monkeypatch):
     rng = np.random.default_rng(3)
     cfg = modem(length=1)
-    r_min = min_resolution(cfg.chirp.bandwidth_hz)
+    r_min = min_resolution(cfg.chirp.d / T_S)
     rmse = {}
     for passes in (1, 2):
         monkeypatch.setattr(radar, "UPDATE_PASSES", passes)
@@ -215,7 +214,7 @@ def test_lmmse_nonunimodular_does_not_attain_bound():
     rng = np.random.default_rng(5)
     cfg = modem(length=2, delta=15)
     sigma2 = 1e-4
-    r_min = min_resolution(cfg.chirp.bandwidth_hz)
+    r_min = min_resolution(cfg.chirp.d / T_S)
     err2, bound = [], []
     for _ in range(60):
         d0 = rng.uniform(1.0, 2.3)
