@@ -16,7 +16,7 @@ from .modem import (ModemConfig, Scheme, encode, equalize_lmmse,
                     union_bound_bler)
 from .radar import (EstimateSet, RadarObservation, crlb_coeff, crlb_range,
                     crlb_range_no_phase, estimate_lmmse, estimate_mf_lmmse,
-                    estimate_multi_mf, fim, mf_objective, min_resolution)
+                    estimate_multi_mf, fim, min_resolution)
 from .util import SPEED_OF_LIGHT
 
 __version__ = "0.1.0"

@@ -262,8 +262,12 @@ def rx_frame(frame: np.ndarray, h_c, sigma2: float, cfg: ModemConfig) -> np.ndar
     size so the receiver always emits a bit estimate. A word that breaks
     the separation is a fallback pick (possible only for L >= 3 under heavy
     noise); its rank is read without the constraint before folding, and the
-    frame is almost surely in error anyway.
+    frame is almost surely in error anyway. ``frame`` is one frame of shape
+    (N_cp + N,); a stack of frames raises ValueError.
     """
+    frame = np.asarray(frame)
+    if frame.ndim != 1:
+        raise ValueError(f"rx_frame takes one frame of shape (N_cp + N,), got shape {frame.shape}")
     idx, psk = detect_words_batch(extract_bins(frame, cfg), h_c, sigma2, cfg)
     idx, psk = idx[0], psk[0]
     gaps = np.diff(idx, append=idx[0] + cfg.m) - 1

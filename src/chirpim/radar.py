@@ -33,10 +33,15 @@ estimate is bit-for-bit the same whatever else is in its batch.
 The bounds read one matrix, :func:`fim`: the Fisher information of all
 delays and coefficients jointly, cross terms between targets included
 (Stoica & Nehorai, IEEE TASSP 1989). :func:`crlb_range` and
-:func:`crlb_coeff` are traces of blocks of its inverse.
+:func:`crlb_coeff` are traces of blocks of its inverse. Like the
+observations, the bounds take one scene or a stack: a sequence of B
+scenes with one target count, with reference bins of shape (M,) or
+(B, M), gives B matrices and one inverse of the (B, 2R, 2R) stack, and
+each row equals its single-scene call bit for bit.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -117,14 +122,6 @@ UPDATE_PASSES = 2
 # Bluestein chirps and kernels kept per process: a search geometry uses
 # three (the coarse grid and two envelope zoom steps).
 BLUESTEIN_CACHE_SIZE = 32
-
-
-def mf_objective(tau: float, obs: RadarObservation) -> tuple[float, float]:
-    """Matched-filter metric |Re{c(tau)^H W^H b}| and the coefficient
-    estimate Re{c(tau)^H W^H b} / (w^H w) at a single delay."""
-    inner = np.sum(np.conj(obs.steering(float(tau))) * np.conj(obs.w) * obs.b)
-    re = float(np.real(inner))
-    return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
 
 
 def _smooth_length(n: int) -> int:
@@ -330,58 +327,120 @@ def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
     return estimate_mf_lmmse(obs, n_targets)[1]
 
 
-def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
+def _scene_stack(scene: RadarScene | Sequence[RadarScene]) -> tuple[list[RadarScene], bool]:
+    """The scenes of a bound call, and whether it was one scene."""
+    if isinstance(scene, RadarScene):
+        return [scene], True
+    scenes = list(scene)
+    if not scenes or len({s.n_targets for s in scenes}) != 1:
+        raise ValueError("a stack of scenes needs at least one scene and one target "
+                         f"count, got counts {[s.n_targets for s in scenes]}")
+    return scenes, False
+
+
+def _row(i: int, one: bool) -> str:
+    return "" if one else f" (row {i})"
+
+
+def fim(scene: RadarScene | Sequence[RadarScene], bins, sigma2: float) -> np.ndarray:
     """Fisher information J of [tau_1..tau_R, alpha_1..alpha_R] for the mean
     w_k sum_s alpha_s e^{-j2pi nu_k tau_s}, nu_k = f_c + k/T_s. From the sums
     s_n(dt) = sum_k |w_k|^2 nu_k^n e^{j2pi nu_k dt} at dt = tau_s - tau_t:
     J_tau,tau = (8 pi^2/sigma2) alpha_s alpha_t Re s_2, J_tau,alpha =
     J_alpha,tau^T = -(4 pi/sigma2) alpha_s Im s_1 and J_alpha,alpha =
-    (2/sigma2) Re s_0. ``bins`` is ``(k, w)``: one frame's bin indices and
-    reference bins, or ``(fdss.k, fdss.g)`` for the expectation form."""
+    (2/sigma2) Re s_0. ``bins`` is ``(k, w)``: bin indices and reference
+    bins, or ``(fdss.k, fdss.g)`` for the expectation form.
+
+    ``scene`` is one RadarScene, giving J of shape (2R, 2R), or a sequence
+    of B scenes with one target count, giving (B, 2R, 2R); w has shape (M,)
+    (shared) or (B, M). One scene is a batch of one, so every row equals
+    its single-scene call bit for bit. Each sum is a matrix product with a
+    contiguous copy of its weight row: the product's last bits depend on
+    the layout of that row."""
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    k, w = bins
-    nu = scene.f_c + np.asarray(k) / scene.t_s
-    w2 = np.abs(np.asarray(w)) ** 2
-    tau, alpha = np.asarray(scene.delays), np.asarray(scene.coeffs, dtype=float)
-    r = len(tau)
-    phase = 2.0 * np.pi * np.subtract.outer(tau, tau)[..., None] * nu
-    cos = np.cos(phase)  # Re s_n = cos @ (|w|^2 nu^n), Im s_n = sin @ (|w|^2 nu^n)
-    j = np.empty((2 * r, 2 * r))
-    j[:r, :r] = alpha[:, None] * alpha * (8.0 * np.pi ** 2 * (cos @ (w2 * nu * nu)))
-    j[:r, r:] = -4.0 * np.pi * alpha[:, None] * (np.sin(phase) @ (w2 * nu))
-    j[r:, :r] = j[:r, r:].T
-    j[r:, r:] = 2.0 * (cos @ w2)
-    return j / sigma2
+    scenes, one = _scene_stack(scene)
+    k, w = (np.asarray(part) for part in bins)
+    if w.shape[-1:] != k.shape or w.ndim > 2 or w.shape[:-1] not in ((), (len(scenes),)):
+        raise ValueError(f"reference bins of shape {w.shape} do not fit {len(scenes)} "
+                         f"scene(s) on {k.shape} bins")
+    f_c = np.array([[s.f_c] for s in scenes])
+    t_s = np.array([[s.t_s] for s in scenes])
+    nu = f_c + k / t_s
+    w2 = np.abs(w) ** 2
+    if w2.ndim == 1:
+        w2 = np.broadcast_to(w2, nu.shape)
+    tau = np.array([s.delays for s in scenes])
+    alpha = np.array([s.coeffs for s in scenes], dtype=float)
+    r = tau.shape[1]
+    # dt = 0 on the diagonal, where cos is 1 and sin is 0 exactly: the trig
+    # runs only off it
+    cos = np.ones((len(scenes), r, r, len(k)))
+    sin = np.zeros_like(cos)
+    if r > 1:
+        off = ~np.eye(r, dtype=bool)
+        phase = 2.0 * np.pi * (tau[:, :, None] - tau[:, None, :])[:, off, None] * nu[:, None, :]
+        cos[:, off], sin[:, off] = np.cos(phase), np.sin(phase)
+
+    def sums(table, weights):  # Re s_n = sums(cos, |w|^2 nu^n), Im s_n = sums(sin, ...)
+        return (table @ np.ascontiguousarray(weights)[:, None, :, None])[..., 0]
+
+    j = np.empty((len(scenes), 2 * r, 2 * r))
+    j[:, :r, :r] = alpha[:, :, None] * alpha[:, None, :] * \
+        (8.0 * np.pi ** 2 * sums(cos, w2 * nu * nu))
+    j[:, :r, r:] = -4.0 * np.pi * alpha[:, :, None] * sums(sin, w2 * nu)
+    j[:, r:, :r] = np.swapaxes(j[:, :r, r:], 1, 2)
+    j[:, r:, r:] = 2.0 * sums(cos, w2)
+    j = j / sigma2
+    return j[0] if one else j
 
 
-def _fim_inverse(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
-    """J^{-1}; coinciding targets or all-zero reference bins make J
-    singular and are refused."""
-    d = scene.distances
-    for s in range(len(d) - 1):
-        if d[s] == d[s + 1]:
-            raise ValueError(f"targets {s} and {s + 1} coincide at {d[s]} m: "
-                             "the Fisher information is singular")
-    j = fim(scene, bins, sigma2)
-    if j[-1, -1] == 0:  # (2/sigma2) sum_k |w_k|^2
-        raise ValueError("reference bins are all zero")
-    return np.linalg.inv(j)
+def _fim_inverse(scene: RadarScene | Sequence[RadarScene], bins,
+                 sigma2: float) -> tuple[np.ndarray, bool]:
+    """J^{-1} of every scene, shape (B, 2R, 2R), from one inverse of the
+    stack, and whether ``scene`` was one scene. Coinciding targets or
+    all-zero reference bins make a J singular and are refused, naming the
+    row of a stack."""
+    scenes, one = _scene_stack(scene)
+    d = np.array([s.distances for s in scenes])
+    coincide = d[:, 1:] == d[:, :-1]
+    if coincide.any():
+        i, s = np.argwhere(coincide)[0]
+        raise ValueError(f"targets {s} and {s + 1} coincide at {d[i, s]} m{_row(i, one)}: "
+                         "the Fisher information is singular")
+    j = fim(scenes, bins, sigma2)
+    zero = j[:, -1, -1] == 0  # (2/sigma2) sum_k |w_k|^2
+    if zero.any():
+        raise ValueError(f"reference bins are all zero{_row(np.argmax(zero), one)}")
+    return np.linalg.inv(j), one
 
 
-def crlb_range(scene: RadarScene, bins, sigma2: float) -> float:
+def _block_trace(inverse: np.ndarray, block: range, one: bool) -> float | np.ndarray:
+    """The trace of each row's diagonal block, summed in target order."""
+    trace = inverse[:, block[0], block[0]]
+    for s in block[1:]:
+        trace = trace + inverse[:, s, s]
+    return float(trace[0]) if one else trace
+
+
+def crlb_range(scene: RadarScene | Sequence[RadarScene], bins,
+               sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2: c^2/4 times the
-    trace of the tau block of J^{-1} (:func:`fim`)."""
-    r = scene.n_targets
-    inverse = _fim_inverse(scene, bins, sigma2)
-    return float(SPEED_OF_LIGHT ** 2 / 4.0 * inverse[:r, :r].trace())
+    trace of the tau block of J^{-1} (:func:`fim`). A float for one scene,
+    shape (B,) for a sequence of B scenes, all from one inverse."""
+    inverse, one = _fim_inverse(scene, bins, sigma2)
+    r = inverse.shape[-1] // 2
+    return SPEED_OF_LIGHT ** 2 / 4.0 * _block_trace(inverse, range(r), one)
 
 
-def crlb_coeff(scene: RadarScene, bins, sigma2: float) -> float:
+def crlb_coeff(scene: RadarScene | Sequence[RadarScene], bins,
+               sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2: the trace of the
-    alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target."""
-    r = scene.n_targets
-    return float(_fim_inverse(scene, bins, sigma2)[r:, r:].trace())
+    alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target. A
+    float for one scene, shape (B,) for a sequence of B scenes."""
+    inverse, one = _fim_inverse(scene, bins, sigma2)
+    r = inverse.shape[-1] // 2
+    return _block_trace(inverse, range(r, 2 * r), one)
 
 
 def crlb_range_no_phase(scene: RadarScene, m: int, sigma2: float) -> float:

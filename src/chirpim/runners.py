@@ -95,17 +95,22 @@ def _filled(mcfg: ModemConfig) -> ModemConfig:
     return mcfg
 
 
-def random_words(mcfg: ModemConfig, batch: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform random codewords: index rows, PSK rows, modulation vectors.
-
-    Ranks are drawn from the 2**index_bits codebook the bit mapper uses,
-    which is equivalent to encoding uniform random bits.
-    """
+def _draw_words(mcfg: ModemConfig, batch: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random index rows and PSK rows, shape (batch, L) each: all
+    the ranks, then all the PSK integers. Ranks are drawn from the
+    2**index_bits codebook the bit mapper uses, which is equivalent to
+    encoding uniform random bits."""
     ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
     idx = np.array([rank_to_indices(int(n), mcfg.m, mcfg.length, mcfg.delta)
                     for n in ranks], dtype=np.int64)
-    psk = rng.integers(0, mcfg.h, size=(batch, mcfg.length))
+    return idx, rng.integers(0, mcfg.h, size=(batch, mcfg.length))
+
+
+def random_words(mcfg: ModemConfig, batch: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform random codewords: index rows, PSK rows, modulation vectors."""
+    idx, psk = _draw_words(mcfg, batch, rng)
     return idx, psk, word_symbols(idx, psk, mcfg)
 
 
@@ -233,39 +238,61 @@ def _draw_scene(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
     return RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=t_cp)
 
 
+def radar_trials(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str, batch: int,
+                 sigma2: float, rng: np.random.Generator, spacing_m: float | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, list[RadarScene]]:
+    """``batch`` random radar trials: received bins b and reference bins w,
+    each of shape (batch, M), and the scenes.
+
+    The stream is read trial by trial: one codeword (its rank, then its
+    PSK), the scene (:func:`_draw_scene`), then the noise. The symbols and
+    bins of all trials are then built in one :func:`word_symbols` and one
+    :func:`tx_bins` call, so every row equals the trial drawn alone. w is
+    returned C-contiguous: a batched :func:`tx_bins` gives strided rows,
+    on which the estimator's BLAS dot products (``np.vdot``) round
+    differently."""
+    idx = np.empty((batch, mcfg.length), dtype=np.int64)
+    psk = np.empty((batch, mcfg.length), dtype=np.int64)
+    cfr = np.empty((batch, mcfg.m), dtype=complex)
+    noise = np.empty((batch, mcfg.m), dtype=complex)
+    scenes = []
+    for t in range(batch):
+        idx[t:t + 1], psk[t:t + 1] = _draw_words(mcfg, 1, rng)
+        scenes.append(_draw_scene(cfg, scenario, rng, spacing_m))
+        cfr[t] = radar_cfr(scenes[-1], mcfg.k)
+        noise[t] = complex_noise(mcfg.m, sigma2, rng)
+    w = np.ascontiguousarray(tx_bins(word_symbols(idx, psk, mcfg), mcfg))
+    return cfr * w + noise, w, scenes
+
+
 def _radar_batch(task) -> np.ndarray:
-    """Accumulates [sum err2 MF, sum err2 LMMSE, sum crlb, sum crlb_expected,
+    """[sum err2 MF, sum err2 LMMSE, sum crlb, sum crlb_expected,
     sum crlb_nophase, trials] over one batch.
 
-    Every trial is drawn as a single observation, in trial order; the
-    trials are then stacked into (B, M) rows for one
-    :func:`estimate_mf_lmmse` call, whose MF and LMMSE rows share each
-    delay search. The per-trial errors are added up in trial order.
+    :func:`radar_trials` draws the trials in trial order; the rest runs
+    once per batch on (B, .) arrays. One :func:`estimate_mf_lmmse` call
+    puts the MF and LMMSE rows in the same delay searches, and one
+    :func:`crlb_range` call inverts the (2B, 2R, 2R) stack of the
+    per-frame and the expectation-form Fisher informations at once. Each
+    column is then added up in trial order (a cumulative sum, not a
+    pairwise one), as one trial at a time would.
     """
     cfg, mcfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
     rng = _rng(cfg, "radar-rmse" if spacing_m is None else "resolution",
                sweep_idx, batch_idx)
-    n_targets = 1 if scenario == "single" else 2
-    acc = np.zeros(6)
-    bs, ws, truths = [], [], []
-    for _ in range(batch):
-        _, _, d = random_words(mcfg, 1, rng)
-        w = tx_bins(d[0], mcfg)
-        scene = _draw_scene(cfg, scenario, rng, spacing_m)
-        bs.append(radar_cfr(scene, mcfg.k) * w + complex_noise(mcfg.m, sigma2, rng))
-        ws.append(w)
-        truths.append(np.array(scene.distances))
-        acc[2] += crlb_range(scene, (mcfg.k, w), sigma2)
-        acc[3] += crlb_range(scene, (mcfg.k, mcfg.fdss.g), sigma2)
-        acc[4] += crlb_range_no_phase(scene, mcfg.m, sigma2)
-        acc[5] += 1
-    obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
+    b, w, scenes = radar_trials(cfg, mcfg, scenario, batch, sigma2, rng, spacing_m)
+    expected = np.broadcast_to(mcfg.fdss.g, w.shape)
+    bounds = crlb_range(scenes * 2, (mcfg.k, np.concatenate((w, expected))), sigma2)
+    obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
-    est_mf, est_lm = estimate_mf_lmmse(obs, n_targets)
-    for mf, lm, truth in zip(est_mf.distances, est_lm.distances, truths):
-        acc[0] += np.sum((mf - truth) ** 2)
-        acc[1] += np.sum((lm - truth) ** 2)
-    return acc
+    est_mf, est_lm = estimate_mf_lmmse(obs, scenes[0].n_targets)
+    truths = np.array([scene.distances for scene in scenes])
+    per_trial = np.stack((((est_mf.distances - truths) ** 2).sum(axis=-1),
+                          ((est_lm.distances - truths) ** 2).sum(axis=-1),
+                          bounds[:batch], bounds[batch:],
+                          [crlb_range_no_phase(scene, mcfg.m, sigma2) for scene in scenes],
+                          np.ones(batch)))
+    return np.cumsum(per_trial, axis=-1)[:, -1]
 
 
 def _radar_point(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str,

@@ -6,6 +6,7 @@ index sets by filtering all combinations, unranking by walking the counts
 one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop,
 the radar Fisher information as the Gram matrix of the mean's Jacobian,
+the matched-filter metric at one delay from the written-out steering vector,
 the oversampled PMEPR by zero-padding the spectrum of a time-domain body.
 None of it shares code with the library paths under test.
 """
@@ -201,3 +202,14 @@ def fim_jacobian_gram(k, w, delays, coeffs, f_c: float, t_s: float,
     d = np.stack([-2j * np.pi * nu * alpha * ramp for alpha, ramp in zip(coeffs, ramps)]
                  + ramps, axis=1)
     return 2.0 / sigma2 * np.real(d.conj().T @ d)
+
+
+def mf_objective(tau: float, obs) -> tuple[float, float]:
+    """Matched-filter metric |Re{c(tau)^H W^H b}| and the coefficient
+    estimate Re{c(tau)^H W^H b} / (w^H w) of a radar observation at a
+    single delay, with the steering vector c(tau) written out bin by bin."""
+    k = np.asarray(obs.k)
+    steer = np.exp(-2j * np.pi * obs.f_c * tau) * np.exp(-2j * np.pi * k * tau / obs.t_s)
+    inner = np.sum(np.conj(steer) * np.conj(obs.w) * obs.b)
+    re = float(np.real(inner))
+    return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import brentq
 
-from chirpim.channel import RadarScene, radar_cfr
+from chirpim.channel import RadarScene
 from chirpim.chirps import (ChirpFamily, ChirpSpec, fourier_coeffs,
                             gcp_from_chirps, is_gcp, sinusoidal_chirp_coeffs)
 from chirpim.config import desk_preset, paper_preset
@@ -18,11 +18,11 @@ from chirpim.indexing import (delta_no_loss, index_count, indices_to_rank,
                               rank_to_indices)
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch,
                            extract_bins, frame_from_symbols,
-                           post_equalization_snr, tx_bins, union_bound_bler)
+                           post_equalization_snr, union_bound_bler)
 from chirpim.radar import (RadarObservation, crlb_coeff, crlb_range,
                            crlb_range_no_phase, estimate_lmmse, estimate_multi_mf,
                            min_resolution)
-from chirpim.runners import (random_words, run_bler, run_pmepr_ccdf,
+from chirpim.runners import (radar_trials, random_words, run_bler, run_pmepr_ccdf,
                              run_radar_rmse, run_resolution)
 
 from oracles import (enumerate_index_sequences, fourier_coeffs_quadrature,
@@ -179,26 +179,16 @@ def test_crlb_attainment():
 def test_coefficient_crlb_attainment():
     # alpha = 0.5: a bound scaled by 1/alpha^2 would sit 4x too low here
     t0 = time.time()
-    cfg = desk_preset(length=1)
+    alpha, trials = 0.5, 1000
+    cfg = desk_preset(length=1, single_coeff=alpha)
     mcfg = cfg.modem_config()
     rng = np.random.default_rng(305)
-    alpha, trials = 0.5, 1000
     gaps = []
     for snr_db in (30.0, 35.0, 40.0):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        bs, ws = [], []
-        bound = np.zeros(trials)
-        for t in range(trials):
-            _, _, d = random_words(mcfg, 1, rng)
-            w = tx_bins(d[0], mcfg)
-            scene = RadarScene(targets=((rng.uniform(*cfg.single_range_m), alpha),),
-                               f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
-            noise = (rng.standard_normal(mcfg.m) + 1j * rng.standard_normal(mcfg.m)) \
-                * np.sqrt(sigma2 / 2)
-            bs.append(radar_cfr(scene, mcfg.k) * w + noise)
-            ws.append(w)
-            bound[t] = crlb_coeff(scene, (mcfg.k, w), sigma2)
-        obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
+        b, w, scenes = radar_trials(cfg, mcfg, "single", trials, sigma2, rng)
+        bound = crlb_coeff(scenes, (mcfg.k, w), sigma2)
+        obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                                f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
         err2 = (estimate_multi_mf(obs, 1).coeffs[:, 0] - alpha) ** 2
         gaps.append(10 * np.log10(err2.mean() / bound.mean()))
@@ -210,29 +200,16 @@ def test_coefficient_crlb_attainment():
 
 
 def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
-    """Draw the trials one by one, then estimate them as one stack."""
+    """The runners' trials (drawn one by one, then estimated as one stack)
+    from their own seed: RMSE and root mean joint range bound."""
     mcfg = cfg.modem_config()
-    rng = np.random.default_rng(seed)
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    r_min = min_resolution(cfg.bandwidth_hz)
-    bs, ws, truths = [], [], []
-    bound = np.zeros(trials)
-    for t in range(trials):
-        _, _, d = random_words(mcfg, 1, rng)
-        w = tx_bins(d[0], mcfg)
-        d0 = rng.uniform(*cfg.two_range_m)
-        dr = rng.uniform(*cfg.two_spacing_rmin) * r_min
-        scene = RadarScene(targets=((d0, cfg.two_coeff), (d0 + dr, cfg.two_coeff)),
-                           f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
-        noise = (rng.standard_normal(mcfg.m) + 1j * rng.standard_normal(mcfg.m)) \
-            * np.sqrt(sigma2 / 2)
-        bs.append(radar_cfr(scene, mcfg.k) * w + noise)
-        ws.append(w)
-        truths.append(np.array(scene.distances))
-        bound[t] = crlb_range(scene, (mcfg.k, w), sigma2)
-    obs = RadarObservation(b=np.stack(bs), w=np.stack(ws), k=mcfg.k, sigma2=sigma2,
+    b, w, scenes = radar_trials(cfg, mcfg, "two", trials, sigma2, np.random.default_rng(seed))
+    bound = crlb_range(scenes, (mcfg.k, w), sigma2)
+    obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est = estimate_multi_mf(obs, 2) if estimator == "mf" else estimate_lmmse(obs, 2)
+    truths = [np.array(scene.distances) for scene in scenes]
     err2 = np.array([np.sum((row - truth) ** 2)
                      for row, truth in zip(est.distances, truths)])
     return float(np.sqrt(err2.mean())), float(np.sqrt(bound.mean()))

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -476,13 +477,35 @@ def test_fdss_profile_built_once_per_modem_config(monkeypatch):
     assert len(calls) == 1
 
 
-def test_bench_hooks_resolve():
+def bench_module(name: str, monkeypatch) -> types.ModuleType:
+    """perfbench/<name>.py, executed from its text so that no bytecode cache
+    is written under perfbench/; registered for the test's length only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_bench_hooks_resolve(monkeypatch):
     # the benchmark patches these names; a deleted one would break it
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spans = {"__name__": "perfbench_spans"}  # exec the text: no bytecode cache written
-    exec(compile(path.read_text(), str(path), "exec"), spans)
-    for owner, attr, _ in spans["TARGETS"]:
+    for owner, attr, _ in bench_module("spans", monkeypatch).TARGETS:
         assert callable(getattr(owner, attr)), (owner, attr)
+
+
+@pytest.mark.parametrize("workload", ["radar-two-desk", "radar-single-paper"])
+def test_bench_radar_chunk_passes_its_checks(workload, monkeypatch):
+    # the bench wraps runner names and checks their arguments even untraced,
+    # so a runner change that drops a wrapped name or changes a checked
+    # signature fails the bench's run, and here
+    spans = bench_module("spans", monkeypatch)
+    wl = bench_module("workloads", monkeypatch).WORKLOADS[workload]
+    cfg = wl.config(5, wl.smoke_chunk)
+    checks = spans.Checks()
+    with spans.Instrument(checks, trace=False):
+        rows = wl.run(cfg)
+    assert wl.check_rows(cfg, rows) == []
+    assert checks.failed == 0, checks.problems
 
 
 def test_frame_from_symbols_calls_modem_synthesize(monkeypatch):
@@ -693,6 +716,26 @@ def test_resolution_runner_sharp_drop():
     cfg = desk_preset(length=1, trials=40, spacing_rmin=(0.5, 2.0))
     rows = run_resolution(cfg)
     assert rows[0]["rmse_mf_m"] > 5 * rows[1]["rmse_mf_m"]
+
+
+@pytest.mark.parametrize("scenario, spacing_m", [("single", None), ("two", None),
+                                                ("two", 0.02)])
+def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
+    # one batch equals its trials drawn one at a time, each as one word
+    # (random_words), its bins, its scene and its noise
+    cfg = desk_preset(length=2, separated=True)
+    mcfg, sigma2 = cfg.modem_config(), 0.05
+    b, w, scenes = runners.radar_trials(cfg, mcfg, scenario, 5, sigma2,
+                                        np.random.default_rng(9), spacing_m)
+    assert w.flags.c_contiguous
+    rng = np.random.default_rng(9)
+    for row_b, row_w, scene in zip(b, w, scenes):
+        one_w = runners.tx_bins(runners.random_words(mcfg, 1, rng)[2][0], mcfg)
+        one_scene = runners._draw_scene(cfg, scenario, rng, spacing_m)
+        one_b = runners.radar_cfr(one_scene, mcfg.k) * one_w + \
+            runners.complex_noise(mcfg.m, sigma2, rng)
+        assert scene == one_scene
+        assert np.array_equal(row_w, one_w) and np.array_equal(row_b, one_b)
 
 
 def test_radar_runner_rejects_bad_scenario():

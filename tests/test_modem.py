@@ -412,6 +412,16 @@ def test_extract_bins_rejects_wrong_frame_length():
             extract_bins(bad, cfg)
 
 
+@pytest.mark.parametrize("stack", [2, 1], ids=["two-frames", "batch-of-one"])
+def test_rx_frame_refuses_a_stack_of_frames(stack):
+    # a (B, N_cp + N) stack used to decode every row and return row 0's bits
+    cfg = make_cfg()
+    bits = random_bits(cfg, np.random.default_rng(15))
+    frames = np.stack([tx_frame(bits, cfg), tx_frame(1 - bits, cfg)][:stack])
+    with pytest.raises(ValueError, match=f"got shape \\({stack}, 160\\)"):
+        rx_frame(frames, 1.0, 0.0, cfg)
+
+
 def test_fading_bler_orderings():
     # paired channel/noise draws: separation trims the codebook and lowers
     # BLER; OFDM-IM cannot exploit the frequency selectivity and is worst

@@ -10,9 +10,11 @@ from chirpim import radar
 from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
                            crlb_range, crlb_range_no_phase, estimate_lmmse,
                            estimate_mf_lmmse, estimate_multi_mf, fim,
-                           mf_objective, min_resolution)
-from chirpim.runners import run_radar_rmse, run_resolution
+                           min_resolution)
+from chirpim.runners import random_words, run_radar_rmse, run_resolution
 from chirpim.util import SPEED_OF_LIGHT
+
+from oracles import mf_objective
 
 T_S = 88.9e-9
 F_C = 6.48e9
@@ -903,6 +905,51 @@ def test_bounds_refuse_coincident_targets(targets, pair):
     for bound in (crlb_range, crlb_coeff):
         with pytest.raises(ValueError, match=f"targets {pair} coincide"):
             bound(scene, (k, w), 0.01)
+
+
+@pytest.mark.parametrize("n_targets", [1, 2])
+def test_stacked_bounds_equal_single_scene_calls(n_targets):
+    # a batched tx_bins returns strided rows; each stacked row must still
+    # equal its own single-scene call bit for bit, per frame and for the
+    # shared expectation-form bins
+    cfg = modem(length=2)
+    rng = np.random.default_rng(40 + n_targets)
+    w = tx_bins(random_words(cfg, 6, rng)[2], cfg)
+    assert not w.flags.c_contiguous
+    scenes = [scene_of(*((d, rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2))
+                         for d in np.sort(rng.uniform(1.0, 3.0, n_targets))))
+              for _ in range(len(w))]
+    for ref in (w, cfg.fdss.g):
+        stacked = [bound(scenes, (cfg.k, ref), 0.01) for bound in (fim, crlb_range, crlb_coeff)]
+        assert stacked[0].shape == (len(w), 2 * n_targets, 2 * n_targets)
+        for i, scene in enumerate(scenes):
+            row = ref[i] if ref.ndim == 2 else ref
+            for bound, values in zip((fim, crlb_range, crlb_coeff), stacked):
+                assert np.array_equal(values[i], bound(scene, (cfg.k, row), 0.01))
+
+
+def test_stacked_bounds_name_the_singular_row():
+    k = np.arange(-31, 33)
+    scenes = [scene_of((1.5, 0.5), (2.0, 0.5)), scene_of((1.7, 0.5), (1.7, -0.3))]
+    for bound in (crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match=r"targets 0 and 1 coincide at 1.7 m \(row 1\)"):
+            bound(scenes, (k, np.ones(len(k), complex)), 0.01)
+        w = np.ones((2, len(k)), complex)
+        w[1] = 0
+        with pytest.raises(ValueError, match=r"reference bins are all zero \(row 1\)"):
+            bound(scenes[:1] * 2, (k, w), 0.01)
+
+
+@pytest.mark.parametrize("scenes, w, named", [
+    ([], np.ones(64), "at least one scene"),
+    ([scene_of((1.5, 0.5)), scene_of((1.5, 0.5), (2.0, 0.5))], np.ones(64), "counts \\[1, 2\\]"),
+    ([scene_of((1.5, 0.5))] * 3, np.ones((2, 64)), "shape \\(2, 64\\) do not fit 3"),
+    (scene_of((1.5, 0.5)), np.ones(63), "shape \\(63,\\)"),
+], ids=["empty", "target-counts", "rows", "bins"])
+def test_stacked_bounds_check_their_shapes(scenes, w, named):
+    for bound in (fim, crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match=named):
+            bound(scenes, (np.arange(-31, 33), w), 0.01)
 
 
 @pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf])
