@@ -101,21 +101,20 @@ class CommChannel:
         return h
 
 
-def rician_realize(pdp, rng: np.random.Generator, los_phase: float | None = None,
-                   *, batch: int | None = None) -> CommChannel:
+def rician_realize(pdp, rng: np.random.Generator, *,
+                   batch: int | None = None) -> CommChannel:
     """Draw one channel realization, or ``batch`` of them, from a
     power-delay profile.
 
     ``pdp`` lists taps as (delay_seconds, mean_power_db, rician_k). Mean
     linear powers are normalized to sum to 1. Each tap is
     sqrt(P) * (sqrt(K/(K+1)) e^{j theta} + sqrt(1/(K+1)) CN(0,1)); K = 0 is
-    Rayleigh. The LOS phase theta is drawn uniformly unless pinned via
-    ``los_phase`` (regression tests want it deterministic).
+    Rayleigh, and the LOS phase theta is uniform on [0, 2pi).
 
-    The stream is read per realization, per tap: theta (unless pinned),
-    then the real and imaginary normals. So a batch of B consumes exactly
-    what B single calls would and equals them bit for bit; a single call is
-    a batch of one whose gains have shape (T,) instead of (1, T).
+    The stream is read per realization, per tap: theta, then the real and
+    imaginary normals. So a batch of B consumes exactly what B single calls
+    would and equals them bit for bit; a single call is a batch of one
+    whose gains have shape (T,) instead of (1, T).
     """
     pdp = tuple((float(d), float(p), float(kf)) for d, p, kf in pdp)
     if any(kf < 0 for _, _, kf in pdp):
@@ -124,14 +123,10 @@ def rician_realize(pdp, rng: np.random.Generator, los_phase: float | None = None
     powers = powers / powers.sum()
     kf = np.array([kf for _, _, kf in pdp])
     rows, taps = 1 if batch is None else batch, len(pdp)
-    if los_phase is None:
-        uniform, normal = rng.uniform, rng.standard_normal
-        draws = np.array([(uniform(0, 2 * np.pi), normal(), normal())
-                          for _ in range(rows * taps)]).reshape(rows, taps, 3)
-        theta, normals = draws[..., 0], draws[..., 1:]
-    else:
-        theta, normals = los_phase, rng.standard_normal((rows, taps, 2))
-    re, im = normals[..., 0], normals[..., 1]
+    uniform, normal = rng.uniform, rng.standard_normal
+    draws = np.array([(uniform(0, 2 * np.pi), normal(), normal())
+                      for _ in range(rows * taps)]).reshape(rows, taps, 3)
+    theta, re, im = draws[..., 0], draws[..., 1], draws[..., 2]
     los = np.sqrt(kf / (kf + 1.0)) * np.exp(1j * theta)
     scatter = np.sqrt(1.0 / (kf + 1.0)) * (re + 1j * im) / np.sqrt(2.0)
     gains = np.sqrt(powers) * (los + scatter)

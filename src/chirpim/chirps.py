@@ -219,9 +219,10 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
 
     The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) IDFT of the
     bins (:func:`synthesize`), which captures inter-sample peaks.
-    ``p_av`` is the mean-power reference, by default the body's own mean
-    power; pass sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins`
-    to reference the ensemble power instead. Frames are synthesized
+    ``p_av`` is the mean-power reference, by default each frame's own mean
+    power sum_k |w_k|^2 (Parseval for the plain-sum IDFT); pass
+    sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins` to
+    reference the ensemble power instead. Frames are synthesized
     :data:`PMEPR_BLOCK` at a time, so memory stays bounded whatever the
     batch; every frame's value is the same as when it is measured alone.
 
@@ -229,16 +230,14 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     """
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
     peak = np.empty(len(rows))
-    mean = np.empty(len(rows)) if p_av is None else None
     for lo in range(0, len(rows), PMEPR_BLOCK):
         block = rows[lo:lo + PMEPR_BLOCK]
         power = np.abs(synthesize(block, k, PMEPR_OVERSAMPLE * n)) ** 2
         peak[lo:lo + len(block)] = power.max(axis=-1)
-        if mean is not None:
-            mean[lo:lo + len(block)] = power.mean(axis=-1)
     batch = np.shape(w)[:-1]
-    if mean is not None:
-        p_av = mean.reshape(batch)
+    if p_av is None:
+        # a contiguous copy: a strided row's sum rounds differently
+        p_av = np.sum(np.abs(np.ascontiguousarray(rows)) ** 2, axis=-1).reshape(batch)
     if np.any(np.asarray(p_av) <= 0):
         raise ValueError("frame has zero power")
     out = 10.0 * np.log10(peak.reshape(batch) / p_av)

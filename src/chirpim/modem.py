@@ -20,9 +20,8 @@ index-separation constraint, and :func:`rx_frame` is a batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +48,9 @@ class ModemConfig:
     ``e_s = m/length`` is the per-active-index symbol energy, which keeps
     every frame at total power m regardless of how many indices are active.
     ``scheme`` may be given by value ("csc-im"); others raise ValueError.
+    A config is complete when built: its FDSS profile ``fdss`` and its bit
+    ``capacity`` are computed once, here, and travel with it (a pickled
+    copy carries them, so a worker never rebuilds them).
     """
 
     scheme: Scheme
@@ -59,6 +61,8 @@ class ModemConfig:
     h: int
     delta: int = 0
     chirp: ChirpSpec | None = None
+    fdss: FdssProfile = field(init=False, repr=False, compare=False)
+    capacity: indexing.BitCapacity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
@@ -78,24 +82,18 @@ class ModemConfig:
         if indexing.index_count(self.length, self.delta, self.m) < 2:
             raise ValueError(f"delta = {self.delta}: leaves fewer than 2 index sequences "
                              f"of l = {self.length} in m = {self.m}")
+        object.__setattr__(self, "fdss", chirp_fdss(self.chirp)
+                           if self.scheme is Scheme.CSC_IM else flat_fdss(self.m))
+        object.__setattr__(self, "capacity",
+                           bit_capacity(self.m, self.length, self.h, self.delta))
 
     @property
     def e_s(self) -> float:
         return self.m / self.length
 
-    @cached_property
-    def fdss(self) -> FdssProfile:
-        if self.scheme is Scheme.CSC_IM:
-            return chirp_fdss(self.chirp)
-        return flat_fdss(self.m)
-
     @property
     def k(self) -> np.ndarray:
         return self.fdss.k
-
-    @cached_property
-    def capacity(self) -> indexing.BitCapacity:
-        return bit_capacity(self.m, self.length, self.h, self.delta)
 
 
 def encode(bits, cfg: ModemConfig) -> tuple[IndexWord, np.ndarray]:

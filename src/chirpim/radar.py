@@ -37,7 +37,8 @@ delays and coefficients jointly, cross terms between targets included
 observations, the bounds take one scene or a stack: a sequence of B
 scenes with one target count, with reference bins of shape (M,) or
 (B, M), gives B matrices and one inverse of the (B, 2R, 2R) stack, and
-each row equals its single-scene call bit for bit.
+each row equals its single-scene call bit for bit. The closed-form
+phase-unaware bound, :func:`crlb_range_no_phase`, takes the same stacks.
 """
 from __future__ import annotations
 
@@ -443,15 +444,22 @@ def crlb_coeff(scene: RadarScene | Sequence[RadarScene], bins,
     return _block_trace(inverse, range(r, 2 * r), one)
 
 
-def crlb_range_no_phase(scene: RadarScene, m: int, sigma2: float) -> float:
+def crlb_range_no_phase(scene: RadarScene | Sequence[RadarScene], m: int,
+                        sigma2: float) -> float | np.ndarray:
     """Range bound when the carrier phase is treated as unknown rather than
     range-dependent (unimodular bins), without cross terms between targets:
     3 sigma2 c^2 T_s^2 / (8 pi^2 M (M^2 - 1)) * sum_s 1/alpha_s^2. For one
     target, :func:`crlb_range` with f_c -> 0 and |w_k| = 1 on m symmetric
-    bins, via sum k^2 = M (M^2 - 1) / 12."""
-    inv_a2 = np.sum(1.0 / np.asarray(scene.coeffs, dtype=float) ** 2)
-    return float(3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * scene.t_s ** 2 /
-                 (8.0 * np.pi ** 2 * m * (m ** 2 - 1)) * inv_a2)
+    bins, via sum k^2 = M (M^2 - 1) / 12. A float for one scene, shape (B,)
+    for a sequence of B scenes with one target count."""
+    scenes, one = _scene_stack(scene)
+    inv_a2 = np.sum(1.0 / np.array([s.coeffs for s in scenes], dtype=float) ** 2, axis=-1)
+    # T_s^2 is the float power (libm pow), which differs from an array's
+    # x * x in the last bit for some T_s
+    t_s2 = np.array([s.t_s ** 2 for s in scenes])
+    bound = 3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * t_s2 / \
+        (8.0 * np.pi ** 2 * m * (m ** 2 - 1)) * inv_a2
+    return float(bound[0]) if one else bound
 
 
 def min_resolution(bandwidth_hz: float) -> float:

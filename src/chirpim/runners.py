@@ -2,16 +2,17 @@
 
 Every runner draws its randomness from per-batch streams seeded by
 (master seed, experiment id, sweep index, batch index), so results are
-byte-identical for a fixed config regardless of the worker count. Rows are
-returned as dicts and, when ``cfg.out`` is set, written there as CSV with
-one comment line recording the preset, seed, and a config hash, and a
-header of the row keys in order.
+byte-identical for a fixed config regardless of the worker count. Each
+batch task carries the config alone and reads the modem from it
+(``cfg.modem_config()``), built with the config and complete with its FDSS
+profile and bit capacity. Rows are returned as dicts and, when ``cfg.out``
+is set, written there as CSV with one comment line recording the preset,
+seed, and a config hash, and a header of the row keys in order.
 """
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache
 from itertools import islice
 from typing import Iterable, Literal
 
@@ -82,19 +83,6 @@ def write_csv(cfg: ExperimentConfig, experiment: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
-def _modem(cfg: ExperimentConfig) -> ModemConfig:
-    """The run's one ModemConfig for every batch, its FDSS profile and
-    capacity filled in once per process for each distinct (frozen) config,
-    so that neither later runs nor workers recompute them."""
-    return _filled(cfg.modem_config())
-
-
-@cache
-def _filled(mcfg: ModemConfig) -> ModemConfig:
-    mcfg.fdss, mcfg.capacity  # noqa: B018 (fills the cached properties)
-    return mcfg
-
-
 def _draw_words(mcfg: ModemConfig, batch: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random index rows and PSK rows, shape (batch, L) each: all
@@ -121,7 +109,8 @@ def random_words(mcfg: ModemConfig, batch: int,
 def _pmepr_batch(task) -> np.ndarray:
     """PMEPR of a batch of random codewords from their bins (no time-domain
     frame), against the nominal transmit power sum |g|^2 = M."""
-    cfg, mcfg, batch_idx, batch = task
+    cfg, batch_idx, batch = task
+    mcfg = cfg.modem_config()
     rng = _rng(cfg, "pmepr", 0, batch_idx)
     _, _, d = random_words(mcfg, batch, rng)
     return np.atleast_1d(measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m)))
@@ -135,8 +124,7 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
     nominal transmit power (sum |g_k|^2 = M), i.e. the average power of the
     whole transmission rather than the individual frame.
     """
-    mcfg = _modem(cfg)
-    batches = [(cfg, mcfg, bi, min(cfg.batch, cfg.trials - bi * cfg.batch))
+    batches = [(cfg, bi, min(cfg.batch, cfg.trials - bi * cfg.batch))
                for bi in range((cfg.trials + cfg.batch - 1) // cfg.batch)]
     exceed = np.zeros(len(PMEPR_THRESHOLDS), dtype=np.int64)
     total = 0
@@ -157,7 +145,8 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _bler_batch(task) -> tuple[int, int]:
-    cfg, mcfg, sweep_idx, batch_idx, sigma2, batch = task
+    cfg, sweep_idx, batch_idx, sigma2, batch = task
+    mcfg = cfg.modem_config()
     rng = _rng(cfg, "bler", sweep_idx, batch_idx)
     idx, psk, d = random_words(mcfg, batch, rng)
     w = tx_bins(d, mcfg)
@@ -190,7 +179,7 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
     bound at the post-equalization noise level; under fading it is reported
     unchanged as a reference curve.
     """
-    mcfg = _modem(cfg)
+    mcfg = cfg.modem_config()
     bits = mcfg.capacity.total
     use_ebn0 = len(cfg.ebn0_db) > 0
     points = cfg.ebn0_db if use_ebn0 else cfg.snr_db
@@ -204,7 +193,7 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
         bound = union_bound_bler(mcfg, n0)
         trials = errors = 0
         max_batches = (cfg.max_trials + cfg.batch - 1) // cfg.batch
-        tasks = ((cfg, mcfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
+        tasks = ((cfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
         for n, e in _map_ordered(_bler_batch, tasks, cfg.workers):
             trials += n
             errors += e
@@ -238,8 +227,8 @@ def _draw_scene(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
     return RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=t_cp)
 
 
-def radar_trials(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str, batch: int,
-                 sigma2: float, rng: np.random.Generator, spacing_m: float | None = None,
+def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float,
+                 rng: np.random.Generator, spacing_m: float | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, list[RadarScene]]:
     """``batch`` random radar trials: received bins b and reference bins w,
     each of shape (batch, M), and the scenes.
@@ -251,6 +240,7 @@ def radar_trials(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str, batch:
     returned C-contiguous: a batched :func:`tx_bins` gives strided rows,
     on which the estimator's BLAS dot products (``np.vdot``) round
     differently."""
+    mcfg = cfg.modem_config()
     idx = np.empty((batch, mcfg.length), dtype=np.int64)
     psk = np.empty((batch, mcfg.length), dtype=np.int64)
     cfr = np.empty((batch, mcfg.m), dtype=complex)
@@ -271,16 +261,18 @@ def _radar_batch(task) -> np.ndarray:
 
     :func:`radar_trials` draws the trials in trial order; the rest runs
     once per batch on (B, .) arrays. One :func:`estimate_mf_lmmse` call
-    puts the MF and LMMSE rows in the same delay searches, and one
+    puts the MF and LMMSE rows in the same delay searches, one
     :func:`crlb_range` call inverts the (2B, 2R, 2R) stack of the
-    per-frame and the expectation-form Fisher informations at once. Each
-    column is then added up in trial order (a cumulative sum, not a
-    pairwise one), as one trial at a time would.
+    per-frame and the expectation-form Fisher informations at once, and
+    one :func:`crlb_range_no_phase` call gives every trial's phase-unaware
+    bound. Each column is then added up in trial order (a cumulative sum,
+    not a pairwise one), as one trial at a time would.
     """
-    cfg, mcfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
+    cfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
+    mcfg = cfg.modem_config()
     rng = _rng(cfg, "radar-rmse" if spacing_m is None else "resolution",
                sweep_idx, batch_idx)
-    b, w, scenes = radar_trials(cfg, mcfg, scenario, batch, sigma2, rng, spacing_m)
+    b, w, scenes = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
     expected = np.broadcast_to(mcfg.fdss.g, w.shape)
     bounds = crlb_range(scenes * 2, (mcfg.k, np.concatenate((w, expected))), sigma2)
     obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
@@ -290,14 +282,14 @@ def _radar_batch(task) -> np.ndarray:
     per_trial = np.stack((((est_mf.distances - truths) ** 2).sum(axis=-1),
                           ((est_lm.distances - truths) ** 2).sum(axis=-1),
                           bounds[:batch], bounds[batch:],
-                          [crlb_range_no_phase(scene, mcfg.m, sigma2) for scene in scenes],
+                          crlb_range_no_phase(scenes, mcfg.m, sigma2),
                           np.ones(batch)))
     return np.cumsum(per_trial, axis=-1)[:, -1]
 
 
-def _radar_point(cfg: ExperimentConfig, mcfg: ModemConfig, scenario: str,
-                 sweep_idx: int, sigma2: float, spacing_m: float | None) -> dict:
-    batches = [(cfg, mcfg, scenario, sweep_idx, bi, sigma2,
+def _radar_point(cfg: ExperimentConfig, scenario: str, sweep_idx: int, sigma2: float,
+                 spacing_m: float | None) -> dict:
+    batches = [(cfg, scenario, sweep_idx, bi, sigma2,
                 min(RADAR_BATCH, cfg.trials - bi * RADAR_BATCH), spacing_m)
                for bi in range((cfg.trials + RADAR_BATCH - 1) // RADAR_BATCH)]
     acc = np.zeros(6)
@@ -323,12 +315,11 @@ def run_radar_rmse(cfg: ExperimentConfig,
         raise ValueError("scenario must be 'single' or 'two'")
     if not cfg.snr_db:
         raise ValueError("[sweep] snr_db (--snrs) is empty: nothing to sweep")
-    mcfg = _modem(cfg)
     rows = []
     for sweep_idx, snr_db in enumerate(cfg.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         row = {"snr_db": float(snr_db), "scenario": scenario}
-        row.update(_radar_point(cfg, mcfg, scenario, sweep_idx, sigma2, None))
+        row.update(_radar_point(cfg, scenario, sweep_idx, sigma2, None))
         rows.append(row)
     write_csv(cfg, "radar-rmse", rows)
     return rows
@@ -340,12 +331,11 @@ def run_resolution(cfg: ExperimentConfig) -> list[dict]:
     factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
     r_min = min_resolution(cfg.bandwidth_hz)
     sigma2 = 10.0 ** (-cfg.resolution_snr_db / 10.0)
-    mcfg = _modem(cfg)
     rows = []
     for sweep_idx, factor in enumerate(factors):
         row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
                "snr_db": float(cfg.resolution_snr_db)}
-        row.update(_radar_point(cfg, mcfg, "two", sweep_idx, sigma2, float(factor * r_min)))
+        row.update(_radar_point(cfg, "two", sweep_idx, sigma2, float(factor * r_min)))
         rows.append(row)
     write_csv(cfg, "resolution", rows)
     return rows

@@ -186,7 +186,7 @@ def test_coefficient_crlb_attainment():
     gaps = []
     for snr_db in (30.0, 35.0, 40.0):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        b, w, scenes = radar_trials(cfg, mcfg, "single", trials, sigma2, rng)
+        b, w, scenes = radar_trials(cfg, "single", trials, sigma2, rng)
         bound = crlb_coeff(scenes, (mcfg.k, w), sigma2)
         obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                                f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
@@ -204,7 +204,7 @@ def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
     from their own seed: RMSE and root mean joint range bound."""
     mcfg = cfg.modem_config()
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    b, w, scenes = radar_trials(cfg, mcfg, "two", trials, sigma2, np.random.default_rng(seed))
+    b, w, scenes = radar_trials(cfg, "two", trials, sigma2, np.random.default_rng(seed))
     bound = crlb_range(scenes, (mcfg.k, w), sigma2)
     obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)

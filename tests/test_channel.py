@@ -99,20 +99,13 @@ def test_rayleigh_tap_component_variance():
     assert abs(np.mean(taps)) < 4 / np.sqrt(n)
 
 
-def test_pinned_los_phase_is_deterministic():
-    a = rician_realize(((0.0, 0.0, 1e9),), np.random.default_rng(3), los_phase=0.0)
-    b = rician_realize(((0.0, 0.0, 1e9),), np.random.default_rng(4), los_phase=0.0)
-    assert np.isclose(a.gains[0].real, b.gains[0].real, atol=1e-4)
-
-
-@pytest.mark.parametrize("los_phase", [None, 0.0, 1.3])
-def test_batch_equals_single_realizations(los_phase):
+def test_batch_equals_single_realizations():
     # one batched call reads the stream as B single calls do: same gains,
     # same CFR rows, same stream position afterwards, bit for bit
     k = np.arange(-768, 768)
     one, many = np.random.default_rng(6), np.random.default_rng(6)
-    singles = [rician_realize(PDP, one, los_phase) for _ in range(9)]
-    batch = rician_realize(PDP, many, los_phase, batch=9)
+    singles = [rician_realize(PDP, one) for _ in range(9)]
+    batch = rician_realize(PDP, many, batch=9)
     assert batch.gains.shape == (9, 3) and singles[0].gains.shape == (3,)
     assert np.array_equal(batch.gains, np.stack([ch.gains for ch in singles]))
     h = batch.cfr(k, T_S)

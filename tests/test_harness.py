@@ -14,9 +14,8 @@ import chirpim
 import chirpim.modem
 from chirpim.chirps import ChirpFamily
 from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
-from chirpim.config import (CONFIG_KEYS, ExperimentConfig, desk_preset, load_config,
-                            paper_preset, preset)
-from chirpim.modem import Scheme, frame_from_symbols
+from chirpim.config import CONFIG_KEYS, desk_preset, load_config, paper_preset, preset
+from chirpim.modem import ModemConfig, Scheme, frame_from_symbols
 from chirpim import runners
 from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 
@@ -466,15 +465,28 @@ def test_radar_windows_that_fit_build():
     assert run_radar_rmse(replace(cfg, trials=2, snr_db=(20.0,)), "single")[0]["trials"] == 2
 
 
-def test_fdss_profile_built_once_per_modem_config(monkeypatch):
+def count_modem_builds(monkeypatch) -> list[str]:
+    """From here on, a record of every ModemConfig built and every
+    chirp_fdss call."""
     calls = []
-    original = chirpim.modem.chirp_fdss
+    post_init, chirp_fdss = ModemConfig.__post_init__, chirpim.modem.chirp_fdss
+    monkeypatch.setattr(ModemConfig, "__post_init__",
+                        lambda self: calls.append("ModemConfig") or post_init(self))
     monkeypatch.setattr(chirpim.modem, "chirp_fdss",
-                        lambda spec: calls.append(spec) or original(spec))
-    runners._filled.cache_clear()
-    for seed in (1, 2):
-        run_radar_rmse(desk_preset(trials=2, seed=seed, snr_db=(20.0,)), "single")
-    assert len(calls) == 1
+                        lambda spec: calls.append("chirp_fdss") or chirp_fdss(spec))
+    return calls
+
+
+def test_fdss_profile_built_once_per_modem_config(monkeypatch):
+    # the config builds the modem and its profile; the radar runs that read
+    # it build neither again
+    configs = [desk_preset(trials=2, seed=seed, snr_db=(20.0,), spacing_rmin=(2.0,))
+               for seed in (1, 2)]
+    calls = count_modem_builds(monkeypatch)
+    for cfg in configs:
+        run_radar_rmse(cfg, "single")
+        run_resolution(cfg)
+    assert calls == []
 
 
 def bench_module(name: str, monkeypatch) -> types.ModuleType:
@@ -617,12 +629,14 @@ def test_cli_csv_independent_of_workers_flag(tmp_path):
 
 
 def test_run_builds_modem_config_once(monkeypatch):
-    calls = []
-    original = ExperimentConfig.modem_config
-    monkeypatch.setattr(ExperimentConfig, "modem_config",
-                        lambda self: calls.append(1) or original(self))
-    run_pmepr_ccdf(desk_preset(trials=40, batch=8))
-    assert len(calls) == 1
+    # the modem is built once, with the config: the PMEPR and BLER runs and
+    # their batches only read it
+    pmepr = desk_preset(trials=40, batch=8)
+    bler = desk_preset(snr_db=(0.0,), fading=True, batch=32, max_trials=64)
+    calls = count_modem_builds(monkeypatch)
+    run_pmepr_ccdf(pmepr)
+    run_bler(bler)
+    assert calls == []
 
 
 def test_bler_stopping_rule_independent_of_workers(tmp_path):
@@ -725,7 +739,7 @@ def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
     # (random_words), its bins, its scene and its noise
     cfg = desk_preset(length=2, separated=True)
     mcfg, sigma2 = cfg.modem_config(), 0.05
-    b, w, scenes = runners.radar_trials(cfg, mcfg, scenario, 5, sigma2,
+    b, w, scenes = runners.radar_trials(cfg, scenario, 5, sigma2,
                                         np.random.default_rng(9), spacing_m)
     assert w.flags.c_contiguous
     rng = np.random.default_rng(9)

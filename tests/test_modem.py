@@ -531,9 +531,17 @@ def test_word_symbols_batch_equals_rows():
         assert np.array_equal(row, word_symbols(tuple(i), tuple(z), cfg))
 
 
-def test_modem_config_pickles_with_cached_properties():
-    for cfg in (make_cfg(length=2, delta=15), make_cfg(Scheme.OFDM_IM, length=3)):
-        cfg.fdss, cfg.capacity  # noqa: B018 (fills the cached properties)
+def test_modem_config_pickles_with_cached_properties(monkeypatch):
+    # what a worker receives: the copy carries the FDSS profile and the
+    # capacity built with the original, and builds neither again
+    configs = (make_cfg(length=2, delta=15), make_cfg(Scheme.OFDM_IM, length=3))
+
+    def refuse(*args):
+        raise AssertionError("a pickled ModemConfig rebuilt its profile or capacity")
+
+    for name in ("chirp_fdss", "flat_fdss", "bit_capacity"):
+        monkeypatch.setattr(modem, name, refuse)
+    for cfg in configs:
         copy = pickle.loads(pickle.dumps(cfg))
         assert copy == cfg and copy.capacity == cfg.capacity
-        assert np.array_equal(copy.fdss.g, cfg.fdss.g)
+        assert np.array_equal(copy.fdss.g, cfg.fdss.g) and copy.fdss.l_d == cfg.fdss.l_d

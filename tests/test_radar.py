@@ -926,6 +926,10 @@ def test_stacked_bounds_equal_single_scene_calls(n_targets):
             row = ref[i] if ref.ndim == 2 else ref
             for bound, values in zip((fim, crlb_range, crlb_coeff), stacked):
                 assert np.array_equal(values[i], bound(scene, (cfg.k, row), 0.01))
+    no_phase = crlb_range_no_phase(scenes, cfg.m, 0.01)
+    assert no_phase.shape == (len(scenes),)
+    for i, scene in enumerate(scenes):
+        assert np.array_equal(no_phase[i], crlb_range_no_phase(scene, cfg.m, 0.01))
 
 
 def test_stacked_bounds_name_the_singular_row():
