@@ -18,7 +18,7 @@ from . import indexing
 from .channel import RadarScene
 from .chirps import ChirpFamily, gcp_from_chirps, is_gcp, linear_chirp_coeffs, \
     sinusoidal_chirp_coeffs
-from .config import CONFIG_KEYS, ExperimentConfig, load_config, preset
+from .config import CONFIG_KEYS, PRESETS, ExperimentConfig, load_config, preset
 from .radar import crlb_coeff, crlb_range, crlb_range_no_phase, min_resolution
 from .runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
 from .util import default_band
@@ -78,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     gcp.add_argument("--tol", type=float, default=1e-2)
 
     crlb = subs.add_parser("crlb", help="range/coefficient bounds for a preset")
-    crlb.add_argument("--preset", default="desk", choices=["desk", "paper", "paper1448"])
+    crlb.add_argument("--preset", default="desk", choices=list(PRESETS))
     crlb.add_argument("--snr", type=float, default=30.0)
     crlb.add_argument("--range-m", type=float, default=2.0)
     crlb.add_argument("--coeff", type=float, default=-1.0)

@@ -1,13 +1,7 @@
 """Experiment configuration: presets, INI-file loading, derived objects.
 
-Two built-in numerologies:
-
-* ``desk``  - M=64 on a 1.44 Gsps grid at a 6.48 GHz carrier. Small enough
-  that every experiment finishes in minutes on a laptop while keeping the
-  carrier-to-bandwidth ratio of the full-scale setup.
-* ``paper`` - the 802.11ay-style numerology (M=1536, N=2048, 10.56 Gsps,
-  64.8 GHz). ``paper1448`` is the variant where the bin window +-723/724
-  is taken literally, giving M=1448.
+The built-in numerologies are the rows of :data:`PRESETS`, and
+:func:`preset` builds any of them in one ``ExperimentConfig`` call.
 
 Config files are flat INI text (``key = value`` under sections); every key
 defaults from the chosen preset, and CLI flags are spellings of some keys.
@@ -18,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -72,8 +67,8 @@ class ExperimentConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "family", ChirpFamily(self.family))
         for name, key in (("sample_rate", "sample_rate_hz"), ("f_c", "carrier_hz"), ("d", "d")):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} ([waveform] {key}) must be positive, "
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} ([waveform] {key}) must be finite and positive, "
                                  f"got {getattr(self, name)}")
         if not 0 <= self.n_cp < self.n:
             raise ValueError(f"n_cp ([waveform] n_cp) must satisfy 0 <= n_cp < n = {self.n}, "
@@ -95,6 +90,8 @@ class ExperimentConfig:
         for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed ([montecarlo] seed) must be at least 0, got {self.seed}")
         for name in ("single_range_m", "two_range_m", "two_spacing_rmin"):
             window = getattr(self, name)
             if len(window) != 2 or not 0 < window[0] <= window[1]:
@@ -152,51 +149,40 @@ class ExperimentConfig:
         return hashlib.sha1(repr(relevant).encode()).hexdigest()[:12]
 
 
-_DESK_DELTAS = {2: 15, 5: 10}
-_PAPER_DELTAS = {2: 84, 5: 252}
+_PRESET_BASE = dict(h=4, snr_db=tuple(range(0, 22, 2)), trials=2000,
+                    pdp=((0.0, 0.0, 10.0), (10e-9, -10.0, 0.0), (20e-9, -20.0, 0.0)))
+_PAPER = dict(_PRESET_BASE, m=1536, n=2048, n_cp=512, d=1382.0, sample_rate=10.56e9,
+              f_c=64.8e9, single_range_m=(2.0, 3.0), two_range_m=(2.0, 3.0))
+_PAPER_IS = {2: 84, 5: 252}
 
-_DESK_PDP = ((0.0, 0.0, 10.0), (10e-9, -10.0, 0.0), (20e-9, -20.0, 0.0))
-
-
-def desk_preset(scheme: Scheme = Scheme.CSC_IM, length: int = 2,
-                family: ChirpFamily = ChirpFamily.LINEAR,
-                separated: bool = False, **overrides) -> ExperimentConfig:
-    """Down-scaled numerology for fast runs. ``separated=True`` applies the
-    per-L default separation (15 for L=2, 10 for L=5)."""
-    delta = _DESK_DELTAS.get(length, 0) if separated else 0
-    cfg = ExperimentConfig(
-        preset="desk", scheme=scheme, family=family, m=64, n=128, n_cp=32,
-        length=length, h=4, delta=delta, d=48.0, sample_rate=1.44e9,
-        f_c=6.48e9, snr_db=tuple(range(0, 22, 2)), pdp=_DESK_PDP,
-        trials=2000)
-    return replace(cfg, **overrides) if overrides else cfg
+# name -> (ExperimentConfig fields, index separation per L when separated).
+# The first row is small enough that every experiment finishes in minutes on
+# a laptop, with the carrier-to-bandwidth ratio of the 802.11ay-style second
+# row; the third takes that row's bin window -723..724 literally (M=1448).
+PRESETS = {
+    "desk": (dict(_PRESET_BASE, m=64, n=128, n_cp=32, d=48.0, sample_rate=1.44e9,
+                  f_c=6.48e9), {2: 15, 5: 10}),
+    "paper": (_PAPER, _PAPER_IS),
+    "paper1448": (dict(_PAPER, m=1448), _PAPER_IS),
+}
 
 
-def paper_preset(scheme: Scheme = Scheme.CSC_IM, length: int = 2,
-                 family: ChirpFamily = ChirpFamily.LINEAR,
-                 separated: bool = False, literal_band: bool = False,
-                 **overrides) -> ExperimentConfig:
-    """802.11ay-style numerology. With ``literal_band`` the bin window is
-    -723..724 (M=1448); otherwise M=1536 and the window follows from it."""
-    m = 1448 if literal_band else 1536
-    delta = _PAPER_DELTAS.get(length, 0) if separated else 0
-    cfg = ExperimentConfig(
-        preset="paper1448" if literal_band else "paper", scheme=scheme,
-        family=family, m=m, n=2048, n_cp=512, length=length, h=4, delta=delta,
-        d=1382.0, sample_rate=10.56e9, f_c=64.8e9,
-        snr_db=tuple(range(0, 22, 2)), pdp=_DESK_PDP,
-        single_range_m=(2.0, 3.0), two_range_m=(2.0, 3.0), trials=2000)
-    return replace(cfg, **overrides) if overrides else cfg
+def preset(name: str, scheme: Scheme = Scheme.CSC_IM, length: int = 2,
+           family: ChirpFamily = ChirpFamily.LINEAR, separated: bool = False,
+           **overrides) -> ExperimentConfig:
+    """The config of preset ``name``, built once with ``overrides`` applied.
+    ``separated=True`` applies the preset's per-L index separation (0 for
+    an L it does not list)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (expected {', '.join(PRESETS)})")
+    fields, separation = PRESETS[name]
+    delta = separation.get(length, 0) if separated else 0
+    return ExperimentConfig(**{"preset": name, "scheme": scheme, "family": family,
+                               "length": length, "delta": delta, **fields, **overrides})
 
 
-def preset(name: str, **kwargs) -> ExperimentConfig:
-    if name == "desk":
-        return desk_preset(**kwargs)
-    if name == "paper":
-        return paper_preset(**kwargs)
-    if name == "paper1448":
-        return paper_preset(literal_band=True, **kwargs)
-    raise ValueError(f"unknown preset {name!r} (expected desk, paper, paper1448)")
+desk_preset = partial(preset, "desk")
+paper_preset = partial(preset, "paper")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -302,4 +288,4 @@ def load_config(path: str | None = None,
     if values.get("snr_db") and values.get("ebn0_db"):
         raise ValueError("[sweep] snr_db (--snrs) and [sweep] ebn0_db are both set; "
                          "a run sweeps one of them")
-    return replace(preset(values.get("preset", "desk")), **values)
+    return preset(values.pop("preset", "desk"), **values)

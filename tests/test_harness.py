@@ -14,7 +14,8 @@ import chirpim
 import chirpim.modem
 from chirpim.chirps import ChirpFamily
 from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
-from chirpim.config import CONFIG_KEYS, desk_preset, load_config, paper_preset, preset
+from chirpim.config import CONFIG_KEYS, PRESETS, desk_preset, load_config, paper_preset, \
+    preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols
 from chirpim import runners
 from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
@@ -81,6 +82,9 @@ def test_cli_rejects_bad_values_by_name(capsys):
     assert "'bogus' is not a valid Scheme" in capsys.readouterr().err
     assert main(["pmepr", "--trials", "many"]) == 1
     assert "trials = 'many'" in capsys.readouterr().err
+    # numpy's own refusal of a negative seed named no key
+    assert main(["pmepr", "--seed", "-1"]) == 1
+    assert "seed ([montecarlo] seed)" in capsys.readouterr().err
 
 
 def test_cli_gcp_check(capsys):
@@ -213,8 +217,9 @@ def test_paper_preset_numerology():
 
 
 def test_preset_unknown_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         preset("bench")
+    assert all(name in str(err.value) for name in PRESETS)
 
 
 def test_config_file_overrides(tmp_path):
@@ -256,6 +261,12 @@ def test_config_rejects_zero_counts(field):
         desk_preset(**{field: 0})
     with pytest.raises(ValueError, match=field):
         replace(desk_preset(), **{field: -1})
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"seed \(\[montecarlo\] seed\)"):
+        desk_preset(seed=-1)
+    assert desk_preset(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("text, named", [
@@ -403,8 +414,9 @@ def test_config_rejects_radar_fields_when_built(overrides, named):
 @pytest.mark.parametrize("field, key", [("f_c", "carrier_hz"),
                                         ("sample_rate", "sample_rate_hz")])
 def test_config_rejects_nonpositive_carrier_and_rate(field, key):
-    # caught when built: later, f_c <= 0 stalls or breaks the radar delay search
-    for value in (0.0, -6.48e9):
+    # caught when built: later, f_c <= 0 stalls or breaks the radar delay search,
+    # f_c = inf writes NaN radar rows and sample_rate = inf divides by zero
+    for value in (0.0, -6.48e9, float("inf"), float("nan")):
         with pytest.raises(ValueError, match=rf"{field} \(\[waveform\] {key}\)"):
             desk_preset(**{field: value})
 
@@ -412,8 +424,9 @@ def test_config_rejects_nonpositive_carrier_and_rate(field, key):
 @pytest.mark.parametrize("scheme", [Scheme.CSC_IM, Scheme.OFDM_IM])
 def test_config_rejects_nonpositive_spread(scheme):
     # d sets the radar bandwidth of every scheme; d = 0 used to fail inside
-    # min_resolution with a message that named neither field nor key
-    for d in (0.0, -48.0, float("nan")):
+    # min_resolution with a message that named neither field nor key; d = inf
+    # made two OFDM-IM targets coincide halfway through a run
+    for d in (0.0, -48.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"d \(\[waveform\] d\)"):
             desk_preset(scheme=scheme, d=d)
 
@@ -457,7 +470,7 @@ def test_config_rejects_nonfinite_snr(field, value):
 
 
 def test_radar_windows_that_fit_build():
-    for name in ("desk", "paper", "paper1448"):
+    for name in PRESETS:
         preset(name)
     cfg = desk_preset(single_range_m=(3.3, 3.3), two_range_m=(1.0, 2.9),
                       two_spacing_rmin=(1.0, 1.2), spacing_rmin=(0.5, 1.0))
@@ -475,6 +488,22 @@ def count_modem_builds(monkeypatch) -> list[str]:
     monkeypatch.setattr(chirpim.modem, "chirp_fdss",
                         lambda spec: calls.append("chirp_fdss") or chirp_fdss(spec))
     return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda ini: desk_preset(trials=16),
+    lambda ini: paper_preset(Scheme.CSC_IM, length=2, family=ChirpFamily.SINUSOIDAL, trials=8),
+    lambda ini: preset("paper1448", length=1, seed=3),
+    lambda ini: load_config(str(ini), {"trials": "7"}),
+], ids=["desk", "paper-sinusoidal", "paper1448", "load_config"])
+def test_preset_and_load_config_build_once(build, tmp_path, monkeypatch):
+    # every config build computes the FDSS profile (about 5 ms at paper
+    # sinusoidal), so a preset with overrides must be built only once
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[waveform]\npreset = paper\nfamily = sinusoidal\n")
+    calls = count_modem_builds(monkeypatch)
+    build(ini)
+    assert calls == ["ModemConfig", "chirp_fdss"]
 
 
 def test_fdss_profile_built_once_per_modem_config(monkeypatch):
