@@ -196,14 +196,24 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     :func:`chirpim.modem.frame_from_symbols` adds the cyclic prefix.
     """
     w = np.asarray(w, dtype=complex)
-    m = len(k)
+    return _plain_idft(np.zeros(w.shape[:-1] + (n,), dtype=complex), w, k)
+
+
+def _plain_idft(grid: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Place bins ``w`` at positions k mod N of ``grid`` (shape (..., N),
+    zero elsewhere) and return the plain-sum N-point IDFT of the grid.
+
+    The IDFT of :func:`synthesize` and of :func:`measure_pmepr`. The
+    unscaled ("forward"-normalized) inverse transform is the plain sum; for
+    a power-of-two N it equals ``ifft(grid) * N`` bit for bit.
+    """
+    m, n = len(k), grid.shape[-1]
     if w.shape[-1] != m:
         raise ValueError(f"w has {w.shape[-1]} bins, k lists {m}")
     if n <= m:
         raise ValueError(f"IDFT size N={n} must exceed M={m}")
-    grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
     grid[..., k % n] = w
-    return np.fft.ifft(grid, axis=-1) * n
+    return np.fft.ifft(grid, axis=-1, norm="forward")
 
 
 # measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
@@ -217,23 +227,32 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     """Peak-to-mean envelope power ratio, in dB, of the frame body carrying
     bins ``w`` (shape (..., M)) on bin indices ``k`` of an N-point IDFT.
 
-    The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) IDFT of the
-    bins (:func:`synthesize`), which captures inter-sample peaks.
-    ``p_av`` is the mean-power reference, by default each frame's own mean
-    power sum_k |w_k|^2 (Parseval for the plain-sum IDFT); pass
-    sum |g_k|^2 = M for the bins of :func:`chirpim.modem.tx_bins` to
-    reference the ensemble power instead. Frames are synthesized
-    :data:`PMEPR_BLOCK` at a time, so memory stays bounded whatever the
-    batch; every frame's value is the same as when it is measured alone.
+    The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) plain-sum
+    IDFT of the bins, the one :func:`synthesize` takes, which captures
+    inter-sample peaks. ``p_av`` is the mean-power reference, by default
+    each frame's own mean power sum_k |w_k|^2 (Parseval for the plain-sum
+    IDFT); pass sum |g_k|^2 = M for the bins of
+    :func:`chirpim.modem.tx_bins` to reference the ensemble power instead.
+    Frames run :data:`PMEPR_BLOCK` at a time through one 8N-point grid and
+    one |x|^2 buffer allocated per call, so memory beyond ``w`` is one
+    32-frame workspace (the grid, its IDFT and |x|^2) whatever the batch;
+    every frame's value is the same as when it is measured alone.
 
     Returns a scalar, or an array matching the batch axes of ``w``.
     """
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
     peak = np.empty(len(rows))
+    size = min(PMEPR_BLOCK, len(rows))
+    # every block scatters its bins at the same positions, so the rest of
+    # the grid stays zero from one block to the next
+    grid = np.zeros((size, PMEPR_OVERSAMPLE * n), dtype=complex)
+    power = np.empty(grid.shape)
     for lo in range(0, len(rows), PMEPR_BLOCK):
         block = rows[lo:lo + PMEPR_BLOCK]
-        power = np.abs(synthesize(block, k, PMEPR_OVERSAMPLE * n)) ** 2
-        peak[lo:lo + len(block)] = power.max(axis=-1)
+        p = power[:len(block)]
+        np.abs(_plain_idft(grid[:len(block)], block, k), out=p)
+        np.square(p, out=p)
+        peak[lo:lo + len(block)] = p.max(axis=-1)
     batch = np.shape(w)[:-1]
     if p_av is None:
         # a contiguous copy: a strided row's sum rounds differently

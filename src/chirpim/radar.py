@@ -271,7 +271,10 @@ def estimate_mf_lmmse(obs: RadarObservation,
     """
     if not 1 <= n_targets <= MAX_TARGETS:
         raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
-    b, w = np.atleast_2d(obs.b), np.atleast_2d(obs.w)
+    # C-contiguous copies: np.vdot rounds a strided or Fortran-ordered row
+    # differently, and a row's estimate must not depend on the stack's layout
+    b = np.ascontiguousarray(np.atleast_2d(obs.b))
+    w = np.ascontiguousarray(np.atleast_2d(obs.w))
     w2 = np.abs(w) ** 2
     per_bin = w2 + obs.sigma2
     mf_denoms = [float(np.real(np.vdot(row, row))) for row in w]

@@ -23,7 +23,7 @@ from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
 from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
     tx_bins, union_bound_bler, word_symbols
-from .chirps import measure_pmepr
+from .chirps import PMEPR_BLOCK, measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_mf_lmmse, min_resolution
 # perfbench/spans.py wraps these names here; the runners call the batched
@@ -108,12 +108,21 @@ def random_words(mcfg: ModemConfig, batch: int,
 
 def _pmepr_batch(task) -> np.ndarray:
     """PMEPR of a batch of random codewords from their bins (no time-domain
-    frame), against the nominal transmit power sum |g|^2 = M."""
+    frame), against the nominal transmit power sum |g|^2 = M.
+
+    The batch's ranks and PSK are drawn as :func:`random_words` draws them;
+    the bins are then built :data:`PMEPR_BLOCK` codewords at a time into one
+    (B, M) array, which one :func:`measure_pmepr` call measures. Memory is
+    that bins array plus one 32-frame workspace, whatever the batch."""
     cfg, batch_idx, batch = task
     mcfg = cfg.modem_config()
     rng = _rng(cfg, "pmepr", 0, batch_idx)
-    _, _, d = random_words(mcfg, batch, rng)
-    return np.atleast_1d(measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m)))
+    idx, psk = _draw_words(mcfg, batch, rng)
+    w = np.empty((batch, mcfg.m), dtype=complex)
+    for lo in range(0, batch, PMEPR_BLOCK):
+        rows = slice(lo, lo + PMEPR_BLOCK)
+        w[rows] = tx_bins(word_symbols(idx[rows], psk[rows], mcfg), mcfg)
+    return np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
 
 
 def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
@@ -237,9 +246,9 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
     PSK), the scene (:func:`_draw_scene`), then the noise. The symbols and
     bins of all trials are then built in one :func:`word_symbols` and one
     :func:`tx_bins` call, so every row equals the trial drawn alone. w is
-    returned C-contiguous: a batched :func:`tx_bins` gives strided rows,
-    on which the estimator's BLAS dot products (``np.vdot``) round
-    differently."""
+    returned C-contiguous (a batched :func:`tx_bins` gives Fortran-ordered
+    rows), the layout :func:`estimate_mf_lmmse` computes in, so the
+    estimator's own contiguous copy is free."""
     mcfg = cfg.modem_config()
     idx = np.empty((batch, mcfg.length), dtype=np.int64)
     psk = np.empty((batch, mcfg.length), dtype=np.int64)

@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from chirpim.chirps import (ChirpFamily, ChirpSpec, apac, chirp_fdss,
-                            distinct_cs_count, flat_fdss, fourier_coeffs,
+from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, apac,
+                            chirp_fdss, distinct_cs_count, flat_fdss, fourier_coeffs,
                             gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
                             sinusoidal_chirp_coeffs, synthesize)
-from chirpim.config import desk_preset, paper_preset
+from chirpim.config import PRESETS, desk_preset, paper_preset, preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins
 from chirpim.runners import random_words
 
@@ -197,6 +197,29 @@ def test_synthesize_rejects_small_idft():
         modem(Scheme.DFT_S_OFDM_IM, 16, 16, 4)
     with pytest.raises(ValueError):
         synthesize(np.ones(16, dtype=complex), np.arange(-7, 9), n=16)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_synthesize_equals_scaled_ifft_for_power_of_two_n(name):
+    # every preset's N, and the 8N grid of measure_pmepr, is a power of two:
+    # the unscaled IDFT equals ifft(grid) * N bit for bit
+    mcfg = preset(name).modem_config()
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((3, mcfg.m)) + 1j * rng.standard_normal((3, mcfg.m))
+    for n in (mcfg.n, PMEPR_OVERSAMPLE * mcfg.n):
+        assert n & (n - 1) == 0
+        grid = np.zeros((3, n), dtype=complex)
+        grid[:, mcfg.k % n] = w
+        assert np.array_equal(synthesize(w, mcfg.k, n), np.fft.ifft(grid, axis=-1) * n)
+
+
+def test_synthesize_non_power_of_two_n_is_the_plain_sum():
+    # a non-power-of-two N matches the direct sum at rounding level
+    k, n = np.arange(-11, 13), 90
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((2, len(k))) + 1j * rng.standard_normal((2, len(k)))
+    expect = w @ np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n)
+    assert np.max(np.abs(synthesize(w, k, n) - expect)) <= 1e-12
 
 
 def test_cyclic_prefix_property():

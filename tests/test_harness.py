@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import chirpim
 import chirpim.modem
-from chirpim.chirps import ChirpFamily
+from chirpim.chirps import PMEPR_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, measure_pmepr
 from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
 from chirpim.config import CONFIG_KEYS, PRESETS, desk_preset, load_config, paper_preset, \
     preset
@@ -753,6 +754,49 @@ def test_pmepr_rows_are_a_ccdf(tmp_path):
     assert ccdf[0] == 1.0
     assert all(a >= b for a, b in zip(ccdf, ccdf[1:]))
     assert rows[0]["max_pmepr_db"] <= 10 * np.log10(2) + 1.5
+
+
+@pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
+def test_pmepr_batch_equals_the_whole_batch_composition(make, monkeypatch):
+    # a batch built and measured 32 codewords at a time (blocks 32/32/11 at
+    # batch 75) gives the values of the whole batch's random_words, tx_bins
+    # and measure_pmepr, and leaves its stream where they leave it
+    cfg = make(family=ChirpFamily.SINUSOIDAL, length=2)
+    mcfg = cfg.modem_config()
+    streams = []
+    make_rng = runners._rng
+
+    def kept_rng(*key):
+        streams.append(make_rng(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(runners, "_rng", kept_rng)
+    for batch_idx, batch in enumerate((1, 32, 75)):
+        values = runners._pmepr_batch((cfg, batch_idx, batch))
+        rng = make_rng(cfg, "pmepr", 0, batch_idx)
+        d = runners.random_words(mcfg, batch, rng)[2]
+        expect = measure_pmepr(runners.tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m))
+        assert values.shape == (batch,)
+        assert np.array_equal(values, np.atleast_1d(expect))
+        assert streams[-1].bit_generator.state == rng.bit_generator.state
+
+
+def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
+    # paper scale, batch 2048: the tracemalloc peak is the (B, M) bins plus
+    # one 32-frame workspace (the 8N-point grid, its IDFT and |x|^2), not a
+    # whole batch of symbols, spectra or oversampled grids
+    cfg = paper_preset(family=ChirpFamily.SINUSOIDAL, length=2)
+    mcfg, batch = cfg.modem_config(), 2048
+    runners._pmepr_batch((cfg, 0, 1))  # fills the unranking table
+    tracemalloc.start()
+    try:
+        runners._pmepr_batch((cfg, 0, batch))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bins = batch * mcfg.m * 16
+    workspace = PMEPR_BLOCK * PMEPR_OVERSAMPLE * mcfg.n * (16 + 16 + 8)
+    assert peak <= bins + workspace + 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_resolution_runner_sharp_drop():

@@ -11,7 +11,7 @@ from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
                            crlb_range, crlb_range_no_phase, estimate_lmmse,
                            estimate_mf_lmmse, estimate_multi_mf, fim,
                            min_resolution)
-from chirpim.runners import random_words, run_radar_rmse, run_resolution
+from chirpim.runners import radar_trials, random_words, run_radar_rmse, run_resolution
 from chirpim.util import SPEED_OF_LIGHT
 
 from oracles import mf_objective
@@ -663,6 +663,33 @@ def test_batched_rows_equal_single_observation_calls(k, n_targets):
             assert np.array_equal(batched.delays[i], single.delays)
             assert np.array_equal(batched.coeffs[i], single.coeffs)
             assert batched.final_step == single.final_step
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_estimates_do_not_depend_on_the_stack_layout(layout):
+    # desk two-target trials as the runner draws them: a Fortran-ordered or
+    # element-strided copy of the (B, M) stacks gives bit-identical
+    # estimates (np.vdot rounds a row by its stride unless it is copied)
+    cfg = desk_preset(length=2, separated=True)
+    b, w, _ = radar_trials(cfg, "two", 12, 0.05, np.random.default_rng(21))
+
+    def relaid(x):
+        if layout == "fortran":
+            return np.asfortranarray(x)
+        wide = np.zeros(x.shape + (2,), dtype=complex)
+        wide[..., 0] = x
+        return wide[..., 0]
+
+    def estimates(b, w):
+        obs = RadarObservation(b=b, w=w, k=cfg.modem_config().k, sigma2=0.05,
+                               f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+        return estimate_mf_lmmse(obs, 2)
+
+    assert not relaid(w).flags.c_contiguous
+    for ref, other in zip(estimates(b, w), estimates(relaid(b), relaid(w))):
+        assert np.array_equal(ref.delays, other.delays)
+        assert np.array_equal(ref.coeffs, other.coeffs)
+        assert ref.final_step == other.final_step
 
 
 def lobe_window(tau_e, obs):
