@@ -1,9 +1,11 @@
 """Monte Carlo experiment runners with deterministic, seed-keyed output.
 
-Every runner draws its randomness from per-batch streams seeded by
-(master seed, experiment id, sweep index, batch index), so results are
-byte-identical for a fixed config regardless of the worker count. Each
-batch task carries the config alone and reads the modem from it
+Every runner runs a sweep point through one batch driver, :func:`_batches`:
+batch i of a point reads its own stream, seeded by (master seed, experiment
+id, sweep index, i), and results come back in batch order, so they are
+byte-identical for a fixed config regardless of the worker count. A BLER
+point stops on its error count or at ``max_trials`` frames, a hard cap.
+Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
 profile and bit capacity. Rows are returned as dicts and, when ``cfg.out``
 is set, written there as CSV with one comment line recording the preset,
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -33,32 +35,28 @@ from .radar import estimate_lmmse, estimate_multi_mf  # noqa: F401
 
 PMEPR_THRESHOLDS = np.round(np.arange(0.0, 12.0 + 1e-9, 0.05), 2)
 RADAR_BATCH = 64
+WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def _rng(cfg: ExperimentConfig, experiment: str, sweep_idx: int,
-         batch_idx: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [cfg.seed, EXPERIMENT_IDS[experiment], sweep_idx, batch_idx])
+def _batches(cfg: ExperimentConfig, experiment: str, sweep_idx: int, total: int,
+             size: int, fn, *args):
+    """Run ``total`` trials as batches of ``size``, the last one short, and
+    yield ``fn(cfg, rng, batch, *args)`` for each in batch order.
 
-
-def _map_ordered(fn, tasks: Iterable[tuple], workers: int):
-    """Apply ``fn`` over tasks, yielding results in task order.
-
-    Parallel execution submits one wave of ``workers`` tasks at a time so a
-    consumer that stops early (error-count stopping) wastes at most one
-    wave; results are reduced strictly in task order either way.
+    Batch i reads the stream seeded by (cfg.seed, experiment id, sweep
+    index, i). With ``cfg.workers`` > 1 the batches run in a process pool,
+    one wave of ``workers`` at a time, so a consumer that stops early
+    (error-count stopping) wastes at most one wave.
     """
-    if workers <= 1:
-        for task in tasks:
-            yield fn(task)
+    tasks = ((np.random.default_rng([cfg.seed, EXPERIMENT_IDS[experiment], sweep_idx, i]),
+              min(size, total - lo)) for i, lo in enumerate(range(0, total, size)))
+    if cfg.workers <= 1:
+        for rng, batch in tasks:
+            yield fn(cfg, rng, batch, *args)
         return
-    it = iter(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while True:
-            wave = list(islice(it, workers))
-            if not wave:
-                return
-            for fut in [pool.submit(fn, task) for task in wave]:
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        while wave := list(islice(tasks, cfg.workers)):
+            for fut in [pool.submit(fn, cfg, rng, batch, *args) for rng, batch in wave]:
                 yield fut.result()
 
 
@@ -106,7 +104,8 @@ def random_words(mcfg: ModemConfig, batch: int,
 # PMEPR CCDF
 # ---------------------------------------------------------------------------
 
-def _pmepr_batch(task) -> np.ndarray:
+def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
+                 batch: int) -> np.ndarray:
     """PMEPR of a batch of random codewords from their bins (no time-domain
     frame), against the nominal transmit power sum |g|^2 = M.
 
@@ -114,9 +113,7 @@ def _pmepr_batch(task) -> np.ndarray:
     the bins are then built :data:`PMEPR_BLOCK` codewords at a time into one
     (B, M) array, which one :func:`measure_pmepr` call measures. Memory is
     that bins array plus one 32-frame workspace, whatever the batch."""
-    cfg, batch_idx, batch = task
     mcfg = cfg.modem_config()
-    rng = _rng(cfg, "pmepr", 0, batch_idx)
     idx, psk = _draw_words(mcfg, batch, rng)
     w = np.empty((batch, mcfg.m), dtype=complex)
     for lo in range(0, batch, PMEPR_BLOCK):
@@ -133,12 +130,10 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
     nominal transmit power (sum |g_k|^2 = M), i.e. the average power of the
     whole transmission rather than the individual frame.
     """
-    batches = [(cfg, bi, min(cfg.batch, cfg.trials - bi * cfg.batch))
-               for bi in range((cfg.trials + cfg.batch - 1) // cfg.batch)]
     exceed = np.zeros(len(PMEPR_THRESHOLDS), dtype=np.int64)
     total = 0
     max_pmepr = -np.inf
-    for values in _map_ordered(_pmepr_batch, batches, cfg.workers):
+    for values in _batches(cfg, "pmepr", 0, cfg.trials, cfg.batch, _pmepr_batch):
         exceed += (values[:, None] > PMEPR_THRESHOLDS[None, :]).sum(axis=0)
         total += len(values)
         max_pmepr = max(max_pmepr, float(values.max()))
@@ -153,10 +148,9 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
 # BLER
 # ---------------------------------------------------------------------------
 
-def _bler_batch(task) -> tuple[int, int]:
-    cfg, sweep_idx, batch_idx, sigma2, batch = task
+def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
+                sigma2: float) -> tuple[int, int]:
     mcfg = cfg.modem_config()
-    rng = _rng(cfg, "bler", sweep_idx, batch_idx)
     idx, psk, d = random_words(mcfg, batch, rng)
     w = tx_bins(d, mcfg)
     if cfg.fading:
@@ -169,24 +163,24 @@ def _bler_batch(task) -> tuple[int, int]:
     return batch, int(errors.sum())
 
 
-def _wilson(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    if trials == 0:
-        return 0.0, 1.0
+def _wilson(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval, clamped to hold ``errors / trials`` itself."""
     phat = errors / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials ** 2)) / denom
-    return float(max(center - half, 0.0)), float(min(center + half, 1.0))
+    z2 = WILSON_Z * WILSON_Z
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2 * trials)) / denom
+    half = WILSON_Z * np.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials ** 2)) / denom
+    return float(np.clip(center - half, 0.0, phat)), float(np.clip(center + half, phat, 1.0))
 
 
 def run_bler(cfg: ExperimentConfig) -> list[dict]:
     """Simulated block-error rate plus the analytical union bound.
 
     Sweeps ``cfg.snr_db`` (or ``cfg.ebn0_db``, converted through the frame's
-    bit count). Each point accumulates batches until ``target_errors`` block
-    errors or ``max_trials`` frames. The bound column is the AWGN union
-    bound at the post-equalization noise level; under fading it is reported
-    unchanged as a reference curve.
+    bit count). Each point runs batches until ``target_errors`` block
+    errors or ``max_trials`` frames, a hard cap (the last batch is short).
+    The bound column is the AWGN union bound at the post-equalization noise
+    level; under fading it is reported unchanged as a reference curve.
     """
     mcfg = cfg.modem_config()
     bits = mcfg.capacity.total
@@ -201,12 +195,11 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
         n0 = 1.0 / post_equalization_snr(mcfg.fdss, sigma2)
         bound = union_bound_bler(mcfg, n0)
         trials = errors = 0
-        max_batches = (cfg.max_trials + cfg.batch - 1) // cfg.batch
-        tasks = ((cfg, sweep_idx, bi, sigma2, cfg.batch) for bi in range(max_batches))
-        for n, e in _map_ordered(_bler_batch, tasks, cfg.workers):
+        for n, e in _batches(cfg, "bler", sweep_idx, cfg.max_trials, cfg.batch,
+                             _bler_batch, sigma2):
             trials += n
             errors += e
-            if errors >= cfg.target_errors or trials >= cfg.max_trials:
+            if errors >= cfg.target_errors:
                 break
         lo, hi = _wilson(errors, trials)
         rows.append({
@@ -264,7 +257,8 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
     return cfr * w + noise, w, scenes
 
 
-def _radar_batch(task) -> np.ndarray:
+def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
+                 scenario: str, sigma2: float, spacing_m: float | None) -> np.ndarray:
     """[sum err2 MF, sum err2 LMMSE, sum crlb, sum crlb_expected,
     sum crlb_nophase, trials] over one batch.
 
@@ -277,10 +271,7 @@ def _radar_batch(task) -> np.ndarray:
     bound. Each column is then added up in trial order (a cumulative sum,
     not a pairwise one), as one trial at a time would.
     """
-    cfg, scenario, sweep_idx, batch_idx, sigma2, batch, spacing_m = task
     mcfg = cfg.modem_config()
-    rng = _rng(cfg, "radar-rmse" if spacing_m is None else "resolution",
-               sweep_idx, batch_idx)
     b, w, scenes = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
     expected = np.broadcast_to(mcfg.fdss.g, w.shape)
     bounds = crlb_range(scenes * 2, (mcfg.k, np.concatenate((w, expected))), sigma2)
@@ -296,14 +287,10 @@ def _radar_batch(task) -> np.ndarray:
     return np.cumsum(per_trial, axis=-1)[:, -1]
 
 
-def _radar_point(cfg: ExperimentConfig, scenario: str, sweep_idx: int, sigma2: float,
-                 spacing_m: float | None) -> dict:
-    batches = [(cfg, scenario, sweep_idx, bi, sigma2,
-                min(RADAR_BATCH, cfg.trials - bi * RADAR_BATCH), spacing_m)
-               for bi in range((cfg.trials + RADAR_BATCH - 1) // RADAR_BATCH)]
-    acc = np.zeros(6)
-    for part in _map_ordered(_radar_batch, batches, cfg.workers):
-        acc += part
+def _radar_point(cfg: ExperimentConfig, experiment: str, scenario: str, sweep_idx: int,
+                 sigma2: float, spacing_m: float | None) -> dict:
+    acc = sum(_batches(cfg, experiment, sweep_idx, cfg.trials, RADAR_BATCH, _radar_batch,
+                       scenario, sigma2, spacing_m), np.zeros(6))
     n = acc[5]
     return {
         "rmse_mf_m": float(np.sqrt(acc[0] / n)),
@@ -328,7 +315,7 @@ def run_radar_rmse(cfg: ExperimentConfig,
     for sweep_idx, snr_db in enumerate(cfg.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         row = {"snr_db": float(snr_db), "scenario": scenario}
-        row.update(_radar_point(cfg, scenario, sweep_idx, sigma2, None))
+        row.update(_radar_point(cfg, "radar-rmse", scenario, sweep_idx, sigma2, None))
         rows.append(row)
     write_csv(cfg, "radar-rmse", rows)
     return rows
@@ -344,7 +331,8 @@ def run_resolution(cfg: ExperimentConfig) -> list[dict]:
     for sweep_idx, factor in enumerate(factors):
         row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
                "snr_db": float(cfg.resolution_snr_db)}
-        row.update(_radar_point(cfg, "two", sweep_idx, sigma2, float(factor * r_min)))
+        row.update(_radar_point(cfg, "resolution", "two", sweep_idx, sigma2,
+                                float(factor * r_min)))
         rows.append(row)
     write_csv(cfg, "resolution", rows)
     return rows

@@ -1,4 +1,5 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import json
 import re
 import shlex
 import subprocess
@@ -524,6 +525,7 @@ def bench_module(name: str, monkeypatch) -> types.ModuleType:
     is written under perfbench/; registered for the test's length only."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
     monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
@@ -548,6 +550,16 @@ def test_bench_radar_chunk_passes_its_checks(workload, monkeypatch):
         rows = wl.run(cfg)
     assert wl.check_rows(cfg, rows) == []
     assert checks.failed == 0, checks.problems
+
+
+def test_bench_bler_reference_rows(monkeypatch):
+    # the bench refuses a bler-paper run whose first chunk at the default seed
+    # differs from its stored rows; tier-1 does not collect the bench's tests
+    run = bench_module("run", monkeypatch)
+    wl = bench_module("workloads", monkeypatch).WORKLOADS["bler-paper"]
+    rows = wl.run(wl.config(run.chunk_seed(run.DEFAULT_SEED, 0), wl.chunk))
+    reference = run.HERE / "reference" / f"bler-paper-seed{run.DEFAULT_SEED}.json"
+    assert rows == json.loads(reference.read_text())
 
 
 def test_frame_from_symbols_calls_modem_synthesize(monkeypatch):
@@ -639,14 +651,6 @@ def test_csv_byte_identical_for_fixed_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_csv_independent_of_worker_count(tmp_path):
-    cfg = desk_preset(length=1, trials=130, snr_db=(14.0,), batch=64)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_radar_rmse(replace(cfg, out=str(a)), "single")
-    run_radar_rmse(replace(cfg, workers=2, out=str(b)), "single")
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_cli_csv_independent_of_workers_flag(tmp_path):
     paths = []
     for workers in ("1", "2"):
@@ -656,6 +660,30 @@ def test_cli_csv_independent_of_workers_flag(tmp_path):
                      "--out", str(out)]) == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("experiment, scenario, overrides", [
+    ("pmepr", {}, {"trials": 75, "batch": 32}),
+    # the error-count stop must count a deterministic prefix of batches
+    ("bler", {}, {"scheme": Scheme.DFT_S_OFDM_IM, "snr_db": (-8.0, -5.0),
+                  "target_errors": 40, "batch": 128, "max_trials": 4096}),
+    ("bler", {}, {"snr_db": (0.0, 6.0), "fading": True, "max_trials": 600, "batch": 256,
+                  "target_errors": 100_000}),
+    ("radar-rmse", {"scenario": "single"},
+     {"length": 1, "trials": 130, "snr_db": (14.0,), "batch": 64}),
+    ("radar-rmse", {"scenario": "two"},
+     {"length": 2, "separated": True, "trials": 70, "snr_db": (20.0,)}),
+    ("resolution", {}, {"length": 1, "trials": 70, "spacing_rmin": (0.5, 2.0)}),
+], ids=["pmepr", "bler-errors", "bler-cap", "radar-single", "radar-two", "resolution"])
+def test_every_runner_independent_of_workers(experiment, scenario, overrides, tmp_path):
+    # each plan but bler-errors' ends in a short batch (75 = 2 * 32 + 11,
+    # 600 = 2 * 256 + 88, 130 = 2 * 64 + 2, 70 = 64 + 6), which must read the
+    # same stream in the pool
+    cfg = desk_preset(**overrides)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _RUNNERS[experiment](replace(cfg, out=str(a)), **scenario)
+    _RUNNERS[experiment](replace(cfg, workers=2, out=str(b)), **scenario)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_run_builds_modem_config_once(monkeypatch):
@@ -669,16 +697,6 @@ def test_run_builds_modem_config_once(monkeypatch):
     assert calls == []
 
 
-def test_bler_stopping_rule_independent_of_workers(tmp_path):
-    # the error-count stop must count a deterministic prefix of batches
-    cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-8.0, -5.0),
-                      target_errors=40, batch=128, max_trials=4096)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_bler(replace(cfg, out=str(a)))
-    run_bler(replace(cfg, workers=2, out=str(b)))
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_bler_runner_stops_on_error_count(tmp_path):
     cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-10.0,),
                       target_errors=50, batch=256, max_trials=10_000)
@@ -690,10 +708,10 @@ def test_bler_runner_stops_on_error_count(tmp_path):
     assert header == "axis_db,snr_db,bler,union_bound,trials,errors,ci_lo,ci_hi"
 
 
-# fading BLER rows captured before the link was batched over frames: paper
-# L=2 delta=84 at the bench SNRs, desk L=5 delta=10 (236 of its 2304 frames
-# leave the greedy detector stuck) and desk OFDM-IM, whose 0 dB point stops
-# on its error count
+# fading BLER rows: paper L=2 delta=84 at the bench SNRs, desk L=5 delta=10
+# (174 of its 1800 frames leave the greedy detector stuck) and desk OFDM-IM,
+# whose 0 dB point stops on its error count; every other point runs exactly
+# max_trials frames, which no config here makes a multiple of its batch
 _PINNED_BLER_CONFIGS = {
     "paper": lambda: paper_preset(Scheme.CSC_IM, length=2, separated=True, fading=True,
                                   snr_db=(-16.0, -14.0, -12.0), max_trials=200,
@@ -707,28 +725,28 @@ _PINNED_BLER_CONFIGS = {
 }
 PINNED_BLER_ROWS = {
     "paper": [
-        (-16.0, -16.0, 0.11458333333333333, 0.07090950193685153, 288, 33,
-         0.08276262474648552, 0.15655038822609676),
-        (-14.0, -14.0, 0.027777777777777776, 0.00021172357435372824, 288, 8,
-         0.014141265039176312, 0.05384584995425788),
-        (-12.0, -12.0, 0.003472222222222222, 2.4684884802894658e-08, 288, 1,
-         0.0006131956629725245, 0.019402667896300206),
+        (-16.0, -16.0, 0.1, 0.07090950193685153, 200, 20,
+         0.06567044866909588, 0.1494058124327174),
+        (-14.0, -14.0, 0.02, 0.00021172357435372824, 200, 4,
+         0.0078044264163494685, 0.050287086905826436),
+        (-12.0, -12.0, 0.0, 2.4684884802894658e-08, 200, 0,
+         0.0, 0.018845326377266575),
     ],
     "desk_l5": [
-        (-6.0, -6.0, 0.8450520833333334, 1.0, 768, 649,
-         0.8177489494537191, 0.8689205653062078),
-        (0.0, 0.0, 0.12630208333333334, 1.0, 768, 97,
-         0.10465302277251003, 0.151670936713909),
-        (6.0, 6.0, 0.0013020833333333333, 0.00012419532591367854, 768, 1,
-         0.00022988667049250603, 0.007338324072707738),
+        (-6.0, -6.0, 0.8183333333333334, 1.0, 600, 491,
+         0.7854884512432293, 0.8471279324447146),
+        (0.0, 0.0, 0.13666666666666666, 1.0, 600, 82,
+         0.111483490917006, 0.16647267848628314),
+        (6.0, 6.0, 0.0016666666666666668, 0.00012419532591367854, 600, 1,
+         0.0002942682008495647, 0.009379560476138811),
     ],
     "desk_ofdm": [
         (0.0, 0.0, 0.046875, 3.885148966542573e-06, 512, 24,
          0.031699460685993844, 0.06879936106286864),
-        (6.0, 6.0, 0.00390625, 0.0, 768, 3,
-         0.0013293478028299222, 0.011421274372520713),
-        (12.0, 12.0, 0.0013020833333333333, 0.0, 768, 1,
-         0.00022988667049250603, 0.007338324072707738),
+        (6.0, 6.0, 0.0033333333333333335, 0.0, 600, 2,
+         0.0009145966868046472, 0.012071359653471395),
+        (12.0, 12.0, 0.0, 0.0, 600, 0,
+         0.0, 0.00636170101370071),
     ],
 }
 
@@ -737,6 +755,18 @@ PINNED_BLER_ROWS = {
 def test_bler_rows_pinned(name):
     rows = run_bler(_PINNED_BLER_CONFIGS[name]())
     assert [tuple(row.values()) for row in rows] == PINNED_BLER_ROWS[name]
+
+
+def test_bler_point_stops_at_max_trials():
+    # max_trials is a hard cap: the last batch is cut short, where a point
+    # used to run a whole batch past it (12 frames here, 768 for a cap of 600)
+    rows = run_bler(desk_preset(snr_db=(20.0,), max_trials=10, batch=4, target_errors=1000))
+    assert rows[0]["trials"] == 10
+    for name, pinned in PINNED_BLER_ROWS.items():
+        cfg = _PINNED_BLER_CONFIGS[name]()
+        for *_, trials, errors, _, _ in pinned:
+            assert trials <= cfg.max_trials
+            assert errors >= cfg.target_errors or trials == cfg.max_trials, (name, trials)
 
 
 def test_bler_ebn0_axis_conversion():
@@ -757,28 +787,20 @@ def test_pmepr_rows_are_a_ccdf(tmp_path):
 
 
 @pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
-def test_pmepr_batch_equals_the_whole_batch_composition(make, monkeypatch):
+def test_pmepr_batch_equals_the_whole_batch_composition(make):
     # a batch built and measured 32 codewords at a time (blocks 32/32/11 at
     # batch 75) gives the values of the whole batch's random_words, tx_bins
     # and measure_pmepr, and leaves its stream where they leave it
     cfg = make(family=ChirpFamily.SINUSOIDAL, length=2)
     mcfg = cfg.modem_config()
-    streams = []
-    make_rng = runners._rng
-
-    def kept_rng(*key):
-        streams.append(make_rng(*key))
-        return streams[-1]
-
-    monkeypatch.setattr(runners, "_rng", kept_rng)
-    for batch_idx, batch in enumerate((1, 32, 75)):
-        values = runners._pmepr_batch((cfg, batch_idx, batch))
-        rng = make_rng(cfg, "pmepr", 0, batch_idx)
+    for seed, batch in enumerate((1, 32, 75)):
+        stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        values = runners._pmepr_batch(cfg, stream, batch)
         d = runners.random_words(mcfg, batch, rng)[2]
         expect = measure_pmepr(runners.tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m))
         assert values.shape == (batch,)
         assert np.array_equal(values, np.atleast_1d(expect))
-        assert streams[-1].bit_generator.state == rng.bit_generator.state
+        assert stream.bit_generator.state == rng.bit_generator.state
 
 
 def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
@@ -787,10 +809,10 @@ def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
     # whole batch of symbols, spectra or oversampled grids
     cfg = paper_preset(family=ChirpFamily.SINUSOIDAL, length=2)
     mcfg, batch = cfg.modem_config(), 2048
-    runners._pmepr_batch((cfg, 0, 1))  # fills the unranking table
+    runners._pmepr_batch(cfg, np.random.default_rng(0), 1)  # fills the unranking table
     tracemalloc.start()
     try:
-        runners._pmepr_batch((cfg, 0, batch))
+        runners._pmepr_batch(cfg, np.random.default_rng(0), batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,7 @@
 """Property-based checks of the index codec, the noiseless tx/rx chain, the
-oversampled PMEPR and the radar Fisher information."""
+oversampled PMEPR, the radar Fisher information and the BLER interval."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene
@@ -12,6 +12,7 @@ from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
     tx_bins, tx_frame
 from chirpim.radar import crlb_range, fim
+from chirpim.runners import _wilson
 from chirpim.util import SPEED_OF_LIGHT
 
 from oracles import fim_jacobian_gram, zero_padded_pmepr_db
@@ -136,3 +137,13 @@ def test_fim_equals_jacobian_gram(case, sigma2):
     r = scene.n_targets
     diagonal = SPEED_OF_LIGHT ** 2 / 4 * np.sum(1.0 / np.diag(j)[:r])
     assert crlb_range(scene, (k, w), sigma2) >= diagonal * (1 - 1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 10 ** 7).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example((0, 12))  # unclamped, the Wilson bounds fall a hair past 0 and 1
+@example((12, 12))
+def test_wilson_interval_holds_the_ratio(case):
+    errors, trials = case
+    lo, hi = _wilson(errors, trials)
+    assert 0.0 <= lo <= errors / trials <= hi <= 1.0
