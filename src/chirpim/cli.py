@@ -21,7 +21,7 @@ from .chirps import ChirpFamily, gcp_from_chirps, is_gcp, linear_chirp_coeffs, \
 from .config import CONFIG_KEYS, PRESETS, ExperimentConfig, load_config, preset
 from .radar import crlb_coeff, crlb_range, crlb_range_no_phase, min_resolution
 from .runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
-from .util import default_band
+from .util import default_band, noise_variance
 
 
 _RUNNERS = {"pmepr": run_pmepr_ccdf, "bler": run_bler, "radar-rmse": run_radar_rmse,
@@ -145,7 +145,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         cfg = preset(args.preset)
         scene = RadarScene(targets=((args.range_m, args.coeff),), f_c=cfg.f_c,
                            t_s=cfg.t_s, t_cp=cfg.t_cp)
-        sigma2 = 10.0 ** (-args.snr / 10.0)
+        sigma2 = noise_variance(args.snr)
         fdss = cfg.modem_config().fdss
         bins = (fdss.k, fdss.g)
         print(f"r_min_m={min_resolution(cfg.bandwidth_hz):.6g}")

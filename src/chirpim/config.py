@@ -19,7 +19,7 @@ import numpy as np
 from .chirps import ChirpFamily, ChirpSpec
 from .modem import ModemConfig, Scheme
 from .radar import min_resolution
-from .util import SPEED_OF_LIGHT
+from .util import SPEED_OF_LIGHT, noise_variance
 
 EXPERIMENT_IDS = {"pmepr": 1, "bler": 2, "radar-rmse": 3, "resolution": 4}
 # spacings (in r_min units) a resolution run sweeps when spacing_rmin is empty
@@ -83,10 +83,16 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"[waveform] {exc}") from None
         object.__setattr__(self, "_modem", modem)
-        for name in ("snr_db", "ebn0_db", "resolution_snr_db"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} ([sweep] {name}) must be finite, "
-                                 f"got {getattr(self, name)}")
+        # every SNR a runner can read must give a usable noise variance, or a
+        # run would overflow, or write NaN or zero rows, after its first points
+        for name, snrs in (("snr_db", self.snr_db), ("ebn0_db", self.ebn0_snr_db()),
+                           ("resolution_snr_db", (self.resolution_snr_db,))):
+            for snr in snrs:
+                try:
+                    noise_variance(snr)
+                except ValueError as exc:
+                    raise ValueError(f"{name} ([sweep] {name}) must be finite with a normal "
+                                     f"noise variance, got {getattr(self, name)}: {exc}") from None
         for name in ("trials", "batch", "max_trials", "target_errors", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -137,6 +143,12 @@ class ExperimentConfig:
 
     def chirp_spec(self) -> ChirpSpec:
         return ChirpSpec.centered(self.family, self.d, self.m)
+
+    def ebn0_snr_db(self) -> tuple[float, ...]:
+        """The SNR of each ``ebn0_db`` point, through the frame's bit count:
+        Eb/N0 + 10 log10(bits / M)."""
+        bits = self.modem_config().capacity.total
+        return tuple(value + 10 * np.log10(bits / self.m) for value in self.ebn0_db)
 
     def modem_config(self) -> ModemConfig:
         """The config's ModemConfig, built once when the config is."""

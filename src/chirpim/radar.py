@@ -22,6 +22,14 @@ rule of the explicit evaluation and a chirp and kernel built once per
 process. The full metric Re{...} has lobes every 1/(2 f_c): the carrier
 phase at the envelope peak places them, one Newton step from each
 candidate picks one (:func:`_lobe_moments`), and NEWTON_STEPS refine it.
+What the search reads of its geometry (bins k, f_c, T_s) is one read-only
+table per geometry, built on first use and kept per process
+(:func:`_geometry`, GEOMETRY_CACHE_SIZE of them): the bin offsets k - k_0
+and whether they are contiguous, the exponents of the bin rotation, the
+bin frequencies k/T_s and the rotations of the three lobe candidates'
+offsets, a (3, M) table. At paper scale an entry holds 99 KB of arrays.
+Rotations by exactly 1 (a grid at lo = 0, a Newton step at offset 0) are
+skipped, which changes no bit.
 
 The search runs on stacked rows: q has shape (rows, M). Each window is
 shifted, not clamped, to lie inside [0, T_cp], so all rows share each
@@ -46,6 +54,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +132,11 @@ UPDATE_PASSES = 2
 # Bluestein chirps and kernels kept per process: a search geometry uses
 # three (the coarse grid and two envelope zoom steps).
 BLUESTEIN_CACHE_SIZE = 32
+# Search geometries (bins k, f_c, T_s) whose tables are kept per process: a
+# run searches one. At paper scale (M = 1536) an entry holds one (3, M)
+# complex table plus M-long bin offsets and frequencies, 99 KB, and its key
+# holds k's 12 KB.
+GEOMETRY_CACHE_SIZE = 8
 
 
 def _smooth_length(n: int) -> int:
@@ -163,20 +177,65 @@ def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
     return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
 
 
-def _bin_rotation(k: np.ndarray, lo: np.ndarray, t_s: float) -> np.ndarray:
-    """e^{j2pi k lo/T_s} for the bins k, shape (M,), and lo of shape (1,) or
-    (rows, 1); returns (M,) or (rows, M). With theta = 2pi lo/T_s and each
-    bin offset k - k_0 = B a + b in blocks of B ~ sqrt(span), it is the
-    product of two short per-row tables, e^{j theta (k_0 + B a)} and
-    e^{j theta b}, so only about 2 sqrt(span) exps run per row."""
+class _Geometry(NamedTuple):
+    """The tables of one search geometry, read-only. k_0 is min k, the span
+    max k - k_0 + 1, ``index`` the bin offsets k - k_0, and ``contiguous``
+    whether they are 0..M-1. :func:`_bin_rotation` reads ``blocks`` and
+    ``exponents`` (the block starts k_0 + B a, a < blocks, then 0..B-1),
+    :func:`_lobe_moments` the bin frequencies ``freqs`` = k/T_s and the
+    rotations ``lobes`` e^{j2pi nu_k o}, shape (3, M), of the lobe offsets
+    o = j/(2 f_c), j = 0, 1, 2 (``lobe_offsets``)."""
+
+    t_s: float
+    k0: int
+    span: int
+    index: np.ndarray
+    contiguous: bool
+    blocks: int
+    exponents: np.ndarray
+    freqs: np.ndarray
+    lobe_offsets: np.ndarray
+    lobes: np.ndarray | None = None
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry(k_bytes: bytes, dtype: str, f_c: float, t_s: float) -> _Geometry:
+    """The tables of the bins k (their bytes and dtype string), carrier
+    f_c and symbol time T_s, built on first use (:func:`_geometry_of`)."""
+    k = np.frombuffer(k_bytes, dtype=dtype)
     k0 = int(k.min())
     span = int(k.max()) - k0 + 1
     block = isqrt(span - 1) + 1
     blocks = -(-span // block)
-    offsets = np.concatenate((k0 + block * np.arange(blocks), np.arange(block)))
-    tables = np.exp(2j * np.pi * lo / t_s * offsets)
-    table = tables[..., :blocks, None] * tables[..., None, blocks:]
-    return np.take(table.reshape(lo.shape[:-1] + (-1,)), k - k0, axis=-1)
+    offsets = 0.5 / f_c * np.arange(3)
+    geometry = _Geometry(
+        t_s=t_s, k0=k0, span=span, index=k - k0,
+        contiguous=span == len(k) and not np.any(np.diff(k) != 1), blocks=blocks,
+        exponents=np.concatenate((k0 + block * np.arange(blocks), np.arange(block))),
+        freqs=k / t_s, lobe_offsets=offsets)
+    geometry = geometry._replace(lobes=_bin_rotation(geometry, offsets[:, None]) *
+                                 np.exp(2j * np.pi * f_c * offsets)[:, None])
+    for value in geometry:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return geometry
+
+
+def _geometry_of(obs: RadarObservation) -> _Geometry:
+    """The cached tables of the observation's bins, carrier and symbol time."""
+    return _geometry(obs.k.tobytes(), obs.k.dtype.str, obs.f_c, obs.t_s)
+
+
+def _bin_rotation(geometry: _Geometry, lo: np.ndarray) -> np.ndarray:
+    """e^{j2pi k lo/T_s} for the geometry's bins k, shape (M,), and lo of
+    shape (1,) or (rows, 1); returns (M,) or (rows, M). With theta =
+    2pi lo/T_s and each bin offset k - k_0 = B a + b in blocks of B ~
+    sqrt(span), it is the product of two short per-row tables,
+    e^{j theta (k_0 + B a)} and e^{j theta b}, so only about 2 sqrt(span)
+    exps run per row."""
+    tables = np.exp(2j * np.pi * lo / geometry.t_s * geometry.exponents)
+    table = tables[..., :geometry.blocks, None] * tables[..., None, geometry.blocks:]
+    return np.take(table.reshape(lo.shape[:-1] + (-1,)), geometry.index, axis=-1)
 
 
 def _grid_metric(q: np.ndarray, lo, step: float, n: int,
@@ -185,13 +244,14 @@ def _grid_metric(q: np.ndarray, lo, step: float, n: int,
     on tau = lo + i step (i < n), so |g| is the envelope |c(tau)^H q|; q
     has shape (M,) or (rows, M), lo is a scalar or one per row, and g has
     shape (n,) or (rows, n). g is a chirp-z transform over m = k - k_0 of
-    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`): no steering matrix."""
+    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`; 1 where lo is 0 on every
+    row, as on the coarse grid): no steering matrix."""
+    geometry = _geometry_of(obs)
     lo = np.asarray(lo)[..., None]
-    k0, span = int(obs.k.min()), int(obs.k.max() - obs.k.min() + 1)
-    x = q * _bin_rotation(obs.k, lo, obs.t_s)
-    if span != len(obs.k) or np.any(np.diff(obs.k) != 1):
-        spread = np.zeros(x.shape[:-1] + (span,), dtype=complex)
-        spread[..., obs.k - k0] = x
+    x = q * _bin_rotation(geometry, lo) if lo.any() else q
+    if not geometry.contiguous:
+        spread = np.zeros(x.shape[:-1] + (geometry.span,), dtype=complex)
+        spread[..., geometry.index] = x
         x = spread
     return _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
 
@@ -200,15 +260,17 @@ def _lobe_moments(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
                   obs: RadarObservation) -> np.ndarray:
     """s_n = sum_k q_k (k/T_s)^n e^{j2pi nu_k t}, nu_k = f_c + k/T_s, for
     n = 0, 1, 2 at t = tau + offsets, with q of shape (rows, M), tau (rows,)
-    and offsets (J,); returns (3, rows, J). s_0 is c(t)^H q. The bin phases
-    are a per-row rotation times one offset table, both from
-    :func:`_bin_rotation`; each row and each offset has one carrier exp."""
-    x = q * (_bin_rotation(obs.k, tau[:, None], obs.t_s) *
+    and offsets (J,) either the geometry's ``lobe_offsets`` or zeros(1);
+    returns (3, rows, J). s_0 is c(t)^H q. The bin phases are a per-row
+    rotation (:func:`_bin_rotation` and one carrier exp per row) times the
+    geometry's cached rotations of the lobe offsets; zero offsets rotate
+    nothing."""
+    geometry = _geometry_of(obs)
+    x = q * (_bin_rotation(geometry, tau[:, None]) *
              np.exp(2j * np.pi * obs.f_c * tau)[:, None])
-    y = x[:, None, :] * (_bin_rotation(obs.k, offsets[:, None], obs.t_s) *
-                         np.exp(2j * np.pi * obs.f_c * offsets)[:, None])
-    y1 = y * (obs.k / obs.t_s)
-    return np.stack((y.sum(-1), y1.sum(-1), (y1 * (obs.k / obs.t_s)).sum(-1)))
+    y = x[:, None, :] * geometry.lobes if offsets.any() else x[:, None, :]
+    y1 = y * geometry.freqs
+    return np.stack((y.sum(-1), y1.sum(-1), (y1 * geometry.freqs).sum(-1)))
 
 
 def _newton(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
@@ -228,8 +290,8 @@ def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, flo
     """Delay search of the metric rows q, shape (rows, M) (q = conj(w) * b
     for the MF, q = h~ for the LMMSE variant). Returns tau_hat, one per
     row, and the last envelope step, which every row shares."""
-    k0, span = int(obs.k.min()), int(obs.k.max() - obs.k.min() + 1)
-    step, lo, rows = COARSE_HALFBIN * obs.t_s / span, 0.0, np.arange(len(q))
+    geometry = _geometry_of(obs)
+    step, lo, rows = COARSE_HALFBIN * obs.t_s / geometry.span, 0.0, np.arange(len(q))
     n = int(np.ceil(obs.t_cp / step))
     # envelope zooms, each across +-1 old step shifted inside [0, T_cp]
     while True:
@@ -244,10 +306,11 @@ def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, flo
     # theta = arg c(tau_e)^H q = 2pi (f_c tau_e + k_0 i step/T_s) + arg g_i
     half, lobe = CARRIER_HALFSPAN / obs.f_c, 0.5 / obs.f_c
     lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
-    first = -(np.angle(inner[rows, i]) / (2.0 * np.pi) + k0 * i * step / obs.t_s) / obs.f_c
+    first = -(np.angle(inner[rows, i]) / (2.0 * np.pi) +
+              geometry.k0 * i * step / obs.t_s) / obs.f_c
     first = first + np.ceil((lo - first) / lobe) * lobe
-    shift, value = _newton(q, first, lobe * np.arange(3), obs)
-    inside = first[:, None] + lobe * np.arange(3) <= (lo + 2.0 * half)[:, None]
+    shift, value = _newton(q, first, geometry.lobe_offsets, obs)
+    inside = first[:, None] + geometry.lobe_offsets <= (lo + 2.0 * half)[:, None]
     pick = np.argmax(np.where(inside, np.abs(value), -1.0), axis=-1)
     best = first + pick * lobe + shift[rows, pick]
     for _ in range(NEWTON_STEPS):
@@ -277,6 +340,7 @@ def estimate_mf_lmmse(obs: RadarObservation,
     w = np.ascontiguousarray(np.atleast_2d(obs.w))
     w2 = np.abs(w) ** 2
     per_bin = w2 + obs.sigma2
+    positive = per_bin > 0
     mf_denoms = [float(np.real(np.vdot(row, row))) for row in w]
     if 0 in mf_denoms:
         raise ValueError("reference bins are all zero")
@@ -291,7 +355,7 @@ def estimate_mf_lmmse(obs: RadarObservation,
     def one(s: int, b_cur: np.ndarray) -> float:
         q = np.conj(w_all) * b_cur
         q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
-                               where=per_bin > 0)
+                               where=positive)
         tau, final = _search_delay(q, obs)
         steer = obs.steering(tau)
         inner = np.empty(rows, dtype=complex)
@@ -309,8 +373,8 @@ def estimate_mf_lmmse(obs: RadarObservation,
         residual = residual - recon[s]
     for _ in range(UPDATE_PASSES if n_targets > 1 else 0):
         for s in range(n_targets):
-            others = sum((recon[j] for j in range(n_targets) if j != s), np.zeros_like(b_all))
-            final = one(s, b_all - others)
+            others = [recon[j] for j in range(n_targets) if j != s]
+            final = one(s, b_all - sum(others[1:], others[0]))
     order = np.argsort(delays, axis=-1, kind="stable")
     shape = (2,) + np.shape(obs.b)[:-1] + (n_targets,)  # (MF/LMMSE, [B,] R)
     delays = np.take_along_axis(delays, order, axis=-1).reshape(shape)
@@ -395,7 +459,11 @@ def fim(scene: RadarScene | Sequence[RadarScene], bins, sigma2: float) -> np.nda
     j[:, :r, r:] = -4.0 * np.pi * alpha[:, :, None] * sums(sin, w2 * nu)
     j[:, r:, :r] = np.swapaxes(j[:, :r, r:], 1, 2)
     j[:, r:, r:] = 2.0 * sums(cos, w2)
-    j = j / sigma2
+    with np.errstate(over="ignore"):  # refused just below
+        j = j / sigma2
+    if not np.all(np.isfinite(j)):
+        raise ValueError(f"the Fisher information overflows at sigma2 = {sigma2}: "
+                         "the noise variance is too small for these bins")
     return j[0] if one else j
 
 
@@ -455,6 +523,8 @@ def crlb_range_no_phase(scene: RadarScene | Sequence[RadarScene], m: int,
     target, :func:`crlb_range` with f_c -> 0 and |w_k| = 1 on m symmetric
     bins, via sum k^2 = M (M^2 - 1) / 12. A float for one scene, shape (B,)
     for a sequence of B scenes with one target count."""
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
     scenes, one = _scene_stack(scene)
     inv_a2 = np.sum(1.0 / np.array([s.coeffs for s in scenes], dtype=float) ** 2, axis=-1)
     # T_s^2 is the float power (libm pow), which differs from an array's
@@ -462,6 +532,8 @@ def crlb_range_no_phase(scene: RadarScene | Sequence[RadarScene], m: int,
     t_s2 = np.array([s.t_s ** 2 for s in scenes])
     bound = 3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * t_s2 / \
         (8.0 * np.pi ** 2 * m * (m ** 2 - 1)) * inv_a2
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(f"the phase-unaware range bound overflows at sigma2 = {sigma2}")
     return float(bound[0]) if one else bound
 
 

@@ -3,8 +3,10 @@
 Every runner runs a sweep point through one batch driver, :func:`_batches`:
 batch i of a point reads its own stream, seeded by (master seed, experiment
 id, sweep index, i), and results come back in batch order, so they are
-byte-identical for a fixed config regardless of the worker count. A BLER
-point stops on its error count or at ``max_trials`` frames, a hard cap.
+byte-identical for a fixed config regardless of the worker count. With
+``workers`` > 1 a runner opens one process pool (:func:`_pool`) for all
+its sweep points. A BLER point stops on its error count or at
+``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
 profile and bit capacity. Rows are returned as dicts and, when ``cfg.out``
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, nullcontext
 from itertools import islice
 from typing import Literal
 
@@ -28,6 +31,7 @@ from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
 from .chirps import PMEPR_BLOCK, measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_mf_lmmse, min_resolution
+from .util import noise_variance
 # perfbench/spans.py wraps these names here; the runners call the batched
 # estimate_mf_lmmse instead, and measure PMEPR from the bins, not a frame
 from .modem import frame_from_symbols  # noqa: F401
@@ -38,26 +42,37 @@ RADAR_BATCH = 64
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def _batches(cfg: ExperimentConfig, experiment: str, sweep_idx: int, total: int,
-             size: int, fn, *args):
+def _pool(cfg: ExperimentConfig):
+    """The process pool of one runner call, kept across its sweep points, or
+    ``None`` (a null context) when ``cfg.workers`` <= 1."""
+    return ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext()
+
+
+def _batches(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None, experiment: str,
+             sweep_idx: int, total: int, size: int, fn, *args):
     """Run ``total`` trials as batches of ``size``, the last one short, and
     yield ``fn(cfg, rng, batch, *args)`` for each in batch order.
 
     Batch i reads the stream seeded by (cfg.seed, experiment id, sweep
-    index, i). With ``cfg.workers`` > 1 the batches run in a process pool,
-    one wave of ``workers`` at a time, so a consumer that stops early
-    (error-count stopping) wastes at most one wave.
+    index, i). With a ``pool`` (:func:`_pool`) the batches run there, one
+    wave of ``cfg.workers`` at a time, so a consumer that stops early
+    (error-count stopping) wastes at most one wave: closing the generator
+    cancels the wave's batches that have not started.
     """
     tasks = ((np.random.default_rng([cfg.seed, EXPERIMENT_IDS[experiment], sweep_idx, i]),
               min(size, total - lo)) for i, lo in enumerate(range(0, total, size)))
-    if cfg.workers <= 1:
+    if pool is None:
         for rng, batch in tasks:
             yield fn(cfg, rng, batch, *args)
         return
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        while wave := list(islice(tasks, cfg.workers)):
-            for fut in [pool.submit(fn, cfg, rng, batch, *args) for rng, batch in wave]:
+    while wave := list(islice(tasks, cfg.workers)):
+        futures = [pool.submit(fn, cfg, rng, batch, *args) for rng, batch in wave]
+        try:
+            for fut in futures:
                 yield fut.result()
+        finally:
+            for fut in futures:
+                fut.cancel()
 
 
 def _fmt(value) -> str:
@@ -133,10 +148,11 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
     exceed = np.zeros(len(PMEPR_THRESHOLDS), dtype=np.int64)
     total = 0
     max_pmepr = -np.inf
-    for values in _batches(cfg, "pmepr", 0, cfg.trials, cfg.batch, _pmepr_batch):
-        exceed += (values[:, None] > PMEPR_THRESHOLDS[None, :]).sum(axis=0)
-        total += len(values)
-        max_pmepr = max(max_pmepr, float(values.max()))
+    with _pool(cfg) as pool:
+        for values in _batches(cfg, pool, "pmepr", 0, cfg.trials, cfg.batch, _pmepr_batch):
+            exceed += (values[:, None] > PMEPR_THRESHOLDS[None, :]).sum(axis=0)
+            total += len(values)
+            max_pmepr = max(max_pmepr, float(values.max()))
     rows = [{"scheme": cfg.scheme.value, "pmepr_db": float(t),
              "ccdf": float(exceed[i] / total), "max_pmepr_db": max_pmepr}
             for i, t in enumerate(PMEPR_THRESHOLDS)]
@@ -183,30 +199,33 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
     level; under fading it is reported unchanged as a reference curve.
     """
     mcfg = cfg.modem_config()
-    bits = mcfg.capacity.total
     use_ebn0 = len(cfg.ebn0_db) > 0
     points = cfg.ebn0_db if use_ebn0 else cfg.snr_db
     if not points:
         raise ValueError("[sweep] snr_db (--snrs) and ebn0_db are both empty")
     rows = []
-    for sweep_idx, value in enumerate(points):
-        snr_db = value + 10 * np.log10(bits / cfg.m) if use_ebn0 else value
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        n0 = 1.0 / post_equalization_snr(mcfg.fdss, sigma2)
-        bound = union_bound_bler(mcfg, n0)
-        trials = errors = 0
-        for n, e in _batches(cfg, "bler", sweep_idx, cfg.max_trials, cfg.batch,
-                             _bler_batch, sigma2):
-            trials += n
-            errors += e
-            if errors >= cfg.target_errors:
-                break
-        lo, hi = _wilson(errors, trials)
-        rows.append({
-            "axis_db": float(value), "snr_db": float(snr_db),
-            "bler": float(errors / trials), "union_bound": bound,
-            "trials": trials, "errors": errors, "ci_lo": lo, "ci_hi": hi,
-        })
+    with _pool(cfg) as pool:
+        for sweep_idx, (value, snr_db) in enumerate(
+                zip(points, cfg.ebn0_snr_db() if use_ebn0 else points)):
+            sigma2 = noise_variance(snr_db)
+            snr = post_equalization_snr(mcfg.fdss, sigma2)  # 0 below about -1618 dB
+            n0 = 1.0 / snr if snr > 0 else np.inf
+            bound = union_bound_bler(mcfg, n0)
+            trials = errors = 0
+            # closing the batches at the error count cancels the unstarted ones
+            with closing(_batches(cfg, pool, "bler", sweep_idx, cfg.max_trials, cfg.batch,
+                                  _bler_batch, sigma2)) as batches:
+                for n, e in batches:
+                    trials += n
+                    errors += e
+                    if errors >= cfg.target_errors:
+                        break
+            lo, hi = _wilson(errors, trials)
+            rows.append({
+                "axis_db": float(value), "snr_db": float(snr_db),
+                "bler": float(errors / trials), "union_bound": bound,
+                "trials": trials, "errors": errors, "ci_lo": lo, "ci_hi": hi,
+            })
     write_csv(cfg, "bler", rows)
     return rows
 
@@ -287,10 +306,11 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     return np.cumsum(per_trial, axis=-1)[:, -1]
 
 
-def _radar_point(cfg: ExperimentConfig, experiment: str, scenario: str, sweep_idx: int,
-                 sigma2: float, spacing_m: float | None) -> dict:
-    acc = sum(_batches(cfg, experiment, sweep_idx, cfg.trials, RADAR_BATCH, _radar_batch,
-                       scenario, sigma2, spacing_m), np.zeros(6))
+def _radar_point(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None, experiment: str,
+                 scenario: str, sweep_idx: int, sigma2: float,
+                 spacing_m: float | None) -> dict:
+    acc = sum(_batches(cfg, pool, experiment, sweep_idx, cfg.trials, RADAR_BATCH,
+                       _radar_batch, scenario, sigma2, spacing_m), np.zeros(6))
     n = acc[5]
     return {
         "rmse_mf_m": float(np.sqrt(acc[0] / n)),
@@ -312,11 +332,12 @@ def run_radar_rmse(cfg: ExperimentConfig,
     if not cfg.snr_db:
         raise ValueError("[sweep] snr_db (--snrs) is empty: nothing to sweep")
     rows = []
-    for sweep_idx, snr_db in enumerate(cfg.snr_db):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        row = {"snr_db": float(snr_db), "scenario": scenario}
-        row.update(_radar_point(cfg, "radar-rmse", scenario, sweep_idx, sigma2, None))
-        rows.append(row)
+    with _pool(cfg) as pool:
+        for sweep_idx, snr_db in enumerate(cfg.snr_db):
+            row = {"snr_db": float(snr_db), "scenario": scenario}
+            row.update(_radar_point(cfg, pool, "radar-rmse", scenario, sweep_idx,
+                                    noise_variance(snr_db), None))
+            rows.append(row)
     write_csv(cfg, "radar-rmse", rows)
     return rows
 
@@ -326,13 +347,14 @@ def run_resolution(cfg: ExperimentConfig) -> list[dict]:
     at the fixed SNR ``cfg.resolution_snr_db``."""
     factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
     r_min = min_resolution(cfg.bandwidth_hz)
-    sigma2 = 10.0 ** (-cfg.resolution_snr_db / 10.0)
+    sigma2 = noise_variance(cfg.resolution_snr_db)
     rows = []
-    for sweep_idx, factor in enumerate(factors):
-        row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
-               "snr_db": float(cfg.resolution_snr_db)}
-        row.update(_radar_point(cfg, "resolution", "two", sweep_idx, sigma2,
-                                float(factor * r_min)))
-        rows.append(row)
+    with _pool(cfg) as pool:
+        for sweep_idx, factor in enumerate(factors):
+            row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
+                   "snr_db": float(cfg.resolution_snr_db)}
+            row.update(_radar_point(cfg, pool, "resolution", "two", sweep_idx, sigma2,
+                                    float(factor * r_min)))
+            rows.append(row)
     write_csv(cfg, "resolution", rows)
     return rows

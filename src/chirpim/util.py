@@ -1,8 +1,9 @@
 """Small shared helpers: constants, Gaussian tail, default bin band,
-noise-variance check."""
+noise variance of an SNR and its check."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import erfc
@@ -32,3 +33,17 @@ def check_noise_variance(sigma2) -> None:
     the noiseless case)."""
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
+
+
+def noise_variance(snr_db: float) -> float:
+    """sigma2 = 10^(-snr_db/10), the noise variance at ``snr_db`` against a
+    unit signal power. Raises unless sigma2 is a finite, normal, positive
+    float: the SNR must be finite and at most about +-3076 dB."""
+    try:
+        sigma2 = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not sys.float_info.min <= sigma2 < math.inf:
+        raise ValueError(f"an SNR of {snr_db} dB gives sigma2 = 10^(-SNR/10) = {sigma2}, "
+                         "not a finite, normal, positive float")
+    return sigma2

@@ -115,6 +115,15 @@ def test_cli_crlb_rejects_nonfinite_scene(flag, value, capsys):
     assert captured.err.startswith("error: ") and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("snr", ["-3200", "3200", "nan"])
+def test_cli_crlb_rejects_an_unusable_snr(snr, capsys):
+    # -3200 dB used to end in an OverflowError traceback
+    assert main(["crlb", f"--snr={snr}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "sigma2" in captured.err
+
+
 def test_cli_experiment_roundtrip(tmp_path, capsys):
     out = tmp_path / "radar.csv"
     code = main(["radar-rmse", "--preset", "desk", "--L", "1", "--trials", "10",
@@ -464,9 +473,14 @@ def test_config_rejects_cyclic_prefix_of_a_symbol():
 @pytest.mark.parametrize("field, value", [
     ("snr_db", (0.0, float("nan"))), ("snr_db", (float("inf"),)),
     ("ebn0_db", (float("-inf"),)), ("resolution_snr_db", float("nan")),
+    # finite, but sigma2 = 10^(-SNR/10) overflows (-3200 dB) or is subnormal
+    # (+3200 dB); -3080 dB Eb/N0 is -3086.6 dB SNR on the desk frame
+    ("snr_db", (20.0, -3200.0)), ("snr_db", (3200.0,)), ("ebn0_db", (-3080.0,)),
+    ("resolution_snr_db", -3200.0), ("resolution_snr_db", 3200.0),
 ])
 def test_config_rejects_nonfinite_snr(field, value):
-    # a NaN SNR used to run to the end and write NaN rows
+    # a NaN SNR used to run to the end and write NaN rows; -3200 dB raised
+    # OverflowError after the earlier points had run, +3200 dB wrote NaN
     with pytest.raises(ValueError, match=rf"{field} \(\[sweep\] {field}\) must be finite"):
         desk_preset(**{field: value})
 
@@ -580,6 +594,36 @@ def test_config_sha_ignores_workers_and_out():
     assert replace(cfg, seed=2).sha() != cfg.sha()
 
 
+def test_runs_at_the_extreme_snrs_the_config_accepts():
+    # -3080 dB is refused only as Eb/N0, after the bit-count conversion
+    assert desk_preset(snr_db=(-3080.0,), resolution_snr_db=-3080.0).snr_db == (-3080.0,)
+    # 2900 dB gives sigma2 = 1e-290, a normal float, but J = .../sigma2
+    # overflows: the run used to write crlb_m = 0.0
+    with pytest.raises(ValueError, match="sigma2 = 1e-290"):
+        run_radar_rmse(desk_preset(length=1, snr_db=(2900.0,), trials=2), "single")
+    # at -3070 dB (sigma2 = 1e307) the BLER point reads 1.0 against a bound
+    # of 1.0: the equalizer's SNR underflows to 0, and 1/0 used to raise
+    # after the 20 dB point had run. The radar run refuses the phase-unaware
+    # bound, which overflows (it wrote inf).
+    rows = run_bler(desk_preset(snr_db=(20.0, -3070.0), max_trials=8, batch=8))
+    assert (rows[1]["bler"], rows[1]["union_bound"]) == (1.0, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="sigma2 = 1e[+]?307"):
+        run_radar_rmse(desk_preset(length=1, snr_db=(-3070.0,), trials=2), "single")
+
+
+def test_import_and_presets_leave_the_radar_caches_empty():
+    # the search tables fill on first use, so setup pays nothing for them
+    src = str(Path(chirpim.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import chirpim, chirpim.runners, chirpim.cli; "
+            "from chirpim import config, radar; [config.preset(n) for n in config.PRESETS]; "
+            "print(radar._geometry.cache_info().currsize, "
+            "radar._bluestein.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
+
+
 def test_import_leaves_scipy_signal_unloaded():
     src = str(Path(chirpim.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -684,6 +728,35 @@ def test_every_runner_independent_of_workers(experiment, scenario, overrides, tm
     _RUNNERS[experiment](replace(cfg, out=str(a)), **scenario)
     _RUNNERS[experiment](replace(cfg, workers=2, out=str(b)), **scenario)
     assert a.read_bytes() == b.read_bytes()
+
+
+def count_pools(monkeypatch) -> list[int]:
+    """Record the worker count of every process pool the runners open."""
+    pools = []
+
+    class Counting(runners.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(runners, "ProcessPoolExecutor", Counting)
+    return pools
+
+
+@pytest.mark.parametrize("run, cfg", [
+    # -10 and -6 dB stop on their errors after 16 and 32 frames, the others
+    # run all 64
+    (run_bler, desk_preset(snr_db=(-10.0, -6.0, -2.0, 2.0), batch=16, max_trials=64,
+                           target_errors=10)),
+    (run_resolution, desk_preset(trials=2, spacing_rmin=(0.5, 1.0, 2.0))),
+], ids=["bler", "resolution"])
+def test_one_pool_per_runner_call(run, cfg, monkeypatch):
+    # a pool per sweep point cost a start-up and a shut-down each; the BLER
+    # points that stop on their error count cancel their unstarted batches
+    rows = run(cfg)
+    pools = count_pools(monkeypatch)
+    assert run(replace(cfg, workers=2)) == rows
+    assert pools == [2]
 
 
 def test_run_builds_modem_config_once(monkeypatch):

@@ -1,6 +1,10 @@
 """Matched-filter / LMMSE range estimation and the range bounds."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import ChirpFamily, ChirpSpec
@@ -398,6 +402,59 @@ def test_cached_chirp_and_kernel_are_read_only():
             array[0] = 0.0
 
 
+GEOMETRIES = {"desk": (T_S, F_C, T_CP), "paper": (PAPER_T_S, PAPER_F_C, PAPER_T_CP)}
+
+
+@st.composite
+def bin_sets(draw):
+    """Distinct bins, contiguous or scattered, as int32 or int64."""
+    lo, size = draw(st.integers(-40, 0)), draw(st.integers(8, 40))
+    if draw(st.booleans()):
+        k = np.arange(lo, lo + size)
+    else:
+        k = np.array(sorted(draw(st.sets(st.integers(lo, lo + 80), min_size=8,
+                                         max_size=size))))
+    return k.astype(draw(st.sampled_from([np.int32, np.int64])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(bin_sets(), st.sampled_from(sorted(GEOMETRIES)),
+                          st.integers(1, 2)), min_size=1, max_size=3),
+       st.permutations(range(4)), st.integers(0, 2 ** 16))
+def test_geometry_cache_does_not_leak_between_geometries(cases, order, seed):
+    # the first case also runs as its other dtype and on the other geometry,
+    # so entries that share bin values sit in the cache side by side
+    k, name, targets = cases[0]
+    other = k.astype(np.int64 if k.dtype == np.int32 else np.int32)
+    swap = "paper" if name == "desk" else "desk"
+    variants = [(k, name), (other, name), (k, swap), (other, swap)]
+    cases = [(*variants[i], targets) for i in order] + cases[1:]
+    rng = np.random.default_rng(seed)
+    observations = []
+    for k, name, targets in cases:
+        t_s, f_c, t_cp = GEOMETRIES[name]
+        w = np.exp(2j * np.pi * rng.uniform(size=(2, len(k))))
+        ref = RadarObservation(b=w, w=w, k=k, sigma2=1e-3, f_c=f_c, t_s=t_s, t_cp=t_cp)
+        b = sum(-0.7 * w * ref.steering(rng.uniform(0.1, 0.9, 2) * t_cp)
+                for _ in range(targets))
+        observations.append((replace(ref, b=b + 0.03 * rng.standard_normal(b.shape)), targets))
+    # warm: every observation twice, interleaved with the others
+    warm = [estimate_mf_lmmse(obs, targets) for obs, targets in observations * 2]
+    for i, (obs, targets) in enumerate(observations):
+        radar._geometry.cache_clear()
+        cold = estimate_mf_lmmse(obs, targets)
+        for est in (warm[i], warm[i + len(observations)]):
+            for a, b in zip(est, cold):
+                assert np.array_equal(a.delays, b.delays)
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert a.final_step == b.final_step
+        for array in radar._geometry_of(obs):
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+
 def test_smooth_length_is_minimal():
     assert [radar._smooth_length(n) for n in range(1, 5001)] == \
         [smooth_length(n) for n in range(1, 5001)]
@@ -420,9 +477,10 @@ def test_bluestein_length_holds_the_linear_convolution(m, n, size):
 ], ids=["paper", "desk", "two-in-three", "scattered", "one-bin"])
 def test_bin_rotation_equals_exp(k):
     t_s = PAPER_T_S
+    geometry = radar._geometry(k.tobytes(), k.dtype.str, PAPER_F_C, t_s)
     for lo in (np.array([0.0]), np.array([0.37 * PAPER_T_CP]), np.array([PAPER_T_CP]),
                np.array([[0.0], [1e-12], [0.5 * PAPER_T_CP], [PAPER_T_CP]])):
-        got = radar._bin_rotation(k, lo, t_s)
+        got = radar._bin_rotation(geometry, lo)
         ref = np.exp(2j * np.pi * k * lo / t_s)
         assert got.shape == ref.shape == lo.shape[:-1] + k.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -983,15 +1041,21 @@ def test_stacked_bounds_check_their_shapes(scenes, w, named):
             bound(scenes, (np.arange(-31, 33), w), 0.01)
 
 
-@pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf, 1e-290])
 def test_bounds_need_positive_noise(sigma2):
-    # the bounds invert fim, which needs a finite positive noise variance
+    # the bounds invert fim, which needs a finite positive noise variance;
+    # at 1e-290 (2900 dB) J overflows, and used to give a zero bound
     scene = scene_of((1.5, 0.5))
     k = np.arange(-31, 33)
     w = np.ones(len(k), complex)
     for bound in (fim, crlb_range, crlb_coeff):
         with pytest.raises(ValueError, match="sigma2"):
             bound(scene, (k, w), sigma2)
+    # the phase-unaware bound is linear in sigma2: finite at 1e-290, and it
+    # used to return a negative or zero bound for sigma2 <= 0
+    if not 0.0 < sigma2 < np.inf:
+        with pytest.raises(ValueError, match="sigma2"):
+            crlb_range_no_phase(scene, len(k), sigma2)
 
 
 def test_phase_aware_bound_far_below_phase_unaware():
