@@ -92,12 +92,16 @@ class CommChannel:
         """CFR on bins ``k``: taps rendered exactly in frequency,
         H_k = sum_t g_t e^{-j2pi k tau_t / t_s}, of shape k.shape for one
         realization or (B,) + k.shape for a batch. Each tap's phase ramp is
-        computed once for the whole batch; taps are added in delay order."""
+        computed once for the whole batch; taps are added in the order of
+        ``delays``. A tap at delay 0 (the LOS tap of every preset) adds its
+        gain alone: its ramp is e^0 = 1 exactly, and a finite gain times
+        1 + 0j is the gain itself."""
         k = np.asarray(k)
         gains = np.asarray(self.gains)
         h = np.zeros(gains.shape[:-1] + k.shape, dtype=complex)
         for tau, g in zip(self.delays, np.moveaxis(gains, -1, 0)):
-            h += g.reshape(g.shape + (1,) * k.ndim) * np.exp(-2j * np.pi * k * tau / t_s)
+            g = g.reshape(g.shape + (1,) * k.ndim)
+            h += g if tau == 0 else g * np.exp(-2j * np.pi * k * tau / t_s)
         return h
 
 

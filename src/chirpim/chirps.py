@@ -182,6 +182,20 @@ def flat_fdss(m: int, l_d: int | None = None) -> FdssProfile:
     return normalize_fdss(np.ones(m, dtype=complex), l_d)
 
 
+def band_slices(l_d: int, m: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Where the M bins k = l_d..l_d+M-1 sit on an N-point cyclic grid
+    (N >= M), at positions k mod N: two (bin slice, grid slice) pairs.
+
+    Bins [0, a) lie at grid positions [l_d mod N, l_d mod N + a) and bins
+    [a, M) wrap round to [0, M - a). Copying through the two pairs is the
+    rotation that a gather from, or a scatter to, ``k % n`` does, without
+    an index array; the second pair is empty when the window does not wrap.
+    """
+    start = l_d % n
+    a = min(m, n - start)
+    return (slice(0, a), slice(start, start + a)), (slice(a, m), slice(0, m - a))
+
+
 def synthesize(w: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """OFDM synthesis of frequency-domain symbols ``w`` (shape (..., M)).
 
@@ -191,28 +205,41 @@ def synthesize(w: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
 
         x[n] = sum_i w_i e^{j2pi k_i n/N}.
 
-    The bins come from :func:`chirpim.modem.tx_bins`, every scheme's one
-    bin mapping (DFT spreading times the FDSS profile, or the identity);
+    ``k`` must be the ascending bin window k[0]..k[0]+M-1 (an FDSS
+    profile's ``k``); other bin lists raise ValueError. The bins come from
+    :func:`chirpim.modem.tx_bins`, every scheme's one bin mapping (DFT
+    spreading times the FDSS profile, or the identity);
     :func:`chirpim.modem.frame_from_symbols` adds the cyclic prefix.
     """
     w = np.asarray(w, dtype=complex)
-    return _plain_idft(np.zeros(w.shape[:-1] + (n,), dtype=complex), w, k)
+    grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+    return _plain_idft(grid, w, _window_slices(k, w.shape[-1], n))
 
 
-def _plain_idft(grid: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Place bins ``w`` at positions k mod N of ``grid`` (shape (..., N),
-    zero elsewhere) and return the plain-sum N-point IDFT of the grid.
+def _window_slices(k: np.ndarray, m: int, n: int):
+    """:func:`band_slices` of bins ``k`` on an N-point grid, once ``k`` is
+    checked to be the window of the M bins of w and N to exceed M."""
+    k = np.asarray(k)
+    if k.shape != (m,):
+        raise ValueError(f"w has {m} bins, k has shape {k.shape}")
+    if n <= m:
+        raise ValueError(f"IDFT size N={n} must exceed M={m}")
+    if np.any(np.diff(k) != 1):
+        raise ValueError(f"k must be the ascending bin window k[0]..k[0]+M-1, got {k}")
+    return band_slices(int(k[0]), m, n)
+
+
+def _plain_idft(grid: np.ndarray, w: np.ndarray, window) -> np.ndarray:
+    """Place bins ``w`` on ``grid`` (shape (..., N), zero elsewhere) through
+    the ``window`` of :func:`_window_slices` and return the plain-sum
+    N-point IDFT of the grid.
 
     The IDFT of :func:`synthesize` and of :func:`measure_pmepr`. The
     unscaled ("forward"-normalized) inverse transform is the plain sum; for
     a power-of-two N it equals ``ifft(grid) * N`` bit for bit.
     """
-    m, n = len(k), grid.shape[-1]
-    if w.shape[-1] != m:
-        raise ValueError(f"w has {w.shape[-1]} bins, k lists {m}")
-    if n <= m:
-        raise ValueError(f"IDFT size N={n} must exceed M={m}")
-    grid[..., k % n] = w
+    for bins, pos in window:
+        grid[..., pos] = w[..., bins]
     return np.fft.ifft(grid, axis=-1, norm="forward")
 
 
@@ -229,30 +256,34 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
 
     The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) plain-sum
     IDFT of the bins, the one :func:`synthesize` takes, which captures
-    inter-sample peaks. ``p_av`` is the mean-power reference, by default
-    each frame's own mean power sum_k |w_k|^2 (Parseval for the plain-sum
-    IDFT); pass sum |g_k|^2 = M for the bins of
+    inter-sample peaks; ``k`` must be the ascending bin window
+    k[0]..k[0]+M-1, as there. ``p_av`` is the mean-power reference, by
+    default each frame's own mean power sum_k |w_k|^2 (Parseval for the
+    plain-sum IDFT); pass sum |g_k|^2 = M for the bins of
     :func:`chirpim.modem.tx_bins` to reference the ensemble power instead.
     Frames run :data:`PMEPR_BLOCK` at a time through one 8N-point grid and
-    one |x|^2 buffer allocated per call, so memory beyond ``w`` is one
-    32-frame workspace (the grid, its IDFT and |x|^2) whatever the batch;
-    every frame's value is the same as when it is measured alone.
+    one |x| buffer allocated per call, so memory beyond ``w`` is one
+    32-frame workspace (the grid, its IDFT and |x|) whatever the batch;
+    every frame's value is the same as when it is measured alone. Each
+    frame's peak magnitude is squared once: rounding is monotone, so
+    fl(max |x|)^2 equals max fl(|x|^2) bit for bit.
 
     Returns a scalar, or an array matching the batch axes of ``w``.
     """
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
+    window = _window_slices(k, rows.shape[-1], PMEPR_OVERSAMPLE * n)
     peak = np.empty(len(rows))
     size = min(PMEPR_BLOCK, len(rows))
-    # every block scatters its bins at the same positions, so the rest of
+    # every block writes its bins at the same positions, so the rest of
     # the grid stays zero from one block to the next
     grid = np.zeros((size, PMEPR_OVERSAMPLE * n), dtype=complex)
-    power = np.empty(grid.shape)
+    magnitude = np.empty(grid.shape)
     for lo in range(0, len(rows), PMEPR_BLOCK):
         block = rows[lo:lo + PMEPR_BLOCK]
-        p = power[:len(block)]
-        np.abs(_plain_idft(grid[:len(block)], block, k), out=p)
-        np.square(p, out=p)
-        peak[lo:lo + len(block)] = p.max(axis=-1)
+        x = magnitude[:len(block)]
+        np.abs(_plain_idft(grid[:len(block)], block, window), out=x)
+        x.max(axis=-1, out=peak[lo:lo + len(block)])
+    np.square(peak, out=peak)
     batch = np.shape(w)[:-1]
     if p_av is None:
         # a contiguous copy: a strided row's sum rounds differently

@@ -17,6 +17,12 @@ equalizer followed by an M-point IDFT; OFDM-IM folds the channel response
 into per-subcarrier metrics instead. Either way one batched detector,
 :func:`detect_words_batch`, picks L (bin, phase) pairs per frame under the
 index-separation constraint, and :func:`rx_frame` is a batch of one.
+
+Bins k = l_d..l_d+M-1 sit at positions k mod N of an N-point transform, a
+rotation of the band. :func:`tx_bins`, :func:`extract_bins`,
+:func:`equalize_lmmse` and the synthesis in :mod:`chirpim.chirps` all move
+the band through the two slice pairs of :func:`chirpim.chirps.band_slices`,
+with no index array.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import indexing
-from .chirps import ChirpSpec, FdssProfile, chirp_fdss, flat_fdss, synthesize
+from .chirps import ChirpSpec, FdssProfile, band_slices, chirp_fdss, flat_fdss, synthesize
 from .indexing import IndexWord, bit_capacity, bits_to_word, pack_bits
 from .util import check_noise_variance, qfunc
 
@@ -118,12 +124,19 @@ def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     Spread schemes: w_k = g_k * (normalized M-point DFT of d)_k. OFDM-IM
     maps symbol m straight onto bin k = l_d + m. This is the transmitter's
     only bin mapping; the radar reference and the frame both start here.
+    DFT output k mod M feeds bin k, a rotation by l_d: two multiplies by
+    g over the :func:`chirpim.chirps.band_slices` pairs write the rows
+    straight into a C-contiguous result.
     """
     d = np.asarray(d, dtype=complex)
     if not cfg.scheme.spreads:
         return d.copy()
-    s = np.fft.fft(d, axis=-1) / np.sqrt(cfg.m)
-    return cfg.fdss.g * s[..., cfg.k % cfg.m]
+    s = np.fft.fft(d, axis=-1)
+    s /= np.sqrt(cfg.m)
+    w = np.empty_like(s)
+    for bins, pos in band_slices(cfg.fdss.l_d, cfg.m, cfg.m):
+        np.multiply(cfg.fdss.g[bins], s[..., pos], out=w[..., bins])
+    return w
 
 
 def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -151,7 +164,11 @@ def extract_bins(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     if frame.shape[-1] != cfg.n_cp + cfg.n:
         raise ValueError(f"frame has {frame.shape[-1]} samples, "
                          f"need N_cp + N = {cfg.n_cp + cfg.n}")
-    return np.fft.fft(frame[..., cfg.n_cp:], axis=-1)[..., cfg.k % cfg.n] / cfg.n
+    spectrum = np.fft.fft(frame[..., cfg.n_cp:], axis=-1)
+    b = np.empty(spectrum.shape[:-1] + (cfg.m,), dtype=complex)
+    for bins, pos in band_slices(cfg.fdss.l_d, cfg.m, cfg.n):
+        np.divide(spectrum[..., pos], cfg.n, out=b[..., bins])
+    return b
 
 
 def post_equalization_snr(fdss: FdssProfile, sigma2: float, h_c=None):
@@ -176,35 +193,56 @@ def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> np.n
     Per bin: v_k = conj(H_k g_k) / (|H_k g_k|^2 + sigma2) * b_k, then v is
     placed at IDFT position k mod M and transformed back, recovering the
     modulation-symbol estimates y_l (exactly d in noiseless AWGN); their SNR
-    is :func:`post_equalization_snr`.
+    is :func:`post_equalization_snr`. The products v_k are written straight
+    into the IDFT input, rotated by l_d through
+    :func:`chirpim.chirps.band_slices`. At sigma2 = 0 a bin with
+    H_k g_k = 0 gets v_k = 0.
     """
     check_noise_variance(sigma2)
     b = np.asarray(b, dtype=complex)
     m = fdss.m
-    c = np.broadcast_to(np.asarray(h_c, dtype=complex) * fdss.g, b.shape)
-    c2 = np.abs(c) ** 2
-    denom = c2 + sigma2
-    w = np.divide(np.conj(c), denom, out=np.zeros_like(c), where=denom > 0)
-    # bins l_d..l_d+M-1 land at IDFT positions k mod M: a rotation by l_d
-    return np.fft.ifft(np.roll(w * b, fdss.l_d, axis=-1), axis=-1) * np.sqrt(m)
+    # every step is elementwise, so c keeps the shape of h_c * g (one row
+    # in AWGN) and broadcasts against b only in the product below
+    c = np.asarray(h_c, dtype=complex) * fdss.g
+    denom = np.abs(c)
+    np.square(denom, out=denom)
+    denom += sigma2
+    np.conj(c, out=c)
+    if sigma2 > 0:
+        w = np.divide(c, denom, out=c)
+    else:
+        w = np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
+    v = np.empty(b.shape, dtype=complex)
+    for bins, pos in band_slices(fdss.l_d, m, m):
+        np.multiply(w[..., bins], b[..., bins], out=v[..., pos])
+    y = np.fft.ifft(v, axis=-1)
+    y *= np.sqrt(m)
+    return y
 
 
-def _psk_metrics(y: np.ndarray, h: int) -> np.ndarray:
-    """t_{l,z} = Re(y_l e^{-j2pi z/H}) for every bin l and phase integer z."""
-    phases = np.exp(-2j * np.pi * np.arange(h) / h)
-    return np.real(y[..., :, None] * phases)
+def _psk_planes(y: np.ndarray, h: int):
+    """t_{l,z} = Re(y_l e^{-j2pi z/H}) for every bin l, one (..., M) plane
+    per phase integer z, yielded in phase order. The planes share one
+    buffer: each is overwritten when the next is made."""
+    product = np.empty_like(y)
+    for phase in np.exp(-2j * np.pi * np.arange(h) / h):
+        yield np.multiply(y, phase, out=product).real
 
 
-def _ofdm_im_metrics(b: np.ndarray, h_c, cfg: ModemConfig) -> np.ndarray:
-    """Per-subcarrier ML metrics with the channel response folded in.
+def _ofdm_im_metrics(b: np.ndarray, h_c, cfg: ModemConfig):
+    """Per-subcarrier ML metrics with the channel response folded in, one
+    (..., M) plane per phase integer, yielded in phase order.
 
     Choosing the active set that minimizes ||b - diag(H) d||^2 is the same
     as maximizing, per active bin, 2 sqrt(E_s) Re(b_l conj(H_l) e^{-j theta})
     - E_s |H_l|^2.
     """
     hc = np.broadcast_to(np.asarray(h_c, dtype=complex), b.shape)
-    corr = _psk_metrics(b * np.conj(hc), cfg.h)
-    return 2.0 * np.sqrt(cfg.e_s) * corr - cfg.e_s * (np.abs(hc) ** 2)[..., :, None]
+    energy = cfg.e_s * np.abs(hc) ** 2
+    for corr in _psk_planes(b * np.conj(hc), cfg.h):
+        corr *= 2.0 * np.sqrt(cfg.e_s)
+        corr -= energy
+        yield corr
 
 
 def _best_bins(values: np.ndarray, count: int) -> np.ndarray:
@@ -217,38 +255,46 @@ def detect_words_batch(b: np.ndarray, h_c, sigma2: float,
     """Detect a batch of frames from bins ``b`` of shape (B, M).
 
     Returns (indices, psk) int arrays of shape (B, L), indices ascending.
-    Each bin keeps its best phase, the lowest on a tie. The L picks are
-    greedy: each is the best bin left after masking every bin within cyclic
-    distance delta of the earlier picks, ties going to the lowest bin (with
-    delta = 0 only the picks are masked, so the L best bins win). A row
-    that runs out of bins (a stuck row) falls back to the unconstrained
-    pick, which then breaks the separation; only the stuck rows are sorted
-    for it, the others never are.
+    Each bin keeps its best phase, the lowest on a tie; the H metric planes
+    are visited one (B, M) plane at a time, never as one (B, M, H) tensor.
+    The L picks are greedy: each is the best bin left after masking every
+    bin within cyclic distance delta of the earlier picks, ties going to
+    the lowest bin (with delta = 0 only the picks are masked, so the L best
+    bins win). A pick masks its 2 delta + 1 window by writing -inf there on
+    a copy of the best values. A row that runs out of bins (a stuck row:
+    its pick reads -inf) falls back to the unconstrained pick, which then
+    breaks the separation; only the stuck rows are sorted for it, the
+    others never are.
     """
     check_noise_variance(sigma2)
     b = np.atleast_2d(np.asarray(b, dtype=complex))
     if cfg.scheme.spreads:
-        metrics = _psk_metrics(equalize_lmmse(b, h_c, cfg.fdss, sigma2), cfg.h)
+        planes = _psk_planes(equalize_lmmse(b, h_c, cfg.fdss, sigma2), cfg.h)
     else:
-        metrics = _ofdm_im_metrics(b, h_c, cfg)
-    best_v = metrics[..., 0]
-    best_z = np.zeros(best_v.shape, dtype=np.intp)
-    for z in range(1, metrics.shape[-1]):  # a later phase wins only when strictly better
-        plane = metrics[..., z]
-        best_z += (plane > best_v) * (z - best_z)
-        best_v = np.maximum(best_v, plane)
-    free = np.ones(best_v.shape, dtype=bool)
+        planes = _ofdm_im_metrics(b, h_c, cfg)
+    best_v = np.array(next(planes))
+    best_z = np.zeros(best_v.shape, dtype=np.min_scalar_type(cfg.h - 1))
+    better = np.empty(best_v.shape, dtype=bool)
+    step = np.empty_like(best_z)
+    for z, plane in enumerate(planes, start=1):  # a later phase wins only when strictly better
+        np.greater(plane, best_v, out=better)
+        # z exceeds every phase kept so far, so max(best_z, z * better)
+        # sets z exactly where this plane is better
+        np.maximum(best_z, np.multiply(better, best_z.dtype.type(z), out=step), out=best_z)
+        np.maximum(best_v, plane, out=best_v)
+    rows = np.arange(len(best_v))
+    window = np.arange(-cfg.delta, cfg.delta + 1)
+    left = best_v.copy()
     stuck = np.zeros(len(best_v), dtype=bool)
     top = np.empty((len(best_v), cfg.length), dtype=np.intp)
     for j in range(cfg.length):
-        stuck |= ~free.any(axis=1)
-        top[:, j] = np.argmax(np.where(free, best_v, -np.inf), axis=1)
-        dist = np.abs(np.arange(cfg.m) - top[:, j, None])
-        free &= np.minimum(dist, cfg.m - dist) > cfg.delta
+        top[:, j] = np.argmax(left, axis=1)
+        stuck |= left[rows, top[:, j]] == -np.inf
+        left[rows[:, None], (top[:, j, None] + window) % cfg.m] = -np.inf
     if stuck.any():
         top[stuck] = _best_bins(best_v[stuck], cfg.length)
     top = np.sort(top, axis=-1)
-    return top, np.take_along_axis(best_z, top, axis=-1)
+    return top, np.take_along_axis(best_z, top, axis=-1).astype(np.intp)
 
 
 def rx_frame(frame: np.ndarray, h_c, sigma2: float, cfg: ModemConfig) -> np.ndarray:

@@ -173,8 +173,9 @@ def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
         h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s)
     else:
         h_c = np.ones_like(w)
-    det_i, det_z = detect_words_batch(h_c * w + complex_noise(w.shape, sigma2, rng),
-                                      h_c, sigma2, mcfg)
+    b = complex_noise(w.shape, sigma2, rng)
+    b += h_c * w
+    det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
     errors = np.any((det_i != idx) | (det_z != psk), axis=1)
     return batch, int(errors.sum())
 
@@ -257,10 +258,7 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
     The stream is read trial by trial: one codeword (its rank, then its
     PSK), the scene (:func:`_draw_scene`), then the noise. The symbols and
     bins of all trials are then built in one :func:`word_symbols` and one
-    :func:`tx_bins` call, so every row equals the trial drawn alone. w is
-    returned C-contiguous (a batched :func:`tx_bins` gives Fortran-ordered
-    rows), the layout :func:`estimate_mf_lmmse` computes in, so the
-    estimator's own contiguous copy is free."""
+    :func:`tx_bins` call, so every row equals the trial drawn alone."""
     mcfg = cfg.modem_config()
     idx = np.empty((batch, mcfg.length), dtype=np.int64)
     psk = np.empty((batch, mcfg.length), dtype=np.int64)
@@ -272,7 +270,7 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
         scenes.append(_draw_scene(cfg, scenario, rng, spacing_m))
         cfr[t] = radar_cfr(scenes[-1], mcfg.k)
         noise[t] = complex_noise(mcfg.m, sigma2, rng)
-    w = np.ascontiguousarray(tx_bins(word_symbols(idx, psk, mcfg), mcfg))
+    w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
     return cfr * w + noise, w, scenes
 
 

@@ -114,6 +114,19 @@ def test_batch_equals_single_realizations():
     assert one.random() == many.random()
 
 
+@pytest.mark.parametrize("pdp", [PDP, PDP[::-1]], ids=["los-first", "los-last"])
+def test_cfr_adds_the_zero_delay_tap_as_its_gain(pdp):
+    # e^0 = 1 exactly, so adding a delay-0 tap's gain alone equals adding
+    # the gain times its phase ramp, bit for bit, wherever the tap sits
+    k = np.arange(-768, 768)
+    ch = rician_realize(pdp, np.random.default_rng(7), batch=9)
+    ramps = [np.exp(-2j * np.pi * k * tau / T_S) for tau in ch.delays]
+    expect = np.zeros((9, len(k)), dtype=complex)
+    for g, ramp in zip(ch.gains.T, ramps):
+        expect += g[:, None] * ramp
+    assert ch.cfr(k, T_S).tobytes() == expect.tobytes()
+
+
 def test_negative_k_factor_rejected():
     with pytest.raises(ValueError):
         rician_realize(((0.0, 0.0, -1.0),), np.random.default_rng(0))

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from chirpim.channel import rician_realize
-from chirpim.chirps import ChirpFamily, ChirpSpec, chirp_fdss, flat_fdss, measure_pmepr
-from chirpim.config import desk_preset
+from chirpim.chirps import ChirpFamily, ChirpSpec, chirp_fdss, flat_fdss, measure_pmepr, \
+    synthesize
+from chirpim.config import PRESETS, desk_preset, preset
 from chirpim import indexing, modem
 from chirpim.indexing import IndexWord, rank_to_indices
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch, encode,
                            equalize_lmmse, extract_bins, frame_from_symbols,
                            post_equalization_snr, rx_frame, tx_bins, tx_frame,
                            union_bound_bler, word_symbols)
+from chirpim.runners import random_words
 
 from oracles import (exhaustive_ml, greedy_ml, ofdm_im_metric_table,
                      psk_metric_table)
@@ -147,6 +149,80 @@ def test_detector_rejects_invalid_noise(scheme, sigma2):
 
 
 # ---------------------------------------------------------------------------
+# Bin mapping: the band rotation against the index forms it replaced
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pmepr_index_form(w, k, n, p_av):
+    """The oversampled PMEPR with the bins scattered at k % 8N and every
+    sample squared before the peak is taken."""
+    grid = np.zeros(w.shape[:-1] + (8 * n,), dtype=complex)
+    grid[..., k % (8 * n)] = w
+    peak = np.max(np.abs(np.fft.ifft(grid, axis=-1, norm="forward")) ** 2, axis=-1)
+    if p_av is None:
+        p_av = np.sum(np.abs(w) ** 2, axis=-1)
+    return 10.0 * np.log10(peak / p_av)
+
+
+def equalize_roll_form(b, h_c, fdss, sigma2):
+    c = np.broadcast_to(np.asarray(h_c, dtype=complex) * fdss.g, b.shape)
+    denom = np.abs(c) ** 2 + sigma2
+    w = np.divide(np.conj(c), denom, out=np.zeros_like(c), where=denom > 0)
+    return np.fft.ifft(np.roll(w * b, fdss.l_d, axis=-1), axis=-1) * np.sqrt(fdss.m)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_bin_mapping_equals_index_forms_bit_for_bit(name, scheme):
+    # every kernel that moves the band l_d..l_d+M-1 to or from positions
+    # k mod N (the transmit bins, the receiver's bins, the equalizer's IDFT
+    # input, the synthesis and PMEPR grids) equals the gather, scatter or
+    # np.roll it replaced, bit for bit, for one frame and for a batch
+    cfg = preset(name, scheme=scheme)
+    mcfg = cfg.modem_config()
+    m, n, k, fdss = mcfg.m, mcfg.n, mcfg.k, mcfg.fdss
+    rng = np.random.default_rng(24)
+    _, _, d = random_words(mcfg, 5, rng)
+    h_c = rician_realize(cfg.pdp, rng, batch=5).cfr(k, cfg.t_s)
+    h_c[:, ::7] = 0  # zero bins: the sigma2 = 0 equalizer leaves them at 0
+    noise = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
+    for rows in (slice(None), 0):
+        w = tx_bins(d[rows], mcfg)
+        spread = fdss.g * (np.fft.fft(d[rows], axis=-1) / np.sqrt(m))[..., k % m]
+        assert same_bits(w, spread if scheme.spreads else d[rows])
+        assert w.flags.c_contiguous
+        frame = frame_from_symbols(d[rows], mcfg)
+        assert same_bits(extract_bins(frame, mcfg),
+                         np.fft.fft(frame[..., mcfg.n_cp:], axis=-1)[..., k % n] / n)
+        grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+        grid[..., k % n] = w
+        assert same_bits(synthesize(w, k, n), np.fft.ifft(grid, axis=-1, norm="forward"))
+        for p_av in (float(m), None):
+            assert same_bits(measure_pmepr(w, k, n, p_av=p_av),
+                             pmepr_index_form(w, k, n, p_av))
+        for sigma2 in (0.3, 0.0):
+            b = h_c[rows] * w + sigma2 * noise[rows]
+            for channel in (h_c[rows], 1.0):
+                assert same_bits(equalize_lmmse(b, channel, fdss, sigma2),
+                                 equalize_roll_form(b, channel, fdss, sigma2))
+
+
+@pytest.mark.parametrize("k", [np.arange(8, -8, -1), np.r_[-7:0, 1:10], np.arange(-7, 9)[None]],
+                         ids=["descending", "gap", "2-d"])
+def test_synthesis_and_pmepr_need_the_bin_window(k):
+    # the bins are placed by one rotation, so k must be the window k[0]..k[0]+M-1
+    w = np.ones(16, dtype=complex)
+    with pytest.raises(ValueError, match="k"):
+        synthesize(w, k, 32)
+    with pytest.raises(ValueError, match="k"):
+        measure_pmepr(w, k, 32)
+
+
+# ---------------------------------------------------------------------------
 # Detector
 # ---------------------------------------------------------------------------
 
@@ -236,17 +312,45 @@ def test_detector_ignores_inactive_bin_permutation():
     assert base.tolist() == again.tolist() == [list(word.indices)]
 
 
+@pytest.mark.parametrize("h", [2, 4, 8, 16])
+def test_metric_planes_equal_the_tensor_form_bit_for_bit(h):
+    # the detector reads its metrics one (B, M) plane per phase; each plane
+    # equals that phase's plane of the (B, M, H) tensor it replaced (the form
+    # y.real c - y.imag s would not: at H = 8 it differs in about 15% of values)
+    rng = np.random.default_rng(25)
+    b, h_c = (rng.standard_normal((2, 40, 64)) + 1j * rng.standard_normal((2, 40, 64)))
+    cfg = make_cfg(Scheme.OFDM_IM, h=h)
+    phases = np.exp(-2j * np.pi * np.arange(h) / h)
+    psk = np.real(b[..., None] * phases)
+    ofdm = 2.0 * np.sqrt(cfg.e_s) * np.real((b * np.conj(h_c))[..., None] * phases) \
+        - cfg.e_s * (np.abs(h_c) ** 2)[..., None]
+    # the planes share one buffer, so each is copied as it comes
+    for planes, tensor in ((modem._psk_planes(b, h), psk),
+                           (modem._ofdm_im_metrics(b, h_c, cfg), ofdm)):
+        assert same_bits(np.stack([plane.copy() for plane in planes], axis=-1), tensor)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.CSC_IM, Scheme.OFDM_IM])
-@pytest.mark.parametrize("m, length, delta, signal, stuck_share", [
-    (12, 3, 2, True, (0.0, 0.0)),      # two picks mask at most 10 of 12 bins
-    (64, 5, 10, False, (0.4, 0.7)),    # pure noise: about 55% of rows stuck
-    (12, 3, 0, True, (0.0, 0.0)),      # delta = 0: the picks mask only themselves
-    (64, 16, 0, False, (0.0, 0.0)),
+@pytest.mark.parametrize("m, length, delta, signal, stuck_share, h", [
+    # two picks mask at most 10 of 12 bins
+    pytest.param(12, 3, 2, True, (0.0, 0.0), 4, id="12-3-2-True-stuck_share0"),
+    # pure noise: about 55% of rows stuck
+    pytest.param(64, 5, 10, False, (0.4, 0.7), 4, id="64-5-10-False-stuck_share1"),
+    # delta = 0: the picks mask only themselves
+    pytest.param(12, 3, 0, True, (0.0, 0.0), 4, id="12-3-0-True-stuck_share2"),
+    pytest.param(64, 16, 0, False, (0.0, 0.0), 4, id="64-16-0-False-stuck_share3"),
+    pytest.param(12, 3, 2, True, (0.0, 0.0), 2, id="12-3-2-True-h2"),
+    # pure noise at H = 8: about half the rows stuck
+    pytest.param(64, 5, 10, False, (0.4, 0.7), 8, id="64-5-10-False-h8"),
+    pytest.param(64, 16, 0, False, (0.0, 0.0), 2, id="64-16-0-False-h2"),
+    # the first pick's window (indices wrap round) masks 11 of 12 bins,
+    # so the second pick is the one bin left, never a stuck row
+    pytest.param(12, 2, 5, False, (0.0, 0.0), 8, id="12-2-5-False-wrap-h8"),
 ])
 def test_detect_words_batch_equals_greedy_oracle(scheme, m, length, delta, signal,
-                                                 stuck_share):
+                                                 stuck_share, h):
     rng = np.random.default_rng(16)
-    cfg = make_cfg(scheme, m=m, n=2 * m, n_cp=m // 2, length=length, h=4,
+    cfg = make_cfg(scheme, m=m, n=2 * m, n_cp=m // 2, length=length, h=h,
                    delta=delta, d=0.75 * m)
     rows, sigma2 = 400, 0.5
     b = (rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))) * 0.5
@@ -275,7 +379,9 @@ def test_detect_words_batch_phase_ties_go_to_lowest_phase(monkeypatch, delta):
     rng = np.random.default_rng(17)
     cfg = make_cfg(Scheme.OFDM_IM, length=3, h=4, delta=delta)
     table = rng.integers(0, 3, size=(200, 64, 4)).astype(float)
-    monkeypatch.setattr(modem, "_ofdm_im_metrics", lambda b, h_c, cfg_: table)
+    # the detector reads the metrics as an iterator of H planes (rows, M)
+    monkeypatch.setattr(modem, "_ofdm_im_metrics",
+                        lambda b, h_c, cfg_: iter(np.moveaxis(table, -1, 0)))
     det_i, det_z = detect_words_batch(np.zeros((200, 64), complex), 1.0, 0.5, cfg)
     for row in range(200):
         idx, psk, _ = greedy_ml(table[row].tolist(), cfg.length, delta)

@@ -1,12 +1,13 @@
 """Property-based checks of the index codec, the noiseless tx/rx chain, the
-oversampled PMEPR, the radar Fisher information and the BLER interval."""
+oversampled PMEPR, the band rotation, the radar Fisher information and the
+BLER interval."""
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene
 from chirpim.chirps import PMEPR_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
-    measure_pmepr
+    band_slices, measure_pmepr
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
                               indices_to_rank, rank_to_indices, word_to_bits)
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
@@ -98,6 +99,28 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
     oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg), n, cfg.n_cp,
                                   PMEPR_OVERSAMPLE, p_av)
     assert np.max(np.abs(values - oracle)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 64).flatmap(lambda m: st.tuples(
+    st.integers(-3 * m, 3 * m), st.just(m), st.integers(m, 4 * m))))
+@example((-8, 16, 16))   # n = M: a pure rotation, as in tx_bins
+@example((0, 16, 32))    # no wrap: the second pair is empty
+def test_band_slices_are_the_rotation_to_k_mod_n(case):
+    # copying through the two slice pairs gathers from, and scatters to,
+    # exactly the positions k mod N of the bins k = l_d..l_d+M-1
+    l_d, m, n = case
+    k = np.arange(l_d, l_d + m)
+    grid, w = np.arange(1, n + 1), np.arange(1, m + 1)
+    gathered = np.zeros(m, dtype=int)
+    scattered = np.zeros(n, dtype=int)
+    for bins, pos in band_slices(l_d, m, n):
+        gathered[bins] = grid[pos]
+        scattered[pos] = w[bins]
+    assert np.array_equal(gathered, grid[k % n])
+    expect = np.zeros(n, dtype=int)
+    expect[k % n] = w
+    assert np.array_equal(scattered, expect)
 
 
 @st.composite

@@ -994,12 +994,12 @@ def test_bounds_refuse_coincident_targets(targets, pair):
 
 @pytest.mark.parametrize("n_targets", [1, 2])
 def test_stacked_bounds_equal_single_scene_calls(n_targets):
-    # a batched tx_bins returns strided rows; each stacked row must still
-    # equal its own single-scene call bit for bit, per frame and for the
-    # shared expectation-form bins
+    # a Fortran-ordered stack of reference bins has strided rows; each
+    # stacked row must still equal its own single-scene call bit for bit,
+    # per frame and for the shared expectation-form bins
     cfg = modem(length=2)
     rng = np.random.default_rng(40 + n_targets)
-    w = tx_bins(random_words(cfg, 6, rng)[2], cfg)
+    w = np.asfortranarray(tx_bins(random_words(cfg, 6, rng)[2], cfg))
     assert not w.flags.c_contiguous
     scenes = [scene_of(*((d, rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2))
                          for d in np.sort(rng.uniform(1.0, 3.0, n_targets))))
