@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import fresnel, jv
 
-from .util import default_band
+from .util import check_bin_window, default_band
 
 
 class ChirpFamily(str, Enum):
@@ -224,8 +224,7 @@ def _window_slices(k: np.ndarray, m: int, n: int):
         raise ValueError(f"w has {m} bins, k has shape {k.shape}")
     if n <= m:
         raise ValueError(f"IDFT size N={n} must exceed M={m}")
-    if np.any(np.diff(k) != 1):
-        raise ValueError(f"k must be the ascending bin window k[0]..k[0]+M-1, got {k}")
+    check_bin_window(k)
     return band_slices(int(k[0]), m, n)
 
 

@@ -18,18 +18,19 @@ The search has two parts. The carrier phase factors out of
 |c(tau)^H W^H b|, so a coarse grid plus zooms on this *envelope* localize
 the delay to far below a carrier cycle. Each grid is one 5-smooth
 Bluestein FFT convolution (:func:`_chirp_z`), with the points and argmax
-rule of the explicit evaluation and a chirp and kernel built once per
-process. The full metric Re{...} has lobes every 1/(2 f_c): the carrier
-phase at the envelope peak places them, one Newton step from each
-candidate picks one (:func:`_lobe_moments`), and NEWTON_STEPS refine it.
-What the search reads of its geometry (bins k, f_c, T_s) is one read-only
-table per geometry, built on first use and kept per process
-(:func:`_geometry`, GEOMETRY_CACHE_SIZE of them): the bin offsets k - k_0
-and whether they are contiguous, the exponents of the bin rotation, the
-bin frequencies k/T_s and the rotations of the three lobe candidates'
-offsets, a (3, M) table. At paper scale an entry holds 99 KB of arrays.
-Rotations by exactly 1 (a grid at lo = 0, a Newton step at offset 0) are
-skipped, which changes no bit.
+rule of the explicit evaluation. The full metric Re{...} has lobes every
+1/(2 f_c): the carrier phase at the envelope peak places them, one Newton
+step from each candidate picks one (:func:`_lobe_moments`), and
+NEWTON_STEPS refine it. The bins are the window k_0..k_0+M-1 (an
+observation refuses any other k), and everything the search reads of it
+and of f_c, T_s and T_cp is one read-only plan, built on first use and
+kept per process (:func:`_plan`, PLAN_CACHE_SIZE of them): the exponents
+of the bin rotation, the bin frequencies k/T_s, the (3, M) rotations of
+the three lobe candidates' offsets and the stages, the coarse grid and
+each envelope zoom with its step, point count, FFT size, chirp and kernel.
+At paper scale a plan holds 263 KB of arrays. Rotations by exactly 1 (a
+grid at lo = 0, a Newton step at offset 0) are skipped, which changes no
+bit.
 
 The search runs on stacked rows: q has shape (rows, M). Each window is
 shifted, not clamped, to lie inside [0, T_cp], so all rows share each
@@ -59,15 +60,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import RadarScene
-from .util import SPEED_OF_LIGHT, check_noise_variance
+from .util import SPEED_OF_LIGHT, check_bin_window, check_noise_variance
 
 
 @dataclass(frozen=True)
 class RadarObservation:
     """Received bins b, reference bins w on bin indices k, noise variance,
     and the timing/carrier context of the frame. b and w are one
-    observation of shape (M,) or a stack of them of shape (B, M); k holds
-    M distinct integers."""
+    observation of shape (M,) or a stack of them of shape (B, M); k is the
+    ascending integer bin window k[0]..k[0]+M-1."""
 
     b: np.ndarray
     w: np.ndarray
@@ -83,8 +84,7 @@ class RadarObservation:
         if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
             raise ValueError("k must be a 1-D array of integer bin indices, "
                              f"got shape {k.shape} of {k.dtype}")
-        if not np.all(np.diff(np.sort(k))):
-            raise ValueError("k must not repeat a bin index")
+        check_bin_window(k)
         shape = np.shape(self.b)
         if shape != np.shape(self.w) or len(shape) not in (1, 2) or \
                 shape[-1] != len(self.k):
@@ -129,14 +129,10 @@ NEWTON_STEPS = 1
 # UPDATE_PASSES re-estimation passes when there is more than one.
 MAX_TARGETS = 16
 UPDATE_PASSES = 2
-# Bluestein chirps and kernels kept per process: a search geometry uses
-# three (the coarse grid and two envelope zoom steps).
-BLUESTEIN_CACHE_SIZE = 32
-# Search geometries (bins k, f_c, T_s) whose tables are kept per process: a
-# run searches one. At paper scale (M = 1536) an entry holds one (3, M)
-# complex table plus M-long bin offsets and frequencies, 99 KB, and its key
-# holds k's 12 KB.
-GEOMETRY_CACHE_SIZE = 8
+# Search plans (bin window, f_c, T_s, T_cp) kept per process: a run searches
+# one. At paper scale (M = 1536) a plan holds 263 KB of arrays: the (3, M)
+# lobe rotations, the bin frequencies and three stages' chirps and kernels.
+PLAN_CACHE_SIZE = 8
 
 
 def _smooth_length(n: int) -> int:
@@ -152,170 +148,164 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=BLUESTEIN_CACHE_SIZE)
-def _bluestein(m: int, phi: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """FFT size, chirp c_d = e^{j phi d^2 / 2} for d = 1-m..n-1 and kernel
-    FFT(conj(c)) of an m-in, n-out chirp-z transform, read-only. The size
-    is the smallest 5-smooth length that holds the m + n - 1 point linear
-    convolution."""
+class _Stage(NamedTuple):
+    """One envelope grid of the search, read-only: ``n`` delays ``step``
+    apart, an M-in, n-out chirp-z transform (:func:`_chirp_z`) of FFT
+    length ``size`` with its ``chirp`` and ``kernel``."""
+
+    step: float
+    n: int
+    size: int
+    chirp: np.ndarray
+    kernel: np.ndarray
+
+
+def _stage(m: int, step: float, n: int, t_s: float) -> _Stage:
+    """The grid of ``n`` delays ``step`` apart on M bins at symbol time T_s:
+    with phi = 2pi step/T_s, the chirp c_d = e^{j phi d^2 / 2} for
+    d = 1-M..n-1, the kernel FFT(conj(c)) and the smallest 5-smooth FFT
+    size that holds the M + n - 1 point linear convolution."""
     size = _smooth_length(m + n - 1)
+    phi = 2.0 * np.pi * step / t_s
     chirp = np.exp(0.5j * phi * np.arange(1 - m, n, dtype=float) ** 2)
     kernel = np.fft.fft(np.conj(chirp), size)
     chirp.flags.writeable = kernel.flags.writeable = False
-    return size, chirp, kernel
+    return _Stage(step, n, size, chirp, kernel)
 
 
-def _chirp_z(x: np.ndarray, phi: float, n: int) -> np.ndarray:
-    """y_i = sum_m x_m e^{j phi m i} for i = 0..n-1, along the last axis.
-    Bluestein's identity m i = (m^2 + i^2 - (i - m)^2) / 2 turns the sum
-    into a convolution with the chirp c_d = e^{j phi d^2 / 2}, one
-    zero-padded FFT product (Bluestein 1970; Rabiner, Schafer & Rader
-    1969) whose length, chirp and kernel :func:`_bluestein` caches."""
+def _chirp_z(x: np.ndarray, stage: _Stage) -> np.ndarray:
+    """y_i = sum_m x_m e^{j phi m i} for the stage's phi and i = 0..n-1,
+    along the last axis. Bluestein's identity m i = (m^2 + i^2 - (i - m)^2)
+    / 2 turns the sum into a convolution with the stage's chirp, one
+    zero-padded FFT product (Bluestein 1970; Rabiner, Schafer & Rader 1969)."""
     m = x.shape[-1]
-    size, chirp, kernel = _bluestein(m, phi, n)
-    conv = np.fft.ifft(np.fft.fft(x * chirp[m - 1::-1], size) * kernel)
-    return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
+    conv = np.fft.ifft(np.fft.fft(x * stage.chirp[m - 1::-1], stage.size) * stage.kernel)
+    return conv[..., m - 1:m + stage.n - 1] * stage.chirp[m - 1:]
 
 
-class _Geometry(NamedTuple):
-    """The tables of one search geometry, read-only. k_0 is min k, the span
-    max k - k_0 + 1, ``index`` the bin offsets k - k_0, and ``contiguous``
-    whether they are 0..M-1. :func:`_bin_rotation` reads ``blocks`` and
-    ``exponents`` (the block starts k_0 + B a, a < blocks, then 0..B-1),
-    :func:`_lobe_moments` the bin frequencies ``freqs`` = k/T_s and the
-    rotations ``lobes`` e^{j2pi nu_k o}, shape (3, M), of the lobe offsets
-    o = j/(2 f_c), j = 0, 1, 2 (``lobe_offsets``)."""
+class _Plan(NamedTuple):
+    """The search plan of one band, read-only. :func:`_bin_rotation` reads
+    ``blocks`` and ``exponents`` (the block starts k_0 + B a, a < blocks,
+    then 0..B-1), :func:`_lobe_moments` the bin frequencies ``freqs`` =
+    k/T_s and the rotations ``lobes`` e^{j2pi nu_k o}, shape (3, M), of the
+    lobe offsets o = j/(2 f_c), j = 0, 1, 2 (``lobe_offsets``), and
+    :func:`_search_delay` the ``stages``."""
 
-    t_s: float
     k0: int
-    span: int
-    index: np.ndarray
-    contiguous: bool
+    m: int
+    f_c: float
+    t_s: float
+    t_cp: float
     blocks: int
     exponents: np.ndarray
     freqs: np.ndarray
     lobe_offsets: np.ndarray
     lobes: np.ndarray | None = None
+    stages: tuple[_Stage, ...] = ()
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _geometry(k_bytes: bytes, dtype: str, f_c: float, t_s: float) -> _Geometry:
-    """The tables of the bins k (their bytes and dtype string), carrier
-    f_c and symbol time T_s, built on first use (:func:`_geometry_of`)."""
-    k = np.frombuffer(k_bytes, dtype=dtype)
-    k0 = int(k.min())
-    span = int(k.max()) - k0 + 1
-    block = isqrt(span - 1) + 1
-    blocks = -(-span // block)
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(k0: int, m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
+    """The plan of the bins k_0..k_0+M-1, carrier f_c, symbol time T_s and
+    cyclic prefix T_cp. Its stages are the coarse grid over [0, T_cp], then
+    zooms of ENV_POINTS points across +-1 step of the grid before, down to
+    a step below 1/(ENV_MARGIN f_c)."""
+    block = isqrt(m - 1) + 1
+    blocks = -(-m // block)
     offsets = 0.5 / f_c * np.arange(3)
-    geometry = _Geometry(
-        t_s=t_s, k0=k0, span=span, index=k - k0,
-        contiguous=span == len(k) and not np.any(np.diff(k) != 1), blocks=blocks,
-        exponents=np.concatenate((k0 + block * np.arange(blocks), np.arange(block))),
-        freqs=k / t_s, lobe_offsets=offsets)
-    geometry = geometry._replace(lobes=_bin_rotation(geometry, offsets[:, None]) *
-                                 np.exp(2j * np.pi * f_c * offsets)[:, None])
-    for value in geometry:
+    plan = _Plan(k0=k0, m=m, f_c=f_c, t_s=t_s, t_cp=t_cp, blocks=blocks,
+                 exponents=np.concatenate((k0 + block * np.arange(blocks), np.arange(block))),
+                 freqs=np.arange(k0, k0 + m) / t_s, lobe_offsets=offsets)
+    stages, step = [], COARSE_HALFBIN * t_s / m
+    n = int(np.ceil(t_cp / step))
+    while True:
+        stages.append(_stage(m, step, n, t_s))
+        if step <= 1.0 / (ENV_MARGIN * f_c):
+            break
+        step, n = 2.0 * step / (ENV_POINTS - 1), ENV_POINTS
+    plan = plan._replace(lobes=_bin_rotation(plan, offsets[:, None]) *
+                         np.exp(2j * np.pi * f_c * offsets)[:, None], stages=tuple(stages))
+    for value in plan:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    return geometry
+    return plan
 
 
-def _geometry_of(obs: RadarObservation) -> _Geometry:
-    """The cached tables of the observation's bins, carrier and symbol time."""
-    return _geometry(obs.k.tobytes(), obs.k.dtype.str, obs.f_c, obs.t_s)
+def _bin_rotation(plan: _Plan, lo: np.ndarray) -> np.ndarray:
+    """e^{j2pi k lo/T_s} for the plan's bins k, shape (M,), and lo of shape
+    (1,) or (rows, 1); returns (M,) or (rows, M). With theta = 2pi lo/T_s
+    and each bin offset k - k_0 = B a + b in blocks of B ~ sqrt(M), it is
+    the product of two short per-row tables, e^{j theta (k_0 + B a)} and
+    e^{j theta b}, so only about 2 sqrt(M) exps run per row."""
+    tables = np.exp(2j * np.pi * lo / plan.t_s * plan.exponents)
+    table = tables[..., :plan.blocks, None] * tables[..., None, plan.blocks:]
+    return table.reshape(lo.shape[:-1] + (-1,))[..., :plan.m]
 
 
-def _bin_rotation(geometry: _Geometry, lo: np.ndarray) -> np.ndarray:
-    """e^{j2pi k lo/T_s} for the geometry's bins k, shape (M,), and lo of
-    shape (1,) or (rows, 1); returns (M,) or (rows, M). With theta =
-    2pi lo/T_s and each bin offset k - k_0 = B a + b in blocks of B ~
-    sqrt(span), it is the product of two short per-row tables,
-    e^{j theta (k_0 + B a)} and e^{j theta b}, so only about 2 sqrt(span)
-    exps run per row."""
-    tables = np.exp(2j * np.pi * lo / geometry.t_s * geometry.exponents)
-    table = tables[..., :geometry.blocks, None] * tables[..., None, geometry.blocks:]
-    return np.take(table.reshape(lo.shape[:-1] + (-1,)), geometry.index, axis=-1)
-
-
-def _grid_metric(q: np.ndarray, lo, step: float, n: int,
-                 obs: RadarObservation) -> np.ndarray:
+def _grid_metric(q: np.ndarray, lo, stage: _Stage, plan: _Plan) -> np.ndarray:
     """The sums g_i with c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i
-    on tau = lo + i step (i < n), so |g| is the envelope |c(tau)^H q|; q
-    has shape (M,) or (rows, M), lo is a scalar or one per row, and g has
-    shape (n,) or (rows, n). g is a chirp-z transform over m = k - k_0 of
-    q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`; 1 where lo is 0 on every
-    row, as on the coarse grid): no steering matrix."""
-    geometry = _geometry_of(obs)
+    on the stage's delays tau = lo + i step (i < n), so |g| is the envelope
+    |c(tau)^H q|; q has shape (M,) or (rows, M), lo is a scalar or one per
+    row, and g has shape (n,) or (rows, n). g is a chirp-z transform over
+    k - k_0 of q_k e^{j2pi k lo/T_s} (:func:`_bin_rotation`; 1 where lo is
+    0 on every row, as on the coarse grid): no steering matrix."""
     lo = np.asarray(lo)[..., None]
-    x = q * _bin_rotation(geometry, lo) if lo.any() else q
-    if not geometry.contiguous:
-        spread = np.zeros(x.shape[:-1] + (geometry.span,), dtype=complex)
-        spread[..., geometry.index] = x
-        x = spread
-    return _chirp_z(x, 2.0 * np.pi * step / obs.t_s, n)
+    return _chirp_z(q * _bin_rotation(plan, lo) if lo.any() else q, stage)
 
 
 def _lobe_moments(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
-                  obs: RadarObservation) -> np.ndarray:
+                  plan: _Plan) -> np.ndarray:
     """s_n = sum_k q_k (k/T_s)^n e^{j2pi nu_k t}, nu_k = f_c + k/T_s, for
     n = 0, 1, 2 at t = tau + offsets, with q of shape (rows, M), tau (rows,)
-    and offsets (J,) either the geometry's ``lobe_offsets`` or zeros(1);
+    and offsets (J,) either the plan's ``lobe_offsets`` or zeros(1);
     returns (3, rows, J). s_0 is c(t)^H q. The bin phases are a per-row
     rotation (:func:`_bin_rotation` and one carrier exp per row) times the
-    geometry's cached rotations of the lobe offsets; zero offsets rotate
-    nothing."""
-    geometry = _geometry_of(obs)
-    x = q * (_bin_rotation(geometry, tau[:, None]) *
-             np.exp(2j * np.pi * obs.f_c * tau)[:, None])
-    y = x[:, None, :] * geometry.lobes if offsets.any() else x[:, None, :]
-    y1 = y * geometry.freqs
-    return np.stack((y.sum(-1), y1.sum(-1), (y1 * geometry.freqs).sum(-1)))
+    plan's rotations of the lobe offsets; zero offsets rotate nothing."""
+    x = q * (_bin_rotation(plan, tau[:, None]) *
+             np.exp(2j * np.pi * plan.f_c * tau)[:, None])
+    y = x[:, None, :] * plan.lobes if offsets.any() else x[:, None, :]
+    y1 = y * plan.freqs
+    return np.stack((y.sum(-1), y1.sum(-1), (y1 * plan.freqs).sum(-1)))
 
 
 def _newton(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
-            obs: RadarObservation) -> tuple[np.ndarray, np.ndarray]:
+            plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     """One Newton step from t = tau + offsets toward the nearest extremum of
     Re z, z = c(t)^H q, and the Re z it predicts there, shapes (rows, J).
     With u_n = sum_k q_k nu_k^n e^{j2pi nu_k t} from :func:`_lobe_moments`,
     (Re z)' = -2pi Im u_1 and (Re z)'' = -4pi^2 Re u_2."""
-    s0, s1, s2 = _lobe_moments(q, tau, offsets, obs)
-    u1 = obs.f_c * s0 + s1
-    u2 = (obs.f_c * (obs.f_c * s0 + 2.0 * s1) + s2).real
+    s0, s1, s2 = _lobe_moments(q, tau, offsets, plan)
+    u1 = plan.f_c * s0 + s1
+    u2 = (plan.f_c * (plan.f_c * s0 + 2.0 * s1) + s2).real
     u2 = np.where(u2 != 0, u2, np.inf)  # q = 0: no step
     return -u1.imag / (2.0 * np.pi * u2), s0.real + 0.5 * u1.imag ** 2 / u2
 
 
-def _search_delay(q: np.ndarray, obs: RadarObservation) -> tuple[np.ndarray, float]:
+def _search_delay(q: np.ndarray, plan: _Plan) -> np.ndarray:
     """Delay search of the metric rows q, shape (rows, M) (q = conj(w) * b
-    for the MF, q = h~ for the LMMSE variant). Returns tau_hat, one per
-    row, and the last envelope step, which every row shares."""
-    geometry = _geometry_of(obs)
-    step, lo, rows = COARSE_HALFBIN * obs.t_s / geometry.span, 0.0, np.arange(len(q))
-    n = int(np.ceil(obs.t_cp / step))
-    # envelope zooms, each across +-1 old step shifted inside [0, T_cp]
-    while True:
-        inner = _grid_metric(q, lo, step, n, obs)
+    for the MF, q = h~ for the LMMSE variant): tau_hat, one per row."""
+    rows, best = np.arange(len(q)), None
+    # the coarse grid from 0, then envelope zooms, each across +-1 old step
+    # shifted inside [0, T_cp]
+    for stage in plan.stages:
+        lo = 0.0 if best is None else np.clip(best - half, 0.0, max(plan.t_cp - 2.0 * half, 0.0))
+        inner = _grid_metric(q, lo, stage, plan)
         i = np.argmax(np.abs(inner), axis=-1)
-        best = lo + i * step
-        if step <= 1.0 / (ENV_MARGIN * obs.f_c):
-            break
-        half, step, n = step, 2.0 * step / (ENV_POINTS - 1), ENV_POINTS
-        lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
+        best, half = lo + i * stage.step, stage.step
     # lobe candidates tau_e - theta/(2pi f_c) + j/(2 f_c) in the window, where
     # theta = arg c(tau_e)^H q = 2pi (f_c tau_e + k_0 i step/T_s) + arg g_i
-    half, lobe = CARRIER_HALFSPAN / obs.f_c, 0.5 / obs.f_c
-    lo = np.clip(best - half, 0.0, max(obs.t_cp - 2.0 * half, 0.0))
+    half, lobe = CARRIER_HALFSPAN / plan.f_c, 0.5 / plan.f_c
+    lo = np.clip(best - half, 0.0, max(plan.t_cp - 2.0 * half, 0.0))
     first = -(np.angle(inner[rows, i]) / (2.0 * np.pi) +
-              geometry.k0 * i * step / obs.t_s) / obs.f_c
+              plan.k0 * i * plan.stages[-1].step / plan.t_s) / plan.f_c
     first = first + np.ceil((lo - first) / lobe) * lobe
-    shift, value = _newton(q, first, geometry.lobe_offsets, obs)
-    inside = first[:, None] + geometry.lobe_offsets <= (lo + 2.0 * half)[:, None]
+    shift, value = _newton(q, first, plan.lobe_offsets, plan)
+    inside = first[:, None] + plan.lobe_offsets <= (lo + 2.0 * half)[:, None]
     pick = np.argmax(np.where(inside, np.abs(value), -1.0), axis=-1)
     best = first + pick * lobe + shift[rows, pick]
     for _ in range(NEWTON_STEPS):
-        best = best + _newton(q, best, np.zeros(1), obs)[0][:, 0]
-    return np.clip(best, lo, lo + 2.0 * half), step
+        best = best + _newton(q, best, np.zeros(1), plan)[0][:, 0]
+    return np.clip(best, lo, lo + 2.0 * half)
 
 
 def estimate_mf_lmmse(obs: RadarObservation,
@@ -334,6 +324,7 @@ def estimate_mf_lmmse(obs: RadarObservation,
     """
     if not 1 <= n_targets <= MAX_TARGETS:
         raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
+    plan = _plan(int(obs.k[0]), len(obs.k), obs.f_c, obs.t_s, obs.t_cp)
     # C-contiguous copies: np.vdot rounds a strided or Fortran-ordered row
     # differently, and a row's estimate must not depend on the stack's layout
     b = np.ascontiguousarray(np.atleast_2d(obs.b))
@@ -352,11 +343,11 @@ def estimate_mf_lmmse(obs: RadarObservation,
     coeffs = np.zeros((rows, n_targets))
     recon = np.zeros((n_targets, rows, b.shape[-1]), dtype=complex)
 
-    def one(s: int, b_cur: np.ndarray) -> float:
+    def one(s: int, b_cur: np.ndarray) -> None:
         q = np.conj(w_all) * b_cur
         q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
                                where=positive)
-        tau, final = _search_delay(q, obs)
+        tau = _search_delay(q, plan)
         steer = obs.steering(tau)
         inner = np.empty(rows, dtype=complex)
         inner[mf_rows] = np.sum(np.conj(steer[mf_rows]) * q[mf_rows], axis=-1)
@@ -365,20 +356,20 @@ def estimate_mf_lmmse(obs: RadarObservation,
         delays[:, s] = tau
         coeffs[:, s] = np.real(inner) / denom
         recon[s] = coeffs[:, s, None] * w_all * steer
-        return final
 
     residual = b_all
     for s in range(n_targets):
-        final = one(s, residual)
+        one(s, residual)
         residual = residual - recon[s]
     for _ in range(UPDATE_PASSES if n_targets > 1 else 0):
         for s in range(n_targets):
             others = [recon[j] for j in range(n_targets) if j != s]
-            final = one(s, b_all - sum(others[1:], others[0]))
+            one(s, b_all - sum(others[1:], others[0]))
     order = np.argsort(delays, axis=-1, kind="stable")
     shape = (2,) + np.shape(obs.b)[:-1] + (n_targets,)  # (MF/LMMSE, [B,] R)
     delays = np.take_along_axis(delays, order, axis=-1).reshape(shape)
     coeffs = np.take_along_axis(coeffs, order, axis=-1).reshape(shape)
+    final = plan.stages[-1].step
     return EstimateSet(delays[0], coeffs[0], final), EstimateSet(delays[1], coeffs[1], final)
 
 

@@ -172,7 +172,7 @@ def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     if cfg.fading:
         h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s)
     else:
-        h_c = np.ones_like(w)
+        h_c = 1.0  # AWGN: the equalizer keeps c = h_c g as one row
     b = complex_noise(w.shape, sigma2, rng)
     b += h_c * w
     det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)

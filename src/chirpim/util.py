@@ -1,5 +1,5 @@
-"""Small shared helpers: constants, Gaussian tail, default bin band,
-noise variance of an SNR and its check."""
+"""Small shared helpers: constants, Gaussian tail, default bin band, the
+bin-window check, noise variance of an SNR and its check."""
 from __future__ import annotations
 
 import math
@@ -26,6 +26,13 @@ def default_band(m: int) -> tuple[int, int]:
         raise ValueError("band needs at least 2 bins")
     hi = m // 2
     return hi - m + 1, hi
+
+
+def check_bin_window(k: np.ndarray) -> None:
+    """Raise unless the bins ``k`` are the ascending window k[0]..k[0]+M-1,
+    M >= 1, the only bin set that the synthesis and the radar search take."""
+    if not len(k) or np.any(np.diff(k) != 1):
+        raise ValueError(f"k must be the ascending bin window k[0]..k[0]+M-1, got {k}")
 
 
 def check_noise_variance(sigma2) -> None:

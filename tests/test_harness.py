@@ -617,11 +617,10 @@ def test_import_and_presets_leave_the_radar_caches_empty():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import chirpim, chirpim.runners, chirpim.cli; "
             "from chirpim import config, radar; [config.preset(n) for n in config.PRESETS]; "
-            "print(radar._geometry.cache_info().currsize, "
-            "radar._bluestein.cache_info().currsize)")
+            "print(radar._plan.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0"]
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -249,19 +249,28 @@ def grid_obs(k, t_s=T_S, f_c=F_C, t_cp=T_CP, seed=0):
                             sigma2=0.0, f_c=f_c, t_s=t_s, t_cp=t_cp)
 
 
+def plan_of(obs):
+    """The search plan of the observation's bin window and timing."""
+    return radar._plan(int(obs.k[0]), len(obs.k), obs.f_c, obs.t_s, obs.t_cp)
+
+
+def grid_metric(obs, lo, step, n):
+    """_grid_metric of obs.b on the grid of n delays step apart from lo."""
+    return _grid_metric(obs.b, lo, radar._stage(len(obs.k), step, n, obs.t_s), plan_of(obs))
+
+
 def assert_grid_matches_steering(obs, lo, step, n):
     # c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i, so |g| is the envelope
     taus = lo + step * np.arange(n)
     ref = np.conj(obs.steering(taus)) @ obs.b
-    got = _grid_metric(obs.b, lo, step, n, obs)
+    got = grid_metric(obs, lo, step, n)
     assert got.shape == (n,)
     rotation = np.exp(2j * np.pi * (obs.f_c * taus + obs.k.min() * np.arange(n) * step / obs.t_s))
     assert np.max(np.abs(rotation * got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def coarse(obs, halfbin=0.5):
-    span = int(obs.k.max() - obs.k.min() + 1)
-    step = halfbin * obs.t_s / span
+    step = halfbin * obs.t_s / len(obs.k)
     return step, len(np.arange(0.0, obs.t_cp, step))
 
 
@@ -301,14 +310,6 @@ def test_grid_metric_fft_length_boundaries(n):
     assert_grid_matches_steering(obs, 0.1 * T_CP, 0.3 * T_S / 64, n)
 
 
-def test_grid_metric_noncontiguous_bins():
-    rng = np.random.default_rng(5)
-    k = np.sort(rng.choice(np.arange(-40, 60), size=37, replace=False))
-    obs = grid_obs(k, seed=6)
-    assert_grid_matches_steering(obs, 0.0, *coarse(obs))
-    assert_grid_matches_steering(obs, 0.4 * T_CP, 1e-3 / F_C, 193)
-
-
 def smooth_length(n):
     """The smallest 2^a 3^b 5^c >= n, by trial division of n, n + 1, ..."""
     for size in range(n, 2 * n + 1):
@@ -330,26 +331,33 @@ def chirp_z_reference(x, phi, n):
     return conv[..., m - 1:m + n - 1] * chirp[m - 1:]
 
 
+def stage_phi(stage, t_s):
+    """The chirp-z angle step of a stage, phi = 2pi step/T_s, as _stage forms it."""
+    return 2.0 * np.pi * stage.step / t_s
+
+
 @pytest.mark.parametrize("m, n", [
     (1536, 768), (1536, 65), (1536, 193),  # paper coarse grid, zooms, odd length
     (1536, 512), (1536, 513), (1536, 514),  # m + n - 2 around 2048
     (64, 1), (64, 64), (64, 65), (64, 66),  # m + n - 2 around 128
 ])
 def test_chirp_z_equals_uncached_formula(m, n):
-    # two steps per (m, n), each called twice: the cached chirp and kernel
-    # belong to their own step, and reuse gives the same bits
+    # two stages per (m, n), the first one used twice: a stage's chirp and
+    # kernel belong to its own step, and reuse gives the same bits
     rng = np.random.default_rng(m + n)
     x = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    for phi in (np.pi / m, 0.37 * np.pi / m, np.pi / m):
-        assert np.array_equal(radar._chirp_z(x, phi, n), chirp_z_reference(x, phi, n))
+    half, off = (radar._stage(m, h * T_S / m, n, T_S) for h in (0.5, 0.185))
+    for stage in (half, off, half):
+        assert np.array_equal(radar._chirp_z(x, stage),
+                              chirp_z_reference(x, stage_phi(stage, T_S), n))
 
 
 def record_chirp_z(monkeypatch):
     calls = []
     chirp_z = radar._chirp_z
 
-    def recording(x, phi, n):
-        calls.append((x.copy(), phi, n, chirp_z(x, phi, n)))
+    def recording(x, stage):
+        calls.append((x.copy(), stage, chirp_z(x, stage)))
         return calls[-1][-1]
 
     monkeypatch.setattr(radar, "_chirp_z", recording)
@@ -364,70 +372,83 @@ def test_search_stages_equal_uncached_formula(monkeypatch):
     for _ in range(2):
         estimate_multi_mf(paper, 1)
     monkeypatch.undo()
-    assert {(x.shape[-1], n) for x, _, n, _ in calls} == {(1536, 768), (1536, 65)}
-    assert len({phi for x, phi, n, _ in calls if (x.shape[-1], n) == (1536, 65)}) > 1
-    for x, phi, n, got in calls:
-        assert np.array_equal(got, chirp_z_reference(x, phi, n))
+    assert {(x.shape[-1], stage.n) for x, stage, _ in calls} == {(1536, 768), (1536, 65)}
+    assert len({stage.step for x, stage, _ in calls if stage.n == 65}) > 1
+    for x, stage, got in calls:
+        assert np.array_equal(got, chirp_z_reference(x, stage_phi(stage, PAPER_T_S), stage.n))
 
 
-def test_grid_metric_noncontiguous_bins_equal_uncached_formula(monkeypatch):
-    rng = np.random.default_rng(12)
-    obs = grid_obs(np.sort(rng.choice(np.arange(-40, 60), size=37, replace=False)), seed=13)
+def test_grid_metric_equals_uncached_formula(monkeypatch):
+    # an off-centre window, one lo for all rows and one per row
+    obs = grid_obs(np.arange(-5, 32), seed=13)
     step, n = coarse(obs)
     grids = [(0.0, step, n), (0.0, 0.37 * step, n), (0.4 * T_CP, 1e-3 / F_C, 193),
              (np.array([0.1, 0.5]) * T_CP, 2e-3 / F_C, 193)]
-    got = [_grid_metric(obs.b, lo, s, n_, obs) for lo, s, n_ in grids]
-    monkeypatch.setattr(radar, "_chirp_z", chirp_z_reference)
-    ref = [_grid_metric(obs.b, lo, s, n_, obs) for lo, s, n_ in grids]
+    got = [grid_metric(obs, lo, s, n_) for lo, s, n_ in grids]
+    monkeypatch.setattr(radar, "_chirp_z", lambda x, stage: chirp_z_reference(
+        x, stage_phi(stage, obs.t_s), stage.n))
+    ref = [grid_metric(obs, lo, s, n_) for lo, s, n_ in grids]
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_second_search_on_same_geometry_only_hits_cache(monkeypatch):
+    # the estimator looks its plan up once per call, and every grid it
+    # evaluates is one of the plan's stages
     obs = stacked_observations(np.arange(-31, 33), 2, seed=14)
     estimate_mf_lmmse(obs, 2)
-    before = radar._bluestein.cache_info()
+    before = radar._plan.cache_info()
     calls = record_chirp_z(monkeypatch)
     estimate_mf_lmmse(obs, 2)
-    after = radar._bluestein.cache_info()
+    after = radar._plan.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits - before.hits == len(calls) > 0
+    assert after.hits - before.hits == 1
+    stages = plan_of(obs).stages
+    assert len(calls) == len(stages) * (2 + 2 * radar.UPDATE_PASSES)
+    assert all(any(stage is s for s in stages) for _, stage, _ in calls)
+
+
+def assert_plan_read_only(plan):
+    arrays = [v for v in plan if isinstance(v, np.ndarray)]
+    arrays += [v for stage in plan.stages for v in stage if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4 + 2 * len(plan.stages)
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_cached_chirp_and_kernel_are_read_only():
-    size, chirp, kernel = radar._bluestein(64, np.pi / 64, 65)
-    assert (size, chirp.shape, kernel.shape) == (128, (128,), (128,))
-    for array in (chirp, kernel):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    plan = radar._plan(-31, 64, F_C, T_S, T_CP)
+    zoom = plan.stages[1]
+    assert (zoom.n, zoom.size, zoom.chirp.shape, zoom.kernel.shape) == (65, 128, (128,), (128,))
+    assert_plan_read_only(plan)
 
 
 GEOMETRIES = {"desk": (T_S, F_C, T_CP), "paper": (PAPER_T_S, PAPER_F_C, PAPER_T_CP)}
 
 
 @st.composite
-def bin_sets(draw):
-    """Distinct bins, contiguous or scattered, as int32 or int64."""
+def bin_windows(draw):
+    """A bin window k_0..k_0+M-1 as int32 or int64."""
     lo, size = draw(st.integers(-40, 0)), draw(st.integers(8, 40))
-    if draw(st.booleans()):
-        k = np.arange(lo, lo + size)
-    else:
-        k = np.array(sorted(draw(st.sets(st.integers(lo, lo + 80), min_size=8,
-                                         max_size=size))))
-    return k.astype(draw(st.sampled_from([np.int32, np.int64])))
+    return np.arange(lo, lo + size).astype(draw(st.sampled_from([np.int32, np.int64])))
+
+
+def other_dtype(k):
+    return k.astype(np.int64 if k.dtype == np.int32 else np.int32)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(bin_sets(), st.sampled_from(sorted(GEOMETRIES)),
+@given(st.lists(st.tuples(bin_windows(), st.sampled_from(sorted(GEOMETRIES)),
                           st.integers(1, 2)), min_size=1, max_size=3),
        st.permutations(range(4)), st.integers(0, 2 ** 16))
 def test_geometry_cache_does_not_leak_between_geometries(cases, order, seed):
-    # the first case also runs as its other dtype and on the other geometry,
-    # so entries that share bin values sit in the cache side by side
+    # the first case also runs one bin higher, one bin shorter and on the
+    # other geometry, so plans of overlapping windows sit in the cache side
+    # by side
     k, name, targets = cases[0]
-    other = k.astype(np.int64 if k.dtype == np.int32 else np.int32)
     swap = "paper" if name == "desk" else "desk"
-    variants = [(k, name), (other, name), (k, swap), (other, swap)]
+    variants = [(k, name), (k + 1, name), (k[:-1], name), (k, swap)]
     cases = [(*variants[i], targets) for i in order] + cases[1:]
     rng = np.random.default_rng(seed)
     observations = []
@@ -441,18 +462,17 @@ def test_geometry_cache_does_not_leak_between_geometries(cases, order, seed):
     # warm: every observation twice, interleaved with the others
     warm = [estimate_mf_lmmse(obs, targets) for obs, targets in observations * 2]
     for i, (obs, targets) in enumerate(observations):
-        radar._geometry.cache_clear()
+        radar._plan.cache_clear()
         cold = estimate_mf_lmmse(obs, targets)
-        for est in (warm[i], warm[i + len(observations)]):
+        # an int32 and an int64 copy of one window share one plan
+        other = estimate_mf_lmmse(replace(obs, k=other_dtype(obs.k)), targets)
+        assert radar._plan.cache_info().currsize == 1
+        for est in (warm[i], warm[i + len(observations)], other):
             for a, b in zip(est, cold):
                 assert np.array_equal(a.delays, b.delays)
                 assert np.array_equal(a.coeffs, b.coeffs)
                 assert a.final_step == b.final_step
-        for array in radar._geometry_of(obs):
-            if isinstance(array, np.ndarray):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+        assert_plan_read_only(plan_of(obs))
 
 
 def test_smooth_length_is_minimal():
@@ -465,22 +485,21 @@ def test_smooth_length_is_minimal():
     (1536, 514, 2160), (64, 66, 135), (64, 65, 128),  # m + n - 2 is 5-smooth
 ])
 def test_bluestein_length_holds_the_linear_convolution(m, n, size):
-    assert radar._bluestein(m, np.pi / m, n)[0] == size == smooth_length(m + n - 1)
+    assert radar._stage(m, 0.5 * T_S / m, n, T_S).size == size == smooth_length(m + n - 1)
 
 
 @pytest.mark.parametrize("k", [
     np.arange(-767, 769),  # paper bins: 39 blocks of 40, the last one short
-    np.arange(-31, 33),  # desk bins: span 64, blocks of 8
-    np.arange(-31, 33)[np.arange(64) % 3 != 1],  # two bins in three
-    np.sort(np.random.default_rng(15).choice(np.arange(-40, 60), size=37, replace=False)),
+    np.arange(-31, 33),  # desk bins: M = 64, blocks of 8
+    np.arange(12, 49),  # an off-centre window: 37 bins, blocks of 7, the last one short
     np.array([7]),
-], ids=["paper", "desk", "two-in-three", "scattered", "one-bin"])
+], ids=["paper", "desk", "offset", "one-bin"])
 def test_bin_rotation_equals_exp(k):
     t_s = PAPER_T_S
-    geometry = radar._geometry(k.tobytes(), k.dtype.str, PAPER_F_C, t_s)
+    plan = radar._plan(int(k[0]), len(k), PAPER_F_C, t_s, PAPER_T_CP)
     for lo in (np.array([0.0]), np.array([0.37 * PAPER_T_CP]), np.array([PAPER_T_CP]),
                np.array([[0.0], [1e-12], [0.5 * PAPER_T_CP], [PAPER_T_CP]])):
-        got = radar._bin_rotation(geometry, lo)
+        got = radar._bin_rotation(plan, lo)
         ref = np.exp(2j * np.pi * k * lo / t_s)
         assert got.shape == ref.shape == lo.shape[:-1] + k.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -707,8 +726,8 @@ def stacked_observations(k, n_targets, seed):
 
 
 @pytest.mark.parametrize("n_targets", [1, 2])
-@pytest.mark.parametrize("k", [np.arange(-31, 33), np.arange(-31, 33)[np.arange(64) % 3 != 1]],
-                         ids=["contiguous", "two-bins-in-three"])
+@pytest.mark.parametrize("k", [np.arange(-31, 33), np.arange(-11, 53)],
+                         ids=["contiguous", "offset"])
 def test_batched_rows_equal_single_observation_calls(k, n_targets):
     obs = stacked_observations(k, n_targets, seed=len(k) + n_targets)
     est_mf, est_lm = estimate_mf_lmmse(obs, n_targets)
@@ -766,21 +785,21 @@ def record_searches(monkeypatch):
     grid_metric, lobe_moments = radar._grid_metric, radar._lobe_moments
     search_delay = radar._search_delay
 
-    def grid(q, lo, step, n, obs_):
-        g = grid_metric(q, lo, step, n, obs_)
-        grids.append((np.atleast_1d(lo), step, n))
-        seen["tau_e"] = lo + np.argmax(np.abs(g), axis=-1) * step
+    def grid(q, lo, stage, plan):
+        g = grid_metric(q, lo, stage, plan)
+        grids.append((np.atleast_1d(lo), stage.step, stage.n))
+        seen["tau_e"] = lo + np.argmax(np.abs(g), axis=-1) * stage.step
         return g
 
-    def moments(q, tau, offsets, obs_):
+    def moments(q, tau, offsets, plan):
         if len(offsets) > 1:
             seen["cands"] = tau[:, None] + offsets
-        return lobe_moments(q, tau, offsets, obs_)
+        return lobe_moments(q, tau, offsets, plan)
 
-    def search(q, obs_):
-        tau, step = search_delay(q, obs_)
+    def search(q, plan):
+        tau = search_delay(q, plan)
         searches.append((q, seen["tau_e"], seen["cands"], tau))
-        return tau, step
+        return tau
 
     monkeypatch.setattr(radar, "_grid_metric", grid)
     monkeypatch.setattr(radar, "_lobe_moments", moments)
@@ -817,20 +836,19 @@ def test_search_windows_shifted_inside_cyclic_prefix(monkeypatch):
 
 
 @pytest.mark.parametrize("n_targets", [1, 2])
-@pytest.mark.parametrize("bins", ["contiguous", "two-in-three"])
+@pytest.mark.parametrize("bins", ["contiguous", "offset"])
 @pytest.mark.parametrize("scale", ["desk", "paper"])
 def test_lobe_pick_is_the_window_maximum(monkeypatch, scale, bins, n_targets):
     # every search of the estimator (MF and LMMSE rows, cancellation and
     # update passes) ends on a delay where |Re{c(tau)^H q}| is at least the
-    # maximum of a dense explicit-steering grid over the lobe window
+    # maximum of a dense explicit-steering grid over the lobe window; the
+    # offset windows start 20 bins higher, so k_0 enters the lobe phase
+    shift = 0 if bins == "contiguous" else 20
     if scale == "desk":
-        k = np.arange(-31, 33)
-        k = k if bins == "contiguous" else k[np.arange(len(k)) % 3 != 1]
-        obs = stacked_observations(k, n_targets, seed=20 + n_targets)
+        obs = stacked_observations(np.arange(-31, 33) + shift, n_targets, seed=20 + n_targets)
     else:
-        k = np.arange(-767, 769)
-        k = k if bins == "contiguous" else k[np.arange(len(k)) % 3 != 1]
-        obs = paper_observations(n_targets, 6 if n_targets == 1 else 5, seed=30 + n_targets, k=k)
+        obs = paper_observations(n_targets, 6 if n_targets == 1 else 5, seed=30 + n_targets,
+                                 k=np.arange(-767, 769) + shift)
     searches = record_searches(monkeypatch)[1]
     estimate_mf_lmmse(obs, n_targets)
     monkeypatch.undo()
@@ -868,17 +886,22 @@ def test_observation_bins_must_be_integers(k):
                          sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
 
 
-def test_observation_bins_must_not_repeat():
-    # the chirp-z scatter kept one copy of a repeated bin while steering and
-    # mf_objective counted both, so the grid and the steering metrics differed
-    k = np.arange(-31, 33)
-    k[10] = 9
-    with pytest.raises(ValueError, match="k must not repeat"):
-        RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=k,
-                         sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
-    RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex),
-                     k=np.arange(-31, 33)[::-1] + 40, sigma2=0.0, f_c=F_C, t_s=T_S,
-                     t_cp=T_CP)  # distinct bins in any order
+def test_observation_bins_must_be_the_window():
+    # the search reads bins k_0..k_0+M-1 from k_0 and M alone, so scattered,
+    # descending, repeated or no bins are refused rather than searched as a window
+    repeated = np.arange(-31, 33)
+    repeated[10] = 9
+    scattered = np.arange(-31, 33) * 2
+    for k in (scattered, np.arange(-31, 33)[::-1], repeated, np.arange(0)):
+        with pytest.raises(ValueError, match=r"k must be the ascending bin window "
+                                             r"k\[0\]..k\[0\]\+M-1"):
+            RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=k,
+                             sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    for k in (list(range(9, 73)), np.arange(9, 73, dtype=np.int32),
+              np.arange(9, 73, dtype=np.int64)):
+        obs = RadarObservation(b=np.ones(64, complex), w=np.ones(64, complex), k=k,
+                               sigma2=0.0, f_c=F_C, t_s=T_S, t_cp=T_CP)
+        assert np.array_equal(obs.k, np.arange(9, 73))
 
 
 def test_observation_accepts_list_bins():
