@@ -278,7 +278,8 @@ def _newton(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
     u1 = plan.f_c * s0 + s1
     u2 = (plan.f_c * (plan.f_c * s0 + 2.0 * s1) + s2).real
     u2 = np.where(u2 != 0, u2, np.inf)  # q = 0: no step
-    return -u1.imag / (2.0 * np.pi * u2), s0.real + 0.5 * u1.imag ** 2 / u2
+    # (Im u_1)^2 / u_2 as a product: the square overflows near sigma2 = 1e290
+    return -u1.imag / (2.0 * np.pi * u2), s0.real + u1.imag * (0.5 * u1.imag / u2)
 
 
 def _search_delay(q: np.ndarray, plan: _Plan) -> np.ndarray:

@@ -5,8 +5,9 @@ batch i of a point reads its own stream, seeded by (master seed, experiment
 id, sweep index, i), and results come back in batch order, so they are
 byte-identical for a fixed config regardless of the worker count. With
 ``workers`` > 1 a runner opens one process pool (:func:`_pool`) for all
-its sweep points. A BLER point stops on its error count or at
-``max_trials`` frames, a hard cap.
+its sweep points. BLER and radar batches return named sums, which one
+accumulator, :func:`_total`, adds by name in batch order: a BLER point
+stops on its error count or at ``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
 profile and bit capacity. Rows are returned as dicts and, when ``cfg.out``
@@ -16,6 +17,7 @@ seed, and a config hash, and a header of the row keys in order.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from itertools import islice
@@ -73,6 +75,19 @@ def _batches(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None, experiment
         finally:
             for fut in futures:
                 fut.cancel()
+
+
+def _total(batches, stop=lambda totals: False) -> Counter:
+    """Add up the named sums that ``batches`` (:func:`_batches`) yields, key
+    by key in batch order, and close ``batches`` as soon as
+    ``stop(totals)`` holds, which cancels the batches not yet started."""
+    totals = Counter()
+    with closing(batches):
+        for sums in batches:
+            totals.update(sums)
+            if stop(totals):
+                break
+    return totals
 
 
 def _fmt(value) -> str:
@@ -165,7 +180,7 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
-                sigma2: float) -> tuple[int, int]:
+                sigma2: float) -> dict:
     mcfg = cfg.modem_config()
     idx, psk, d = random_words(mcfg, batch, rng)
     w = tx_bins(d, mcfg)
@@ -177,7 +192,7 @@ def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     b += h_c * w
     det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
     errors = np.any((det_i != idx) | (det_z != psk), axis=1)
-    return batch, int(errors.sum())
+    return {"trials": batch, "errors": int(errors.sum())}
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:
@@ -212,15 +227,10 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
             snr = post_equalization_snr(mcfg.fdss, sigma2)  # 0 below about -1618 dB
             n0 = 1.0 / snr if snr > 0 else np.inf
             bound = union_bound_bler(mcfg, n0)
-            trials = errors = 0
-            # closing the batches at the error count cancels the unstarted ones
-            with closing(_batches(cfg, pool, "bler", sweep_idx, cfg.max_trials, cfg.batch,
-                                  _bler_batch, sigma2)) as batches:
-                for n, e in batches:
-                    trials += n
-                    errors += e
-                    if errors >= cfg.target_errors:
-                        break
+            sums = _total(_batches(cfg, pool, "bler", sweep_idx, cfg.max_trials, cfg.batch,
+                                   _bler_batch, sigma2),
+                          lambda totals: totals["errors"] >= cfg.target_errors)
+            trials, errors = sums["trials"], sums["errors"]
             lo, hi = _wilson(errors, trials)
             rows.append({
                 "axis_db": float(value), "snr_db": float(snr_db),
@@ -275,9 +285,9 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
 
 
 def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
-                 scenario: str, sigma2: float, spacing_m: float | None) -> np.ndarray:
-    """[sum err2 MF, sum err2 LMMSE, sum crlb, sum crlb_expected,
-    sum crlb_nophase, trials] over one batch.
+                 scenario: str, sigma2: float, spacing_m: float | None) -> dict:
+    """The trial count and the sums of one batch, each sum named by the CSV
+    column that is the root of its mean over the trials.
 
     :func:`radar_trials` draws the trials in trial order; the rest runs
     once per batch on (B, .) arrays. One :func:`estimate_mf_lmmse` call
@@ -285,8 +295,8 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     :func:`crlb_range` call inverts the (2B, 2R, 2R) stack of the
     per-frame and the expectation-form Fisher informations at once, and
     one :func:`crlb_range_no_phase` call gives every trial's phase-unaware
-    bound. Each column is then added up in trial order (a cumulative sum,
-    not a pairwise one), as one trial at a time would.
+    bound. Each sum is then added up in trial order (a cumulative sum, not
+    a pairwise one), as one trial at a time would.
     """
     mcfg = cfg.modem_config()
     b, w, scenes = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
@@ -296,28 +306,27 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est_mf, est_lm = estimate_mf_lmmse(obs, scenes[0].n_targets)
     truths = np.array([scene.distances for scene in scenes])
-    per_trial = np.stack((((est_mf.distances - truths) ** 2).sum(axis=-1),
-                          ((est_lm.distances - truths) ** 2).sum(axis=-1),
-                          bounds[:batch], bounds[batch:],
-                          crlb_range_no_phase(scenes, mcfg.m, sigma2),
-                          np.ones(batch)))
-    return np.cumsum(per_trial, axis=-1)[:, -1]
+    per_trial = {"rmse_mf_m": ((est_mf.distances - truths) ** 2).sum(axis=-1),
+                 "rmse_lmmse_m": ((est_lm.distances - truths) ** 2).sum(axis=-1),
+                 "crlb_m": bounds[:batch], "crlb_expected_m": bounds[batch:],
+                 "crlb_nophase_m": crlb_range_no_phase(scenes, mcfg.m, sigma2)}
+    return {"trials": batch, **{name: np.cumsum(x)[-1] for name, x in per_trial.items()}}
 
 
-def _radar_point(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None, experiment: str,
-                 scenario: str, sweep_idx: int, sigma2: float,
-                 spacing_m: float | None) -> dict:
-    acc = sum(_batches(cfg, pool, experiment, sweep_idx, cfg.trials, RADAR_BATCH,
-                       _radar_batch, scenario, sigma2, spacing_m), np.zeros(6))
-    n = acc[5]
-    return {
-        "rmse_mf_m": float(np.sqrt(acc[0] / n)),
-        "rmse_lmmse_m": float(np.sqrt(acc[1] / n)),
-        "crlb_m": float(np.sqrt(acc[2] / n)),
-        "crlb_expected_m": float(np.sqrt(acc[3] / n)),
-        "crlb_nophase_m": float(np.sqrt(acc[4] / n)),
-        "trials": int(n),
-    }
+def _radar_rows(cfg: ExperimentConfig, experiment: str, scenario: str, points) -> list[dict]:
+    """One row per sweep point of ``points``, (leading columns, sigma2,
+    spacing_m) triples: the leading columns, the root of each named mean
+    square of :func:`_radar_batch`, then ``trials``."""
+    rows = []
+    with _pool(cfg) as pool:
+        for sweep_idx, (lead, sigma2, spacing_m) in enumerate(points):
+            sums = _total(_batches(cfg, pool, experiment, sweep_idx, cfg.trials, RADAR_BATCH,
+                                   _radar_batch, scenario, sigma2, spacing_m))
+            n = sums.pop("trials")
+            rows.append(lead | {name: float(np.sqrt(sum_ / n)) for name, sum_ in sums.items()}
+                        | {"trials": n})
+    write_csv(cfg, experiment, rows)
+    return rows
 
 
 def run_radar_rmse(cfg: ExperimentConfig,
@@ -329,30 +338,16 @@ def run_radar_rmse(cfg: ExperimentConfig,
         raise ValueError("scenario must be 'single' or 'two'")
     if not cfg.snr_db:
         raise ValueError("[sweep] snr_db (--snrs) is empty: nothing to sweep")
-    rows = []
-    with _pool(cfg) as pool:
-        for sweep_idx, snr_db in enumerate(cfg.snr_db):
-            row = {"snr_db": float(snr_db), "scenario": scenario}
-            row.update(_radar_point(cfg, pool, "radar-rmse", scenario, sweep_idx,
-                                    noise_variance(snr_db), None))
-            rows.append(row)
-    write_csv(cfg, "radar-rmse", rows)
-    return rows
+    return _radar_rows(cfg, "radar-rmse", scenario, [
+        ({"snr_db": float(snr_db), "scenario": scenario}, noise_variance(snr_db), None)
+        for snr_db in cfg.snr_db])
 
 
 def run_resolution(cfg: ExperimentConfig) -> list[dict]:
     """Two-target RMSE versus spacing (in units of the minimum resolution)
     at the fixed SNR ``cfg.resolution_snr_db``."""
-    factors = cfg.spacing_rmin or RESOLUTION_SPACING_RMIN
     r_min = min_resolution(cfg.bandwidth_hz)
-    sigma2 = noise_variance(cfg.resolution_snr_db)
-    rows = []
-    with _pool(cfg) as pool:
-        for sweep_idx, factor in enumerate(factors):
-            row = {"spacing_m": float(factor * r_min), "spacing_rmin": float(factor),
-                   "snr_db": float(cfg.resolution_snr_db)}
-            row.update(_radar_point(cfg, pool, "resolution", "two", sweep_idx, sigma2,
-                                    float(factor * r_min)))
-            rows.append(row)
-    write_csv(cfg, "resolution", rows)
-    return rows
+    snr_db, sigma2 = float(cfg.resolution_snr_db), noise_variance(cfg.resolution_snr_db)
+    return _radar_rows(cfg, "resolution", "two", [
+        ({"spacing_m": float(f * r_min), "spacing_rmin": float(f), "snr_db": snr_db},
+         sigma2, float(f * r_min)) for f in cfg.spacing_rmin or RESOLUTION_SPACING_RMIN])

@@ -1,4 +1,5 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import hashlib
 import json
 import re
 import shlex
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from chirpim.config import CONFIG_KEYS, PRESETS, desk_preset, load_config, paper
     preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols
 from chirpim import runners
-from chirpim.runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
+from chirpim.runners import PMEPR_THRESHOLDS, run_bler, run_pmepr_ccdf, run_radar_rmse, \
+    run_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +610,26 @@ def test_runs_at_the_extreme_snrs_the_config_accepts():
     # bound, which overflows (it wrote inf).
     rows = run_bler(desk_preset(snr_db=(20.0, -3070.0), max_trials=8, batch=8))
     assert (rows[1]["bler"], rows[1]["union_bound"]) == (1.0, 1.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="sigma2 = 1e[+]?307"):
+    with pytest.raises(ValueError, match="sigma2 = 1e[+]?307"):
         run_radar_rmse(desk_preset(length=1, snr_db=(-3070.0,), trials=2), "single")
+
+
+@pytest.mark.parametrize("make, snrs", [
+    (desk_preset, tuple(float(snr) for snr in range(-2900, -2909, -1))),
+    (paper_preset, (-2880.0,)),
+], ids=["desk", "paper"])
+@pytest.mark.parametrize("scenario, length", [("single", 1), ("two", 2)])
+def test_radar_rows_finite_at_the_lowest_snrs_that_run(make, snrs, scenario, length):
+    # Im u_1 reaches about 1e157 at -2900 dB on the desk preset, so the lobe
+    # pick's predicted Re z must not square it; these are the lowest SNRs
+    # that run before the phase-unaware bound refuses one (desk -2908.5 dB)
+    cfg = make(length=length, snr_db=snrs, trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_radar_rmse(cfg, scenario)
+    assert len(rows) == len(snrs)
+    assert all(np.isfinite(value) for row in rows for value in row.values()
+               if isinstance(value, float))
 
 
 def test_import_and_presets_leave_the_radar_caches_empty():
@@ -780,6 +801,28 @@ def test_bler_runner_stops_on_error_count(tmp_path):
     assert header == "axis_db,snr_db,bler,union_bound,trials,errors,ci_lo,ci_hi"
 
 
+def test_bler_point_pulls_no_batch_past_its_error_count(monkeypatch):
+    # in process, batches run as the accumulator pulls them: the point stops
+    # on the batch that brings its errors to target_errors, here the j-th
+    # of the 64 batches max_trials allows
+    cfg = desk_preset(scheme=Scheme.DFT_S_OFDM_IM, snr_db=(-8.0,), target_errors=40,
+                      batch=16, max_trials=1024)
+    errors = []
+
+    def counting(*args):
+        sums = bler_batch(*args)
+        errors.append(sums["errors"])
+        return sums
+
+    bler_batch = runners._bler_batch
+    monkeypatch.setattr(runners, "_bler_batch", counting)
+    row, = run_bler(cfg)
+    j = len(errors)
+    assert 1 < j < cfg.max_trials // cfg.batch
+    assert sum(errors[:-1]) < cfg.target_errors <= sum(errors) == row["errors"]
+    assert row["trials"] == j * cfg.batch
+
+
 # fading BLER rows: paper L=2 delta=84 at the bench SNRs, desk L=5 delta=10
 # (174 of its 1800 frames leave the greedy detector stuck) and desk OFDM-IM,
 # whose 0 dB point stops on its error count; every other point runs exactly
@@ -856,6 +899,44 @@ def test_pmepr_rows_are_a_ccdf(tmp_path):
     assert ccdf[0] == 1.0
     assert all(a >= b for a, b in zip(ccdf, ccdf[1:]))
     assert rows[0]["max_pmepr_db"] <= 10 * np.log10(2) + 1.5
+
+
+# desk L=2, 300 frames in batches of 64 (the last one 44), seed 4: the
+# maximum; the first threshold index where not every frame exceeds, and the
+# exceedance counts from there until none does; a SHA-256 over the bytes of
+# every _pmepr_batch value in batch order, which a last-bit change shows
+_PINNED_PMEPR_CONFIGS = {
+    "csc-im-linear": (Scheme.CSC_IM, ChirpFamily.LINEAR),
+    "csc-im-sinusoidal": (Scheme.CSC_IM, ChirpFamily.SINUSOIDAL),
+    "dft-s-ofdm-im": (Scheme.DFT_S_OFDM_IM, ChirpFamily.LINEAR),
+    "ofdm-im": (Scheme.OFDM_IM, ChirpFamily.LINEAR),
+}
+PINNED_PMEPR_ROWS = {
+    "csc-im-linear": (3.740542007270418, 55, (299, 299, 299, 299, 299, 299, 295, 295, 288,
+                                              265, 231, 211, 156, 124, 91, 74, 69, 56, 32, 1),
+                      "890515b7353343fa2fd300dd7ae597db5e23eb794428ed28b13d2217272fb71f"),
+    "csc-im-sinusoidal": (3.0258622778563944, 47, (299,) * 14,
+                          "07ad89f3e7e17df4784c3f6fc201d5c12dae08d587a77eb44e6245cd43020ba2"),
+    "dft-s-ofdm-im": (17.14795780475695, 241, (),
+                      "6ad2fac40b645dfa490017687f2f3c2ecfeb71ab36cc31d2bca2c2a4a4e6371a"),
+    "ofdm-im": (3.0102999566398134, 61, (),
+                "ec78fba206683c09e0b4c3c3dff7731377acec86704f7103170561bb9a37fdeb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PMEPR_ROWS))
+def test_pmepr_rows_pinned(name):
+    scheme, family = _PINNED_PMEPR_CONFIGS[name]
+    cfg = desk_preset(scheme, length=2, family=family, trials=300, batch=64, seed=4)
+    max_db, first, counts, digest = PINNED_PMEPR_ROWS[name]
+    counts = [300] * first + list(counts)
+    counts += [0] * (len(PMEPR_THRESHOLDS) - len(counts))
+    assert run_pmepr_ccdf(cfg) == [
+        {"scheme": scheme.value, "pmepr_db": float(t), "ccdf": c / 300, "max_pmepr_db": max_db}
+        for t, c in zip(PMEPR_THRESHOLDS, counts)]
+    values = runners._batches(cfg, None, "pmepr", 0, cfg.trials, cfg.batch,
+                              runners._pmepr_batch)
+    assert hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
@@ -944,6 +1025,25 @@ def test_csv_header_pinned(experiment, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith(f"# chirpim {experiment} preset=desk seed=1 config=")
     assert lines[1] == _CSV_HEADERS[experiment]
+
+
+def formats_columns(experiment: str) -> list[str]:
+    """The columns of the table under ``### <experiment>`` in
+    docs/formats.md, in order; a row may name several (``trials, errors``)."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = text.split(f"\n### {experiment}\n", 1)[1].split("\n#", 1)[0]
+    cells = re.findall(r"^\| ([^|]+?) \|", section, flags=re.M)[2:]  # past header, rule
+    return [name for cell in cells for name in cell.split(", ")]
+
+
+@pytest.mark.parametrize("experiment", sorted(_CSV_HEADERS))
+def test_formats_doc_lists_the_csv_columns(experiment):
+    # a column added to a runner must be documented, in its place
+    columns = formats_columns(experiment)
+    if experiment == "resolution":  # its three, then radar-rmse's from rmse_mf_m on
+        rmse = formats_columns("radar-rmse")
+        columns += rmse[rmse.index("rmse_mf_m"):]
+    assert columns == _CSV_HEADERS[experiment].split(",")
 
 
 def test_bler_rejects_taps_beyond_cp():
