@@ -243,10 +243,11 @@ def _plain_idft(grid: np.ndarray, w: np.ndarray, window) -> np.ndarray:
 
 
 # measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
-# transform per PMEPR_BLOCK frames: 32 paper-scale frames hold about 8 MB of
-# 8x oversampled body at once
+# transform per FRAME_BLOCK frames: 16 paper-scale frames hold about 4 MB of
+# 8x oversampled body at once. The runners' PMEPR and BLER batches build
+# their frames FRAME_BLOCK at a time too.
 PMEPR_OVERSAMPLE = 8
-PMEPR_BLOCK = 32
+FRAME_BLOCK = 16
 
 
 def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = None):
@@ -260,9 +261,9 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     default each frame's own mean power sum_k |w_k|^2 (Parseval for the
     plain-sum IDFT); pass sum |g_k|^2 = M for the bins of
     :func:`chirpim.modem.tx_bins` to reference the ensemble power instead.
-    Frames run :data:`PMEPR_BLOCK` at a time through one 8N-point grid and
+    Frames run :data:`FRAME_BLOCK` at a time through one 8N-point grid and
     one |x| buffer allocated per call, so memory beyond ``w`` is one
-    32-frame workspace (the grid, its IDFT and |x|) whatever the batch;
+    block's workspace (the grid, its IDFT and |x|) whatever the batch;
     every frame's value is the same as when it is measured alone. Each
     frame's peak magnitude is squared once: rounding is monotone, so
     fl(max |x|)^2 equals max fl(|x|^2) bit for bit.
@@ -272,13 +273,13 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
     window = _window_slices(k, rows.shape[-1], PMEPR_OVERSAMPLE * n)
     peak = np.empty(len(rows))
-    size = min(PMEPR_BLOCK, len(rows))
+    size = min(FRAME_BLOCK, len(rows))
     # every block writes its bins at the same positions, so the rest of
     # the grid stays zero from one block to the next
     grid = np.zeros((size, PMEPR_OVERSAMPLE * n), dtype=complex)
     magnitude = np.empty(grid.shape)
-    for lo in range(0, len(rows), PMEPR_BLOCK):
-        block = rows[lo:lo + PMEPR_BLOCK]
+    for lo in range(0, len(rows), FRAME_BLOCK):
+        block = rows[lo:lo + FRAME_BLOCK]
         x = magnitude[:len(block)]
         np.abs(_plain_idft(grid[:len(block)], block, window), out=x)
         x.max(axis=-1, out=peak[lo:lo + len(block)])

@@ -10,9 +10,12 @@ accumulator, :func:`_total`, adds by name in batch order: a BLER point
 stops on its error count or at ``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
-profile and bit capacity. Rows are returned as dicts and, when ``cfg.out``
-is set, written there as CSV with one comment line recording the preset,
-seed, and a config hash, and a header of the row keys in order.
+profile and bit capacity. A PMEPR or BLER batch draws its whole stream
+first (words, then channels and noise) and then builds and runs its frames
+:data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries are one
+block's, whatever ``cfg.batch``. Rows are returned as dicts and, when
+``cfg.out`` is set, written there as CSV with one comment line recording
+the preset, seed, and a config hash, and a header of the row keys in order.
 """
 from __future__ import annotations
 
@@ -25,17 +28,19 @@ from typing import Literal
 
 import numpy as np
 
-from .channel import RadarScene, complex_noise, radar_cfr, rician_realize
+from .channel import CommChannel, RadarScene, complex_noise, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
 from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
     tx_bins, union_bound_bler, word_symbols
-from .chirps import PMEPR_BLOCK, measure_pmepr
+from .chirps import FRAME_BLOCK, measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_mf_lmmse, min_resolution
 from .util import noise_variance
 # perfbench/spans.py wraps these names here; the runners call the batched
-# estimate_mf_lmmse instead, and measure PMEPR from the bins, not a frame
+# estimate_mf_lmmse instead, and measure PMEPR from the bins, not a frame.
+# It wraps random_words (below) too, which no runner calls either: every
+# runner draws with _draw_words and builds the symbols where it uses them
 from .modem import frame_from_symbols  # noqa: F401
 from .radar import estimate_lmmse, estimate_multi_mf  # noqa: F401
 
@@ -140,14 +145,14 @@ def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
     frame), against the nominal transmit power sum |g|^2 = M.
 
     The batch's ranks and PSK are drawn as :func:`random_words` draws them;
-    the bins are then built :data:`PMEPR_BLOCK` codewords at a time into one
+    the bins are then built :data:`FRAME_BLOCK` codewords at a time into one
     (B, M) array, which one :func:`measure_pmepr` call measures. Memory is
-    that bins array plus one 32-frame workspace, whatever the batch."""
+    that bins array plus one block's workspace, whatever the batch."""
     mcfg = cfg.modem_config()
     idx, psk = _draw_words(mcfg, batch, rng)
     w = np.empty((batch, mcfg.m), dtype=complex)
-    for lo in range(0, batch, PMEPR_BLOCK):
-        rows = slice(lo, lo + PMEPR_BLOCK)
+    for lo in range(0, batch, FRAME_BLOCK):
+        rows = slice(lo, lo + FRAME_BLOCK)
         w[rows] = tx_bins(word_symbols(idx[rows], psk[rows], mcfg), mcfg)
     return np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
 
@@ -181,18 +186,35 @@ def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
 
 def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
                 sigma2: float) -> dict:
+    """Send ``batch`` random frames at noise variance ``sigma2``; return the
+    frame count and the block errors by name (``trials``, ``errors``).
+
+    The stream is read whole-batch, in this order: the ranks and PSK
+    (:func:`_draw_words`), under fading one :func:`rician_realize` of
+    ``batch`` channels, then one (B, M) :func:`complex_noise` array. The
+    frames then run :data:`FRAME_BLOCK` at a time through their symbols,
+    bins and CFR, are received in place on their noise rows and detected,
+    so every temporary is one block's, whatever the batch. Each kernel acts
+    row by row, so every detected word is the one a single pass over the
+    whole batch detects.
+    """
     mcfg = cfg.modem_config()
-    idx, psk, d = random_words(mcfg, batch, rng)
-    w = tx_bins(d, mcfg)
-    if cfg.fading:
-        h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s)
-    else:
-        h_c = 1.0  # AWGN: the equalizer keeps c = h_c g as one row
-    b = complex_noise(w.shape, sigma2, rng)
-    b += h_c * w
-    det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
-    errors = np.any((det_i != idx) | (det_z != psk), axis=1)
-    return {"trials": batch, "errors": int(errors.sum())}
+    idx, psk = _draw_words(mcfg, batch, rng)
+    channel = rician_realize(cfg.pdp, rng, batch=batch) if cfg.fading else None
+    noise = complex_noise((batch, mcfg.m), sigma2, rng)
+    errors = 0
+    for lo in range(0, batch, FRAME_BLOCK):
+        rows = slice(lo, lo + FRAME_BLOCK)
+        w = tx_bins(word_symbols(idx[rows], psk[rows], mcfg), mcfg)
+        if channel is None:
+            h_c = 1.0  # AWGN: the equalizer keeps c = h_c g as one row
+        else:
+            h_c = CommChannel(channel.delays, channel.gains[rows]).cfr(mcfg.k, cfg.t_s)
+        b = noise[rows]  # each noise row is used once, so receive in place
+        b += h_c * w
+        det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
+        errors += int(np.any((det_i != idx[rows]) | (det_z != psk[rows]), axis=1).sum())
+    return {"trials": batch, "errors": errors}
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:

@@ -8,7 +8,9 @@ hypothesis, the greedy separation-aware detector as a plain Python loop,
 the radar Fisher information as the Gram matrix of the mean's Jacobian,
 the matched-filter metric at one delay from the written-out steering vector,
 the oversampled PMEPR by zero-padding the spectrum of a time-domain body.
-None of it shares code with the library paths under test.
+None of it shares code with the library paths under test, except the
+one-pass BLER batch: it runs the library's kernels once over the whole
+batch, the reference for the runner's block-by-block pass.
 """
 from __future__ import annotations
 
@@ -16,6 +18,10 @@ from itertools import combinations, product
 from math import comb
 
 import numpy as np
+
+from chirpim.channel import complex_noise, rician_realize
+from chirpim.modem import detect_words_batch, tx_bins
+from chirpim.runners import random_words
 
 
 def linear_chirp_phase(d: float):
@@ -213,3 +219,17 @@ def mf_objective(tau: float, obs) -> tuple[float, float]:
     inner = np.sum(np.conj(steer) * np.conj(obs.w) * obs.b)
     re = float(np.real(inner))
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
+
+
+def one_pass_bler_batch(cfg, rng, batch: int, sigma2: float):
+    """A BLER batch as one pass over whole (B, M) arrays: every word, its
+    bins, one batched Rician CFR under fading, the noise, and one detector
+    call. Returns the detected (indices, psk) and the block-error count."""
+    mcfg = cfg.modem_config()
+    idx, psk, d = random_words(mcfg, batch, rng)
+    w = tx_bins(d, mcfg)
+    h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s) if cfg.fading else 1.0
+    b = complex_noise(w.shape, sigma2, rng)
+    b += h_c * w
+    det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
+    return det_i, det_z, int(np.any((det_i != idx) | (det_z != psk), axis=1).sum())

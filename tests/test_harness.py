@@ -16,7 +16,7 @@ import pytest
 
 import chirpim
 import chirpim.modem
-from chirpim.chirps import PMEPR_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, measure_pmepr
+from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, measure_pmepr
 from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
 from chirpim.config import CONFIG_KEYS, PRESETS, desk_preset, load_config, paper_preset, \
     preset
@@ -941,9 +941,10 @@ def test_pmepr_rows_pinned(name):
 
 @pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
 def test_pmepr_batch_equals_the_whole_batch_composition(make):
-    # a batch built and measured 32 codewords at a time (blocks 32/32/11 at
-    # batch 75) gives the values of the whole batch's random_words, tx_bins
-    # and measure_pmepr, and leaves its stream where they leave it
+    # a batch built and measured FRAME_BLOCK codewords at a time (blocks of
+    # 16 and a short one at batch 75) gives the values of the whole batch's
+    # random_words, tx_bins and measure_pmepr, and leaves its stream where
+    # they leave it
     cfg = make(family=ChirpFamily.SINUSOIDAL, length=2)
     mcfg = cfg.modem_config()
     for seed, batch in enumerate((1, 32, 75)):
@@ -958,7 +959,7 @@ def test_pmepr_batch_equals_the_whole_batch_composition(make):
 
 def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
     # paper scale, batch 2048: the tracemalloc peak is the (B, M) bins plus
-    # one 32-frame workspace (the 8N-point grid, its IDFT and |x|^2), not a
+    # one block's workspace (the 8N-point grid, its IDFT and |x|^2), not a
     # whole batch of symbols, spectra or oversampled grids
     cfg = paper_preset(family=ChirpFamily.SINUSOIDAL, length=2)
     mcfg, batch = cfg.modem_config(), 2048
@@ -970,8 +971,27 @@ def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
     finally:
         tracemalloc.stop()
     bins = batch * mcfg.m * 16
-    workspace = PMEPR_BLOCK * PMEPR_OVERSAMPLE * mcfg.n * (16 + 16 + 8)
+    workspace = FRAME_BLOCK * PMEPR_OVERSAMPLE * mcfg.n * (16 + 16 + 8)
     assert peak <= bins + workspace + 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_bler_batch_memory_is_the_noise_and_one_block():
+    # paper CSC-IM L=2 with fading, batch 2048: the tracemalloc peak is the
+    # (B, M) noise, the one real plane complex_noise draws at a time, and
+    # one block's workspace (eight complex (FRAME_BLOCK, M) arrays), not a
+    # whole batch of symbols, bins, CFRs or detector planes
+    cfg = paper_preset(length=2, separated=True, fading=True)
+    mcfg, batch = cfg.modem_config(), 2048
+    runners._bler_batch(cfg, np.random.default_rng(0), 1, 0.05)  # fills the unranking table
+    tracemalloc.start()
+    try:
+        runners._bler_batch(cfg, np.random.default_rng(0), batch, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise, plane = batch * mcfg.m * 16, batch * mcfg.m * 8
+    workspace = FRAME_BLOCK * mcfg.m * 16 * 8
+    assert peak <= noise + plane + workspace + 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_resolution_runner_sharp_drop():

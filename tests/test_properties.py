@@ -1,13 +1,17 @@
 """Property-based checks of the index codec, the noiseless tx/rx chain, the
-oversampled PMEPR, the band rotation, the radar Fisher information and the
-BLER interval."""
+oversampled PMEPR, the band rotation, the radar Fisher information, the
+BLER batch and the BLER interval."""
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chirpim.modem
+from chirpim import runners
 from chirpim.channel import RadarScene
-from chirpim.chirps import PMEPR_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
+from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
     band_slices, measure_pmepr
+from chirpim.config import desk_preset
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
                               indices_to_rank, rank_to_indices, word_to_bits)
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
@@ -16,7 +20,7 @@ from chirpim.radar import crlb_range, fim
 from chirpim.runners import _wilson
 from chirpim.util import SPEED_OF_LIGHT
 
-from oracles import fim_jacobian_gram, zero_padded_pmepr_db
+from oracles import fim_jacobian_gram, one_pass_bler_batch, zero_padded_pmepr_db
 
 T_S = 88.9e-9
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -92,7 +96,7 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
                                0.75 * m, m) if scheme is Scheme.CSC_IM else None
     cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, chirp=chirp)
     p_av = data.draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda x: x * m)))
-    batch = data.draw(st.integers(1, 3 * PMEPR_BLOCK + 1))
+    batch = data.draw(st.integers(1, 3 * FRAME_BLOCK + 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m))
     values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, p_av=p_av)
@@ -160,6 +164,36 @@ def test_fim_equals_jacobian_gram(case, sigma2):
     r = scene.n_targets
     diagonal = SPEED_OF_LIGHT ** 2 / 4 * np.sum(1.0 / np.diag(j)[:r])
     assert crlb_range(scene, (k, w), sigma2) >= diagonal * (1 - 1e-12)
+
+
+@PROPERTY
+@given(st.sampled_from(list(Scheme)), st.booleans(), st.sampled_from((1, 15, 16, 17, 33, 50)),
+       st.sampled_from(((1, False), (2, False), (2, True), (5, True))),
+       st.sampled_from((0.01, 0.3, 3.0)), st.integers(0, 2 ** 32 - 1))
+def test_bler_batch_in_blocks_equals_one_pass(scheme, fading, batch, code, sigma2, seed):
+    # batches that straddle FRAME_BLOCK: the runner's block-by-block pass
+    # detects the one-pass oracle's word in every frame, counts the same
+    # errors and leaves the stream where the oracle leaves it (desk L=5
+    # delta=10 has stuck rows)
+    length, separated = code
+    cfg = desk_preset(scheme=scheme, length=length, separated=separated, fading=fading)
+    blocks = []
+
+    def detect(*args):
+        blocks.append(chirpim.modem.detect_words_batch(*args))
+        return blocks[-1]
+
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runners, "detect_words_batch", detect)
+        sums = runners._bler_batch(cfg, rng, batch, sigma2)
+    det_i, det_z, errors = one_pass_bler_batch(cfg, oracle, batch, sigma2)
+    assert [len(i) for i, _ in blocks] == [min(FRAME_BLOCK, batch - lo)
+                                           for lo in range(0, batch, FRAME_BLOCK)]
+    assert np.array_equal(np.concatenate([i for i, _ in blocks]), det_i)
+    assert np.array_equal(np.concatenate([z for _, z in blocks]), det_z)
+    assert sums == {"trials": batch, "errors": errors}
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 @PROPERTY
