@@ -20,46 +20,59 @@ import numpy as np
 from .util import SPEED_OF_LIGHT, check_noise_variance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadarScene:
-    """Targets as (distance_m, reflection_coeff) sorted by distance."""
+    """Targets as (distance_m, reflection_coeff) rows sorted by distance,
+    shape (R, 2) for one scene or (B, R, 2) for a stack of B scenes with one
+    target count: a read-only float copy. A refusal names a stack's row."""
 
-    targets: tuple[tuple[float, float], ...]
+    targets: np.ndarray
     f_c: float
     t_s: float
     t_cp: float
 
     def __post_init__(self):
-        if not self.targets:
-            raise ValueError("scene needs at least one target")
-        dists = [d for d, _ in self.targets]
-        if not all(0 < d < np.inf for d in dists):
-            raise ValueError(f"target distances must be finite and positive, got {dists}")
-        if sorted(dists) != dists:
-            raise ValueError("targets must be sorted by distance")
-        if not all(np.isfinite(a) and a != 0 for _, a in self.targets):
-            raise ValueError("reflection coefficients must be finite and nonzero, "
-                             f"got {list(self.coeffs)}")
-        if max(self.delays) > self.t_cp:
-            raise ValueError(
-                f"round-trip delay {max(self.delays):.3e}s exceeds the CP {self.t_cp:.3e}s "
-                f"(unambiguous range {self.max_range:.3f} m)")
+        try:
+            targets = np.array(self.targets, dtype=float)
+        except ValueError as exc:  # ragged
+            raise ValueError("targets must be rows of two values, as many rows in every scene "
+                             f"of a stack: {exc}") from None
+        if targets.ndim not in (2, 3) or targets.shape[-1] != 2 or targets.size == 0:
+            raise ValueError("targets must have shape (R, 2) for one scene or (B, R, 2) for a "
+                             f"stack, with R and B at least 1, got shape {targets.shape}")
+        targets.flags.writeable = False
+        object.__setattr__(self, "targets", targets)
+        d, a = self.distances, self.coeffs
+        ok = (0 < d) & (d < np.inf) & np.isfinite(a) & (a != 0) & (self.delays <= self.t_cp)
+        if ok.all() and not (d[..., 1:] < d[..., :-1]).any():
+            return  # every rule holds; the loop below names the first that fails
+        for bad, rule in (
+                (~((0 < d) & (d < np.inf)), "target distances must be finite and positive"),
+                (d[..., 1:] < d[..., :-1], "targets must be sorted by distance"),
+                (~(np.isfinite(a) & (a != 0)), "reflection coefficients must be finite and "
+                 "nonzero"),
+                (self.delays > self.t_cp, f"round-trip delays must stay within the CP "
+                 f"{self.t_cp:.3e}s (unambiguous range {self.max_range:.3f} m)")):
+            if bad.any():
+                where = tuple(np.argwhere(bad)[0][:-1])  # the scene's row of a stack
+                row = f" (row {where[0]})" if where else ""
+                raise ValueError(f"{rule}, got {targets[where].tolist()}{row}")
 
     @property
-    def delays(self) -> tuple[float, ...]:
-        return tuple(2.0 * d / SPEED_OF_LIGHT for d, _ in self.targets)
+    def delays(self) -> np.ndarray:
+        return 2.0 * self.distances / SPEED_OF_LIGHT
 
     @property
-    def coeffs(self) -> tuple[float, ...]:
-        return tuple(a for _, a in self.targets)
+    def coeffs(self) -> np.ndarray:
+        return self.targets[..., 1]
 
     @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(d for d, _ in self.targets)
+    def distances(self) -> np.ndarray:
+        return self.targets[..., 0]
 
     @property
     def n_targets(self) -> int:
-        return len(self.targets)
+        return self.targets.shape[-2]
 
     @property
     def max_range(self) -> float:
@@ -68,12 +81,14 @@ class RadarScene:
 
 def radar_cfr(scene: RadarScene, k: np.ndarray) -> np.ndarray:
     """Frequency response on bins ``k``:
-    H_k = sum_s alpha_s e^{-j2pi f_c tau_s} e^{-j2pi k tau_s / T_s}."""
+    H_k = sum_s alpha_s e^{-j2pi f_c tau_s} e^{-j2pi k tau_s / T_s}, shape
+    (M,) for one scene or (B, M) for a stack, one target at a time."""
     k = np.asarray(k)
-    h = np.zeros(k.shape, dtype=complex)
-    for tau, alpha in zip(scene.delays, scene.coeffs):
-        h += alpha * np.exp(-2j * np.pi * scene.f_c * tau) * \
-            np.exp(-2j * np.pi * k * tau / scene.t_s)
+    tau, alpha = scene.delays[..., None], scene.coeffs[..., None]  # (.., R, 1)
+    h = np.zeros(tau.shape[:-2] + k.shape, dtype=complex)
+    for s in range(scene.n_targets):
+        h += alpha[..., s, :] * np.exp(-2j * np.pi * scene.f_c * tau[..., s, :]) * \
+            np.exp(-2j * np.pi * k * tau[..., s, :] / scene.t_s)
     return h
 
 

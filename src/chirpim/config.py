@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -155,10 +155,11 @@ class ExperimentConfig:
         return self._modem
 
     def sha(self) -> str:
-        """Hash of the result-relevant fields: ``workers`` and ``out`` do not
-        change the rows, so they are reset before hashing."""
-        relevant = replace(self, workers=1, out=None)
-        return hashlib.sha1(repr(relevant).encode()).hexdigest()[:12]
+        """Hash of the repr of this config with ``workers`` = 1 and ``out`` =
+        None (they do not change the rows), written field by field: no build."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        text = ", ".join(f"{k}={v!r}" for k, v in (values | {"workers": 1, "out": None}).items())
+        return hashlib.sha1(f"{type(self).__qualname__}({text})".encode()).hexdigest()[:12]
 
 
 _PRESET_BASE = dict(h=4, snr_db=tuple(range(0, 22, 2)), trials=2000,

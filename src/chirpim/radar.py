@@ -43,15 +43,15 @@ The bounds read one matrix, :func:`fim`: the Fisher information of all
 delays and coefficients jointly, cross terms between targets included
 (Stoica & Nehorai, IEEE TASSP 1989). :func:`crlb_range` and
 :func:`crlb_coeff` are traces of blocks of its inverse. Like the
-observations, the bounds take one scene or a stack: a sequence of B
-scenes with one target count, with reference bins of shape (M,) or
-(B, M), gives B matrices and one inverse of the (B, 2R, 2R) stack, and
-each row equals its single-scene call bit for bit. The closed-form
-phase-unaware bound, :func:`crlb_range_no_phase`, takes the same stacks.
+observations, the bounds take one scene or a stack: a
+:class:`~chirpim.channel.RadarScene` of B scenes with one target count,
+with reference bins of shape (M,) or (B, M), gives B matrices and one
+inverse of the (B, 2R, 2R) stack, and each row equals its single-scene
+call bit for bit. The closed-form phase-unaware bound,
+:func:`crlb_range_no_phase`, takes the same stacks.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -387,22 +387,11 @@ def estimate_lmmse(obs: RadarObservation, n_targets: int = 1) -> EstimateSet:
     return estimate_mf_lmmse(obs, n_targets)[1]
 
 
-def _scene_stack(scene: RadarScene | Sequence[RadarScene]) -> tuple[list[RadarScene], bool]:
-    """The scenes of a bound call, and whether it was one scene."""
-    if isinstance(scene, RadarScene):
-        return [scene], True
-    scenes = list(scene)
-    if not scenes or len({s.n_targets for s in scenes}) != 1:
-        raise ValueError("a stack of scenes needs at least one scene and one target "
-                         f"count, got counts {[s.n_targets for s in scenes]}")
-    return scenes, False
-
-
 def _row(i: int, one: bool) -> str:
     return "" if one else f" (row {i})"
 
 
-def fim(scene: RadarScene | Sequence[RadarScene], bins, sigma2: float) -> np.ndarray:
+def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
     """Fisher information J of [tau_1..tau_R, alpha_1..alpha_R] for the mean
     w_k sum_s alpha_s e^{-j2pi nu_k tau_s}, nu_k = f_c + k/T_s. From the sums
     s_n(dt) = sum_k |w_k|^2 nu_k^n e^{j2pi nu_k dt} at dt = tau_s - tau_t:
@@ -411,41 +400,37 @@ def fim(scene: RadarScene | Sequence[RadarScene], bins, sigma2: float) -> np.nda
     (2/sigma2) Re s_0. ``bins`` is ``(k, w)``: bin indices and reference
     bins, or ``(fdss.k, fdss.g)`` for the expectation form.
 
-    ``scene`` is one RadarScene, giving J of shape (2R, 2R), or a sequence
-    of B scenes with one target count, giving (B, 2R, 2R); w has shape (M,)
-    (shared) or (B, M). One scene is a batch of one, so every row equals
-    its single-scene call bit for bit. Each sum is a matrix product with a
-    contiguous copy of its weight row: the product's last bits depend on
-    the layout of that row."""
+    One scene (targets (R, 2)) gives J of shape (2R, 2R), a stack of B
+    scenes ((B, R, 2)) gives (B, 2R, 2R); w has shape (M,) (shared) or
+    (B, M). One scene is a batch of one, so every row equals its
+    single-scene call bit for bit. Each sum is a matrix product with a
+    contiguous (B, M) copy of its weight rows: the product's last bits
+    depend on the layout of a row."""
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    scenes, one = _scene_stack(scene)
-    k, w = (np.asarray(part) for part in bins)
-    if w.shape[-1:] != k.shape or w.ndim > 2 or w.shape[:-1] not in ((), (len(scenes),)):
-        raise ValueError(f"reference bins of shape {w.shape} do not fit {len(scenes)} "
+    one = scene.targets.ndim == 2
+    tau, alpha = np.atleast_2d(scene.delays), np.atleast_2d(scene.coeffs)
+    (n, r), (k, w) = tau.shape, (np.asarray(part) for part in bins)
+    if w.shape[-1:] != k.shape or w.ndim > 2 or w.shape[:-1] not in ((), (n,)):
+        raise ValueError(f"reference bins of shape {w.shape} do not fit {n} "
                          f"scene(s) on {k.shape} bins")
-    f_c = np.array([[s.f_c] for s in scenes])
-    t_s = np.array([[s.t_s] for s in scenes])
-    nu = f_c + k / t_s
+    nu = scene.f_c + k / scene.t_s
     w2 = np.abs(w) ** 2
     if w2.ndim == 1:
-        w2 = np.broadcast_to(w2, nu.shape)
-    tau = np.array([s.delays for s in scenes])
-    alpha = np.array([s.coeffs for s in scenes], dtype=float)
-    r = tau.shape[1]
+        w2 = np.broadcast_to(w2, (n, len(k)))
     # dt = 0 on the diagonal, where cos is 1 and sin is 0 exactly: the trig
     # runs only off it
-    cos = np.ones((len(scenes), r, r, len(k)))
+    cos = np.ones((n, r, r, len(k)))
     sin = np.zeros_like(cos)
     if r > 1:
         off = ~np.eye(r, dtype=bool)
-        phase = 2.0 * np.pi * (tau[:, :, None] - tau[:, None, :])[:, off, None] * nu[:, None, :]
+        phase = 2.0 * np.pi * (tau[:, :, None] - tau[:, None, :])[:, off, None] * nu
         cos[:, off], sin[:, off] = np.cos(phase), np.sin(phase)
 
     def sums(table, weights):  # Re s_n = sums(cos, |w|^2 nu^n), Im s_n = sums(sin, ...)
         return (table @ np.ascontiguousarray(weights)[:, None, :, None])[..., 0]
 
-    j = np.empty((len(scenes), 2 * r, 2 * r))
+    j = np.empty((n, 2 * r, 2 * r))
     j[:, :r, :r] = alpha[:, :, None] * alpha[:, None, :] * \
         (8.0 * np.pi ** 2 * sums(cos, w2 * nu * nu))
     j[:, :r, r:] = -4.0 * np.pi * alpha[:, :, None] * sums(sin, w2 * nu)
@@ -459,23 +444,28 @@ def fim(scene: RadarScene | Sequence[RadarScene], bins, sigma2: float) -> np.nda
     return j[0] if one else j
 
 
-def _fim_inverse(scene: RadarScene | Sequence[RadarScene], bins,
-                 sigma2: float) -> tuple[np.ndarray, bool]:
+def _fim_inverse(scene: RadarScene, bins, sigma2: float) -> tuple[np.ndarray, bool]:
     """J^{-1} of every scene, shape (B, 2R, 2R), from one inverse of the
-    stack, and whether ``scene`` was one scene. Coinciding targets or
-    all-zero reference bins make a J singular and are refused, naming the
-    row of a stack."""
-    scenes, one = _scene_stack(scene)
-    d = np.array([s.distances for s in scenes])
+    stack, and whether ``scene`` is one scene. A singular J is refused,
+    naming a stack's row: coinciding targets, all-zero reference bins, or
+    fewer nonzero bins than targets (each bin adds rank at most 2 to J)."""
+    one, r = scene.targets.ndim == 2, scene.n_targets
+    d = np.atleast_2d(scene.distances)
     coincide = d[:, 1:] == d[:, :-1]
     if coincide.any():
         i, s = np.argwhere(coincide)[0]
         raise ValueError(f"targets {s} and {s + 1} coincide at {d[i, s]} m{_row(i, one)}: "
                          "the Fisher information is singular")
-    j = fim(scenes, bins, sigma2)
+    j = fim(scene, bins, sigma2).reshape(len(d), 2 * r, 2 * r)
     zero = j[:, -1, -1] == 0  # (2/sigma2) sum_k |w_k|^2
     if zero.any():
         raise ValueError(f"reference bins are all zero{_row(np.argmax(zero), one)}")
+    nonzero = np.atleast_1d(np.count_nonzero(bins[1], axis=-1))
+    if (few := nonzero < r).any():
+        i = np.argmax(few)
+        raise ValueError(f"{nonzero[i]} nonzero reference bin(s){_row(i, one)} cannot resolve "
+                         f"{r} targets: each bin adds rank at most 2 to the {2 * r}x{2 * r} "
+                         "Fisher information, which is singular")
     return np.linalg.inv(j), one
 
 
@@ -487,46 +477,41 @@ def _block_trace(inverse: np.ndarray, block: range, one: bool) -> float | np.nda
     return float(trace[0]) if one else trace
 
 
-def crlb_range(scene: RadarScene | Sequence[RadarScene], bins,
-               sigma2: float) -> float | np.ndarray:
+def crlb_range(scene: RadarScene, bins, sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2: c^2/4 times the
     trace of the tau block of J^{-1} (:func:`fim`). A float for one scene,
-    shape (B,) for a sequence of B scenes, all from one inverse."""
+    shape (B,) for a stack of B scenes, all from one inverse."""
     inverse, one = _fim_inverse(scene, bins, sigma2)
     r = inverse.shape[-1] // 2
     return SPEED_OF_LIGHT ** 2 / 4.0 * _block_trace(inverse, range(r), one)
 
 
-def crlb_coeff(scene: RadarScene | Sequence[RadarScene], bins,
-               sigma2: float) -> float | np.ndarray:
+def crlb_coeff(scene: RadarScene, bins, sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2: the trace of the
     alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target. A
-    float for one scene, shape (B,) for a sequence of B scenes."""
+    float for one scene, shape (B,) for a stack of B scenes."""
     inverse, one = _fim_inverse(scene, bins, sigma2)
     r = inverse.shape[-1] // 2
     return _block_trace(inverse, range(r, 2 * r), one)
 
 
-def crlb_range_no_phase(scene: RadarScene | Sequence[RadarScene], m: int,
-                        sigma2: float) -> float | np.ndarray:
+def crlb_range_no_phase(scene: RadarScene, m: int, sigma2: float) -> float | np.ndarray:
     """Range bound when the carrier phase is treated as unknown rather than
     range-dependent (unimodular bins), without cross terms between targets:
     3 sigma2 c^2 T_s^2 / (8 pi^2 M (M^2 - 1)) * sum_s 1/alpha_s^2. For one
     target, :func:`crlb_range` with f_c -> 0 and |w_k| = 1 on m symmetric
     bins, via sum k^2 = M (M^2 - 1) / 12. A float for one scene, shape (B,)
-    for a sequence of B scenes with one target count."""
+    for a stack of B scenes."""
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    scenes, one = _scene_stack(scene)
-    inv_a2 = np.sum(1.0 / np.array([s.coeffs for s in scenes], dtype=float) ** 2, axis=-1)
+    inv_a2 = np.sum(1.0 / np.atleast_2d(scene.coeffs) ** 2, axis=-1)
     # T_s^2 is the float power (libm pow), which differs from an array's
     # x * x in the last bit for some T_s
-    t_s2 = np.array([s.t_s ** 2 for s in scenes])
-    bound = 3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * t_s2 / \
+    bound = 3.0 * sigma2 * SPEED_OF_LIGHT ** 2 * scene.t_s ** 2 / \
         (8.0 * np.pi ** 2 * m * (m ** 2 - 1)) * inv_a2
     if not np.all(np.isfinite(bound)):
         raise ValueError(f"the phase-unaware range bound overflows at sigma2 = {sigma2}")
-    return float(bound[0]) if one else bound
+    return float(bound[0]) if scene.targets.ndim == 2 else bound
 
 
 def min_resolution(bandwidth_hz: float) -> float:

@@ -267,43 +267,40 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
 # Radar RMSE and resolution
 # ---------------------------------------------------------------------------
 
-def _draw_scene(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
-                spacing_m: float | None = None) -> RadarScene:
-    t_cp = cfg.t_cp
+def _draw_targets(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
+                  spacing_m: float | None = None) -> tuple[tuple[float, float], ...]:
+    """One trial's (distance_m, coeff) rows: the range, then any spacing not fixed."""
     if scenario == "single":
-        d0 = rng.uniform(*cfg.single_range_m)
-        targets = ((d0, cfg.single_coeff),)
-    else:
-        d0 = rng.uniform(*cfg.two_range_m)
-        if spacing_m is None:
-            spacing_m = rng.uniform(*cfg.two_spacing_rmin) * min_resolution(cfg.bandwidth_hz)
-        targets = ((d0, cfg.two_coeff), (d0 + spacing_m, cfg.two_coeff))
-    return RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=t_cp)
+        return ((rng.uniform(*cfg.single_range_m), cfg.single_coeff),)
+    d0 = rng.uniform(*cfg.two_range_m)
+    if spacing_m is None:
+        spacing_m = rng.uniform(*cfg.two_spacing_rmin) * min_resolution(cfg.bandwidth_hz)
+    return ((d0, cfg.two_coeff), (d0 + spacing_m, cfg.two_coeff))
 
 
 def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float,
                  rng: np.random.Generator, spacing_m: float | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, list[RadarScene]]:
+                 ) -> tuple[np.ndarray, np.ndarray, RadarScene]:
     """``batch`` random radar trials: received bins b and reference bins w,
-    each of shape (batch, M), and the scenes.
+    each of shape (batch, M), and the stack of their scenes.
 
     The stream is read trial by trial: one codeword (its rank, then its
-    PSK), the scene (:func:`_draw_scene`), then the noise. The symbols and
-    bins of all trials are then built in one :func:`word_symbols` and one
-    :func:`tx_bins` call, so every row equals the trial drawn alone."""
+    PSK), the targets (:func:`_draw_targets`), then the noise. The symbols
+    and bins of all trials are then built in one :func:`word_symbols` and
+    one :func:`tx_bins` call, and the CFRs in one :func:`radar_cfr` call on
+    the stacked scene, so every row equals the trial drawn alone."""
     mcfg = cfg.modem_config()
     idx = np.empty((batch, mcfg.length), dtype=np.int64)
     psk = np.empty((batch, mcfg.length), dtype=np.int64)
-    cfr = np.empty((batch, mcfg.m), dtype=complex)
     noise = np.empty((batch, mcfg.m), dtype=complex)
-    scenes = []
+    targets = []
     for t in range(batch):
         idx[t:t + 1], psk[t:t + 1] = _draw_words(mcfg, 1, rng)
-        scenes.append(_draw_scene(cfg, scenario, rng, spacing_m))
-        cfr[t] = radar_cfr(scenes[-1], mcfg.k)
+        targets.append(_draw_targets(cfg, scenario, rng, spacing_m))
         noise[t] = complex_noise(mcfg.m, sigma2, rng)
+    scene = RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
-    return cfr * w + noise, w, scenes
+    return radar_cfr(scene, mcfg.k) * w + noise, w, scene
 
 
 def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
@@ -311,27 +308,27 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     """The trial count and the sums of one batch, each sum named by the CSV
     column that is the root of its mean over the trials.
 
-    :func:`radar_trials` draws the trials in trial order; the rest runs
-    once per batch on (B, .) arrays. One :func:`estimate_mf_lmmse` call
-    puts the MF and LMMSE rows in the same delay searches, one
-    :func:`crlb_range` call inverts the (2B, 2R, 2R) stack of the
-    per-frame and the expectation-form Fisher informations at once, and
-    one :func:`crlb_range_no_phase` call gives every trial's phase-unaware
-    bound. Each sum is then added up in trial order (a cumulative sum, not
-    a pairwise one), as one trial at a time would.
+    :func:`radar_trials` draws the trials in trial order and returns their
+    stacked scene; the rest runs once per batch on (B, .) arrays. One
+    :func:`estimate_mf_lmmse` call puts the MF and LMMSE rows in the same
+    delay searches, one :func:`crlb_range` call inverts the (2B, 2R, 2R)
+    stack of the per-frame and the expectation-form Fisher informations at
+    once, and one :func:`crlb_range_no_phase` call gives every trial's
+    phase-unaware bound. Each sum is then added up in trial order (a
+    cumulative sum, not a pairwise one), as one trial at a time would.
     """
     mcfg = cfg.modem_config()
-    b, w, scenes = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
+    b, w, scene = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
+    twice = RadarScene(np.concatenate((scene.targets,) * 2), cfg.f_c, cfg.t_s, cfg.t_cp)
     expected = np.broadcast_to(mcfg.fdss.g, w.shape)
-    bounds = crlb_range(scenes * 2, (mcfg.k, np.concatenate((w, expected))), sigma2)
+    bounds = crlb_range(twice, (mcfg.k, np.concatenate((w, expected))), sigma2)
     obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
-    est_mf, est_lm = estimate_mf_lmmse(obs, scenes[0].n_targets)
-    truths = np.array([scene.distances for scene in scenes])
-    per_trial = {"rmse_mf_m": ((est_mf.distances - truths) ** 2).sum(axis=-1),
-                 "rmse_lmmse_m": ((est_lm.distances - truths) ** 2).sum(axis=-1),
+    est_mf, est_lm = estimate_mf_lmmse(obs, scene.n_targets)
+    per_trial = {"rmse_mf_m": ((est_mf.distances - scene.distances) ** 2).sum(axis=-1),
+                 "rmse_lmmse_m": ((est_lm.distances - scene.distances) ** 2).sum(axis=-1),
                  "crlb_m": bounds[:batch], "crlb_expected_m": bounds[batch:],
-                 "crlb_nophase_m": crlb_range_no_phase(scenes, mcfg.m, sigma2)}
+                 "crlb_nophase_m": crlb_range_no_phase(scene, mcfg.m, sigma2)}
     return {"trials": batch, **{name: np.cumsum(x)[-1] for name, x in per_trial.items()}}
 
 

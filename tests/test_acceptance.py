@@ -186,8 +186,8 @@ def test_coefficient_crlb_attainment():
     gaps = []
     for snr_db in (30.0, 35.0, 40.0):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        b, w, scenes = radar_trials(cfg, "single", trials, sigma2, rng)
-        bound = crlb_coeff(scenes, (mcfg.k, w), sigma2)
+        b, w, scene = radar_trials(cfg, "single", trials, sigma2, rng)
+        bound = crlb_coeff(scene, (mcfg.k, w), sigma2)
         obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                                f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
         err2 = (estimate_multi_mf(obs, 1).coeffs[:, 0] - alpha) ** 2
@@ -204,14 +204,13 @@ def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
     from their own seed: RMSE and root mean joint range bound."""
     mcfg = cfg.modem_config()
     sigma2 = 10.0 ** (-snr_db / 10.0)
-    b, w, scenes = radar_trials(cfg, "two", trials, sigma2, np.random.default_rng(seed))
-    bound = crlb_range(scenes, (mcfg.k, w), sigma2)
+    b, w, scene = radar_trials(cfg, "two", trials, sigma2, np.random.default_rng(seed))
+    bound = crlb_range(scene, (mcfg.k, w), sigma2)
     obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
                            f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est = estimate_multi_mf(obs, 2) if estimator == "mf" else estimate_lmmse(obs, 2)
-    truths = [np.array(scene.distances) for scene in scenes]
     err2 = np.array([np.sum((row - truth) ** 2)
-                     for row, truth in zip(est.distances, truths)])
+                     for row, truth in zip(est.distances, scene.distances)])
     return float(np.sqrt(err2.mean())), float(np.sqrt(bound.mean()))
 
 

@@ -1,4 +1,6 @@
 """Radar CFR, Rician multipath realization, AWGN statistics."""
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,43 @@ def test_scene_validation():
 def test_scene_rejects_nonfinite_targets(target):
     with pytest.raises(ValueError, match="must be finite"):
         scene_of(target)
+
+
+@pytest.mark.parametrize("targets, named", [
+    ((), "R and B at least 1, got shape \\(0,\\)"),
+    (np.zeros((0, 1, 2)), "R and B at least 1, got shape \\(0, 1, 2\\)"),
+    ([[(1.0, 0.5)], [(1.0, 0.5), (2.0, 0.5)]], "as many rows in every scene of a stack"),
+    (((1.0, 0.5, 0.1),), "shape \\(R, 2\\) for one scene or \\(B, R, 2\\) for a stack"),
+    ([1.0, 0.5], "shape \\(R, 2\\) for one scene or \\(B, R, 2\\) for a stack"),
+], ids=["empty-scene", "empty-stack", "ragged-stack", "three-columns", "flat"])
+def test_scene_refuses_a_malformed_stack(targets, named):
+    with pytest.raises(ValueError, match=named):
+        RadarScene(targets=targets, f_c=F_C, t_s=T_S, t_cp=T_CP)
+
+
+@pytest.mark.parametrize("bad, rule", [
+    ([(-1.0, 0.5)], "target distances must be finite and positive"),
+    ([(1.0, 0.0)], "reflection coefficients must be finite and nonzero"),
+    ([(SPEED_OF_LIGHT * T_CP, 0.5)], "round-trip delays must stay within the CP"),
+    ([(2.0, 1.0), (1.0, 1.0)], "targets must be sorted by distance"),
+], ids=["distance", "coefficient", "beyond-cp", "unsorted"])
+def test_stacked_scene_names_the_row_that_breaks_a_rule(bad, rule):
+    good = [(1.0 + 0.1 * s, 0.5) for s in range(len(bad))]
+    got = re.escape(f"got {[list(target) for target in bad]} (row 2)")
+    with pytest.raises(ValueError, match=f"^{rule}.*, {got}$"):
+        RadarScene(targets=[good, good, bad, good], f_c=F_C, t_s=T_S, t_cp=T_CP)
+
+
+def test_scene_is_a_read_only_copy_and_stacked_cfr_rows_are_single_calls():
+    rows = np.array([[(1.0, 0.3), (2.0, -0.7)], [(0.5, 1.2), (0.5, -0.2)]])
+    stack = RadarScene(targets=rows, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    rows[0, 0, 0] = 3.0  # the scene keeps its own copy
+    assert stack.targets[0, 0, 0] == 1.0 and not stack.targets.flags.writeable
+    assert stack.n_targets == 2 and stack.delays.shape == stack.coeffs.shape == (2, 2)
+    h = radar_cfr(stack, K)
+    assert h.shape == (2, len(K))
+    for row, one in zip(h, (((1.0, 0.3), (2.0, -0.7)), ((0.5, 1.2), (0.5, -0.2)))):
+        assert np.array_equal(row, radar_cfr(scene_of(*one), K))
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,25 @@ def test_config_sha_ignores_workers_and_out():
     assert replace(cfg, seed=2).sha() != cfg.sha()
 
 
+@pytest.mark.parametrize("name", list(PRESETS))
+@pytest.mark.parametrize("overrides", [
+    {}, {"workers": 2, "out": "rows.csv"}, {"scheme": "ofdm-im", "length": 1, "seed": 7},
+    {"fading": True, "snr_db": (-3.5, 0.0), "spacing_rmin": (0.5, 2.0)},
+    {"family": "sinusoidal", "two_coeff": 0.25, "single_range_m": (1.0, 1.5)},
+], ids=["preset", "workers-out", "scheme", "sweeps", "radar"])
+def test_config_sha_is_the_repr_of_the_reset_config(name, overrides, monkeypatch):
+    # sha() hashes the repr of replace(cfg, workers=1, out=None) without
+    # building that config, whose modem runs chirp_fdss
+    cfg = preset(name, **overrides)
+    calls = []
+    monkeypatch.setattr(chirpim.modem, "chirp_fdss", lambda *args, **kw: calls.append(args))
+    digest = cfg.sha()
+    assert calls == []
+    monkeypatch.undo()
+    reset = repr(replace(cfg, workers=1, out=None)).encode()
+    assert digest == hashlib.sha1(reset).hexdigest()[:12]
+
+
 def test_runs_at_the_extreme_snrs_the_config_accepts():
     # -3080 dB is refused only as Eb/N0, after the bit-count conversion
     assert desk_preset(snr_db=(-3080.0,), resolution_snr_db=-3080.0).snr_db == (-3080.0,)
@@ -1004,20 +1023,42 @@ def test_resolution_runner_sharp_drop():
                                                 ("two", 0.02)])
 def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
     # one batch equals its trials drawn one at a time, each as one word
-    # (random_words), its bins, its scene and its noise
+    # (random_words), its bins, its targets, its one-scene CFR and its noise
     cfg = desk_preset(length=2, separated=True)
     mcfg, sigma2 = cfg.modem_config(), 0.05
-    b, w, scenes = runners.radar_trials(cfg, scenario, 5, sigma2,
-                                        np.random.default_rng(9), spacing_m)
+    b, w, scene = runners.radar_trials(cfg, scenario, 5, sigma2,
+                                       np.random.default_rng(9), spacing_m)
     assert w.flags.c_contiguous
+    assert scene.targets.shape == (5, 1 if scenario == "single" else 2, 2)
+    assert (scene.f_c, scene.t_s, scene.t_cp) == (cfg.f_c, cfg.t_s, cfg.t_cp)
     rng = np.random.default_rng(9)
-    for row_b, row_w, scene in zip(b, w, scenes):
+    for row_b, row_w, targets in zip(b, w, scene.targets):
         one_w = runners.tx_bins(runners.random_words(mcfg, 1, rng)[2][0], mcfg)
-        one_scene = runners._draw_scene(cfg, scenario, rng, spacing_m)
+        one_scene = runners.RadarScene(runners._draw_targets(cfg, scenario, rng, spacing_m),
+                                       cfg.f_c, cfg.t_s, cfg.t_cp)
         one_b = runners.radar_cfr(one_scene, mcfg.k) * one_w + \
             runners.complex_noise(mcfg.m, sigma2, rng)
-        assert scene == one_scene
+        assert np.array_equal(targets, one_scene.targets)
         assert np.array_equal(row_w, one_w) and np.array_equal(row_b, one_b)
+
+
+@pytest.mark.parametrize("runner, args", [(run_radar_rmse, ("two",)), (run_resolution, ())])
+def test_radar_runners_refuse_fewer_nonzero_bins_than_targets(runner, args):
+    # an OFDM-IM frame at L = 1 has one nonzero bin: two targets used to end
+    # in numpy's "Singular matrix"
+    cfg = desk_preset(scheme="ofdm-im", length=1, trials=3, spacing_rmin=(2.0,))
+    with pytest.raises(ValueError, match=r"^1 nonzero reference bin\(s\) \(row 0\) cannot "
+                                         "resolve 2 targets"):
+        runner(cfg, *args)
+
+
+@pytest.mark.parametrize("argv", [["radar-rmse", "--scenario", "two"], ["resolution"]])
+def test_cli_radar_refuses_fewer_nonzero_bins_than_targets(argv, capsys):
+    assert main(argv + ["--scheme", "ofdm-im", "--L", "1", "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1 nonzero reference bin(s)") and \
+        "rank at most 2" in captured.err
 
 
 def test_radar_runner_rejects_bad_scenario():

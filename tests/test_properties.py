@@ -1,6 +1,6 @@
 """Property-based checks of the index codec, the noiseless tx/rx chain, the
-oversampled PMEPR, the band rotation, the radar Fisher information, the
-BLER batch and the BLER interval."""
+oversampled PMEPR, the band rotation, the radar Fisher information, stacked
+radar scenes, the BLER batch and the BLER interval."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import chirpim.modem
 from chirpim import runners
-from chirpim.channel import RadarScene
+from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
     band_slices, measure_pmepr
 from chirpim.config import desk_preset
@@ -16,7 +16,7 @@ from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count
                               indices_to_rank, rank_to_indices, word_to_bits)
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
     tx_bins, tx_frame
-from chirpim.radar import crlb_range, fim
+from chirpim.radar import crlb_coeff, crlb_range, crlb_range_no_phase, fim
 from chirpim.runners import _wilson
 from chirpim.util import SPEED_OF_LIGHT
 
@@ -128,10 +128,12 @@ def test_band_slices_are_the_rotation_to_k_mod_n(case):
 
 
 @st.composite
-def radar_scenes(draw):
+def radar_scenes(draw, stack=False):
     """(scene, k, w): 1 to 3 targets with real coefficients, spaced 0.5 to
     3 r_min apart, on 64 contiguous desk bins or a random subset of them,
-    with random complex reference bins."""
+    with random complex reference bins. With ``stack``, a stack of 1 to 5
+    such scenes with one target count, and reference bins of shape (B, M),
+    C- or Fortran-ordered, or shared (M,)."""
     f_c, t_s, t_cp = 6.48e9, T_S, 32 * T_S / 128
     k = np.arange(-31, 33)
     if draw(st.booleans()):
@@ -139,14 +141,21 @@ def radar_scenes(draw):
                                          max_size=63))))
     r_min = 0.5 * SPEED_OF_LIGHT * t_s / 64
     r = draw(st.integers(1, 3))
-    dist = [draw(st.floats(1.0, 1.5))]
-    for _ in range(r - 1):
-        dist.append(dist[-1] + draw(st.floats(0.5, 3.0)) * r_min)
     sign = st.sampled_from([-1.0, 1.0])
-    coeffs = [draw(sign) * draw(st.floats(0.05, 1.5)) for _ in range(r)]
+
+    def targets():
+        dist = [draw(st.floats(1.0, 1.5))]
+        for _ in range(r - 1):
+            dist.append(dist[-1] + draw(st.floats(0.5, 3.0)) * r_min)
+        return list(zip(dist, [draw(sign) * draw(st.floats(0.05, 1.5)) for _ in range(r)]))
+
+    rows = [targets() for _ in range(draw(st.integers(1, 5)) if stack else 1)]
+    shape = (len(rows), len(k)) if stack and draw(st.booleans()) else (len(k),)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    w = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
-    scene = RadarScene(targets=tuple(zip(dist, coeffs)), f_c=f_c, t_s=t_s, t_cp=t_cp)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if w.ndim == 2 and draw(st.booleans()):
+        w = np.asfortranarray(w)
+    scene = RadarScene(targets=rows if stack else rows[0], f_c=f_c, t_s=t_s, t_cp=t_cp)
     return scene, k, w
 
 
@@ -164,6 +173,23 @@ def test_fim_equals_jacobian_gram(case, sigma2):
     r = scene.n_targets
     diagonal = SPEED_OF_LIGHT ** 2 / 4 * np.sum(1.0 / np.diag(j)[:r])
     assert crlb_range(scene, (k, w), sigma2) >= diagonal * (1 - 1e-12)
+
+
+@PROPERTY
+@given(radar_scenes(stack=True), st.floats(1e-4, 1.0))
+def test_stacked_scene_rows_equal_single_scene_calls(case, sigma2):
+    # a stack is B scenes in one object: every row of the CFR, the Fisher
+    # information and each bound is its own scene's call, bit for bit
+    stack, k, w = case
+    cfr = radar_cfr(stack, k)
+    stacked = {bound: bound(stack, (k, w), sigma2) for bound in (fim, crlb_range, crlb_coeff)}
+    no_phase = crlb_range_no_phase(stack, len(k), sigma2)
+    for i, targets in enumerate(stack.targets):
+        one = RadarScene(targets=targets, f_c=stack.f_c, t_s=stack.t_s, t_cp=stack.t_cp)
+        assert np.array_equal(cfr[i], radar_cfr(one, k))
+        for bound, values in stacked.items():
+            assert np.array_equal(values[i], bound(one, (k, w[i] if w.ndim == 2 else w), sigma2))
+        assert np.array_equal(no_phase[i], crlb_range_no_phase(one, len(k), sigma2))
 
 
 @PROPERTY

@@ -1024,44 +1024,63 @@ def test_stacked_bounds_equal_single_scene_calls(n_targets):
     rng = np.random.default_rng(40 + n_targets)
     w = np.asfortranarray(tx_bins(random_words(cfg, 6, rng)[2], cfg))
     assert not w.flags.c_contiguous
-    scenes = [scene_of(*((d, rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2))
-                         for d in np.sort(rng.uniform(1.0, 3.0, n_targets))))
-              for _ in range(len(w))]
+    rows = [[(d, rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2))
+             for d in np.sort(rng.uniform(1.0, 3.0, n_targets))] for _ in range(len(w))]
+    stack = scene_of(*rows)
+    assert stack.targets.shape == (len(w), n_targets, 2)
     for ref in (w, cfg.fdss.g):
-        stacked = [bound(scenes, (cfg.k, ref), 0.01) for bound in (fim, crlb_range, crlb_coeff)]
+        stacked = [bound(stack, (cfg.k, ref), 0.01) for bound in (fim, crlb_range, crlb_coeff)]
         assert stacked[0].shape == (len(w), 2 * n_targets, 2 * n_targets)
-        for i, scene in enumerate(scenes):
-            row = ref[i] if ref.ndim == 2 else ref
+        for i, row in enumerate(rows):
+            one = ref[i] if ref.ndim == 2 else ref
             for bound, values in zip((fim, crlb_range, crlb_coeff), stacked):
-                assert np.array_equal(values[i], bound(scene, (cfg.k, row), 0.01))
-    no_phase = crlb_range_no_phase(scenes, cfg.m, 0.01)
-    assert no_phase.shape == (len(scenes),)
-    for i, scene in enumerate(scenes):
-        assert np.array_equal(no_phase[i], crlb_range_no_phase(scene, cfg.m, 0.01))
+                assert np.array_equal(values[i], bound(scene_of(*row), (cfg.k, one), 0.01))
+    no_phase = crlb_range_no_phase(stack, cfg.m, 0.01)
+    assert no_phase.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        assert np.array_equal(no_phase[i], crlb_range_no_phase(scene_of(*row), cfg.m, 0.01))
 
 
 def test_stacked_bounds_name_the_singular_row():
     k = np.arange(-31, 33)
-    scenes = [scene_of((1.5, 0.5), (2.0, 0.5)), scene_of((1.7, 0.5), (1.7, -0.3))]
+    stack = scene_of([(1.5, 0.5), (2.0, 0.5)], [(1.7, 0.5), (1.7, -0.3)])
     for bound in (crlb_range, crlb_coeff):
         with pytest.raises(ValueError, match=r"targets 0 and 1 coincide at 1.7 m \(row 1\)"):
-            bound(scenes, (k, np.ones(len(k), complex)), 0.01)
+            bound(stack, (k, np.ones(len(k), complex)), 0.01)
         w = np.ones((2, len(k)), complex)
         w[1] = 0
         with pytest.raises(ValueError, match=r"reference bins are all zero \(row 1\)"):
-            bound(scenes[:1] * 2, (k, w), 0.01)
+            bound(scene_of([(1.5, 0.5), (2.0, 0.5)], [(1.5, 0.5), (2.0, 0.5)]), (k, w), 0.01)
 
 
-@pytest.mark.parametrize("scenes, w, named", [
-    ([], np.ones(64), "at least one scene"),
-    ([scene_of((1.5, 0.5)), scene_of((1.5, 0.5), (2.0, 0.5))], np.ones(64), "counts \\[1, 2\\]"),
-    ([scene_of((1.5, 0.5))] * 3, np.ones((2, 64)), "shape \\(2, 64\\) do not fit 3"),
+def test_bounds_refuse_fewer_nonzero_bins_than_targets():
+    # an OFDM-IM frame at L = 1 has one nonzero bin, and each bin adds rank
+    # at most 2 to the 2R x 2R Fisher information: two targets make it
+    # singular, which np.linalg.inv used to report as "Singular matrix"
+    k = np.arange(-31, 33)
+    w = np.zeros((2, len(k)), complex)
+    w[:, [3, 40]] = 1.0
+    w[1, 40] = 0.0  # row 1 keeps one nonzero bin
+    two = [(1.5, 0.5), (2.0, 0.5)]
+    for bound in (crlb_range, crlb_coeff):
+        with pytest.raises(ValueError, match=r"^1 nonzero reference bin\(s\) cannot resolve "
+                                             "2 targets"):
+            bound(scene_of(*two), (k, w[1]), 0.01)
+        with pytest.raises(ValueError, match=r"^1 nonzero reference bin\(s\) \(row 1\)"):
+            bound(scene_of(two, two), (k, w), 0.01)
+        assert np.isfinite(bound(scene_of(*two), (k, w[0]), 0.01))
+        assert np.isfinite(bound(scene_of(two[0]), (k, w[1]), 0.01))
+
+
+@pytest.mark.parametrize("scene, w, named", [
+    (scene_of([(1.5, 0.5)], [(1.6, 0.5)], [(1.7, 0.5)]), np.ones((2, 64)),
+     "shape \\(2, 64\\) do not fit 3"),
     (scene_of((1.5, 0.5)), np.ones(63), "shape \\(63,\\)"),
-], ids=["empty", "target-counts", "rows", "bins"])
-def test_stacked_bounds_check_their_shapes(scenes, w, named):
+], ids=["rows", "bins"])
+def test_stacked_bounds_check_their_shapes(scene, w, named):
     for bound in (fim, crlb_range, crlb_coeff):
         with pytest.raises(ValueError, match=named):
-            bound(scenes, (np.arange(-31, 33), w), 0.01)
+            bound(scene, (np.arange(-31, 33), w), 0.01)
 
 
 @pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf, 1e-290])
