@@ -244,8 +244,9 @@ def _plain_idft(grid: np.ndarray, w: np.ndarray, window) -> np.ndarray:
 
 # measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
 # transform per FRAME_BLOCK frames: 16 paper-scale frames hold about 4 MB of
-# 8x oversampled body at once. The runners' PMEPR and BLER batches build
-# their frames FRAME_BLOCK at a time too.
+# 8x oversampled body at once. The runners' BLER batches build their frames
+# FRAME_BLOCK at a time too, and their PMEPR batches sum FRAME_BLOCK spread
+# bodies at a time from shifted base chirps (chirpim.modem.atom_peaks).
 PMEPR_OVERSAMPLE = 8
 FRAME_BLOCK = 16
 
@@ -260,7 +261,10 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     k[0]..k[0]+M-1, as there. ``p_av`` is the mean-power reference, by
     default each frame's own mean power sum_k |w_k|^2 (Parseval for the
     plain-sum IDFT); pass sum |g_k|^2 = M for the bins of
-    :func:`chirpim.modem.tx_bins` to reference the ensemble power instead.
+    :func:`chirpim.modem.tx_bins` to reference the ensemble power instead,
+    as the PMEPR runner does for the configs that
+    :func:`chirpim.modem.atom_peaks` declines; for the others this IDFT is
+    the reference its atom sum is tested against.
     Frames run :data:`FRAME_BLOCK` at a time through one 8N-point grid and
     one |x| buffer allocated per call, so memory beyond ``w`` is one
     block's workspace (the grid, its IDFT and |x|) whatever the batch;

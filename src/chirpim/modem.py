@@ -23,16 +23,25 @@ rotation of the band. :func:`tx_bins`, :func:`extract_bins`,
 :func:`equalize_lmmse` and the synthesis in :mod:`chirpim.chirps` all move
 the band through the two slice pairs of :func:`chirpim.chirps.band_slices`,
 with no index array.
+
+Each active index of a spread frame adds one atom to the body: its symbol
+times a circular shift of a base chirp. :func:`atom_peaks` sums the 8x
+oversampled bodies that way, from a table of base waveforms kept per
+process for each waveform, and finds their peak power without a bin array
+or an IDFT.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from . import indexing
-from .chirps import ChirpSpec, FdssProfile, band_slices, chirp_fdss, flat_fdss, synthesize
+from .chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpSpec, FdssProfile, band_slices, \
+    chirp_fdss, flat_fdss, synthesize
 from .indexing import IndexWord, bit_capacity, bits_to_word, pack_bits
 from .util import check_noise_variance, qfunc
 
@@ -113,9 +122,13 @@ def word_symbols(indices, psk, cfg: ModemConfig) -> np.ndarray:
     indices. Index and PSK arrays of shape (..., L) give shape (..., M)."""
     indices = np.asarray(indices)
     d = np.zeros(indices.shape[:-1] + (cfg.m,), dtype=complex)
-    np.put_along_axis(d, indices, np.sqrt(cfg.e_s) *
-                      np.exp(2j * np.pi * np.asarray(psk) / cfg.h), axis=-1)
+    np.put_along_axis(d, indices, _psk_symbols(psk, cfg), axis=-1)
     return d
+
+
+def _psk_symbols(psk, cfg: ModemConfig) -> np.ndarray:
+    """The symbols sqrt(E_s) e^{j2pi z/H} of the PSK integers z."""
+    return np.sqrt(cfg.e_s) * np.exp(2j * np.pi * np.asarray(psk) / cfg.h)
 
 
 def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
@@ -146,6 +159,81 @@ def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     cyclic prefix. Every scheme takes this one path."""
     body = synthesize(tx_bins(d, cfg), cfg.k, cfg.n)
     return np.concatenate([body[..., cfg.n - cfg.n_cp:], body], axis=-1)
+
+
+# Atom tables are kept per process, ATOM_CACHE_SIZE of them, not in the
+# ModemConfig, which every pool task pickles. The atom sum runs while
+# 2**L * ATOM_MIN_GRID <= 8N: it makes L passes over the 8N-point body where
+# the IDFT makes about log2(8N), and on one core it was the faster path up
+# to L = 2 at 8N = 1024 (desk), L = 3 at 8N = 2048 and L = 6 at 8N = 16384
+# (paper).
+ATOM_CACHE_SIZE = 8
+ATOM_MIN_GRID = 256
+
+
+@lru_cache(maxsize=ATOM_CACHE_SIZE)
+def _atom_table(scheme: Scheme, chirp: ChirpSpec | None, m: int, n: int) -> np.ndarray:
+    """The base waveforms Y_0..Y_{u-1} of :func:`atom_peaks` for the
+    waveform (scheme, chirp, M, N), whatever its L, H and delta: Y_b is the
+    plain-sum P-point IDFT (P = 8N) of tx_bins(e_b), with u = M / gcd(M, P).
+    Each row holds Y_b twice over, shape (u, 2P), so that every circular
+    shift of it is one slice. Read-only."""
+    wave = ModemConfig(scheme, m, n, n_cp=0, length=1, h=1, chirp=chirp)
+    p = PMEPR_OVERSAMPLE * n
+    y = synthesize(tx_bins(np.eye(m // gcd(m, p), m), wave), wave.k, p)
+    table = np.concatenate((y, y), axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+def atom_peaks(idx: np.ndarray, psk: np.ndarray, cfg: ModemConfig) -> np.ndarray | None:
+    """Peak power max_n |x[n]|^2 of each frame body on the 8N-point grid of
+    :func:`chirpim.chirps.measure_pmepr`, for the index and PSK rows of
+    shape (B, L), summed from atoms; ``None`` where the IDFT is the path.
+
+    A spread frame is the sum of its L atoms, each the symbol of one active
+    index times a circular shift of a base waveform. With P = 8N,
+    u = M / gcd(M, P) and step = P / gcd(M, P), the atom of index
+    i = u a + b is Y_b (:func:`_atom_table`) rotated by a step samples,
+    which is the slice [P - a step, 2P - a step) of the doubled row b. The
+    bodies are summed :data:`FRAME_BLOCK` at a time, so memory is one
+    block's x and |x| plus the table. This is exact algebra: the values
+    differ from ``measure_pmepr(tx_bins(word_symbols(...)))`` by rounding
+    only, a few 1e-15 dB at desk and paper scale.
+
+    ``None`` for OFDM-IM, for u > FRAME_BLOCK, where the table would
+    outgrow the IDFT workspace it replaces (M = 1448 has u = 181), and
+    for 2**L * :data:`ATOM_MIN_GRID` > 8N, where the L passes cost more
+    than the IDFT.
+    """
+    p = PMEPR_OVERSAMPLE * cfg.n
+    common = gcd(cfg.m, p)
+    if not cfg.scheme.spreads or cfg.m // common > FRAME_BLOCK \
+            or ATOM_MIN_GRID << cfg.length > p:
+        return None
+    table = _atom_table(cfg.scheme, cfg.chirp if cfg.scheme is Scheme.CSC_IM else None,
+                        cfg.m, cfg.n)
+    a, b = np.divmod(idx, cfg.m // common)
+    start = p - a * (p // common)
+    symbols = _psk_symbols(psk, cfg)
+    x = np.empty((min(FRAME_BLOCK, len(idx)), p), dtype=complex)
+    term = np.empty(p, dtype=complex)
+    magnitude = np.empty(x.shape)
+    peak = np.empty(len(idx))
+    for lo in range(0, len(idx), FRAME_BLOCK):
+        rows = slice(lo, lo + FRAME_BLOCK)
+        # as Python numbers, which index and scale faster than numpy scalars
+        frames = zip(b[rows].tolist(), start[rows].tolist(), symbols[rows].tolist())
+        for body, (bases, starts, values) in zip(x, frames):
+            atoms = [table[j, s:s + p] for j, s in zip(bases, starts)]
+            np.multiply(atoms[0], values[0], out=body)
+            for atom, value in zip(atoms[1:], values[1:]):
+                body += np.multiply(atom, value, out=term)
+        n = min(FRAME_BLOCK, len(idx) - lo)
+        np.abs(x[:n], out=magnitude[:n])
+        magnitude[:n].max(axis=-1, out=peak[lo:lo + n])
+    np.square(peak, out=peak)
+    return peak
 
 
 def tx_frame(bits, cfg: ModemConfig) -> np.ndarray:

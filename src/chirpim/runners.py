@@ -11,11 +11,16 @@ stops on its error count or at ``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
 profile and bit capacity. A PMEPR or BLER batch draws its whole stream
-first (words, then channels and noise) and then builds and runs its frames
+first (words, then channels and noise) and then runs its frames
 :data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries are one
-block's, whatever ``cfg.batch``. Rows are returned as dicts and, when
-``cfg.out`` is set, written there as CSV with one comment line recording
-the preset, seed, and a config hash, and a header of the row keys in order.
+block's, whatever ``cfg.batch``. A PMEPR batch builds no frame: a spread
+frame's 8N-point body is the sum of L shifted copies of the base chirp,
+which :func:`~chirpim.modem.atom_peaks` adds up from a per-process table;
+only OFDM-IM, a bin count M with too many base waveforms, or an L past
+its rule measures the bins through the IDFT of :func:`measure_pmepr`.
+Rows are returned as dicts and, when ``cfg.out`` is set, written there as
+CSV with one comment line recording the preset, seed, and a config hash,
+and a header of the row keys in order.
 """
 from __future__ import annotations
 
@@ -31,14 +36,15 @@ import numpy as np
 from .channel import CommChannel, RadarScene, complex_noise, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
 from .indexing import rank_to_indices
-from .modem import ModemConfig, detect_words_batch, post_equalization_snr, \
+from .modem import ModemConfig, atom_peaks, detect_words_batch, post_equalization_snr, \
     tx_bins, union_bound_bler, word_symbols
 from .chirps import FRAME_BLOCK, measure_pmepr
 from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
     estimate_mf_lmmse, min_resolution
 from .util import noise_variance
 # perfbench/spans.py wraps these names here; the runners call the batched
-# estimate_mf_lmmse instead, and measure PMEPR from the bins, not a frame.
+# estimate_mf_lmmse instead, and sum a PMEPR body from atoms (or measure
+# it from the bins), never from a frame.
 # It wraps random_words (below) too, which no runner calls either: every
 # runner draws with _draw_words and builds the symbols where it uses them
 from .modem import frame_from_symbols  # noqa: F401
@@ -141,15 +147,24 @@ def random_words(mcfg: ModemConfig, batch: int,
 
 def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
                  batch: int) -> np.ndarray:
-    """PMEPR of a batch of random codewords from their bins (no time-domain
-    frame), against the nominal transmit power sum |g|^2 = M.
+    """PMEPR of a batch of random codewords, measured on the 8N-point grid
+    against the nominal transmit power sum |g|^2 = M, with no time-domain
+    frame built.
 
-    The batch's ranks and PSK are drawn as :func:`random_words` draws them;
-    the bins are then built :data:`FRAME_BLOCK` codewords at a time into one
-    (B, M) array, which one :func:`measure_pmepr` call measures. Memory is
-    that bins array plus one block's workspace, whatever the batch."""
+    The batch's ranks and PSK are drawn as :func:`random_words` draws them.
+    A spread frame is then the sum of L shifted copies of the base chirp,
+    and :func:`atom_peaks` takes its peak from those copies,
+    :data:`FRAME_BLOCK` bodies at a time: memory is one block's body and
+    |x| plus the waveform's atom table. Where ``atom_peaks`` declines
+    (OFDM-IM, M with u > FRAME_BLOCK, or L past its rule) the bins are
+    built FRAME_BLOCK codewords at a time into one (B, M) array, which one
+    :func:`measure_pmepr` call measures through its IDFT. The two paths
+    agree to rounding, a few 1e-15 dB."""
     mcfg = cfg.modem_config()
     idx, psk = _draw_words(mcfg, batch, rng)
+    peak = atom_peaks(idx, psk, mcfg)
+    if peak is not None:
+        return 10.0 * np.log10(peak / float(mcfg.m))
     w = np.empty((batch, mcfg.m), dtype=complex)
     for lo in range(0, batch, FRAME_BLOCK):
         rows = slice(lo, lo + FRAME_BLOCK)

@@ -20,7 +20,7 @@ from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, measure_p
 from chirpim.cli import _RUNNERS, _build_config, _parse_args, main
 from chirpim.config import CONFIG_KEYS, PRESETS, desk_preset, load_config, paper_preset, \
     preset
-from chirpim.modem import ModemConfig, Scheme, frame_from_symbols
+from chirpim.modem import ModemConfig, Scheme, atom_peaks, frame_from_symbols
 from chirpim import runners
 from chirpim.runners import PMEPR_THRESHOLDS, run_bler, run_pmepr_ccdf, run_radar_rmse, \
     run_resolution
@@ -554,11 +554,12 @@ def test_bench_hooks_resolve(monkeypatch):
         assert callable(getattr(owner, attr)), (owner, attr)
 
 
-@pytest.mark.parametrize("workload", ["radar-two-desk", "radar-single-paper"])
-def test_bench_radar_chunk_passes_its_checks(workload, monkeypatch):
+@pytest.mark.parametrize("workload", ["radar-two-desk", "radar-single-paper", "pmepr-paper"])
+def test_bench_chunk_passes_its_checks(workload, monkeypatch):
     # the bench wraps runner names and checks their arguments even untraced,
     # so a runner change that drops a wrapped name or changes a checked
-    # signature fails the bench's run, and here
+    # signature fails the bench's run, and here; the pmepr-paper chunk runs
+    # the atom path, which the bench's row checks see
     spans = bench_module("spans", monkeypatch)
     wl = bench_module("workloads", monkeypatch).WORKLOADS[workload]
     cfg = wl.config(5, wl.smoke_chunk)
@@ -923,7 +924,9 @@ def test_pmepr_rows_are_a_ccdf(tmp_path):
 # desk L=2, 300 frames in batches of 64 (the last one 44), seed 4: the
 # maximum; the first threshold index where not every frame exceeds, and the
 # exceedance counts from there until none does; a SHA-256 over the bytes of
-# every _pmepr_batch value in batch order, which a last-bit change shows
+# every _pmepr_batch value in batch order, which a last-bit change shows.
+# The three spread schemes run the atom path of atom_peaks, which agrees
+# with the IDFT to rounding: their counts are the IDFT path's, byte for byte
 _PINNED_PMEPR_CONFIGS = {
     "csc-im-linear": (Scheme.CSC_IM, ChirpFamily.LINEAR),
     "csc-im-sinusoidal": (Scheme.CSC_IM, ChirpFamily.SINUSOIDAL),
@@ -933,11 +936,11 @@ _PINNED_PMEPR_CONFIGS = {
 PINNED_PMEPR_ROWS = {
     "csc-im-linear": (3.740542007270418, 55, (299, 299, 299, 299, 299, 299, 295, 295, 288,
                                               265, 231, 211, 156, 124, 91, 74, 69, 56, 32, 1),
-                      "890515b7353343fa2fd300dd7ae597db5e23eb794428ed28b13d2217272fb71f"),
-    "csc-im-sinusoidal": (3.0258622778563944, 47, (299,) * 14,
-                          "07ad89f3e7e17df4784c3f6fc201d5c12dae08d587a77eb44e6245cd43020ba2"),
+                      "ec3d453dca77d920f90ae6f74719afb0f424e833658fde26a80c1a33d4852f87"),
+    "csc-im-sinusoidal": (3.025862277856391, 47, (299,) * 14,
+                          "ac5f8d3a8ce806a949ef5af377896e08088cf1cbc47b259ad9f7ebc2340c1b2e"),
     "dft-s-ofdm-im": (17.14795780475695, 241, (),
-                      "6ad2fac40b645dfa490017687f2f3c2ecfeb71ab36cc31d2bca2c2a4a4e6371a"),
+                      "51e827ce1b230cc283482412a7da022a7f3c7d306acef13c106f9091418fe141"),
     "ofdm-im": (3.0102999566398134, 61, (),
                 "ec78fba206683c09e0b4c3c3dff7731377acec86704f7103170561bb9a37fdeb"),
 }
@@ -958,40 +961,59 @@ def test_pmepr_rows_pinned(name):
     assert hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest() == digest
 
 
-@pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
-def test_pmepr_batch_equals_the_whole_batch_composition(make):
-    # a batch built and measured FRAME_BLOCK codewords at a time (blocks of
-    # 16 and a short one at batch 75) gives the values of the whole batch's
-    # random_words, tx_bins and measure_pmepr, and leaves its stream where
-    # they leave it
-    cfg = make(family=ChirpFamily.SINUSOIDAL, length=2)
+@pytest.mark.parametrize("name, scheme, length, atoms", [
+    ("desk", Scheme.CSC_IM, 2, True), ("paper", Scheme.CSC_IM, 2, True),
+    ("paper", Scheme.CSC_IM, 6, True), ("desk", Scheme.CSC_IM, 3, False),
+    ("paper", Scheme.CSC_IM, 7, False), ("paper1448", Scheme.CSC_IM, 2, False),
+    ("desk", Scheme.OFDM_IM, 2, False)], ids=[
+    "desk-L2-atoms", "paper-L2-atoms", "paper-L6-atoms", "desk-L3-idft", "paper-L7-idft",
+    "paper1448-idft", "desk-ofdm-im-idft"])
+def test_pmepr_batch_matches_the_idft_oracle(name, scheme, length, atoms):
+    # batches of 1, 32 and 75 (blocks of 16 and a short one), against
+    # measure_pmepr of the whole batch's random_words and tx_bins: on the
+    # atom path (desk up to L = 2, paper up to L = 6) every value is within
+    # 1e-12 dB of it, finite, and at most the Cauchy-Schwarz ceiling
+    # 10 log10 sum |w_k|^2 of p_av = M; on the IDFT path (L past the rule,
+    # u = 181 > FRAME_BLOCK at M = 1448, OFDM-IM) it is the same bit for
+    # bit. Either way the stream is left where random_words leaves it
+    cfg = preset(name, scheme, length, ChirpFamily.SINUSOIDAL)
     mcfg = cfg.modem_config()
     for seed, batch in enumerate((1, 32, 75)):
         stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         values = runners._pmepr_batch(cfg, stream, batch)
-        d = runners.random_words(mcfg, batch, rng)[2]
-        expect = measure_pmepr(runners.tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=float(mcfg.m))
+        idx, psk, d = runners.random_words(mcfg, batch, rng)
+        w = runners.tx_bins(d, mcfg)
+        expect = np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
         assert values.shape == (batch,)
-        assert np.array_equal(values, np.atleast_1d(expect))
+        assert (atom_peaks(idx, psk, mcfg) is not None) == atoms
+        if atoms:
+            assert np.max(np.abs(values - expect)) <= 1e-12
+            assert np.all(np.isfinite(values))
+            assert np.all(values <= 10 * np.log10(np.sum(np.abs(w) ** 2, axis=-1)))
+        else:
+            assert np.array_equal(values, expect)
         assert stream.bit_generator.state == rng.bit_generator.state
 
 
-def test_pmepr_batch_memory_is_one_bins_array_and_one_block():
-    # paper scale, batch 2048: the tracemalloc peak is the (B, M) bins plus
-    # one block's workspace (the 8N-point grid, its IDFT and |x|^2), not a
-    # whole batch of symbols, spectra or oversampled grids
+def test_pmepr_batch_memory_is_one_block_and_the_atom_table():
+    # paper scale, batch 2048: the tracemalloc peak is one block's bodies x
+    # and |x|, one term row and the atom table built in the call (measured:
+    # 8.07 MB against 8.25 MB of these), not a (B, M) bins array or a whole
+    # batch of symbols, spectra or oversampled grids
     cfg = paper_preset(family=ChirpFamily.SINUSOIDAL, length=2)
     mcfg, batch = cfg.modem_config(), 2048
     runners._pmepr_batch(cfg, np.random.default_rng(0), 1)  # fills the unranking table
+    chirpim.modem._atom_table.cache_clear()
     tracemalloc.start()
     try:
         runners._pmepr_batch(cfg, np.random.default_rng(0), batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bins = batch * mcfg.m * 16
-    workspace = FRAME_BLOCK * PMEPR_OVERSAMPLE * mcfg.n * (16 + 16 + 8)
-    assert peak <= bins + workspace + 4 * 2 ** 20, peak / 2 ** 20
+    p = PMEPR_OVERSAMPLE * mcfg.n
+    block = FRAME_BLOCK * p * (16 + 8) + p * 16
+    table = chirpim.modem._atom_table(mcfg.scheme, mcfg.chirp, mcfg.m, mcfg.n).nbytes
+    assert peak <= block + table + 2 ** 20, peak / 2 ** 20
 
 
 def test_bler_batch_memory_is_the_noise_and_one_block():

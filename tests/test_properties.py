@@ -1,6 +1,8 @@
 """Property-based checks of the index codec, the noiseless tx/rx chain, the
-oversampled PMEPR, the band rotation, the radar Fisher information, stacked
-radar scenes, the BLER batch and the BLER interval."""
+oversampled PMEPR and its atom sum, the band rotation, the radar Fisher
+information, stacked radar scenes, the BLER batch and the BLER interval."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +16,8 @@ from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec
 from chirpim.config import desk_preset
 from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
                               indices_to_rank, rank_to_indices, word_to_bits)
-from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, rx_frame, \
-    tx_bins, tx_frame
+from chirpim.modem import ATOM_MIN_GRID, ModemConfig, Scheme, atom_peaks, \
+    frame_from_symbols, rx_frame, tx_bins, tx_frame
 from chirpim.radar import crlb_coeff, crlb_range, crlb_range_no_phase, fim
 from chirpim.runners import _wilson
 from chirpim.util import SPEED_OF_LIGHT
@@ -103,6 +105,34 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
     oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg), n, cfg.n_cp,
                                   PMEPR_OVERSAMPLE, p_av)
     assert np.max(np.abs(values - oracle)) <= 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from(list(Scheme)), st.sampled_from(list(ChirpFamily)),
+       st.sampled_from((24, 32, 40, 48, 15, 25, 33)), st.sampled_from((64, 128, 256)),
+       st.integers(1, 4), st.integers(1, 2 * FRAME_BLOCK + 3), st.integers(0, 2 ** 32 - 1))
+def test_pmepr_batch_atoms_agree_with_the_idft(scheme, family, m, n, length, batch, seed):
+    # u = M / gcd(M, 8N) is 1 (M = 32), 3 (24, 48), 5 (40), 15, or above
+    # FRAME_BLOCK (25, 33), and 2**L * ATOM_MIN_GRID <= 8N holds up to
+    # L = 1, 2 and 3 at N = 64, 128 and 256: the atom path agrees with
+    # measure_pmepr of the batch's bins to 1e-12 dB, and OFDM-IM, u above
+    # FRAME_BLOCK and L past the rule take the IDFT path bit for bit; the
+    # stream is left where random_words leaves it
+    chirp = ChirpSpec.centered(family, 0.75 * m, m) if scheme is Scheme.CSC_IM else None
+    mcfg = ModemConfig(scheme, m, n, n // 4, length, 4, chirp=chirp)
+    cfg = SimpleNamespace(modem_config=lambda: mcfg)  # all that _pmepr_batch reads
+    stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = runners._pmepr_batch(cfg, stream, batch)
+    idx, psk, d = runners.random_words(mcfg, batch, rng)
+    expect = measure_pmepr(tx_bins(d, mcfg), mcfg.k, n, p_av=float(m))
+    p = PMEPR_OVERSAMPLE * n
+    atoms = scheme.spreads and m // np.gcd(m, p) <= FRAME_BLOCK and ATOM_MIN_GRID << length <= p
+    assert (atom_peaks(idx, psk, mcfg) is not None) == atoms
+    if atoms:
+        assert np.max(np.abs(values - expect)) <= 1e-12
+    else:
+        assert np.array_equal(values, np.atleast_1d(expect))
+    assert stream.bit_generator.state == rng.bit_generator.state
 
 
 @PROPERTY
