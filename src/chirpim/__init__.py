@@ -10,7 +10,7 @@ from .chirps import (ChirpFamily, ChirpSpec, FdssProfile, apac, chirp_fdss,
 from .indexing import (BitCapacity, IndexWord, bit_capacity, bits_to_word,
                        compositions_count, delta_no_loss, gaps_to_rank,
                        index_count, indices_to_rank, rank_to_gaps,
-                       rank_to_indices, word_to_bits)
+                       rank_to_indices, ranks_to_indices, word_to_bits)
 from .modem import (ModemConfig, Scheme, encode, equalize_lmmse,
                     post_equalization_snr, rx_frame, tx_bins, tx_frame,
                     union_bound_bler)

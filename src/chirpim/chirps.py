@@ -245,8 +245,9 @@ def _plain_idft(grid: np.ndarray, w: np.ndarray, window) -> np.ndarray:
 # measure_pmepr takes the peak on the PMEPR_OVERSAMPLE * N-point IDFT, one
 # transform per FRAME_BLOCK frames: 16 paper-scale frames hold about 4 MB of
 # 8x oversampled body at once. The runners' BLER batches build their frames
-# FRAME_BLOCK at a time too, and their PMEPR batches sum FRAME_BLOCK spread
-# bodies at a time from shifted base chirps (chirpim.modem.atom_peaks).
+# FRAME_BLOCK at a time too; their PMEPR batches sum spread bodies one at a
+# time from shifted base chirps (chirpim.modem.atom_peaks), whose table of
+# base chirps is capped at FRAME_BLOCK rows.
 PMEPR_OVERSAMPLE = 8
 FRAME_BLOCK = 16
 

@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .chirps import ChirpFamily, ChirpSpec
+from .indexing import BATCH_INDEX_BITS
 from .modem import ModemConfig, Scheme
 from .radar import min_resolution
 from .util import SPEED_OF_LIGHT, noise_variance
@@ -82,6 +83,11 @@ class ExperimentConfig:
                                 chirp=chirp)
         except ValueError as exc:
             raise ValueError(f"[waveform] {exc}") from None
+        # every runner draws and unranks its codewords in int64
+        if modem.capacity.index_bits > BATCH_INDEX_BITS:
+            raise ValueError(f"[waveform] index_bits = {modem.capacity.index_bits} (M = {self.m}, "
+                             f"L = {self.length}, delta = {self.delta}) exceeds the "
+                             f"{BATCH_INDEX_BITS}-bit limit of the runners' int64 rank draws")
         object.__setattr__(self, "_modem", modem)
         # every SNR a runner can read must give a usable noise variance, or a
         # run would overflow, or write NaN or zero rows, after its first points

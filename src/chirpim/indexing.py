@@ -22,7 +22,9 @@ Unranking finds each position by binary search over these counts. The first
 index searches a table of the M prefix counts, built once per (M, L, delta)
 per process; the gaps search the composition counts directly. A word costs
 O(L log M) binomials for its gaps, and none for its first index, rather than
-O(L M).
+O(L M). :func:`ranks_to_indices` unranks a batch with the same searches, one
+``np.searchsorted`` per level over int64 tables of the counts, which fit up
+to :data:`BATCH_INDEX_BITS` index bits.
 """
 from __future__ import annotations
 
@@ -38,6 +40,9 @@ import numpy as np
 
 # (M, L, delta) configurations whose first-index prefix table is kept.
 PREFIX_CACHE_SIZE = 16
+# The most index bits a batch can draw and unrank in int64: a rank goes up to
+# 2**index_bits and every count stays below 2**(index_bits + 1) <= 2**63.
+BATCH_INDEX_BITS = 62
 
 
 def compositions_count(parts: int, delta: int, total: int) -> int:
@@ -151,6 +156,25 @@ def _first_index_prefixes(m: int, length: int, delta: int) -> tuple[int, ...]:
     return tuple(_first_index_prefix(a, m, length, delta) for a in range(m))
 
 
+@lru_cache(maxsize=PREFIX_CACHE_SIZE)
+def _count_tables(m: int, length: int, delta: int) -> tuple[np.ndarray, ...]:
+    """The int64 tables of :func:`ranks_to_indices`, built once per
+    configuration per process: the first-index prefix counts, then
+    F_P(t) for t = 0..m - L - (L - P) delta, the largest total gap level P
+    sees, for P = L..2. Each is built as Python ints, so a count past int64
+    raises OverflowError here; every one fits when the count is below 2**63
+    (F_P at that total is at most F_L(m - L)). Read-only."""
+    top = m - length
+    tables = [_first_index_prefixes(m, length, delta)]
+    tables += [[compositions_count(parts, delta, t)
+                for t in range(top - (length - parts) * delta + 1)]
+               for parts in range(length, 1, -1)]
+    tables = tuple(np.array(table, dtype=np.int64) for table in tables)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def rank_to_indices(rank: int, m: int, length: int, delta: int) -> tuple[int, ...]:
     """Index sequence of the given 1-based rank.
 
@@ -170,6 +194,44 @@ def rank_to_indices(rank: int, m: int, length: int, delta: int) -> tuple[int, ..
     gaps = rank_to_gaps(rank - prefixes[i0], m - length - max(0, i0 - delta),
                         length, delta)
     return tuple(accumulate((1 + g for g in gaps[:-1]), initial=i0))
+
+
+def ranks_to_indices(ranks, m: int, length: int, delta: int) -> np.ndarray:
+    """Index rows of the 1-based ``ranks`` (shape (B,)), shape (B, L) int64:
+    row b is ``rank_to_indices(ranks[b], m, length, delta)``.
+
+    The same search as :func:`rank_to_indices`, one ``np.searchsorted`` per
+    level over the configuration's int64 count tables (:func:`_count_tables`).
+    F_P(t) = 0 for t < P delta, so the last gap's search needs no lower
+    bound: t = searchsorted(F_P, F_P(total) - rank, "right") - 1. The counts
+    must stay below 2**63, which holds up to :data:`BATCH_INDEX_BITS` index
+    bits; a larger configuration raises OverflowError when its tables are
+    built.
+    """
+    count = index_count(length, delta, m)
+    ranks = np.asarray(ranks)
+    if len(ranks) and not 1 <= ranks.min() <= ranks.max() <= count:
+        bad = ranks[(ranks < 1) | (ranks > count)]
+        raise ValueError(f"rank {int(bad[0])} outside 1..{count}")
+    ranks = ranks.astype(np.int64, copy=False)
+    prefixes, *levels = _count_tables(m, length, delta)
+    # column 0 holds i_0, then column l the step 1 + s_l from i_{l-1} to i_l
+    idx = np.empty((len(ranks), length), dtype=np.int64)
+    i0 = idx[:, 0]
+    i0[:] = np.searchsorted(prefixes, ranks) - 1
+    rank = ranks - prefixes[i0]
+    total = m - length - np.maximum(i0 - delta, 0)
+    for parts, table in zip(range(length, 1, -1), levels):
+        full = table[total]
+        t = np.searchsorted(table, full - rank, "right") - 1
+        rank -= full - table[t + 1]
+        gap = total - 1 + delta - t
+        total -= gap
+        if parts < length:  # the wrap-around gap s_L places no index
+            idx[:, parts] = gap + 1
+    if length > 1:
+        idx[:, 1] = total + 1
+    return np.cumsum(idx, axis=1, out=idx)
 
 
 def indices_to_rank(indices, m: int, length: int, delta: int) -> int:

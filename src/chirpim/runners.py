@@ -10,14 +10,16 @@ accumulator, :func:`_total`, adds by name in batch order: a BLER point
 stops on its error count or at ``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
-profile and bit capacity. A PMEPR or BLER batch draws its whole stream
-first (words, then channels and noise) and then runs its frames
-:data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries are one
-block's, whatever ``cfg.batch``. A PMEPR batch builds no frame: a spread
-frame's 8N-point body is the sum of L shifted copies of the base chirp,
-which :func:`~chirpim.modem.atom_peaks` adds up from a per-process table;
-only OFDM-IM, a bin count M with too many base waveforms, or an L past
-its rule measures the bins through the IDFT of :func:`measure_pmepr`.
+profile and bit capacity. Every batch unranks its codewords once, in one
+:func:`~chirpim.indexing.ranks_to_indices` call over all its ranks. A
+PMEPR or BLER batch draws its whole stream first (words, then channels
+and noise) and then runs its frames :data:`~chirpim.chirps.FRAME_BLOCK`
+at a time, so its temporaries are one block's, whatever ``cfg.batch``. A
+PMEPR batch builds no frame: a spread frame's 8N-point body is the sum of
+L shifted copies of the base chirp, which :func:`~chirpim.modem.atom_peaks`
+adds up one body at a time from a per-process table; only OFDM-IM, a bin
+count M with too many base waveforms, or an L past its rule measures the
+bins through the IDFT of :func:`measure_pmepr`.
 Rows are returned as dicts and, when ``cfg.out`` is set, written there as
 CSV with one comment line recording the preset, seed, and a config hash,
 and a header of the row keys in order.
@@ -35,7 +37,7 @@ import numpy as np
 
 from .channel import CommChannel, RadarScene, complex_noise, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
-from .indexing import rank_to_indices
+from .indexing import ranks_to_indices
 from .modem import ModemConfig, atom_peaks, detect_words_batch, post_equalization_snr, \
     tx_bins, union_bound_bler, word_symbols
 from .chirps import FRAME_BLOCK, measure_pmepr
@@ -46,7 +48,8 @@ from .util import noise_variance
 # estimate_mf_lmmse instead, and sum a PMEPR body from atoms (or measure
 # it from the bins), never from a frame.
 # It wraps random_words (below) too, which no runner calls either: every
-# runner draws with _draw_words and builds the symbols where it uses them
+# runner draws with _draw_ranks, unranks a batch in one call and builds the
+# symbols where it uses them
 from .modem import frame_from_symbols  # noqa: F401
 from .radar import estimate_lmmse, estimate_multi_mf  # noqa: F401
 
@@ -122,16 +125,23 @@ def write_csv(cfg: ExperimentConfig, experiment: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
+def _draw_ranks(mcfg: ModemConfig, batch: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random ranks, shape (batch,), then PSK rows, shape
+    (batch, L): the one order in which every runner reads a codeword.
+    Ranks are drawn from the 2**index_bits codebook the bit mapper uses,
+    which is equivalent to encoding uniform random bits."""
+    ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
+    return ranks, rng.integers(0, mcfg.h, size=(batch, mcfg.length))
+
+
 def _draw_words(mcfg: ModemConfig, batch: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random index rows and PSK rows, shape (batch, L) each: all
-    the ranks, then all the PSK integers. Ranks are drawn from the
-    2**index_bits codebook the bit mapper uses, which is equivalent to
-    encoding uniform random bits."""
-    ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
-    idx = np.array([rank_to_indices(int(n), mcfg.m, mcfg.length, mcfg.delta)
-                    for n in ranks], dtype=np.int64)
-    return idx, rng.integers(0, mcfg.h, size=(batch, mcfg.length))
+    the ranks, then all the PSK integers (:func:`_draw_ranks`), and the
+    ranks unranked in one :func:`ranks_to_indices` call for the batch."""
+    ranks, psk = _draw_ranks(mcfg, batch, rng)
+    return ranks_to_indices(ranks, mcfg.m, mcfg.length, mcfg.delta), psk
 
 
 def random_words(mcfg: ModemConfig, batch: int,
@@ -151,11 +161,11 @@ def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
     against the nominal transmit power sum |g|^2 = M, with no time-domain
     frame built.
 
-    The batch's ranks and PSK are drawn as :func:`random_words` draws them.
-    A spread frame is then the sum of L shifted copies of the base chirp,
-    and :func:`atom_peaks` takes its peak from those copies,
-    :data:`FRAME_BLOCK` bodies at a time: memory is one block's body and
-    |x| plus the waveform's atom table. Where ``atom_peaks`` declines
+    The batch's ranks and PSK are drawn as :func:`random_words` draws them,
+    and unranked in one call. A spread frame is then the sum of L shifted
+    copies of the base chirp, and :func:`atom_peaks` takes its peak from
+    those copies one body at a time: memory is one body, one term and one
+    |x| row plus the waveform's atom table. Where ``atom_peaks`` declines
     (OFDM-IM, M with u > FRAME_BLOCK, or L past its rule) the bins are
     built FRAME_BLOCK codewords at a time into one (B, M) array, which one
     :func:`measure_pmepr` call measures through its IDFT. The two paths
@@ -300,20 +310,23 @@ def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float
     each of shape (batch, M), and the stack of their scenes.
 
     The stream is read trial by trial: one codeword (its rank, then its
-    PSK), the targets (:func:`_draw_targets`), then the noise. The symbols
-    and bins of all trials are then built in one :func:`word_symbols` and
-    one :func:`tx_bins` call, and the CFRs in one :func:`radar_cfr` call on
-    the stacked scene, so every row equals the trial drawn alone."""
+    PSK, :func:`_draw_ranks`), the targets (:func:`_draw_targets`), then
+    the noise. Unranking reads no randomness, so every rank is unranked
+    after the loop, in one call. The symbols and bins of all trials are
+    then built in one :func:`word_symbols` and one :func:`tx_bins` call,
+    and the CFRs in one :func:`radar_cfr` call on the stacked scene, so
+    every row equals the trial drawn alone."""
     mcfg = cfg.modem_config()
-    idx = np.empty((batch, mcfg.length), dtype=np.int64)
+    ranks = np.empty(batch, dtype=np.int64)
     psk = np.empty((batch, mcfg.length), dtype=np.int64)
     noise = np.empty((batch, mcfg.m), dtype=complex)
     targets = []
     for t in range(batch):
-        idx[t:t + 1], psk[t:t + 1] = _draw_words(mcfg, 1, rng)
+        ranks[t:t + 1], psk[t:t + 1] = _draw_ranks(mcfg, 1, rng)
         targets.append(_draw_targets(cfg, scenario, rng, spacing_m))
         noise[t] = complex_noise(mcfg.m, sigma2, rng)
     scene = RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+    idx = ranks_to_indices(ranks, mcfg.m, mcfg.length, mcfg.delta)
     w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
     return radar_cfr(scene, mcfg.k) * w + noise, w, scene
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chirpim.modem
@@ -14,8 +14,9 @@ from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import FRAME_BLOCK, PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, \
     band_slices, measure_pmepr
 from chirpim.config import desk_preset
-from chirpim.indexing import (IndexWord, bit_capacity, bits_to_word, index_count,
-                              indices_to_rank, rank_to_indices, word_to_bits)
+from chirpim.indexing import (BATCH_INDEX_BITS, IndexWord, bit_capacity, bits_to_word,
+                              index_count, indices_to_rank, rank_to_indices,
+                              ranks_to_indices, word_to_bits)
 from chirpim.modem import ATOM_MIN_GRID, ModemConfig, Scheme, atom_peaks, \
     frame_from_symbols, rx_frame, tx_bins, tx_frame
 from chirpim.radar import crlb_coeff, crlb_range, crlb_range_no_phase, fim
@@ -47,6 +48,41 @@ def test_rank_unrank_bijection(code, data):
     indices = rank_to_indices(rank, m, length, delta)
     IndexWord(indices, (0,) * length, m, 1, delta)  # increasing, gaps >= delta
     assert indices_to_rank(indices, m, length, delta) == rank
+
+
+@st.composite
+def batch_codes(draw):
+    """(M, L, delta, count) with at least two index sequences and at most
+    BATCH_INDEX_BITS index bits, L up to 8."""
+    m = draw(st.integers(2, 2048))
+    length = draw(st.integers(1, min(m // 2, 8)))
+    delta = draw(st.integers(0, m // length - 1))
+    count = index_count(length, delta, m)
+    assume(count >= 2 and count.bit_length() - 1 <= BATCH_INDEX_BITS)
+    return m, length, delta, count
+
+
+@PROPERTY
+@given(batch_codes(), st.lists(st.integers(0, 2 ** BATCH_INDEX_BITS - 1), max_size=40))
+@example((1572, 7, 0, index_count(7, 0, 1572)), [2 ** BATCH_INDEX_BITS - 1])  # 62 bits
+@example((1536, 2, 84, index_count(2, 84, 1536)), [0, 11])  # the paper's separation
+def test_ranks_to_indices_equals_rank_to_indices(code, draws):
+    # row by row, over ranks in 1..min(count, 2**62) (what a runner can
+    # draw) with the first and the last rank always in; rank 0 and
+    # count + 1 are refused with the scalar path's message
+    m, length, delta, count = code
+    top = min(count, 2 ** BATCH_INDEX_BITS)
+    ranks = [1, *(1 + n % top for n in draws), count]
+    rows = ranks_to_indices(np.array(ranks), m, length, delta)
+    assert rows.dtype == np.int64 and rows.shape == (len(ranks), length)
+    assert [tuple(row) for row in rows.tolist()] == \
+        [rank_to_indices(rank, m, length, delta) for rank in ranks]
+    for bad in (0, count + 1):
+        message = rf"^rank {bad} outside 1\.\.{count}$"
+        with pytest.raises(ValueError, match=message):
+            rank_to_indices(bad, m, length, delta)
+        with pytest.raises(ValueError, match=message):
+            ranks_to_indices([1, bad], m, length, delta)
 
 
 @PROPERTY
