@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .chirps import ChirpFamily, ChirpSpec
-from .indexing import BATCH_INDEX_BITS
+from .indexing import check_batch_index_bits
 from .modem import ModemConfig, Scheme
 from .radar import min_resolution
 from .util import SPEED_OF_LIGHT, noise_variance
@@ -81,13 +81,10 @@ class ExperimentConfig:
             modem = ModemConfig(scheme=self.scheme, m=self.m, n=self.n, n_cp=self.n_cp,
                                 length=self.length, h=self.h, delta=self.delta,
                                 chirp=chirp)
+            # every runner draws and unranks its codewords in int64
+            check_batch_index_bits(modem.capacity.index_bits, self.m, self.length, self.delta)
         except ValueError as exc:
             raise ValueError(f"[waveform] {exc}") from None
-        # every runner draws and unranks its codewords in int64
-        if modem.capacity.index_bits > BATCH_INDEX_BITS:
-            raise ValueError(f"[waveform] index_bits = {modem.capacity.index_bits} (M = {self.m}, "
-                             f"L = {self.length}, delta = {self.delta}) exceeds the "
-                             f"{BATCH_INDEX_BITS}-bit limit of the runners' int64 rank draws")
         object.__setattr__(self, "_modem", modem)
         # every SNR a runner can read must give a usable noise variance, or a
         # run would overflow, or write NaN or zero rows, after its first points

@@ -45,6 +45,15 @@ PREFIX_CACHE_SIZE = 16
 BATCH_INDEX_BITS = 62
 
 
+def check_batch_index_bits(index_bits: int, m: int, length: int, delta: int) -> None:
+    """Refuse a codebook of more than :data:`BATCH_INDEX_BITS` index bits,
+    whose ranks the runners cannot draw in int64, naming M, L and delta."""
+    if index_bits > BATCH_INDEX_BITS:
+        raise ValueError(f"index_bits = {index_bits} (M = {m}, L = {length}, delta = {delta}) "
+                         f"exceeds the {BATCH_INDEX_BITS}-bit limit of the runners' int64 "
+                         "rank draws")
+
+
 def compositions_count(parts: int, delta: int, total: int) -> int:
     """Number of compositions of ``total`` into ``parts`` parts, each >= delta.
 

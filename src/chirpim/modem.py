@@ -27,8 +27,8 @@ with no index array.
 Each active index of a spread frame adds one atom to the body: its symbol
 times a circular shift of a base chirp. :func:`atom_peaks` sums the 8x
 oversampled bodies that way, from a table of base waveforms kept per
-process for each waveform, and finds their peak power without a bin array
-or an IDFT.
+process for each modem config, and finds their peak power without a bin
+array or an IDFT.
 """
 from __future__ import annotations
 
@@ -172,15 +172,14 @@ ATOM_MIN_GRID = 256
 
 
 @lru_cache(maxsize=ATOM_CACHE_SIZE)
-def _atom_table(scheme: Scheme, chirp: ChirpSpec | None, m: int, n: int) -> np.ndarray:
+def _atom_table(cfg: ModemConfig) -> np.ndarray:
     """The base waveforms Y_0..Y_{u-1} of :func:`atom_peaks` for the
-    waveform (scheme, chirp, M, N), whatever its L, H and delta: Y_b is the
-    plain-sum P-point IDFT (P = 8N) of tx_bins(e_b), with u = M / gcd(M, P).
-    Each row holds Y_b twice over, shape (u, 2P), so that every circular
-    shift of it is one slice. Read-only."""
-    wave = ModemConfig(scheme, m, n, n_cp=0, length=1, h=1, chirp=chirp)
-    p = PMEPR_OVERSAMPLE * n
-    y = synthesize(tx_bins(np.eye(m // gcd(m, p), m), wave), wave.k, p)
+    config's waveform: Y_b is the plain-sum P-point IDFT (P = 8N) of
+    tx_bins(e_b), with u = M / gcd(M, P), which L, H and delta do not
+    change. Each row holds Y_b twice over, shape (u, 2P), so that every
+    circular shift of it is one slice. Read-only."""
+    p = PMEPR_OVERSAMPLE * cfg.n
+    y = synthesize(tx_bins(np.eye(cfg.m // gcd(cfg.m, p), cfg.m), cfg), cfg.k, p)
     table = np.concatenate((y, y), axis=-1)
     table.flags.writeable = False
     return table
@@ -212,8 +211,7 @@ def atom_peaks(idx: np.ndarray, psk: np.ndarray, cfg: ModemConfig) -> np.ndarray
     if not cfg.scheme.spreads or cfg.m // common > FRAME_BLOCK \
             or ATOM_MIN_GRID << cfg.length > p:
         return None
-    table = _atom_table(cfg.scheme, cfg.chirp if cfg.scheme is Scheme.CSC_IM else None,
-                        cfg.m, cfg.n)
+    table = _atom_table(cfg)
     a, b = np.divmod(idx, cfg.m // common)
     start = p - a * (p // common)
     symbols = _psk_symbols(psk, cfg)

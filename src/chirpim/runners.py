@@ -12,9 +12,10 @@ Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
 profile and bit capacity. Every batch unranks its codewords once, in one
 :func:`~chirpim.indexing.ranks_to_indices` call over all its ranks. A
-PMEPR or BLER batch draws its whole stream first (words, then channels
-and noise) and then runs its frames :data:`~chirpim.chirps.FRAME_BLOCK`
-at a time, so its temporaries are one block's, whatever ``cfg.batch``. A
+PMEPR or BLER batch draws its whole stream first (its words in one
+:func:`random_words` call, then channels and noise) and then runs its
+frames :data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries
+are one block's, whatever ``cfg.batch``. A
 PMEPR batch builds no frame: a spread frame's 8N-point body is the sum of
 L shifted copies of the base chirp, which :func:`~chirpim.modem.atom_peaks`
 adds up one body at a time from a per-process table; only OFDM-IM, a bin
@@ -37,7 +38,7 @@ import numpy as np
 
 from .channel import CommChannel, RadarScene, complex_noise, radar_cfr, rician_realize
 from .config import EXPERIMENT_IDS, RESOLUTION_SPACING_RMIN, ExperimentConfig
-from .indexing import ranks_to_indices
+from .indexing import check_batch_index_bits, ranks_to_indices
 from .modem import ModemConfig, atom_peaks, detect_words_batch, post_equalization_snr, \
     tx_bins, union_bound_bler, word_symbols
 from .chirps import FRAME_BLOCK, measure_pmepr
@@ -46,10 +47,7 @@ from .radar import RadarObservation, crlb_range, crlb_range_no_phase, \
 from .util import noise_variance
 # perfbench/spans.py wraps these names here; the runners call the batched
 # estimate_mf_lmmse instead, and sum a PMEPR body from atoms (or measure
-# it from the bins), never from a frame.
-# It wraps random_words (below) too, which no runner calls either: every
-# runner draws with _draw_ranks, unranks a batch in one call and builds the
-# symbols where it uses them
+# it from the bins), never from a frame
 from .modem import frame_from_symbols  # noqa: F401
 from .radar import estimate_lmmse, estimate_multi_mf  # noqa: F401
 
@@ -130,25 +128,21 @@ def _draw_ranks(mcfg: ModemConfig, batch: int,
     """Uniform random ranks, shape (batch,), then PSK rows, shape
     (batch, L): the one order in which every runner reads a codeword.
     Ranks are drawn from the 2**index_bits codebook the bit mapper uses,
-    which is equivalent to encoding uniform random bits."""
+    which is equivalent to encoding uniform random bits. A codebook past
+    :data:`~chirpim.indexing.BATCH_INDEX_BITS` is refused by name."""
+    check_batch_index_bits(mcfg.capacity.index_bits, mcfg.m, mcfg.length, mcfg.delta)
     ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
     return ranks, rng.integers(0, mcfg.h, size=(batch, mcfg.length))
 
 
-def _draw_words(mcfg: ModemConfig, batch: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def random_words(mcfg: ModemConfig, batch: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random index rows and PSK rows, shape (batch, L) each: all
     the ranks, then all the PSK integers (:func:`_draw_ranks`), and the
-    ranks unranked in one :func:`ranks_to_indices` call for the batch."""
+    ranks unranked in one :func:`ranks_to_indices` call for the batch. The
+    one whole-batch word draw: the PMEPR and BLER batches read theirs here."""
     ranks, psk = _draw_ranks(mcfg, batch, rng)
     return ranks_to_indices(ranks, mcfg.m, mcfg.length, mcfg.delta), psk
-
-
-def random_words(mcfg: ModemConfig, batch: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform random codewords: index rows, PSK rows, modulation vectors."""
-    idx, psk = _draw_words(mcfg, batch, rng)
-    return idx, psk, word_symbols(idx, psk, mcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +155,8 @@ def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
     against the nominal transmit power sum |g|^2 = M, with no time-domain
     frame built.
 
-    The batch's ranks and PSK are drawn as :func:`random_words` draws them,
-    and unranked in one call. A spread frame is then the sum of L shifted
+    The batch's ranks and PSK are drawn and unranked in one
+    :func:`random_words` call. A spread frame is then the sum of L shifted
     copies of the base chirp, and :func:`atom_peaks` takes its peak from
     those copies one body at a time: memory is one body, one term and one
     |x| row plus the waveform's atom table. Where ``atom_peaks`` declines
@@ -171,7 +165,7 @@ def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
     :func:`measure_pmepr` call measures through its IDFT. The two paths
     agree to rounding, a few 1e-15 dB."""
     mcfg = cfg.modem_config()
-    idx, psk = _draw_words(mcfg, batch, rng)
+    idx, psk = random_words(mcfg, batch, rng)
     peak = atom_peaks(idx, psk, mcfg)
     if peak is not None:
         return 10.0 * np.log10(peak / float(mcfg.m))
@@ -215,7 +209,7 @@ def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     frame count and the block errors by name (``trials``, ``errors``).
 
     The stream is read whole-batch, in this order: the ranks and PSK
-    (:func:`_draw_words`), under fading one :func:`rician_realize` of
+    (:func:`random_words`), under fading one :func:`rician_realize` of
     ``batch`` channels, then one (B, M) :func:`complex_noise` array. The
     frames then run :data:`FRAME_BLOCK` at a time through their symbols,
     bins and CFR, are received in place on their noise rows and detected,
@@ -224,7 +218,7 @@ def _bler_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     whole batch detects.
     """
     mcfg = cfg.modem_config()
-    idx, psk = _draw_words(mcfg, batch, rng)
+    idx, psk = random_words(mcfg, batch, rng)
     channel = rician_realize(cfg.pdp, rng, batch=batch) if cfg.fading else None
     noise = complex_noise((batch, mcfg.m), sigma2, rng)
     errors = 0

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from chirpim.channel import complex_noise, rician_realize
-from chirpim.modem import detect_words_batch, tx_bins
+from chirpim.modem import detect_words_batch, tx_bins, word_symbols
 from chirpim.runners import random_words
 
 
@@ -226,8 +226,8 @@ def one_pass_bler_batch(cfg, rng, batch: int, sigma2: float):
     bins, one batched Rician CFR under fading, the noise, and one detector
     call. Returns the detected (indices, psk) and the block-error count."""
     mcfg = cfg.modem_config()
-    idx, psk, d = random_words(mcfg, batch, rng)
-    w = tx_bins(d, mcfg)
+    idx, psk = random_words(mcfg, batch, rng)
+    w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
     h_c = rician_realize(cfg.pdp, rng, batch=batch).cfr(mcfg.k, cfg.t_s) if cfg.fading else 1.0
     b = complex_noise(w.shape, sigma2, rng)
     b += h_c * w

@@ -18,7 +18,7 @@ from chirpim.indexing import (delta_no_loss, index_count, indices_to_rank,
                               rank_to_indices)
 from chirpim.modem import (ModemConfig, Scheme, detect_words_batch,
                            extract_bins, frame_from_symbols,
-                           post_equalization_snr, union_bound_bler)
+                           post_equalization_snr, union_bound_bler, word_symbols)
 from chirpim.radar import (RadarObservation, crlb_coeff, crlb_range,
                            crlb_range_no_phase, estimate_lmmse, estimate_multi_mf,
                            min_resolution)
@@ -276,8 +276,8 @@ def test_end_to_end_loopback():
         rng = np.random.default_rng(500 + ci)
         for lo in range(0, frames_per_config, 2048):
             nb = min(2048, frames_per_config - lo)
-            idx, psk, d = random_words(cfg, nb, rng)
-            frame = frame_from_symbols(d, cfg)
+            idx, psk = random_words(cfg, nb, rng)
+            frame = frame_from_symbols(word_symbols(idx, psk, cfg), cfg)
             det_i, det_z = detect_words_batch(extract_bins(frame, cfg), 1.0, 0.0, cfg)
             total_errors += int(np.any((det_i != idx) | (det_z != psk), axis=1).sum())
     elapsed = time.time() - t0

@@ -8,7 +8,7 @@ from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, apac,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
                             sinusoidal_chirp_coeffs, synthesize)
 from chirpim.config import PRESETS, desk_preset, paper_preset, preset
-from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins
+from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins, word_symbols
 from chirpim.runners import random_words
 
 from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
@@ -300,7 +300,7 @@ def test_pmepr_equals_zero_padded_oracle(make):
     # the 8x IDFT of the bins against the spectrum of the synthesized body
     # zero-padded to 8N: the same peak up to rounding
     mcfg = make(family=ChirpFamily.SINUSOIDAL, length=2).modem_config()
-    _, _, d = random_words(mcfg, 40, np.random.default_rng(8))
+    d = word_symbols(*random_words(mcfg, 40, np.random.default_rng(8)), mcfg)
     frames = frame_from_symbols(d, mcfg)
     for p_av in (float(mcfg.m), None):
         values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=p_av)

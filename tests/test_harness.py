@@ -1,4 +1,5 @@
 """CLI surface, config loading, CSV format, reproducibility."""
+import ast
 import hashlib
 import json
 import re
@@ -489,6 +490,15 @@ def test_config_rejects_more_index_bits_than_the_runners_draw():
     assert np.array_equal(chirpim.word_to_bits(word), bits)
 
 
+def test_runners_draw_refuses_more_index_bits_than_int64():
+    # a bare ModemConfig skips the config's check: its first draw used to
+    # stop with numpy's "high is out of bounds for int64"
+    mcfg = ModemConfig(Scheme.OFDM_IM, 1536, 2048, 512, 8, 4)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "index_bits = 69 (M = 1536, L = 8, delta = 0) exceeds the 62-bit limit")):
+        runners.random_words(mcfg, 4, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("field, value", [
     ("snr_db", (0.0, float("nan"))), ("snr_db", (float("inf"),)),
     ("ebn0_db", (float("-inf"),)), ("resolution_snr_db", float("nan")),
@@ -564,18 +574,44 @@ def bench_module(name: str, monkeypatch) -> types.ModuleType:
     return module
 
 
+def test_src_modules_use_every_name_they_import():
+    # a deletion can leave an import behind; neither pyflakes nor ruff is a
+    # dependency, so this reads the syntax tree. __init__.py re-exports, and
+    # an import marked noqa: F401 says why it stays
+    unused = []
+    for path in sorted(Path(chirpim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__" \
+                    and "noqa: F401" not in " ".join(lines[node.lineno - 1:node.end_lineno]):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_bench_hooks_resolve(monkeypatch):
     # the benchmark patches these names; a deleted one would break it
     for owner, attr, _ in bench_module("spans", monkeypatch).TARGETS:
         assert callable(getattr(owner, attr)), (owner, attr)
 
 
-@pytest.mark.parametrize("workload", ["radar-two-desk", "radar-single-paper", "pmepr-paper"])
+@pytest.mark.parametrize("workload", ["radar-two-desk", "radar-single-paper", "bler-paper",
+                                      "pmepr-paper"])
 def test_bench_chunk_passes_its_checks(workload, monkeypatch):
     # the bench wraps runner names and checks their arguments even untraced,
     # so a runner change that drops a wrapped name or changes a checked
     # signature fails the bench's run, and here; the pmepr-paper chunk runs
-    # the atom path, which the bench's row checks see
+    # the atom path, which the bench's row checks see. The frame batches
+    # draw through random_words, which the bench counts: one word per frame
+    # (8, and 8 at each of 3 SNRs); the radar trials' draws it does not see
     spans = bench_module("spans", monkeypatch)
     wl = bench_module("workloads", monkeypatch).WORKLOADS[workload]
     cfg = wl.config(5, wl.smoke_chunk)
@@ -584,6 +620,8 @@ def test_bench_chunk_passes_its_checks(workload, monkeypatch):
         rows = wl.run(cfg)
     assert wl.check_rows(cfg, rows) == []
     assert checks.failed == 0, checks.problems
+    if wl.kind in ("pmepr", "bler"):
+        assert checks.words == {"pmepr": 8, "bler": 24}[wl.kind]
 
 
 def test_bench_bler_reference_rows(monkeypatch):
@@ -997,8 +1035,8 @@ def test_pmepr_batch_matches_the_idft_oracle(name, scheme, length, atoms):
     for seed, batch in enumerate((1, 32, 75)):
         stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         values = runners._pmepr_batch(cfg, stream, batch)
-        idx, psk, d = runners.random_words(mcfg, batch, rng)
-        w = runners.tx_bins(d, mcfg)
+        idx, psk = runners.random_words(mcfg, batch, rng)
+        w = runners.tx_bins(runners.word_symbols(idx, psk, mcfg), mcfg)
         expect = np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
         assert values.shape == (batch,)
         assert (atom_peaks(idx, psk, mcfg) is not None) == atoms
@@ -1029,7 +1067,7 @@ def test_pmepr_batch_memory_is_one_body_and_the_atom_table():
         tracemalloc.stop()
     p = PMEPR_OVERSAMPLE * mcfg.n
     body = p * (16 + 16 + 8)
-    table = chirpim.modem._atom_table(mcfg.scheme, mcfg.chirp, mcfg.m, mcfg.n).nbytes
+    table = chirpim.modem._atom_table(mcfg).nbytes
     assert peak <= body + table + 2 ** 19, peak / 2 ** 20
 
 
@@ -1072,7 +1110,8 @@ def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
     assert (scene.f_c, scene.t_s, scene.t_cp) == (cfg.f_c, cfg.t_s, cfg.t_cp)
     rng = np.random.default_rng(9)
     for row_b, row_w, targets in zip(b, w, scene.targets):
-        one_w = runners.tx_bins(runners.random_words(mcfg, 1, rng)[2][0], mcfg)
+        one_d = runners.word_symbols(*runners.random_words(mcfg, 1, rng), mcfg)
+        one_w = runners.tx_bins(one_d[0], mcfg)
         one_scene = runners.RadarScene(runners._draw_targets(cfg, scenario, rng, spacing_m),
                                        cfg.f_c, cfg.t_s, cfg.t_cp)
         one_b = runners.radar_cfr(one_scene, mcfg.k) * one_w + \

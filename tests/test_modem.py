@@ -186,7 +186,7 @@ def test_bin_mapping_equals_index_forms_bit_for_bit(name, scheme):
     mcfg = cfg.modem_config()
     m, n, k, fdss = mcfg.m, mcfg.n, mcfg.k, mcfg.fdss
     rng = np.random.default_rng(24)
-    _, _, d = random_words(mcfg, 5, rng)
+    d = word_symbols(*random_words(mcfg, 5, rng), mcfg)
     h_c = rician_realize(cfg.pdp, rng, batch=5).cfr(k, cfg.t_s)
     h_c[:, ::7] = 0  # zero bins: the sigma2 = 0 equalizer leaves them at 0
     noise = rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)

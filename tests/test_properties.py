@@ -18,7 +18,7 @@ from chirpim.indexing import (BATCH_INDEX_BITS, IndexWord, bit_capacity, bits_to
                               index_count, indices_to_rank, rank_to_indices,
                               ranks_to_indices, word_to_bits)
 from chirpim.modem import ATOM_MIN_GRID, ModemConfig, Scheme, atom_peaks, \
-    frame_from_symbols, rx_frame, tx_bins, tx_frame
+    frame_from_symbols, rx_frame, tx_bins, tx_frame, word_symbols
 from chirpim.radar import crlb_coeff, crlb_range, crlb_range_no_phase, fim
 from chirpim.runners import _wilson
 from chirpim.util import SPEED_OF_LIGHT
@@ -159,8 +159,9 @@ def test_pmepr_batch_atoms_agree_with_the_idft(scheme, family, m, n, length, bat
     cfg = SimpleNamespace(modem_config=lambda: mcfg)  # all that _pmepr_batch reads
     stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     values = runners._pmepr_batch(cfg, stream, batch)
-    idx, psk, d = runners.random_words(mcfg, batch, rng)
-    expect = measure_pmepr(tx_bins(d, mcfg), mcfg.k, n, p_av=float(m))
+    idx, psk = runners.random_words(mcfg, batch, rng)
+    w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
+    expect = measure_pmepr(w, mcfg.k, n, p_av=float(m))
     p = PMEPR_OVERSAMPLE * n
     atoms = scheme.spreads and m // np.gcd(m, p) <= FRAME_BLOCK and ATOM_MIN_GRID << length <= p
     assert (atom_peaks(idx, psk, mcfg) is not None) == atoms

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import ChirpFamily, ChirpSpec
-from chirpim.modem import ModemConfig, Scheme, encode, tx_bins
+from chirpim.modem import ModemConfig, Scheme, encode, tx_bins, word_symbols
 from chirpim.config import desk_preset
 from chirpim import radar
 from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
@@ -1022,7 +1022,7 @@ def test_stacked_bounds_equal_single_scene_calls(n_targets):
     # per frame and for the shared expectation-form bins
     cfg = modem(length=2)
     rng = np.random.default_rng(40 + n_targets)
-    w = np.asfortranarray(tx_bins(random_words(cfg, 6, rng)[2], cfg))
+    w = np.asfortranarray(tx_bins(word_symbols(*random_words(cfg, 6, rng), cfg), cfg))
     assert not w.flags.c_contiguous
     rows = [[(d, rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2))
              for d in np.sort(rng.uniform(1.0, 3.0, n_targets))] for _ in range(len(w))]
