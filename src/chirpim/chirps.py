@@ -1,15 +1,17 @@
 """Periodic chirp waveforms synthesized through DFT-spread OFDM.
 
-A chirp family is described by its dimensionless frequency-deviation
-parameter D (peak instantaneous deviation D/(2*T_s) Hz around the carrier)
-and a Fourier-bin window L_d..L_u. The Fourier coefficients of one symbol
-period act as a frequency-domain spectral-shaping (FDSS) filter inside a
-DFT-s-OFDM transmitter: the M-point DFT of the modulation symbols is
-multiplied bin-by-bin by the (normalized) coefficients and placed on the
-IDFT grid, which turns each modulation symbol into a circularly-shifted
-copy of the base chirp. :func:`synthesize` returns the frame body only;
-the modem adds the cyclic prefix. Nothing here holds a clock: frequencies
-are in units of 1/T_s, and the experiment config holds T_s.
+A chirp is described by its family and its dimensionless frequency-deviation
+parameter D (peak instantaneous deviation D/(2*T_s) Hz around the carrier).
+The modem's M picks the bins: the M bins of
+:func:`chirpim.util.default_band`, around DC. There the Fourier
+coefficients of one symbol period act as a frequency-domain
+spectral-shaping (FDSS) filter inside a DFT-s-OFDM transmitter: the
+M-point DFT of the modulation symbols is multiplied bin-by-bin by the
+(normalized) coefficients and placed on the IDFT grid, which turns each
+modulation symbol into a circularly-shifted copy of the base chirp.
+:func:`synthesize` returns the frame body only; the modem adds the cyclic
+prefix. Nothing here holds a clock: frequencies are in units of 1/T_s,
+and the experiment config holds T_s.
 
 Also provided: PMEPR and occupied-bandwidth measurement, aperiodic
 autocorrelation, and the construction of Golay complementary pairs from
@@ -22,7 +24,7 @@ depends on the family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import NamedTuple
@@ -40,43 +42,27 @@ class ChirpFamily(str, Enum):
 
 @dataclass(frozen=True)
 class ChirpSpec:
-    """One periodic chirp family, in units of the symbol duration T_s.
+    """One periodic chirp, in units of the symbol duration T_s.
 
-    ``d`` is the dimensionless deviation (instantaneous frequency swings
-    over +-d/(2*T_s) Hz); ``l_d < 0 < l_u`` bound the retained Fourier bins.
-    The retained bin count M = l_u - l_d + 1 must exceed d, otherwise the
-    truncated series no longer resembles the chirp. ``family`` may be given
-    by value ("linear"); a value that names no family raises ValueError.
+    ``d`` is the dimensionless deviation, finite and >= 0 (instantaneous
+    frequency swings over +-d/(2*T_s) Hz). The spec holds no bins: the
+    modem's M picks them (:func:`chirp_fdss`). ``family`` may be given by
+    value ("linear"); a value that names no family raises ValueError.
     """
 
     family: ChirpFamily
     d: float
-    l_d: int
-    l_u: int
 
     def __post_init__(self):
         object.__setattr__(self, "family", ChirpFamily(self.family))
-        if self.d < 0:
-            raise ValueError(f"d = {self.d}: deviation must be >= 0")
-        if not (self.l_d < 0 < self.l_u):
-            raise ValueError("need l_d < 0 < l_u")
-        if self.m <= self.d:
-            raise ValueError(f"d = {self.d}: must be below the bin count m = {self.m}")
+        if not 0 <= self.d < np.inf:
+            raise ValueError(f"d = {self.d}: deviation must be finite and >= 0")
 
-    @property
-    def m(self) -> int:
-        return self.l_u - self.l_d + 1
 
-    @property
-    def k(self) -> np.ndarray:
-        """Retained Fourier bin indices l_d..l_u."""
-        return np.arange(self.l_d, self.l_u + 1)
-
-    @classmethod
-    def centered(cls, family: ChirpFamily, d: float, m: int) -> "ChirpSpec":
-        """Spec with the default symmetric-around-DC window of ``m`` bins."""
-        l_d, l_u = default_band(m)
-        return cls(family, d, l_d, l_u)
+def _band(m: int) -> np.ndarray:
+    """The ``m`` bins of ``default_band(m)``, ascending."""
+    l_d, l_u = default_band(m)
+    return np.arange(l_d, l_u + 1)
 
 
 def linear_chirp_coeffs(d: float, k: np.ndarray) -> np.ndarray:
@@ -123,22 +109,26 @@ def sinusoidal_chirp_coeffs(d: float, k: np.ndarray) -> np.ndarray:
     return jv(k, d / 2.0).astype(complex)
 
 
-def fourier_coeffs(spec: ChirpSpec) -> np.ndarray:
-    """Raw (unnormalized) chirp Fourier coefficients over l_d..l_u."""
-    if spec.family is ChirpFamily.LINEAR:
-        return linear_chirp_coeffs(spec.d, spec.k)
-    return sinusoidal_chirp_coeffs(spec.d, spec.k)
+def fourier_coeffs(spec: ChirpSpec, m: int) -> np.ndarray:
+    """Raw (unnormalized) chirp Fourier coefficients on the ``m`` bins of
+    ``default_band(m)``. Any d is taken, so a truncation too short for the
+    chirp (m <= d) can be studied; :func:`chirp_fdss` refuses one."""
+    coeffs = linear_chirp_coeffs if spec.family is ChirpFamily.LINEAR else sinusoidal_chirp_coeffs
+    return coeffs(spec.d, _band(m))
 
 
 @dataclass(frozen=True)
 class FdssProfile:
-    """Spectral-shaping coefficients over the bin window l_d..l_d+M-1.
-
-    ``g`` is normalized so that sum |g_k|^2 = M (unit mean bin power).
+    """Spectral-shaping coefficients ``g`` on the M = len(g) bins
+    l_d..l_u of ``default_band(M)``, normalized so that sum |g_k|^2 = M
+    (unit mean bin power).
     """
 
     g: np.ndarray
-    l_d: int
+    l_d: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "l_d", default_band(self.m)[0])
 
     @property
     def m(self) -> int:
@@ -153,33 +143,38 @@ class FdssProfile:
         return np.arange(self.l_d, self.l_u + 1)
 
 
-def normalize_fdss(raw: np.ndarray, l_d: int | None = None) -> FdssProfile:
-    """Scale raw coefficients so the truncated window carries power M.
-
-    g_k = sqrt(M) * raw_k / sqrt(sum |raw_k|^2). The window defaults to the
-    symmetric band around DC.
+def normalize_fdss(raw: np.ndarray) -> FdssProfile:
+    """Scale raw coefficients on the M = len(raw) bins of
+    ``default_band(M)`` so that they carry power M:
+    g_k = sqrt(M) * raw_k / sqrt(sum |raw_k|^2). Raises unless that power
+    is finite and nonzero.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 1:
         raise ValueError("raw coefficients must be a 1-D vector")
     power = np.sum(np.abs(raw) ** 2)
-    if power == 0:
-        raise ValueError("cannot normalize an all-zero coefficient vector")
-    m = len(raw)
-    if l_d is None:
-        l_d = default_band(m)[0]
-    g = np.sqrt(m) * raw / np.sqrt(power)
-    return FdssProfile(g=g, l_d=l_d)
+    if not 0 < power < np.inf:
+        raise ValueError(f"cannot normalize coefficients of power {power}: "
+                         "need a finite, nonzero power")
+    return FdssProfile(np.sqrt(len(raw)) * raw / np.sqrt(power))
 
 
-def chirp_fdss(spec: ChirpSpec) -> FdssProfile:
-    """Normalized FDSS profile of a chirp family."""
-    return normalize_fdss(fourier_coeffs(spec), spec.l_d)
+def chirp_fdss(spec: ChirpSpec, m: int) -> FdssProfile:
+    """Normalized FDSS profile of a chirp on the ``m`` bins of
+    ``default_band(m)``. Refuses m <= d, where the truncated series no
+    longer resembles the chirp, and m < 3, whose band has no bin below DC.
+    """
+    if m <= spec.d:
+        raise ValueError(f"d = {spec.d}: must be below the bin count m = {m}")
+    if m < 3:
+        raise ValueError(f"m = {m}: a chirp's band needs bins on both sides of DC")
+    return normalize_fdss(fourier_coeffs(spec, m))
 
 
-def flat_fdss(m: int, l_d: int | None = None) -> FdssProfile:
-    """All-ones profile (plain DFT-s-OFDM, no shaping)."""
-    return normalize_fdss(np.ones(m, dtype=complex), l_d)
+def flat_fdss(m: int) -> FdssProfile:
+    """All-ones profile on the ``m`` bins of ``default_band(m)`` (plain
+    DFT-s-OFDM, no shaping)."""
+    return normalize_fdss(np.ones(m, dtype=complex))
 
 
 def band_slices(l_d: int, m: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
@@ -293,8 +288,8 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     if p_av is None:
         # a contiguous copy: a strided row's sum rounds differently
         p_av = np.sum(np.abs(np.ascontiguousarray(rows)) ** 2, axis=-1).reshape(batch)
-    if np.any(np.asarray(p_av) <= 0):
-        raise ValueError("frame has zero power")
+    if not np.all(np.asarray(p_av) > 0):
+        raise ValueError(f"mean power p_av must be positive, got {p_av}")
     out = 10.0 * np.log10(peak.reshape(batch) / p_av)
     return out if out.ndim else float(out)
 
@@ -355,25 +350,29 @@ def is_gcp(a: np.ndarray, b: np.ndarray, tol: float) -> GcpCheck:
 
     True when the aperiodic autocorrelations of a and b sum to (near) zero
     at every nonzero lag: max_{l != 0} |apac(a,l) + apac(b,l)| <= tol *
-    (apac(a,0) + apac(b,0)).
+    (apac(a,0) + apac(b,0)). A pair of one sample has no nonzero lag and
+    passes; a pair of zero power raises ValueError.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("sequences must be 1-D and of equal length")
     zero_lag = (apac(a, 0) + apac(b, 0)).real
-    worst = max(abs(apac(a, lag) + apac(b, lag)) for lag in range(1, len(a)))
+    if zero_lag == 0:
+        raise ValueError("the pair has zero power")
+    worst = max((abs(apac(a, lag) + apac(b, lag)) for lag in range(1, len(a))), default=0.0)
     ratio = worst / zero_lag
     return GcpCheck(is_pair=bool(ratio <= tol), max_violation=float(ratio))
 
 
 def gcp_from_chirps(fdss_raw: np.ndarray, shift_p: int, shift_r: int,
-                    x_p: complex, x_r: complex,
-                    l_d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    x_p: complex, x_r: complex) -> tuple[np.ndarray, np.ndarray]:
     """Golay pair from two circular shifts of one band-limited chirp.
 
-    With f_k the chirp coefficients over the window and unit-magnitude
-    symbols x_p, x_r on shifts shift_p != shift_r (in units of t_s/M):
+    With f_k the chirp coefficients on the M = len(fdss_raw) bins k of
+    ``default_band(M)``, as :func:`fourier_coeffs` returns them, and
+    unit-magnitude symbols x_p, x_r on shifts shift_p != shift_r (in units
+    of t_s/M):
 
         a_k = x_p f_k e^{-j2pi k shift_p/M} + x_r f_k e^{-j2pi k shift_r/M}
         b_k = x_p f_k e^{-j2pi k shift_p/M} - x_r f_k e^{-j2pi k shift_r/M}
@@ -387,9 +386,7 @@ def gcp_from_chirps(fdss_raw: np.ndarray, shift_p: int, shift_r: int,
         raise ValueError("shifts must differ (the same chirp twice is not complementary)")
     if not (np.isclose(abs(x_p), 1.0) and np.isclose(abs(x_r), 1.0)):
         raise ValueError("x_p and x_r must be unit magnitude")
-    if l_d is None:
-        l_d = default_band(m)[0]
-    k = np.arange(l_d, l_d + m)
+    k = _band(m)
     term_p = x_p * f * np.exp(-2j * np.pi * k * shift_p / m)
     term_r = x_r * f * np.exp(-2j * np.pi * k * shift_r / m)
     return term_p + term_r, term_p - term_r

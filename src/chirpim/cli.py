@@ -16,12 +16,11 @@ import numpy as np
 
 from . import indexing
 from .channel import RadarScene
-from .chirps import ChirpFamily, gcp_from_chirps, is_gcp, linear_chirp_coeffs, \
-    sinusoidal_chirp_coeffs
+from .chirps import ChirpFamily, ChirpSpec, fourier_coeffs, gcp_from_chirps, is_gcp
 from .config import CONFIG_KEYS, PRESETS, ExperimentConfig, load_config, preset
 from .radar import crlb_coeff, crlb_range, crlb_range_no_phase, min_resolution
 from .runners import run_bler, run_pmepr_ccdf, run_radar_rmse, run_resolution
-from .util import default_band, noise_variance
+from .util import noise_variance
 
 
 _RUNNERS = {"pmepr": run_pmepr_ccdf, "bler": run_bler, "radar-rmse": run_radar_rmse,
@@ -131,12 +130,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif cmd == "delta-no-loss":
         print(indexing.delta_no_loss(args.M, args.L))
     elif cmd == "gcp-check":
-        l_d, l_u = default_band(args.M)
-        k = np.arange(l_d, l_u + 1)
-        coeffs = (linear_chirp_coeffs(args.D, k) if args.family == "linear"
-                  else sinusoidal_chirp_coeffs(args.D, k))
+        coeffs = fourier_coeffs(ChirpSpec(args.family, args.D), args.M)
         s_p, s_r = (int(t) for t in args.shifts.split(","))
-        a, b = gcp_from_chirps(coeffs, s_p, s_r, 1.0, 1.0, l_d=l_d)
+        a, b = gcp_from_chirps(coeffs, s_p, s_r, 1.0, 1.0)
         check = is_gcp(a, b, args.tol)
         print(f"{'PASS' if check.is_pair else 'FAIL'} max_violation={check.max_violation:.6e} "
               f"tol={args.tol:g}")

@@ -77,7 +77,7 @@ class ExperimentConfig:
         # every run needs the modem: build it once, here, so that a bad
         # waveform key fails now and not when a runner starts
         try:
-            chirp = self.chirp_spec() if self.scheme is Scheme.CSC_IM else None
+            chirp = ChirpSpec(self.family, self.d) if self.scheme is Scheme.CSC_IM else None
             modem = ModemConfig(scheme=self.scheme, m=self.m, n=self.n, n_cp=self.n_cp,
                                 length=self.length, h=self.h, delta=self.delta,
                                 chirp=chirp)
@@ -143,9 +143,6 @@ class ExperimentConfig:
     @property
     def bandwidth_hz(self) -> float:
         return self.d / self.t_s
-
-    def chirp_spec(self) -> ChirpSpec:
-        return ChirpSpec.centered(self.family, self.d, self.m)
 
     def ebn0_snr_db(self) -> tuple[float, ...]:
         """The SNR of each ``ebn0_db`` point, through the frame's bit count:

@@ -89,15 +89,12 @@ class ModemConfig:
             raise ValueError(f"l = {self.length}: need 1 <= L <= m/2 = {self.m // 2}")
         if self.h < 1 or self.h & (self.h - 1):
             raise ValueError(f"h = {self.h}: must be a power of two")
-        if self.scheme is Scheme.CSC_IM:
-            if self.chirp is None:
-                raise ValueError("CSC-IM needs a chirp spec")
-            if self.chirp.m != self.m:
-                raise ValueError(f"chirp window M={self.chirp.m} != config M={self.m}")
+        if self.scheme is Scheme.CSC_IM and self.chirp is None:
+            raise ValueError("CSC-IM needs a chirp spec")
         if indexing.index_count(self.length, self.delta, self.m) < 2:
             raise ValueError(f"delta = {self.delta}: leaves fewer than 2 index sequences "
                              f"of l = {self.length} in m = {self.m}")
-        object.__setattr__(self, "fdss", chirp_fdss(self.chirp)
+        object.__setattr__(self, "fdss", chirp_fdss(self.chirp, self.m)
                            if self.scheme is Scheme.CSC_IM else flat_fdss(self.m))
         object.__setattr__(self, "capacity",
                            bit_capacity(self.m, self.length, self.h, self.delta))

@@ -24,6 +24,7 @@ from chirpim.radar import (RadarObservation, crlb_coeff, crlb_range,
                            min_resolution)
 from chirpim.runners import (radar_trials, random_words, run_bler, run_pmepr_ccdf,
                              run_radar_rmse, run_resolution)
+from chirpim.util import default_band
 
 from oracles import (enumerate_index_sequences, fourier_coeffs_quadrature,
                      linear_chirp_phase, quadrature_panels,
@@ -87,11 +88,12 @@ def test_chirp_coefficients_match_quadrature():
     for d, m in ((12.0, 24), (56.0, 64), (1382.0, 1448)):
         for family, phase in ((ChirpFamily.LINEAR, linear_chirp_phase(d)),
                               (ChirpFamily.SINUSOIDAL, sinusoidal_chirp_phase(d))):
-            spec = ChirpSpec.centered(family, d, m)
-            closed = fourier_coeffs(spec)
-            panels = quadrature_panels(d, max(abs(spec.l_d), spec.l_u))
-            ref = fourier_coeffs_quadrature(phase, spec.k, panels)
-            probe = spec.k[:: max(m // 8, 1)]
+            closed = fourier_coeffs(ChirpSpec(family, d), m)
+            l_d, l_u = default_band(m)
+            k = np.arange(l_d, l_u + 1)
+            panels = quadrature_panels(d, max(abs(l_d), l_u))
+            ref = fourier_coeffs_quadrature(phase, k, panels)
+            probe = k[:: max(m // 8, 1)]
             drift = np.max(np.abs(
                 fourier_coeffs_quadrature(phase, probe, 2 * panels)
                 - ref[:: max(m // 8, 1)]))
@@ -108,9 +110,9 @@ def test_chirp_coefficients_match_quadrature():
 def test_gcp_construction():
     k = np.arange(-11, 13)
     good = is_gcp(*gcp_from_chirps(sinusoidal_chirp_coeffs(12.0, k), 0, 1,
-                                   1.0, 1.0, l_d=-11), 1e-2)
+                                   1.0, 1.0), 1e-2)
     bad = is_gcp(*gcp_from_chirps(sinusoidal_chirp_coeffs(24.0, k), 0, 1,
-                                  1.0, 1.0, l_d=-11), 1e-2)
+                                  1.0, 1.0), 1e-2)
     report("gcp-construction", good.is_pair and not bad.is_pair,
            f"D=12 passes (violation {good.max_violation:.1e}); "
            f"D=24 fails (violation {bad.max_violation:.1e}) at tol 1e-2")
@@ -260,8 +262,8 @@ def test_resolution():
 
 def test_end_to_end_loopback():
     t0 = time.time()
-    lin = ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64)
-    sin = ChirpSpec.centered(ChirpFamily.SINUSOIDAL, 48.0, 64)
+    lin = ChirpSpec(ChirpFamily.LINEAR, 48.0)
+    sin = ChirpSpec(ChirpFamily.SINUSOIDAL, 48.0)
     configs = [
         ModemConfig(Scheme.CSC_IM, 64, 128, 32, 1, 4, chirp=lin),
         ModemConfig(Scheme.CSC_IM, 64, 128, 32, 2, 4, chirp=lin),

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, apac,
+from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, GcpCheck, apac,
                             chirp_fdss, distinct_cs_count, flat_fdss, fourier_coeffs,
                             gcp_from_chirps, is_gcp, linear_chirp_coeffs,
                             measure_pmepr, normalize_fdss, occupied_bandwidth,
@@ -10,14 +10,11 @@ from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, apac,
 from chirpim.config import PRESETS, desk_preset, paper_preset, preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins, word_symbols
 from chirpim.runners import random_words
+from chirpim.util import default_band
 
 from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
                      quadrature_panels, sinusoidal_chirp_phase,
                      zero_padded_pmepr_db)
-
-
-def spec(family, d, m):
-    return ChirpSpec.centered(family, d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -25,14 +22,15 @@ def spec(family, d, m):
 # ---------------------------------------------------------------------------
 
 def assert_matches_quadrature(family, d, m, rel_tol, significant=1e-4):
-    sp = spec(family, d, m)
-    closed = fourier_coeffs(sp)
+    closed = fourier_coeffs(ChirpSpec(family, d), m)
+    l_d, l_u = default_band(m)
+    k = np.arange(l_d, l_u + 1)
     phase = linear_chirp_phase(d) if family is ChirpFamily.LINEAR \
         else sinusoidal_chirp_phase(d)
-    panels = quadrature_panels(d, max(abs(sp.l_d), sp.l_u))
-    ref = fourier_coeffs_quadrature(phase, sp.k, panels)
+    panels = quadrature_panels(d, max(abs(l_d), l_u))
+    ref = fourier_coeffs_quadrature(phase, k, panels)
     # oracle self-check: doubling the panel count must not move the result
-    ref2 = fourier_coeffs_quadrature(phase, sp.k[:: max(m // 8, 1)], 2 * panels)
+    ref2 = fourier_coeffs_quadrature(phase, k[:: max(m // 8, 1)], 2 * panels)
     assert np.max(np.abs(ref[:: max(m // 8, 1)] - ref2)) < 1e-10
     mask = np.abs(ref) > significant
     assert mask.any()
@@ -71,11 +69,12 @@ def test_sinusoidal_center_bin_high_accuracy():
 
 
 def test_zero_deviation_is_pure_tone():
-    lin = spec(ChirpFamily.LINEAR, 0.0, 8)
-    sin = spec(ChirpFamily.SINUSOIDAL, 0.0, 8)
-    for coeffs in (fourier_coeffs(lin), fourier_coeffs(sin)):
-        assert coeffs[lin.k == 0] == 1.0
-        assert np.all(coeffs[lin.k != 0] == 0.0)
+    l_d, l_u = default_band(8)
+    k = np.arange(l_d, l_u + 1)
+    for family in ChirpFamily:
+        coeffs = fourier_coeffs(ChirpSpec(family, 0.0), 8)
+        assert coeffs[k == 0] == 1.0
+        assert np.all(coeffs[k != 0] == 0.0)
 
 
 def test_sinusoidal_parity():
@@ -96,21 +95,23 @@ def test_linear_tail_decays():
 
 
 def test_spec_family_coerced_by_value():
-    by_value = ChirpSpec("linear", 12.0, -11, 12)
+    by_value = ChirpSpec("linear", 12.0)
     assert by_value.family is ChirpFamily.LINEAR
-    assert np.array_equal(fourier_coeffs(by_value),
-                          fourier_coeffs(ChirpSpec(ChirpFamily.LINEAR, 12.0, -11, 12)))
+    assert np.array_equal(fourier_coeffs(by_value, 24),
+                          fourier_coeffs(ChirpSpec(ChirpFamily.LINEAR, 12.0), 24))
     with pytest.raises(ValueError, match="'bogus' is not a valid ChirpFamily"):
-        ChirpSpec("bogus", 12.0, -11, 12)
+        ChirpSpec("bogus", 12.0)
 
 
 def test_spec_invariants():
-    with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, 24.0, -11, 12)  # M must exceed d
-    with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, 4.0, 3, 12)  # l_d must be negative
-    with pytest.raises(ValueError):
-        ChirpSpec(ChirpFamily.LINEAR, -1.0, -8, 8)
+    with pytest.raises(ValueError, match="d = 24.0"):
+        chirp_fdss(ChirpSpec(ChirpFamily.LINEAR, 24.0), 24)  # M must exceed d
+    with pytest.raises(ValueError, match="m = 2"):
+        chirp_fdss(ChirpSpec(ChirpFamily.LINEAR, 1.0), 2)  # band 0..1 has no bin below DC
+    # a NaN deviation passed both d < 0 and M <= d and built a NaN profile
+    for d in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            ChirpSpec(ChirpFamily.LINEAR, d)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_normalize_parseval():
     raw = rng.standard_normal(33) + 1j * rng.standard_normal(33)
     prof = normalize_fdss(raw)
     assert abs(np.sum(np.abs(prof.g) ** 2) - 33) < 1e-12 * 33
-    bessel = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 12.0, 24))
+    bessel = chirp_fdss(ChirpSpec(ChirpFamily.SINUSOIDAL, 12.0), 24)
     assert abs(np.sum(np.abs(bessel.g) ** 2) - 24.0) < 1e-12 * 24
 
 
@@ -141,12 +142,18 @@ def test_normalize_rejects_zero():
         normalize_fdss(np.zeros(8, dtype=complex))
 
 
+@pytest.mark.parametrize("raw", [[1.0, np.nan, 0.0], [np.inf, 1.0]])
+def test_normalize_rejects_a_nonfinite_power(raw):
+    with pytest.raises(ValueError, match="power"):
+        normalize_fdss(np.array(raw, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # Synthesis (tx_bins mapping, the IDFT of synthesize, then the CP)
 # ---------------------------------------------------------------------------
 
 def modem(scheme, m, n, n_cp, family=ChirpFamily.SINUSOIDAL, d=12.0, length=1):
-    chirp = spec(family, d, m) if scheme is Scheme.CSC_IM else None
+    chirp = ChirpSpec(family, d) if scheme is Scheme.CSC_IM else None
     return ModemConfig(scheme, m=m, n=n, n_cp=n_cp, length=length, h=4, chirp=chirp)
 
 
@@ -295,6 +302,13 @@ def test_pmepr_blocks_equal_single_frames():
         assert np.array_equal(values, alone)
 
 
+@pytest.mark.parametrize("p_av", [0.0, -1.0, float("nan"), [32.0, float("nan")]])
+def test_pmepr_refuses_a_mean_power_not_positive(p_av):
+    w, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 2, 7)
+    with pytest.raises(ValueError, match="p_av must be positive"):
+        measure_pmepr(w, cfg.k, cfg.n, p_av=np.array(p_av))
+
+
 @pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
 def test_pmepr_equals_zero_padded_oracle(make):
     # the 8x IDFT of the bins against the spectrum of the synthesized body
@@ -319,7 +333,7 @@ def test_pmepr_guards():
 # ---------------------------------------------------------------------------
 
 def test_ocb_sinusoidal_d12():
-    prof = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 12.0, 24))
+    prof = chirp_fdss(ChirpSpec(ChirpFamily.SINUSOIDAL, 12.0), 24)
     assert occupied_bandwidth(prof, 0.99) == 15
 
 
@@ -329,10 +343,10 @@ def test_ocb_flat():
 
 
 def test_ocb_full_band_limit():
-    prof = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 12.0, 24))
+    prof = chirp_fdss(ChirpSpec(ChirpFamily.SINUSOIDAL, 12.0), 24)
     assert occupied_bandwidth(prof, 1 - 1e-12) == 24
     # the summed energy falls short of fraction * total by rounding
-    wide = chirp_fdss(spec(ChirpFamily.SINUSOIDAL, 48.0, 64))
+    wide = chirp_fdss(ChirpSpec(ChirpFamily.SINUSOIDAL, 48.0), 64)
     assert occupied_bandwidth(wide, 1 - 2 ** -53) == 64
 
 
@@ -371,10 +385,17 @@ def test_is_gcp_length_mismatch():
         is_gcp(np.ones(4), np.ones(5), 0.1)
 
 
+def test_is_gcp_edge_pairs():
+    with pytest.raises(ValueError, match="zero power"):
+        is_gcp(np.zeros(4), np.zeros(4), 0.1)
+    # one sample has no nonzero lag to violate
+    assert is_gcp(np.array([1.0]), np.array([1j]), 0.0) == GcpCheck(True, 0.0)
+
+
 def fig4_pair(d, x_p=1.0, x_r=1.0, shifts=(0, 1)):
     k = np.arange(-11, 13)
     coeffs = sinusoidal_chirp_coeffs(d, k)
-    return gcp_from_chirps(coeffs, shifts[0], shifts[1], x_p, x_r, l_d=-11)
+    return gcp_from_chirps(coeffs, shifts[0], shifts[1], x_p, x_r)
 
 
 def test_gcp_from_chirps_well_formed():

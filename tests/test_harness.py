@@ -227,8 +227,27 @@ def test_paper_preset_numerology():
     assert paper_preset(length=5, separated=True).delta == 252
     literal = preset("paper1448")
     assert literal.m == 1448
-    assert literal.chirp_spec().l_d == -723
-    assert literal.chirp_spec().l_u == 724
+    assert literal.modem_config().fdss.l_d == -723
+    assert literal.modem_config().fdss.l_u == 724
+
+
+# sha256 of preset(name, family=f).modem_config().fdss.g, and its lowest bin
+PINNED_FDSS = {
+    ("desk", "linear"): "0e8fb469f8a8cf34cf776d75dab78b8a0d870dacfae3dcccd3678295f4cf6f3e",
+    ("desk", "sinusoidal"): "bc291a4ce85f912a52824ec7c3ab15026ab1ca7550fbc5f6f68747e9218cf202",
+    ("paper", "linear"): "1b531815c0067a0a74e54e3e30f9024d0b73536fdeee2a6a16706bd0ded20efe",
+    ("paper", "sinusoidal"): "1f115f41ab5fd2d6ec7feb06bac591f969296141a76c8e7139192d5b1314bfaf",
+    ("paper1448", "linear"): "2ed942d7b2cc19bb91aeeee5c6437409127682282ff294441b8d08ba46e73eab",
+    ("paper1448", "sinusoidal"): "978100d8cc071503ef8c2ea3bf6df1b5d749de1be2ba5f4af5035022e1502b36",
+}
+PINNED_FDSS_L_D = {"desk": -31, "paper": -767, "paper1448": -723}
+
+
+@pytest.mark.parametrize("name, family", sorted(PINNED_FDSS))
+def test_fdss_profiles_pinned(name, family):
+    fdss = preset(name, family=family).modem_config().fdss
+    assert hashlib.sha256(fdss.g.tobytes()).hexdigest() == PINNED_FDSS[name, family]
+    assert fdss.l_d == PINNED_FDSS_L_D[name]
 
 
 def test_preset_unknown_name():
@@ -531,7 +550,7 @@ def count_modem_builds(monkeypatch) -> list[str]:
     monkeypatch.setattr(ModemConfig, "__post_init__",
                         lambda self: calls.append("ModemConfig") or post_init(self))
     monkeypatch.setattr(chirpim.modem, "chirp_fdss",
-                        lambda spec: calls.append("chirp_fdss") or chirp_fdss(spec))
+                        lambda spec, m: calls.append("chirp_fdss") or chirp_fdss(spec, m))
     return calls
 
 
@@ -595,6 +614,41 @@ def test_src_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def unreferenced_private_names(text: str) -> list[str]:
+    """Private module-level functions, classes and constants (one leading
+    underscore, not a dunder) that nothing in the module reads outside
+    their own definition."""
+    tree = ast.parse(text)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    orphans = []
+    for name, definition in defined.items():
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(isinstance(node, ast.Name) and node.id == name and id(node) not in inside
+                   for node in ast.walk(tree)):
+            orphans.append(name)
+    return orphans
+
+
+def test_src_modules_use_every_private_name_they_define():
+    # a deletion can leave a private helper behind that nothing calls
+    orphans = [f"{path.name} {name}"
+               for path in sorted(Path(chirpim.__file__).parent.glob("*.py"))
+               for name in unreferenced_private_names(path.read_text())]
+    assert orphans == []
+    assert unreferenced_private_names(
+        "def _helper(n):\n    return _helper(n - 1)\n_LIMIT = 3\n"
+        "def public():\n    return _LIMIT\n") == ["_helper"]
 
 
 def test_bench_hooks_resolve(monkeypatch):

@@ -25,7 +25,7 @@ T_S = 88.9e-9
 
 def make_cfg(scheme=Scheme.CSC_IM, m=64, n=128, n_cp=32, length=2, h=4,
              delta=0, d=48.0, family=ChirpFamily.LINEAR):
-    chirp = ChirpSpec.centered(family, d, m) if scheme is Scheme.CSC_IM else None
+    chirp = ChirpSpec(family, d) if scheme is Scheme.CSC_IM else None
     return ModemConfig(scheme, m, n, n_cp, length, h, delta=delta, chirp=chirp)
 
 
@@ -104,7 +104,7 @@ def test_equalizer_flat_profile_closed_form():
 def test_equalizer_snr_matches_monte_carlo_sinr():
     # iid full-data transmission through the chirp-shaped chain
     rng = np.random.default_rng(3)
-    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 56.0, 64))
+    fdss = chirp_fdss(ChirpSpec(ChirpFamily.LINEAR, 56.0), 64)
     sigma2, m, trials = 0.1, 64, 3000
     num = 0.0
     pow_y = 0.0
@@ -123,7 +123,7 @@ def test_equalizer_snr_matches_monte_carlo_sinr():
 
 
 def test_equalizer_snr_monotone_in_noise():
-    fdss = chirp_fdss(ChirpSpec.centered(ChirpFamily.LINEAR, 48.0, 64))
+    fdss = chirp_fdss(ChirpSpec(ChirpFamily.LINEAR, 48.0), 64)
     snrs = [post_equalization_snr(fdss, s2) for s2 in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)]
     assert all(a > b for a, b in zip(snrs, snrs[1:]))
 

@@ -108,7 +108,7 @@ def modems(draw):
     if scheme is Scheme.CSC_IM:
         family = draw(st.sampled_from(list(ChirpFamily)))
         d = draw(st.floats(0.5, 0.9)) * m
-        chirp = ChirpSpec.centered(family, d, m)
+        chirp = ChirpSpec(family, d)
     h = draw(st.sampled_from([1, 2, 4, 8]))
     return ModemConfig(scheme, m, 2 * m, m // 2, length, h, delta=delta, chirp=chirp)
 
@@ -130,8 +130,8 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
     scheme = data.draw(st.sampled_from(list(Scheme)))
     m = data.draw(st.integers(4, 48))
     n = 2 * data.draw(st.integers(m // 2 + 1, 2 * m))
-    chirp = ChirpSpec.centered(data.draw(st.sampled_from(list(ChirpFamily))),
-                               0.75 * m, m) if scheme is Scheme.CSC_IM else None
+    chirp = ChirpSpec(data.draw(st.sampled_from(list(ChirpFamily))),
+                      0.75 * m) if scheme is Scheme.CSC_IM else None
     cfg = ModemConfig(scheme, m, n, data.draw(st.integers(0, n - 1)), 1, 4, chirp=chirp)
     p_av = data.draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda x: x * m)))
     batch = data.draw(st.integers(1, 3 * FRAME_BLOCK + 1))
@@ -154,7 +154,7 @@ def test_pmepr_batch_atoms_agree_with_the_idft(scheme, family, m, n, length, bat
     # measure_pmepr of the batch's bins to 1e-12 dB, and OFDM-IM, u above
     # FRAME_BLOCK and L past the rule take the IDFT path bit for bit; the
     # stream is left where random_words leaves it
-    chirp = ChirpSpec.centered(family, 0.75 * m, m) if scheme is Scheme.CSC_IM else None
+    chirp = ChirpSpec(family, 0.75 * m) if scheme is Scheme.CSC_IM else None
     mcfg = ModemConfig(scheme, m, n, n // 4, length, 4, chirp=chirp)
     cfg = SimpleNamespace(modem_config=lambda: mcfg)  # all that _pmepr_batch reads
     stream, rng = np.random.default_rng(seed), np.random.default_rng(seed)

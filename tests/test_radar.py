@@ -27,7 +27,7 @@ T_CP = N_CP * T_S / N
 
 
 def modem(length=1, delta=0, scheme=Scheme.CSC_IM, d=48.0):
-    chirp = ChirpSpec.centered(ChirpFamily.LINEAR, d, M) if scheme is Scheme.CSC_IM else None
+    chirp = ChirpSpec(ChirpFamily.LINEAR, d) if scheme is Scheme.CSC_IM else None
     return ModemConfig(scheme, M, N, N_CP, length, 4, delta=delta, chirp=chirp)
 
 
