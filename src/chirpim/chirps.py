@@ -3,7 +3,8 @@
 A chirp is described by its family and its dimensionless frequency-deviation
 parameter D (peak instantaneous deviation D/(2*T_s) Hz around the carrier).
 The modem's M picks the bins: the M bins of
-:func:`chirpim.util.default_band`, around DC. There the Fourier
+:func:`chirpim.util.default_band`, around DC, which every function here
+works out from M (the length of its bins or profile). There the Fourier
 coefficients of one symbol period act as a frequency-domain
 spectral-shaping (FDSS) filter inside a DFT-s-OFDM transmitter: the
 M-point DFT of the modulation symbols is multiplied bin-by-bin by the
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import fresnel, jv
 
-from .util import check_bin_window, default_band
+from .util import band, default_band
 
 
 class ChirpFamily(str, Enum):
@@ -57,12 +58,6 @@ class ChirpSpec:
         object.__setattr__(self, "family", ChirpFamily(self.family))
         if not 0 <= self.d < np.inf:
             raise ValueError(f"d = {self.d}: deviation must be finite and >= 0")
-
-
-def _band(m: int) -> np.ndarray:
-    """The ``m`` bins of ``default_band(m)``, ascending."""
-    l_d, l_u = default_band(m)
-    return np.arange(l_d, l_u + 1)
 
 
 def linear_chirp_coeffs(d: float, k: np.ndarray) -> np.ndarray:
@@ -114,14 +109,15 @@ def fourier_coeffs(spec: ChirpSpec, m: int) -> np.ndarray:
     ``default_band(m)``. Any d is taken, so a truncation too short for the
     chirp (m <= d) can be studied; :func:`chirp_fdss` refuses one."""
     coeffs = linear_chirp_coeffs if spec.family is ChirpFamily.LINEAR else sinusoidal_chirp_coeffs
-    return coeffs(spec.d, _band(m))
+    return coeffs(spec.d, band(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FdssProfile:
     """Spectral-shaping coefficients ``g`` on the M = len(g) bins
     l_d..l_u of ``default_band(M)``, normalized so that sum |g_k|^2 = M
-    (unit mean bin power).
+    (unit mean bin power). M < 2 is refused. Profiles compare and hash by
+    identity, as the array ``g`` has no truth value.
     """
 
     g: np.ndarray
@@ -140,7 +136,7 @@ class FdssProfile:
 
     @property
     def k(self) -> np.ndarray:
-        return np.arange(self.l_d, self.l_u + 1)
+        return band(self.m)
 
 
 def normalize_fdss(raw: np.ndarray) -> FdssProfile:
@@ -152,7 +148,8 @@ def normalize_fdss(raw: np.ndarray) -> FdssProfile:
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 1:
         raise ValueError("raw coefficients must be a 1-D vector")
-    power = np.sum(np.abs(raw) ** 2)
+    with np.errstate(over="ignore"):  # an infinite power is refused just below
+        power = np.sum(np.abs(raw) ** 2)
     if not 0 < power < np.inf:
         raise ValueError(f"cannot normalize coefficients of power {power}: "
                          "need a finite, nonzero power")
@@ -177,62 +174,52 @@ def flat_fdss(m: int) -> FdssProfile:
     return normalize_fdss(np.ones(m, dtype=complex))
 
 
-def band_slices(l_d: int, m: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """Where the M bins k = l_d..l_d+M-1 sit on an N-point cyclic grid
-    (N >= M), at positions k mod N: two (bin slice, grid slice) pairs.
+def band_slices(m: int, n: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Where the M bins k = l_d..l_u of ``default_band(M)`` sit on an
+    N-point cyclic grid (N >= M), at positions k mod N: two (bin slice,
+    grid slice) pairs.
 
     Bins [0, a) lie at grid positions [l_d mod N, l_d mod N + a) and bins
     [a, M) wrap round to [0, M - a). Copying through the two pairs is the
     rotation that a gather from, or a scatter to, ``k % n`` does, without
     an index array; the second pair is empty when the window does not wrap.
     """
-    start = l_d % n
+    start = default_band(m)[0] % n
     a = min(m, n - start)
     return (slice(0, a), slice(start, start + a)), (slice(a, m), slice(0, m - a))
 
 
-def synthesize(w: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+def synthesize(w: np.ndarray, n: int) -> np.ndarray:
     """OFDM synthesis of frequency-domain symbols ``w`` (shape (..., M)).
 
-    Bin value w_i is placed at IDFT position k_i mod N (negative bins wrap)
-    and a plain-sum N-point IDFT gives the frame body, of shape (..., N).
-    Body sample n is
+    Bin value w_i, on bin k_i of ``default_band(M)``, is placed at IDFT
+    position k_i mod N (negative bins wrap) and a plain-sum N-point IDFT
+    gives the frame body, of shape (..., N). Body sample n is
 
         x[n] = sum_i w_i e^{j2pi k_i n/N}.
 
-    ``k`` must be the ascending bin window k[0]..k[0]+M-1 (an FDSS
-    profile's ``k``); other bin lists raise ValueError. The bins come from
-    :func:`chirpim.modem.tx_bins`, every scheme's one bin mapping (DFT
-    spreading times the FDSS profile, or the identity);
-    :func:`chirpim.modem.frame_from_symbols` adds the cyclic prefix.
+    N must exceed M. The bins come from :func:`chirpim.modem.tx_bins`,
+    every scheme's one bin mapping (DFT spreading times the FDSS profile,
+    or the identity); :func:`chirpim.modem.frame_from_symbols` adds the
+    cyclic prefix.
     """
     w = np.asarray(w, dtype=complex)
-    grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
-    return _plain_idft(grid, w, _window_slices(k, w.shape[-1], n))
+    return _plain_idft(np.zeros(w.shape[:-1] + (n,), dtype=complex), w)
 
 
-def _window_slices(k: np.ndarray, m: int, n: int):
-    """:func:`band_slices` of bins ``k`` on an N-point grid, once ``k`` is
-    checked to be the window of the M bins of w and N to exceed M."""
-    k = np.asarray(k)
-    if k.shape != (m,):
-        raise ValueError(f"w has {m} bins, k has shape {k.shape}")
-    if n <= m:
-        raise ValueError(f"IDFT size N={n} must exceed M={m}")
-    check_bin_window(k)
-    return band_slices(int(k[0]), m, n)
-
-
-def _plain_idft(grid: np.ndarray, w: np.ndarray, window) -> np.ndarray:
-    """Place bins ``w`` on ``grid`` (shape (..., N), zero elsewhere) through
-    the ``window`` of :func:`_window_slices` and return the plain-sum
-    N-point IDFT of the grid.
+def _plain_idft(grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Place bins ``w`` (shape (..., M)) on ``grid`` (shape (..., N), zero
+    elsewhere) through :func:`band_slices` and return the plain-sum
+    N-point IDFT of the grid; N must exceed M.
 
     The IDFT of :func:`synthesize` and of :func:`measure_pmepr`. The
     unscaled ("forward"-normalized) inverse transform is the plain sum; for
     a power-of-two N it equals ``ifft(grid) * N`` bit for bit.
     """
-    for bins, pos in window:
+    m, n = w.shape[-1], grid.shape[-1]
+    if n <= m:
+        raise ValueError(f"IDFT size N={n} must exceed M={m}")
+    for bins, pos in band_slices(m, n):
         grid[..., pos] = w[..., bins]
     return np.fft.ifft(grid, axis=-1, norm="forward")
 
@@ -247,14 +234,14 @@ PMEPR_OVERSAMPLE = 8
 FRAME_BLOCK = 16
 
 
-def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = None):
+def measure_pmepr(w: np.ndarray, n: int, *, p_av: float | None = None):
     """Peak-to-mean envelope power ratio, in dB, of the frame body carrying
-    bins ``w`` (shape (..., M)) on bin indices ``k`` of an N-point IDFT.
+    bins ``w`` (shape (..., M)) on the bins of ``default_band(M)`` of an
+    N-point IDFT.
 
     The peak is taken on the 8N-point (:data:`PMEPR_OVERSAMPLE`) plain-sum
     IDFT of the bins, the one :func:`synthesize` takes, which captures
-    inter-sample peaks; ``k`` must be the ascending bin window
-    k[0]..k[0]+M-1, as there. ``p_av`` is the mean-power reference, by
+    inter-sample peaks. ``p_av`` is the mean-power reference, by
     default each frame's own mean power sum_k |w_k|^2 (Parseval for the
     plain-sum IDFT); pass sum |g_k|^2 = M for the bins of
     :func:`chirpim.modem.tx_bins` to reference the ensemble power instead,
@@ -271,7 +258,6 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     Returns a scalar, or an array matching the batch axes of ``w``.
     """
     rows = np.reshape(w, (-1, np.shape(w)[-1]))
-    window = _window_slices(k, rows.shape[-1], PMEPR_OVERSAMPLE * n)
     peak = np.empty(len(rows))
     size = min(FRAME_BLOCK, len(rows))
     # every block writes its bins at the same positions, so the rest of
@@ -281,7 +267,7 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
     for lo in range(0, len(rows), FRAME_BLOCK):
         block = rows[lo:lo + FRAME_BLOCK]
         x = magnitude[:len(block)]
-        np.abs(_plain_idft(grid[:len(block)], block, window), out=x)
+        np.abs(_plain_idft(grid[:len(block)], block), out=x)
         x.max(axis=-1, out=peak[lo:lo + len(block)])
     np.square(peak, out=peak)
     batch = np.shape(w)[:-1]
@@ -295,38 +281,28 @@ def measure_pmepr(w: np.ndarray, k: np.ndarray, n: int, *, p_av: float | None = 
 
 
 def occupied_bandwidth(fdss: FdssProfile, fraction: float) -> int:
-    """Bin count of the smallest contiguous window around the energy
-    centroid holding at least ``fraction`` of the profile power.
+    """Bin count of the smallest contiguous window that holds the bin
+    nearest the energy centroid and at least ``fraction`` of the profile
+    power; all M bins when rounding leaves every window short.
 
-    The window starts at the bin nearest the centroid and grows one bin at
-    a time toward whichever side contributes more energy (ties go to the
-    side closer to the centroid). OCB in Hz is the returned count / t_s.
+    With S the cumulative energy (S_0 = 0), the window from bin lo holds
+    enough from its first end hi >= centroid bin with S_{hi+1} >= S_lo +
+    fraction * total: one sorted search per lo. OCB in Hz is the returned
+    count / t_s.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     energy = np.abs(fdss.g) ** 2
     total = energy.sum()
     k = fdss.k
-    centroid = float(np.sum(k * energy) / total)
-    lo = hi = int(np.argmin(np.abs(k - centroid)))
-    acc = energy[lo]
-    # rounding can leave acc short of fraction * total with every bin taken
-    while acc < fraction * total and hi - lo + 1 < len(k):
-        left = energy[lo - 1] if lo > 0 else -1.0
-        right = energy[hi + 1] if hi < len(k) - 1 else -1.0
-        if left > right:
-            take_left = True
-        elif right > left:
-            take_left = False
-        else:
-            take_left = centroid - k[lo - 1] <= k[hi + 1] - centroid
-        if take_left:
-            lo -= 1
-            acc += energy[lo]
-        else:
-            hi += 1
-            acc += energy[hi]
-    return hi - lo + 1
+    center = int(np.argmin(np.abs(k - float(np.sum(k * energy) / total))))
+    cumulative = np.concatenate(([0.0], np.cumsum(energy)))
+    lo = np.arange(center + 1)
+    ends = np.searchsorted(cumulative, cumulative[lo] + fraction * total)
+    fits = ends <= len(k)
+    if not fits.any():
+        return len(k)
+    return int(np.min(np.maximum(ends[fits], center + 1) - lo[fits]))
 
 
 def apac(a: np.ndarray, lag: int) -> complex:
@@ -386,7 +362,7 @@ def gcp_from_chirps(fdss_raw: np.ndarray, shift_p: int, shift_r: int,
         raise ValueError("shifts must differ (the same chirp twice is not complementary)")
     if not (np.isclose(abs(x_p), 1.0) and np.isclose(abs(x_r), 1.0)):
         raise ValueError("x_p and x_r must be unit magnitude")
-    k = _band(m)
+    k = band(m)
     term_p = x_p * f * np.exp(-2j * np.pi * k * shift_p / m)
     term_r = x_r * f * np.exp(-2j * np.pi * k * shift_r / m)
     return term_p + term_r, term_p - term_r

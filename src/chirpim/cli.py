@@ -142,12 +142,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         scene = RadarScene(targets=((args.range_m, args.coeff),), f_c=cfg.f_c,
                            t_s=cfg.t_s, t_cp=cfg.t_cp)
         sigma2 = noise_variance(args.snr)
-        fdss = cfg.modem_config().fdss
-        bins = (fdss.k, fdss.g)
+        g = cfg.modem_config().fdss.g
         print(f"r_min_m={min_resolution(cfg.bandwidth_hz):.6g}")
-        print(f"crlb_range_m={np.sqrt(crlb_range(scene, bins, sigma2)):.6g}")
+        print(f"crlb_range_m={np.sqrt(crlb_range(scene, g, sigma2)):.6g}")
         print(f"crlb_range_no_phase_m={np.sqrt(crlb_range_no_phase(scene, cfg.m, sigma2)):.6g}")
-        print(f"crlb_coeff={np.sqrt(crlb_coeff(scene, bins, sigma2)):.6g}")
+        print(f"crlb_coeff={np.sqrt(crlb_coeff(scene, g, sigma2)):.6g}")
     return 0
 
 

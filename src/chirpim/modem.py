@@ -18,11 +18,12 @@ into per-subcarrier metrics instead. Either way one batched detector,
 :func:`detect_words_batch`, picks L (bin, phase) pairs per frame under the
 index-separation constraint, and :func:`rx_frame` is a batch of one.
 
-Bins k = l_d..l_d+M-1 sit at positions k mod N of an N-point transform, a
-rotation of the band. :func:`tx_bins`, :func:`extract_bins`,
-:func:`equalize_lmmse` and the synthesis in :mod:`chirpim.chirps` all move
-the band through the two slice pairs of :func:`chirpim.chirps.band_slices`,
-with no index array.
+The bins k = l_d..l_u of :func:`chirpim.util.default_band` sit at
+positions k mod N of an N-point transform, a rotation of the band; M picks
+them, so no function here takes them. :func:`tx_bins`,
+:func:`extract_bins`, :func:`equalize_lmmse` and the synthesis in
+:mod:`chirpim.chirps` all move the band through the two slice pairs of
+:func:`chirpim.chirps.band_slices`, with no index array.
 
 Each active index of a spread frame adds one atom to the body: its symbol
 times a circular shift of a base chirp. :func:`atom_peaks` sums the 8x
@@ -144,7 +145,7 @@ def tx_bins(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     s = np.fft.fft(d, axis=-1)
     s /= np.sqrt(cfg.m)
     w = np.empty_like(s)
-    for bins, pos in band_slices(cfg.fdss.l_d, cfg.m, cfg.m):
+    for bins, pos in band_slices(cfg.m, cfg.m):
         np.multiply(cfg.fdss.g[bins], s[..., pos], out=w[..., bins])
     return w
 
@@ -154,7 +155,7 @@ def frame_from_symbols(d: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     (..., N_cp + N): the bins of :func:`tx_bins`, the IDFT of
     :func:`synthesize`, and the last N_cp body samples prepended as the
     cyclic prefix. Every scheme takes this one path."""
-    body = synthesize(tx_bins(d, cfg), cfg.k, cfg.n)
+    body = synthesize(tx_bins(d, cfg), cfg.n)
     return np.concatenate([body[..., cfg.n - cfg.n_cp:], body], axis=-1)
 
 
@@ -176,7 +177,7 @@ def _atom_table(cfg: ModemConfig) -> np.ndarray:
     change. Each row holds Y_b twice over, shape (u, 2P), so that every
     circular shift of it is one slice. Read-only."""
     p = PMEPR_OVERSAMPLE * cfg.n
-    y = synthesize(tx_bins(np.eye(cfg.m // gcd(cfg.m, p), cfg.m), cfg), cfg.k, p)
+    y = synthesize(tx_bins(np.eye(cfg.m // gcd(cfg.m, p), cfg.m), cfg), p)
     table = np.concatenate((y, y), axis=-1)
     table.flags.writeable = False
     return table
@@ -246,7 +247,7 @@ def extract_bins(frame: np.ndarray, cfg: ModemConfig) -> np.ndarray:
                          f"need N_cp + N = {cfg.n_cp + cfg.n}")
     spectrum = np.fft.fft(frame[..., cfg.n_cp:], axis=-1)
     b = np.empty(spectrum.shape[:-1] + (cfg.m,), dtype=complex)
-    for bins, pos in band_slices(cfg.fdss.l_d, cfg.m, cfg.n):
+    for bins, pos in band_slices(cfg.m, cfg.n):
         np.divide(spectrum[..., pos], cfg.n, out=b[..., bins])
     return b
 
@@ -293,7 +294,7 @@ def equalize_lmmse(b: np.ndarray, h_c, fdss: FdssProfile, sigma2: float) -> np.n
     else:
         w = np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
     v = np.empty(b.shape, dtype=complex)
-    for bins, pos in band_slices(fdss.l_d, m, m):
+    for bins, pos in band_slices(m, m):
         np.multiply(w[..., bins], b[..., bins], out=v[..., pos])
     y = np.fft.ifft(v, axis=-1)
     y *= np.sqrt(m)

@@ -1,7 +1,8 @@
 """Range and reflection-coefficient estimation from frequency-domain returns.
 
-The receiver knows the transmitted bins w (diagonal W) and observes
-b = W T a + n, where column s of T is the delay steering vector
+The receiver knows the transmitted bins w (diagonal W) on the M bins
+l_d..l_u of :func:`chirpim.util.default_band`, worked out from M, and
+observes b = W T a + n, where column s of T is the delay steering vector
 
     c(tau_s) = e^{-j2pi f_c tau_s} [e^{-j2pi l_d tau_s/T_s}, ...,
                                     e^{-j2pi l_u tau_s/T_s}]^T.
@@ -21,10 +22,10 @@ Bluestein FFT convolution (:func:`_chirp_z`), with the points and argmax
 rule of the explicit evaluation. The full metric Re{...} has lobes every
 1/(2 f_c): the carrier phase at the envelope peak places them, one Newton
 step from each candidate picks one (:func:`_lobe_moments`), and
-NEWTON_STEPS refine it. The bins are the window k_0..k_0+M-1 (an
-observation refuses any other k), and everything the search reads of it
-and of f_c, T_s and T_cp is one read-only plan, built on first use and
-kept per process (:func:`_plan`, PLAN_CACHE_SIZE of them): the exponents
+NEWTON_STEPS refine it. Everything the search reads of the bins
+k_0..k_0+M-1 and of f_c, T_s and T_cp is one read-only plan, keyed on M,
+f_c, T_s and T_cp, built on first use and kept per process
+(:func:`_plan`, PLAN_CACHE_SIZE of them): the exponents
 of the bin rotation, the bin frequencies k/T_s, the (3, M) rotations of
 the three lobe candidates' offsets and the stages, the coarse grid and
 each envelope zoom with its step, point count, FFT size, chirp and kernel.
@@ -45,7 +46,7 @@ delays and coefficients jointly, cross terms between targets included
 :func:`crlb_coeff` are traces of blocks of its inverse. Like the
 observations, the bounds take one scene or a stack: a
 :class:`~chirpim.channel.RadarScene` of B scenes with one target count,
-with reference bins of shape (M,) or (B, M), gives B matrices and one
+with reference bins w of shape (M,) or (B, M), gives B matrices and one
 inverse of the (B, 2R, 2R) stack, and each row equals its single-scene
 call bit for bit. The closed-form phase-unaware bound,
 :func:`crlb_range_no_phase`, takes the same stacks.
@@ -60,39 +61,37 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import RadarScene
-from .util import SPEED_OF_LIGHT, check_bin_window, check_noise_variance
+from .util import SPEED_OF_LIGHT, band, check_noise_variance, default_band
 
 
 @dataclass(frozen=True)
 class RadarObservation:
-    """Received bins b, reference bins w on bin indices k, noise variance,
-    and the timing/carrier context of the frame. b and w are one
-    observation of shape (M,) or a stack of them of shape (B, M); k is the
-    ascending integer bin window k[0]..k[0]+M-1."""
+    """Received bins b and reference bins w on the M bins of
+    ``default_band(M)``, noise variance, and the timing/carrier context of
+    the frame. b and w are one observation of shape (M,) or a stack of them
+    of shape (B, M), M >= 2."""
 
     b: np.ndarray
     w: np.ndarray
-    k: np.ndarray
     sigma2: float
     f_c: float
     t_s: float
     t_cp: float
 
     def __post_init__(self):
-        k = np.asarray(self.k)
-        object.__setattr__(self, "k", k)
-        if k.ndim != 1 or not np.issubdtype(k.dtype, np.integer):
-            raise ValueError("k must be a 1-D array of integer bin indices, "
-                             f"got shape {k.shape} of {k.dtype}")
-        check_bin_window(k)
         shape = np.shape(self.b)
-        if shape != np.shape(self.w) or len(shape) not in (1, 2) or \
-                shape[-1] != len(self.k):
-            raise ValueError("b, w must be aligned with k, of shape (M,) or (B, M)")
+        if shape != np.shape(self.w) or len(shape) not in (1, 2):
+            raise ValueError("b, w must be aligned, of shape (M,) or (B, M)")
+        default_band(shape[-1])  # refuses M < 2, naming M
         for name in ("f_c", "t_s", "t_cp"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         check_noise_variance(self.sigma2)
+
+    @property
+    def k(self) -> np.ndarray:
+        """The bin indices l_d..l_u of ``default_band(M)``."""
+        return band(np.shape(self.b)[-1])
 
     def steering(self, tau) -> np.ndarray:
         """c(tau); tau may be scalar or a grid (returns (..., M))."""
@@ -129,7 +128,7 @@ NEWTON_STEPS = 1
 # UPDATE_PASSES re-estimation passes when there is more than one.
 MAX_TARGETS = 16
 UPDATE_PASSES = 2
-# Search plans (bin window, f_c, T_s, T_cp) kept per process: a run searches
+# Search plans (M, f_c, T_s, T_cp) kept per process: a run searches
 # one. At paper scale (M = 1536) a plan holds 263 KB of arrays: the (3, M)
 # lobe rotations, the bin frequencies and three stages' chirps and kernels.
 PLAN_CACHE_SIZE = 8
@@ -205,11 +204,12 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(k0: int, m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
-    """The plan of the bins k_0..k_0+M-1, carrier f_c, symbol time T_s and
-    cyclic prefix T_cp. Its stages are the coarse grid over [0, T_cp], then
-    zooms of ENV_POINTS points across +-1 step of the grid before, down to
-    a step below 1/(ENV_MARGIN f_c)."""
+def _plan(m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
+    """The plan of the M bins k_0..k_0+M-1 of ``default_band(M)``, carrier
+    f_c, symbol time T_s and cyclic prefix T_cp. Its stages are the coarse
+    grid over [0, T_cp], then zooms of ENV_POINTS points across +-1 step of
+    the grid before, down to a step below 1/(ENV_MARGIN f_c)."""
+    k0 = default_band(m)[0]
     block = isqrt(m - 1) + 1
     blocks = -(-m // block)
     offsets = 0.5 / f_c * np.arange(3)
@@ -325,7 +325,7 @@ def estimate_mf_lmmse(obs: RadarObservation,
     """
     if not 1 <= n_targets <= MAX_TARGETS:
         raise ValueError(f"target count {n_targets} outside 1..{MAX_TARGETS}")
-    plan = _plan(int(obs.k[0]), len(obs.k), obs.f_c, obs.t_s, obs.t_cp)
+    plan = _plan(np.shape(obs.b)[-1], obs.f_c, obs.t_s, obs.t_cp)
     # C-contiguous copies: np.vdot rounds a strided or Fortran-ordered row
     # differently, and a row's estimate must not depend on the stack's layout
     b = np.ascontiguousarray(np.atleast_2d(obs.b))
@@ -391,14 +391,14 @@ def _row(i: int, one: bool) -> str:
     return "" if one else f" (row {i})"
 
 
-def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
+def fim(scene: RadarScene, w, sigma2: float) -> np.ndarray:
     """Fisher information J of [tau_1..tau_R, alpha_1..alpha_R] for the mean
     w_k sum_s alpha_s e^{-j2pi nu_k tau_s}, nu_k = f_c + k/T_s. From the sums
     s_n(dt) = sum_k |w_k|^2 nu_k^n e^{j2pi nu_k dt} at dt = tau_s - tau_t:
     J_tau,tau = (8 pi^2/sigma2) alpha_s alpha_t Re s_2, J_tau,alpha =
     J_alpha,tau^T = -(4 pi/sigma2) alpha_s Im s_1 and J_alpha,alpha =
-    (2/sigma2) Re s_0. ``bins`` is ``(k, w)``: bin indices and reference
-    bins, or ``(fdss.k, fdss.g)`` for the expectation form.
+    (2/sigma2) Re s_0. ``w`` holds reference bins on the M bins k of
+    ``default_band(M)``, or is ``fdss.g`` for the expectation form.
 
     One scene (targets (R, 2)) gives J of shape (2R, 2R), a stack of B
     scenes ((B, R, 2)) gives (B, 2R, 2R); w has shape (M,) (shared) or
@@ -410,10 +410,10 @@ def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
     one = scene.targets.ndim == 2
     tau, alpha = np.atleast_2d(scene.delays), np.atleast_2d(scene.coeffs)
-    (n, r), (k, w) = tau.shape, (np.asarray(part) for part in bins)
-    if w.shape[-1:] != k.shape or w.ndim > 2 or w.shape[:-1] not in ((), (n,)):
-        raise ValueError(f"reference bins of shape {w.shape} do not fit {n} "
-                         f"scene(s) on {k.shape} bins")
+    (n, r), w = tau.shape, np.asarray(w)
+    if w.ndim not in (1, 2) or w.shape[:-1] not in ((), (n,)):
+        raise ValueError(f"reference bins of shape {w.shape} do not fit {n} scene(s)")
+    k = band(w.shape[-1])
     nu = scene.f_c + k / scene.t_s
     w2 = np.abs(w) ** 2
     if w2.ndim == 1:
@@ -444,7 +444,7 @@ def fim(scene: RadarScene, bins, sigma2: float) -> np.ndarray:
     return j[0] if one else j
 
 
-def _fim_inverse(scene: RadarScene, bins, sigma2: float) -> tuple[np.ndarray, bool]:
+def _fim_inverse(scene: RadarScene, w, sigma2: float) -> tuple[np.ndarray, bool]:
     """J^{-1} of every scene, shape (B, 2R, 2R), from one inverse of the
     stack, and whether ``scene`` is one scene. A singular J is refused,
     naming a stack's row: coinciding targets, all-zero reference bins, or
@@ -456,11 +456,11 @@ def _fim_inverse(scene: RadarScene, bins, sigma2: float) -> tuple[np.ndarray, bo
         i, s = np.argwhere(coincide)[0]
         raise ValueError(f"targets {s} and {s + 1} coincide at {d[i, s]} m{_row(i, one)}: "
                          "the Fisher information is singular")
-    j = fim(scene, bins, sigma2).reshape(len(d), 2 * r, 2 * r)
+    j = fim(scene, w, sigma2).reshape(len(d), 2 * r, 2 * r)
     zero = j[:, -1, -1] == 0  # (2/sigma2) sum_k |w_k|^2
     if zero.any():
         raise ValueError(f"reference bins are all zero{_row(np.argmax(zero), one)}")
-    nonzero = np.atleast_1d(np.count_nonzero(bins[1], axis=-1))
+    nonzero = np.atleast_1d(np.count_nonzero(w, axis=-1))
     if (few := nonzero < r).any():
         i = np.argmax(few)
         raise ValueError(f"{nonzero[i]} nonzero reference bin(s){_row(i, one)} cannot resolve "
@@ -477,20 +477,20 @@ def _block_trace(inverse: np.ndarray, block: range, one: bool) -> float | np.nda
     return float(trace[0]) if one else trace
 
 
-def crlb_range(scene: RadarScene, bins, sigma2: float) -> float | np.ndarray:
+def crlb_range(scene: RadarScene, w, sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |d_s - d_hat_s|^2 in meters^2: c^2/4 times the
     trace of the tau block of J^{-1} (:func:`fim`). A float for one scene,
     shape (B,) for a stack of B scenes, all from one inverse."""
-    inverse, one = _fim_inverse(scene, bins, sigma2)
+    inverse, one = _fim_inverse(scene, w, sigma2)
     r = inverse.shape[-1] // 2
     return SPEED_OF_LIGHT ** 2 / 4.0 * _block_trace(inverse, range(r), one)
 
 
-def crlb_coeff(scene: RadarScene, bins, sigma2: float) -> float | np.ndarray:
+def crlb_coeff(scene: RadarScene, w, sigma2: float) -> float | np.ndarray:
     """Lower bound on E sum_s |alpha_s - alpha_hat_s|^2: the trace of the
     alpha block of J^{-1}; sigma2 / (2 sum_k |w_k|^2) for one target. A
     float for one scene, shape (B,) for a stack of B scenes."""
-    inverse, one = _fim_inverse(scene, bins, sigma2)
+    inverse, one = _fim_inverse(scene, w, sigma2)
     r = inverse.shape[-1] // 2
     return _block_trace(inverse, range(r, 2 * r), one)
 

@@ -173,7 +173,7 @@ def _pmepr_batch(cfg: ExperimentConfig, rng: np.random.Generator,
     for lo in range(0, batch, FRAME_BLOCK):
         rows = slice(lo, lo + FRAME_BLOCK)
         w[rows] = tx_bins(word_symbols(idx[rows], psk[rows], mcfg), mcfg)
-    return np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
+    return np.atleast_1d(measure_pmepr(w, mcfg.n, p_av=float(mcfg.m)))
 
 
 def run_pmepr_ccdf(cfg: ExperimentConfig) -> list[dict]:
@@ -343,9 +343,8 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     b, w, scene = radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
     twice = RadarScene(np.concatenate((scene.targets,) * 2), cfg.f_c, cfg.t_s, cfg.t_cp)
     expected = np.broadcast_to(mcfg.fdss.g, w.shape)
-    bounds = crlb_range(twice, (mcfg.k, np.concatenate((w, expected))), sigma2)
-    obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
-                           f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+    bounds = crlb_range(twice, np.concatenate((w, expected)), sigma2)
+    obs = RadarObservation(b=b, w=w, sigma2=sigma2, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est_mf, est_lm = estimate_mf_lmmse(obs, scene.n_targets)
     per_trial = {"rmse_mf_m": ((est_mf.distances - scene.distances) ** 2).sum(axis=-1),
                  "rmse_lmmse_m": ((est_lm.distances - scene.distances) ** 2).sum(axis=-1),

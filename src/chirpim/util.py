@@ -1,5 +1,10 @@
-"""Small shared helpers: constants, Gaussian tail, default bin band, the
-bin-window check, noise variance of an SNR and its check."""
+"""Small shared helpers: constants, Gaussian tail, the bin band of M,
+noise variance of an SNR and its check.
+
+:func:`default_band` is the one place that decides which bins a waveform
+of M bins occupies; every layer reads its bins from there (or from
+:func:`band`). Only the formulas that evaluate at any bins (the radar and
+channel responses, the chirp coefficients) take bins as a parameter."""
 from __future__ import annotations
 
 import math
@@ -23,16 +28,15 @@ def default_band(m: int) -> tuple[int, int]:
     ``-(m//2 - 1) .. m//2``; odd ``m`` is symmetric.
     """
     if m < 2:
-        raise ValueError("band needs at least 2 bins")
+        raise ValueError(f"M = {m}: a band needs at least 2 bins")
     hi = m // 2
     return hi - m + 1, hi
 
 
-def check_bin_window(k: np.ndarray) -> None:
-    """Raise unless the bins ``k`` are the ascending window k[0]..k[0]+M-1,
-    M >= 1, the only bin set that the synthesis and the radar search take."""
-    if not len(k) or np.any(np.diff(k) != 1):
-        raise ValueError(f"k must be the ascending bin window k[0]..k[0]+M-1, got {k}")
+def band(m: int) -> np.ndarray:
+    """The ``m`` bins of :func:`default_band`, ascending."""
+    l_d, l_u = default_band(m)
+    return np.arange(l_d, l_u + 1)
 
 
 def check_noise_variance(sigma2) -> None:

@@ -7,7 +7,8 @@ one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop,
 the radar Fisher information as the Gram matrix of the mean's Jacobian,
 the matched-filter metric at one delay from the written-out steering vector,
-the oversampled PMEPR by zero-padding the spectrum of a time-domain body.
+the oversampled PMEPR by zero-padding the spectrum of a time-domain body,
+the occupied bandwidth by trying every window.
 None of it shares code with the library paths under test, except the
 one-pass BLER batch: it runs the library's kernels once over the whole
 batch, the reference for the runner's block-by-block pass.
@@ -208,6 +209,20 @@ def fim_jacobian_gram(k, w, delays, coeffs, f_c: float, t_s: float,
     d = np.stack([-2j * np.pi * nu * alpha * ramp for alpha, ramp in zip(coeffs, ramps)]
                  + ramps, axis=1)
     return 2.0 / sigma2 * np.real(d.conj().T @ d)
+
+
+def smallest_window_bins(energy: np.ndarray, k: np.ndarray, fraction: float) -> int:
+    """Bin count of the shortest run of bins that holds the bin of ``k``
+    nearest the energy centroid and at least ``fraction`` of the total
+    energy, found by summing every window, shortest first; all the bins
+    when rounding leaves every window short."""
+    total = energy.sum()
+    center = int(np.argmin(np.abs(k - np.sum(k * energy) / total)))
+    for length in range(1, len(energy) + 1):
+        for lo in range(max(0, center - length + 1), min(center, len(energy) - length) + 1):
+            if np.sum(energy[lo:lo + length]) >= fraction * total:
+                return length
+    return len(energy)
 
 
 def mf_objective(tau: float, obs) -> tuple[float, float]:

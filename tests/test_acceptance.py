@@ -168,7 +168,7 @@ def test_crlb_attainment():
     scene = RadarScene(targets=((2.5, -1.0),), f_c=paper.f_c, t_s=paper.t_s,
                        t_cp=paper.t_cp)
     fdss = paper.modem_config().fdss
-    aware = crlb_range(scene, (fdss.k, fdss.g), 1e-3)
+    aware = crlb_range(scene, fdss.g, 1e-3)
     unaware = crlb_range_no_phase(scene, paper.m, 1e-3)
     ok = ok and aware < unaware
     elapsed = time.time() - t0
@@ -183,15 +183,13 @@ def test_coefficient_crlb_attainment():
     t0 = time.time()
     alpha, trials = 0.5, 1000
     cfg = desk_preset(length=1, single_coeff=alpha)
-    mcfg = cfg.modem_config()
     rng = np.random.default_rng(305)
     gaps = []
     for snr_db in (30.0, 35.0, 40.0):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         b, w, scene = radar_trials(cfg, "single", trials, sigma2, rng)
-        bound = crlb_coeff(scene, (mcfg.k, w), sigma2)
-        obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
-                               f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+        bound = crlb_coeff(scene, w, sigma2)
+        obs = RadarObservation(b=b, w=w, sigma2=sigma2, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
         err2 = (estimate_multi_mf(obs, 1).coeffs[:, 0] - alpha) ** 2
         gaps.append(10 * np.log10(err2.mean() / bound.mean()))
     ok = all(abs(g) <= 1.0 for g in gaps)
@@ -204,12 +202,10 @@ def test_coefficient_crlb_attainment():
 def _two_target_rmse(cfg, snr_db, trials, seed, estimator):
     """The runners' trials (drawn one by one, then estimated as one stack)
     from their own seed: RMSE and root mean joint range bound."""
-    mcfg = cfg.modem_config()
     sigma2 = 10.0 ** (-snr_db / 10.0)
     b, w, scene = radar_trials(cfg, "two", trials, sigma2, np.random.default_rng(seed))
-    bound = crlb_range(scene, (mcfg.k, w), sigma2)
-    obs = RadarObservation(b=b, w=w, k=mcfg.k, sigma2=sigma2,
-                           f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+    bound = crlb_range(scene, w, sigma2)
+    obs = RadarObservation(b=b, w=w, sigma2=sigma2, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est = estimate_multi_mf(obs, 2) if estimator == "mf" else estimate_lmmse(obs, 2)
     err2 = np.array([np.sum((row - truth) ** 2)
                      for row, truth in zip(est.distances, scene.distances)])

@@ -10,10 +10,10 @@ from chirpim.chirps import (PMEPR_OVERSAMPLE, ChirpFamily, ChirpSpec, GcpCheck, 
 from chirpim.config import PRESETS, desk_preset, paper_preset, preset
 from chirpim.modem import ModemConfig, Scheme, frame_from_symbols, tx_bins, word_symbols
 from chirpim.runners import random_words
-from chirpim.util import default_band
+from chirpim.util import band, default_band
 
 from oracles import (fourier_coeffs_quadrature, linear_chirp_phase,
-                     quadrature_panels, sinusoidal_chirp_phase,
+                     quadrature_panels, sinusoidal_chirp_phase, smallest_window_bins,
                      zero_padded_pmepr_db)
 
 
@@ -142,10 +142,32 @@ def test_normalize_rejects_zero():
         normalize_fdss(np.zeros(8, dtype=complex))
 
 
-@pytest.mark.parametrize("raw", [[1.0, np.nan, 0.0], [np.inf, 1.0]])
+@pytest.mark.parametrize("raw", [[1.0, np.nan, 0.0], [np.inf, 1.0],
+                                 [1e200, 1e200], [1e154, 1e154]])
 def test_normalize_rejects_a_nonfinite_power(raw):
+    # finite coefficients whose power overflows are refused by the same
+    # message, with no overflow warning first (the suite makes warnings
+    # errors)
     with pytest.raises(ValueError, match="power"):
         normalize_fdss(np.array(raw, dtype=complex))
+
+
+@pytest.mark.parametrize("make", [lambda: normalize_fdss(np.ones(1)), lambda: flat_fdss(1)],
+                         ids=["normalize", "flat"])
+def test_profile_refuses_fewer_than_two_bins(make):
+    with pytest.raises(ValueError, match="M = 1: a band needs at least 2 bins"):
+        make()
+
+
+def test_profiles_compare_and_hash_by_identity():
+    # g is an array, which has no truth value: the comparison must not
+    # reach it
+    spec = ChirpSpec(ChirpFamily.LINEAR, 12.0)
+    a, b = chirp_fdss(spec, 24), chirp_fdss(spec, 24)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    assert np.array_equal(a.k, band(24))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +225,7 @@ def test_synthesize_rejects_small_idft():
     with pytest.raises(ValueError):
         modem(Scheme.DFT_S_OFDM_IM, 16, 16, 4)
     with pytest.raises(ValueError):
-        synthesize(np.ones(16, dtype=complex), np.arange(-7, 9), n=16)
+        synthesize(np.ones(16, dtype=complex), n=16)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -217,7 +239,7 @@ def test_synthesize_equals_scaled_ifft_for_power_of_two_n(name):
         assert n & (n - 1) == 0
         grid = np.zeros((3, n), dtype=complex)
         grid[:, mcfg.k % n] = w
-        assert np.array_equal(synthesize(w, mcfg.k, n), np.fft.ifft(grid, axis=-1) * n)
+        assert np.array_equal(synthesize(w, n), np.fft.ifft(grid, axis=-1) * n)
 
 
 def test_synthesize_non_power_of_two_n_is_the_plain_sum():
@@ -226,7 +248,7 @@ def test_synthesize_non_power_of_two_n_is_the_plain_sum():
     rng = np.random.default_rng(13)
     w = rng.standard_normal((2, len(k))) + 1j * rng.standard_normal((2, len(k)))
     expect = w @ np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n)
-    assert np.max(np.abs(synthesize(w, k, n) - expect)) <= 1e-12
+    assert np.max(np.abs(synthesize(w, n) - expect)) <= 1e-12
 
 
 def test_cyclic_prefix_property():
@@ -266,7 +288,7 @@ def chirp_bins(family, d, m, n, length, n_frames, seed):
 
 def chirp_pmepr(family, d, m, n, length, n_frames, seed):
     w, cfg, p_av = chirp_bins(family, d, m, n, length, n_frames, seed)
-    return measure_pmepr(w, cfg.k, cfg.n, p_av=p_av)
+    return measure_pmepr(w, cfg.n, p_av=p_av)
 
 
 def test_pmepr_single_chirp_near_zero_db():
@@ -295,9 +317,9 @@ def test_pmepr_blocks_equal_single_frames():
     # frame measured alone, with and without a power reference
     w, cfg, p_av = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 75, 7)
     for ref in (p_av, None):
-        values = measure_pmepr(w, cfg.k, cfg.n, p_av=ref)
+        values = measure_pmepr(w, cfg.n, p_av=ref)
         assert values.shape == (75,)
-        alone = [measure_pmepr(row, cfg.k, cfg.n, p_av=ref) for row in w]
+        alone = [measure_pmepr(row, cfg.n, p_av=ref) for row in w]
         assert all(isinstance(v, float) for v in alone)
         assert np.array_equal(values, alone)
 
@@ -306,7 +328,7 @@ def test_pmepr_blocks_equal_single_frames():
 def test_pmepr_refuses_a_mean_power_not_positive(p_av):
     w, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 2, 2, 7)
     with pytest.raises(ValueError, match="p_av must be positive"):
-        measure_pmepr(w, cfg.k, cfg.n, p_av=np.array(p_av))
+        measure_pmepr(w, cfg.n, p_av=np.array(p_av))
 
 
 @pytest.mark.parametrize("make", [desk_preset, paper_preset], ids=["desk", "paper"])
@@ -317,7 +339,7 @@ def test_pmepr_equals_zero_padded_oracle(make):
     d = word_symbols(*random_words(mcfg, 40, np.random.default_rng(8)), mcfg)
     frames = frame_from_symbols(d, mcfg)
     for p_av in (float(mcfg.m), None):
-        values = measure_pmepr(tx_bins(d, mcfg), mcfg.k, mcfg.n, p_av=p_av)
+        values = measure_pmepr(tx_bins(d, mcfg), mcfg.n, p_av=p_av)
         oracle = zero_padded_pmepr_db(frames, mcfg.n, mcfg.n_cp, 8, p_av)
         assert np.max(np.abs(values - oracle)) <= 1e-12
 
@@ -325,7 +347,7 @@ def test_pmepr_equals_zero_padded_oracle(make):
 def test_pmepr_guards():
     _, cfg, _ = chirp_bins(ChirpFamily.SINUSOIDAL, 12.0, 32, 64, 1, 1, 6)
     with pytest.raises(ValueError):
-        measure_pmepr(np.zeros(32, dtype=complex), cfg.k, cfg.n)
+        measure_pmepr(np.zeros(32, dtype=complex), cfg.n)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +370,24 @@ def test_ocb_full_band_limit():
     # the summed energy falls short of fraction * total by rounding
     wide = chirp_fdss(ChirpSpec(ChirpFamily.SINUSOIDAL, 48.0), 64)
     assert occupied_bandwidth(wide, 1 - 2 ** -53) == 64
+
+
+DESK_SINUSOIDAL = desk_preset(family=ChirpFamily.SINUSOIDAL).modem_config().fdss
+
+
+def test_ocb_is_the_smallest_window_not_the_greedy_one():
+    # growing one bin at a time toward the larger neighbour took 56 bins
+    assert occupied_bandwidth(DESK_SINUSOIDAL, 0.99) == 52
+
+
+@pytest.mark.parametrize("family", list(ChirpFamily))
+@pytest.mark.parametrize("m", [24, 64, 100, 256])
+@pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+def test_ocb_equals_the_brute_force_window(family, m, share):
+    prof = chirp_fdss(ChirpSpec(family, share * m), m)
+    for fraction in (0.9, 0.99, 0.999):
+        assert occupied_bandwidth(prof, fraction) == \
+            smallest_window_bins(np.abs(prof.g) ** 2, prof.k, fraction)
 
 
 def test_ocb_fraction_domain():

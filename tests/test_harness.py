@@ -1,7 +1,10 @@
 """CLI surface, config loading, CSV format, reproducibility."""
 import ast
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -651,6 +654,38 @@ def test_src_modules_use_every_private_name_they_define():
         "def public():\n    return _LIMIT\n") == ["_helper"]
 
 
+def public_callables():
+    """(qualified name, callable) of every public function, class and
+    public method that a module of chirpim defines."""
+    for info in pkgutil.iter_modules(chirpim.__path__):
+        module = importlib.import_module(f"chirpim.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif inspect.isclass(obj):
+                yield name, obj
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+
+
+def test_only_the_bin_formulas_take_bins():
+    # the band is default_band(M), worked out from M: only the formulas
+    # that evaluate at any bins take them as a parameter
+    takers = set()
+    for name, obj in public_callables():
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # a signature Python cannot read, e.g. an Enum's
+            continue
+        if {"k", "l_d"} & set(parameters):
+            takers.add(name)
+    assert takers == {"radar_cfr", "CommChannel.cfr", "linear_chirp_coeffs",
+                      "sinusoidal_chirp_coeffs"}
+
+
 def test_bench_hooks_resolve(monkeypatch):
     # the benchmark patches these names; a deleted one would break it
     for owner, attr, _ in bench_module("spans", monkeypatch).TARGETS:
@@ -878,6 +913,35 @@ def test_every_runner_independent_of_workers(experiment, scenario, overrides, tm
     assert a.read_bytes() == b.read_bytes()
 
 
+# experiment -> (CLI argv, INI text or "", sha256 of the whole CSV file:
+# comment line, header, rows and line endings)
+PINNED_CLI_CSV = {
+    "pmepr": (["--family", "sinusoidal", "--L", "2", "--trials", "300", "--seed", "4"], "",
+              "7b717638f4f634e0a18c7ca2bf5f3fb1514ad4f30b81776e1477ac78a37137dc"),
+    "bler": (["--L", "2", "--snrs", "0,5", "--seed", "1"],
+             "[montecarlo]\nmax_trials = 512\nbatch = 256\ntarget_errors = 50\n"
+             "[channel]\nfading = true\n",
+             "06e0b635dca6565aad817bfc1ce018b29918b05d6b6e4d7a96b70d6764919e45"),
+    "radar-rmse": (["--scenario", "two", "--L", "2", "--delta", "15", "--snrs", "10,30",
+                    "--trials", "64", "--seed", "2"], "",
+                   "51fcf7fcd8634c8b17e76b8f20f0c80d092e4c421f164fbfcb0e921433aa6fa8"),
+    "resolution": (["--L", "2", "--delta", "15", "--trials", "32", "--seed", "2"],
+                   "[sweep]\nspacing_rmin = 0.5, 2\n",
+                   "4fe9ed18d4821fbac1de68fe081c19c3af3c86888c9613835bd9e0eae610a875"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_CLI_CSV))
+def test_cli_csv_bytes_pinned(experiment, tmp_path, capsys):
+    argv, ini, digest = PINNED_CLI_CSV[experiment]
+    out, config = tmp_path / "rows.csv", tmp_path / "run.ini"
+    if ini:
+        config.write_text(ini)
+        argv = argv + ["--config", str(config)]
+    assert main([experiment, "--preset", "desk", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def count_pools(monkeypatch) -> list[int]:
     """Record the worker count of every process pool the runners open."""
     pools = []
@@ -1091,7 +1155,7 @@ def test_pmepr_batch_matches_the_idft_oracle(name, scheme, length, atoms):
         values = runners._pmepr_batch(cfg, stream, batch)
         idx, psk = runners.random_words(mcfg, batch, rng)
         w = runners.tx_bins(runners.word_symbols(idx, psk, mcfg), mcfg)
-        expect = np.atleast_1d(measure_pmepr(w, mcfg.k, mcfg.n, p_av=float(mcfg.m)))
+        expect = np.atleast_1d(measure_pmepr(w, mcfg.n, p_av=float(mcfg.m)))
         assert values.shape == (batch,)
         assert (atom_peaks(idx, psk, mcfg) is not None) == atoms
         if atoms:
@@ -1264,8 +1328,8 @@ def test_full_scale_smoke():
     w = tx_bins(d, mcfg)
     scene = RadarScene(targets=((2.5, -1.0),), f_c=cfg.f_c, t_s=cfg.t_s,
                        t_cp=cfg.t_cp)
-    obs = RadarObservation(b=radar_cfr(scene, mcfg.k) * w, w=w, k=mcfg.k,
-                           sigma2=1e-4, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+    obs = RadarObservation(b=radar_cfr(scene, mcfg.k) * w, w=w, sigma2=1e-4,
+                           f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
     est = estimate_multi_mf(obs, 1)
     assert abs(est.distances[0] - 2.5) < 1e-6
     assert abs(est.coeffs[0] + 1.0) < 1e-6

@@ -200,9 +200,9 @@ def test_bin_mapping_equals_index_forms_bit_for_bit(name, scheme):
                          np.fft.fft(frame[..., mcfg.n_cp:], axis=-1)[..., k % n] / n)
         grid = np.zeros(w.shape[:-1] + (n,), dtype=complex)
         grid[..., k % n] = w
-        assert same_bits(synthesize(w, k, n), np.fft.ifft(grid, axis=-1, norm="forward"))
+        assert same_bits(synthesize(w, n), np.fft.ifft(grid, axis=-1, norm="forward"))
         for p_av in (float(m), None):
-            assert same_bits(measure_pmepr(w, k, n, p_av=p_av),
+            assert same_bits(measure_pmepr(w, n, p_av=p_av),
                              pmepr_index_form(w, k, n, p_av))
         for sigma2 in (0.3, 0.0):
             b = h_c[rows] * w + sigma2 * noise[rows]
@@ -211,15 +211,18 @@ def test_bin_mapping_equals_index_forms_bit_for_bit(name, scheme):
                                  equalize_roll_form(b, channel, fdss, sigma2))
 
 
-@pytest.mark.parametrize("k", [np.arange(8, -8, -1), np.r_[-7:0, 1:10], np.arange(-7, 9)[None]],
-                         ids=["descending", "gap", "2-d"])
-def test_synthesis_and_pmepr_need_the_bin_window(k):
-    # the bins are placed by one rotation, so k must be the window k[0]..k[0]+M-1
-    w = np.ones(16, dtype=complex)
-    with pytest.raises(ValueError, match="k"):
-        synthesize(w, k, 32)
-    with pytest.raises(ValueError, match="k"):
-        measure_pmepr(w, k, 32)
+@pytest.mark.parametrize("m, n, n_pmepr, named", [
+    (16, 16, 2, "N=16 must exceed M=16"),  # the PMEPR grid is 8N = 16 points
+    (1, 8, 8, "M = 1: a band needs at least 2 bins"),
+], ids=["n-not-above-m", "one-bin"])
+def test_synthesis_and_pmepr_refuse_a_grid_that_cannot_hold_the_band(m, n, n_pmepr, named):
+    # the bins are those of default_band(M), placed by one rotation on a
+    # grid that must exceed M: N points for the synthesis, 8N for the PMEPR
+    w = np.ones(m, dtype=complex)
+    with pytest.raises(ValueError, match=named):
+        synthesize(w, n)
+    with pytest.raises(ValueError, match=named):
+        measure_pmepr(w, n_pmepr)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +487,7 @@ def test_csc_frame_pmepr_within_superposition_bound():
     rng = np.random.default_rng(12)
     cfg = make_cfg(length=2, family=ChirpFamily.SINUSOIDAL)
     d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(400)])
-    worst = np.max(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, p_av=float(cfg.m)))
+    worst = np.max(measure_pmepr(tx_bins(d, cfg), cfg.n, p_av=float(cfg.m)))
     assert worst <= 10 * np.log10(2) + 0.6
 
 
@@ -494,7 +497,7 @@ def test_dft_s_ofdm_pmepr_exceeds_csc_by_3db():
     for scheme in (Scheme.CSC_IM, Scheme.DFT_S_OFDM_IM):
         cfg = make_cfg(scheme, length=2, family=ChirpFamily.SINUSOIDAL)
         d = np.stack([encode(random_bits(cfg, rng), cfg)[1] for _ in range(5000)])
-        values = np.sort(measure_pmepr(tx_bins(d, cfg), cfg.k, cfg.n, p_av=float(cfg.m)))
+        values = np.sort(measure_pmepr(tx_bins(d, cfg), cfg.n, p_av=float(cfg.m)))
         out[scheme] = values[int(len(values) * (1 - 1e-3))]  # ~1e-3 CCDF point
     assert out[Scheme.DFT_S_OFDM_IM] > out[Scheme.CSC_IM] + 3.0
 

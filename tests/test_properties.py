@@ -21,7 +21,7 @@ from chirpim.modem import ATOM_MIN_GRID, ModemConfig, Scheme, atom_peaks, \
     frame_from_symbols, rx_frame, tx_bins, tx_frame, word_symbols
 from chirpim.radar import crlb_coeff, crlb_range, crlb_range_no_phase, fim
 from chirpim.runners import _wilson
-from chirpim.util import SPEED_OF_LIGHT
+from chirpim.util import SPEED_OF_LIGHT, band
 
 from oracles import fim_jacobian_gram, one_pass_bler_batch, zero_padded_pmepr_db
 
@@ -137,7 +137,7 @@ def test_pmepr_from_bins_equals_zero_padded_oracle(data):
     batch = data.draw(st.integers(1, 3 * FRAME_BLOCK + 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m))
-    values = measure_pmepr(tx_bins(d, cfg), cfg.k, n, p_av=p_av)
+    values = measure_pmepr(tx_bins(d, cfg), n, p_av=p_av)
     oracle = zero_padded_pmepr_db(frame_from_symbols(d, cfg), n, cfg.n_cp,
                                   PMEPR_OVERSAMPLE, p_av)
     assert np.max(np.abs(values - oracle)) <= 1e-12
@@ -161,7 +161,7 @@ def test_pmepr_batch_atoms_agree_with_the_idft(scheme, family, m, n, length, bat
     values = runners._pmepr_batch(cfg, stream, batch)
     idx, psk = runners.random_words(mcfg, batch, rng)
     w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
-    expect = measure_pmepr(w, mcfg.k, n, p_av=float(m))
+    expect = measure_pmepr(w, n, p_av=float(m))
     p = PMEPR_OVERSAMPLE * n
     atoms = scheme.spreads and m // np.gcd(m, p) <= FRAME_BLOCK and ATOM_MIN_GRID << length <= p
     assert (atom_peaks(idx, psk, mcfg) is not None) == atoms
@@ -173,19 +173,18 @@ def test_pmepr_batch_atoms_agree_with_the_idft(scheme, family, m, n, length, bat
 
 
 @PROPERTY
-@given(st.integers(1, 64).flatmap(lambda m: st.tuples(
-    st.integers(-3 * m, 3 * m), st.just(m), st.integers(m, 4 * m))))
-@example((-8, 16, 16))   # n = M: a pure rotation, as in tx_bins
-@example((0, 16, 32))    # no wrap: the second pair is empty
+@given(st.integers(2, 64).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 4 * m))))
+@example((16, 16))   # n = M: a pure rotation, as in tx_bins
+@example((2, 32))    # l_d = 0, no wrap: the second pair is empty
 def test_band_slices_are_the_rotation_to_k_mod_n(case):
     # copying through the two slice pairs gathers from, and scatters to,
-    # exactly the positions k mod N of the bins k = l_d..l_d+M-1
-    l_d, m, n = case
-    k = np.arange(l_d, l_d + m)
+    # exactly the positions k mod N of the bins k = l_d..l_u of default_band(M)
+    m, n = case
+    k = band(m)
     grid, w = np.arange(1, n + 1), np.arange(1, m + 1)
     gathered = np.zeros(m, dtype=int)
     scattered = np.zeros(n, dtype=int)
-    for bins, pos in band_slices(l_d, m, n):
+    for bins, pos in band_slices(m, n):
         gathered[bins] = grid[pos]
         scattered[pos] = w[bins]
     assert np.array_equal(gathered, grid[k % n])
@@ -197,15 +196,17 @@ def test_band_slices_are_the_rotation_to_k_mod_n(case):
 @st.composite
 def radar_scenes(draw, stack=False):
     """(scene, k, w): 1 to 3 targets with real coefficients, spaced 0.5 to
-    3 r_min apart, on 64 contiguous desk bins or a random subset of them,
-    with random complex reference bins. With ``stack``, a stack of 1 to 5
-    such scenes with one target count, and reference bins of shape (B, M),
-    C- or Fortran-ordered, or shared (M,)."""
+    3 r_min apart, on the 64 desk bins k of default_band(64), with random
+    complex reference bins, zero outside a random subset of 8 or more bins
+    or nowhere. With ``stack``, a stack of 1 to 5 such scenes with one
+    target count, and reference bins of shape (B, M), C- or
+    Fortran-ordered, or shared (M,)."""
     f_c, t_s, t_cp = 6.48e9, T_S, 32 * T_S / 128
-    k = np.arange(-31, 33)
+    k = band(64)
+    off = np.zeros(len(k), dtype=bool)
     if draw(st.booleans()):
-        k = np.array(sorted(draw(st.sets(st.sampled_from(k.tolist()), min_size=8,
-                                         max_size=63))))
+        off[:] = True
+        off[list(draw(st.sets(st.integers(0, len(k) - 1), min_size=8, max_size=63)))] = False
     r_min = 0.5 * SPEED_OF_LIGHT * t_s / 64
     r = draw(st.integers(1, 3))
     sign = st.sampled_from([-1.0, 1.0])
@@ -220,6 +221,7 @@ def radar_scenes(draw, stack=False):
     shape = (len(rows), len(k)) if stack and draw(st.booleans()) else (len(k),)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w[..., off] = 0
     if w.ndim == 2 and draw(st.booleans()):
         w = np.asfortranarray(w)
     scene = RadarScene(targets=rows if stack else rows[0], f_c=f_c, t_s=t_s, t_cp=t_cp)
@@ -230,7 +232,7 @@ def radar_scenes(draw, stack=False):
 @given(radar_scenes(), st.floats(1e-4, 1.0))
 def test_fim_equals_jacobian_gram(case, sigma2):
     scene, k, w = case
-    j = fim(scene, (k, w), sigma2)
+    j = fim(scene, w, sigma2)
     oracle = fim_jacobian_gram(k, w, scene.delays, scene.coeffs, scene.f_c, scene.t_s,
                                sigma2)
     scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
@@ -239,7 +241,7 @@ def test_fim_equals_jacobian_gram(case, sigma2):
     # the joint bound is never below the one built from J's diagonal alone
     r = scene.n_targets
     diagonal = SPEED_OF_LIGHT ** 2 / 4 * np.sum(1.0 / np.diag(j)[:r])
-    assert crlb_range(scene, (k, w), sigma2) >= diagonal * (1 - 1e-12)
+    assert crlb_range(scene, w, sigma2) >= diagonal * (1 - 1e-12)
 
 
 @PROPERTY
@@ -249,13 +251,13 @@ def test_stacked_scene_rows_equal_single_scene_calls(case, sigma2):
     # information and each bound is its own scene's call, bit for bit
     stack, k, w = case
     cfr = radar_cfr(stack, k)
-    stacked = {bound: bound(stack, (k, w), sigma2) for bound in (fim, crlb_range, crlb_coeff)}
+    stacked = {bound: bound(stack, w, sigma2) for bound in (fim, crlb_range, crlb_coeff)}
     no_phase = crlb_range_no_phase(stack, len(k), sigma2)
     for i, targets in enumerate(stack.targets):
         one = RadarScene(targets=targets, f_c=stack.f_c, t_s=stack.t_s, t_cp=stack.t_cp)
         assert np.array_equal(cfr[i], radar_cfr(one, k))
         for bound, values in stacked.items():
-            assert np.array_equal(values[i], bound(one, (k, w[i] if w.ndim == 2 else w), sigma2))
+            assert np.array_equal(values[i], bound(one, w[i] if w.ndim == 2 else w, sigma2))
         assert np.array_equal(no_phase[i], crlb_range_no_phase(one, len(k), sigma2))
 
 
