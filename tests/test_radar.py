@@ -406,10 +406,16 @@ def test_second_search_on_same_geometry_only_hits_cache(monkeypatch):
     assert all(any(stage is s for s in stages) for _, stage, _ in calls)
 
 
+def array_fields(table):
+    """The fields of a plan or stage whose annotation is an array."""
+    return [name for name, kind in type(table).__annotations__.items() if "np.ndarray" in str(kind)]
+
+
 def assert_plan_read_only(plan):
-    arrays = [v for v in plan if isinstance(v, np.ndarray)]
-    arrays += [v for stage in plan.stages for v in stage if isinstance(v, np.ndarray)]
-    assert len(arrays) == 4 + 2 * len(plan.stages)
+    # every field annotated as an array holds one, and no other field does
+    arrays = [getattr(t, name) for t in (plan, *plan.stages) for name in array_fields(t)]
+    assert all(isinstance(array, np.ndarray) for array in arrays)
+    assert len(arrays) == sum(isinstance(v, np.ndarray) for t in (plan, *plan.stages) for v in t)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
