@@ -26,10 +26,12 @@ NEWTON_STEPS refine it. Everything the search reads of the bins
 k_0..k_0+M-1 and of f_c, T_s and T_cp is one read-only plan, keyed on M,
 f_c, T_s and T_cp, built on first use and kept per process
 (:func:`_plan`, PLAN_CACHE_SIZE of them): the exponents
-of the bin rotation, the bin frequencies k/T_s, the (3, M) rotations of
-the three lobe candidates' offsets and the stages, the coarse grid and
-each envelope zoom with its step, point count, FFT size, chirp and kernel.
-At paper scale a plan holds 263 KB of arrays. Rotations by exactly 1 (a
+of the bin rotation, the (M, 9) moment table (the rotations of the three
+lobe candidates' offsets times the powers 0, 1, 2 of the bin frequencies
+k/T_s, so each Newton step's sums are one matrix product) and the stages,
+the coarse grid and each envelope zoom with its step, point count, FFT
+size, chirp and kernel. At paper scale a plan's arrays hold 398 KB
+(``nbytes``), 221 KB of them the moment table. Rotations by exactly 1 (a
 grid at lo = 0, a Newton step at offset 0) are skipped, which changes no
 bit.
 
@@ -129,8 +131,8 @@ NEWTON_STEPS = 1
 MAX_TARGETS = 16
 UPDATE_PASSES = 2
 # Search plans (M, f_c, T_s, T_cp) kept per process: a run searches
-# one. At paper scale (M = 1536) a plan holds 263 KB of arrays: the (3, M)
-# lobe rotations, the bin frequencies and three stages' chirps and kernels.
+# one. At paper scale (M = 1536) a plan's arrays hold 398 KB (nbytes): the
+# (M, 9) complex moment table (221 KB) and three stages' chirps and kernels.
 PLAN_CACHE_SIZE = 8
 
 
@@ -185,10 +187,11 @@ def _chirp_z(x: np.ndarray, stage: _Stage) -> np.ndarray:
 class _Plan(NamedTuple):
     """The search plan of one band, read-only. :func:`_bin_rotation` reads
     ``blocks`` and ``exponents`` (the block starts k_0 + B a, a < blocks,
-    then 0..B-1), :func:`_lobe_moments` the bin frequencies ``freqs`` =
-    k/T_s and the rotations ``lobes`` e^{j2pi nu_k o}, shape (3, M), of the
-    lobe offsets o = j/(2 f_c), j = 0, 1, 2 (``lobe_offsets``), and
-    :func:`_search_delay` the ``stages``."""
+    then 0..B-1), :func:`_lobe_moments` the ``moments`` table, shape
+    (M, 9), whose column 3j + n holds e^{j2pi nu_k o_j} (k/T_s)^n for the
+    lobe offsets o_j = j/(2 f_c), j = 0, 1, 2 (``lobe_offsets``), and
+    :func:`_search_delay` the ``stages``. The rotation of o_0 = 0 is exactly
+    1, so columns 0..2 are the bin frequencies' powers alone."""
 
     k0: int
     m: int
@@ -197,9 +200,8 @@ class _Plan(NamedTuple):
     t_cp: float
     blocks: int
     exponents: np.ndarray
-    freqs: np.ndarray
     lobe_offsets: np.ndarray
-    lobes: np.ndarray | None = None
+    moments: np.ndarray | None = None
     stages: tuple[_Stage, ...] = ()
 
 
@@ -215,7 +217,7 @@ def _plan(m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
     offsets = 0.5 / f_c * np.arange(3)
     plan = _Plan(k0=k0, m=m, f_c=f_c, t_s=t_s, t_cp=t_cp, blocks=blocks,
                  exponents=np.concatenate((k0 + block * np.arange(blocks), np.arange(block))),
-                 freqs=np.arange(k0, k0 + m) / t_s, lobe_offsets=offsets)
+                 lobe_offsets=offsets)
     stages, step = [], COARSE_HALFBIN * t_s / m
     n = int(np.ceil(t_cp / step))
     while True:
@@ -223,8 +225,10 @@ def _plan(m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
         if step <= 1.0 / (ENV_MARGIN * f_c):
             break
         step, n = 2.0 * step / (ENV_POINTS - 1), ENV_POINTS
-    plan = plan._replace(lobes=_bin_rotation(plan, offsets[:, None]) *
-                         np.exp(2j * np.pi * f_c * offsets)[:, None], stages=tuple(stages))
+    lobes = _bin_rotation(plan, offsets[:, None]) * np.exp(2j * np.pi * f_c * offsets)[:, None]
+    freqs = np.arange(k0, k0 + m) / t_s
+    moments = lobes.T[:, :, None] * freqs[:, None, None] ** np.arange(3)
+    plan = plan._replace(moments=moments.reshape(m, 9), stages=tuple(stages))
     for value in plan:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -259,13 +263,14 @@ def _lobe_moments(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
     n = 0, 1, 2 at t = tau + offsets, with q of shape (rows, M), tau (rows,)
     and offsets (J,) either the plan's ``lobe_offsets`` or zeros(1);
     returns (3, rows, J). s_0 is c(t)^H q. The bin phases are a per-row
-    rotation (:func:`_bin_rotation` and one carrier exp per row) times the
-    plan's rotations of the lobe offsets; zero offsets rotate nothing."""
-    x = q * (_bin_rotation(plan, tau[:, None]) *
-             np.exp(2j * np.pi * plan.f_c * tau)[:, None])
-    y = x[:, None, :] * plan.lobes if offsets.any() else x[:, None, :]
-    y1 = y * plan.freqs
-    return np.stack((y.sum(-1), y1.sum(-1), (y1 * plan.freqs).sum(-1)))
+    rotation (:func:`_bin_rotation` and one carrier exp per row), and the
+    sums are one product of the rotated rows with the plan's ``moments``
+    (its first three columns for zero offsets, which rotate nothing)."""
+    x = _bin_rotation(plan, tau[:, None])
+    x *= np.exp(2j * np.pi * plan.f_c * tau)[:, None]
+    np.multiply(q, x, out=x)  # q first: swapped operands may round differently
+    table = plan.moments if offsets.any() else plan.moments[:, :3]
+    return np.moveaxis((x @ table).reshape(len(x), -1, 3), -1, 0)
 
 
 def _newton(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
