@@ -9,7 +9,11 @@ observes b = W T a + n, where column s of T is the delay steering vector
 
 Matched-filter estimation maximizes |Re{c(tau)^H W^H b}| over the CP span
 and divides out w^H w for the coefficient. More than one target is handled
-by successive cancellation plus re-estimation passes. The LMMSE variant
+by successive cancellation plus re-estimation passes, then a joint check
+of the carrier lobes (:func:`_lobe_check`): re-estimating one target at a
+time can settle with the delays one lobe off, often in opposite
+directions (RELAX; Li & Stoica, IEEE TSP 1996), so shifts of all delays
+together are scored by their joint least-squares fit. The LMMSE variant
 first deconvolves the waveform (h~_k = w_k^* b_k / (|w_k|^2 + sigma2)) and
 runs the same delay search on the channel estimate. One core,
 :func:`estimate_mf_lmmse`, returns both; :func:`estimate_multi_mf` and
@@ -314,6 +318,103 @@ def _search_delay(q: np.ndarray, plan: _Plan) -> np.ndarray:
     return np.clip(best, lo, lo + 2.0 * half)
 
 
+def _lobe_check(q: np.ndarray, w2: np.ndarray, tau: np.ndarray, coeffs: np.ndarray,
+                ridge: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The joint carrier-lobe check of R > 1 delays tau and coefficients,
+    shape (rows, R), on the MF metric rows q = conj(w) * b with |w|^2 = w2:
+    the delays and coefficients with the rows it moved replaced.
+
+    Each delay may move by -1, 0 or +1 lobe, 1/(2 f_c); a shift that would
+    leave [0, T_cp] is not tried. The shifts kept maximize h^T G^{-1} h,
+    which minimizes the joint residual ||b - W C(t) alpha||^2 over real
+    alpha, with h_s = Re c(t_s)^H q and G_st = Re sum_k |w_k|^2
+    e^{j2pi nu_k (t_s - t_t)}. h at every shift is one
+    :func:`_lobe_moments` call at tau - 1/(2 f_c) with the plan's lobe
+    offsets, and G one call on w2 at +-(tau_s - tau_t) - 1/f_c, whose real
+    part is even in the delay. Each row's best score starts at -inf, the
+    unshifted delays are scored first, and a shift is kept only when it
+    scores strictly higher than the best so far, so ties and NaN scores
+    move nothing. R = 2 tries all 9 shift
+    pairs; above that, moves of one pair of targets at a time repeat until
+    none improves, which is not exhaustive. On a moved row each delay takes
+    one :func:`_newton` step on q minus the other targets' least-squares
+    reconstructions (alpha = G^{-1} h), clipped to [0, T_cp], and the
+    coefficients are refit jointly at the shifted delays as
+    (G + ridge I)^{-1} h: ridge 0 on MF rows and sigma2 on LMMSE rows,
+    each estimator's coefficient formula for one target. Every row is
+    evaluated and the moved ones are selected by mask, so no product sees a
+    subset of the rows; when no row moved, the refit is skipped."""
+    rows, r = tau.shape
+    lobe, offsets = plan.lobe_offsets[1], plan.lobe_offsets
+    t = tau[:, :, None] + offsets - lobe  # (rows, R, 3): shifts -1, 0, +1
+    h = _lobe_moments(np.tile(q, (r, 1)), t[:, :, 0].T.ravel(), offsets, plan)[0].real
+    h, inside = h.reshape(r, rows, 3).transpose(1, 0, 2), (t >= 0.0) & (t <= plan.t_cp)
+    # g[i, p, d + 2] = G_st at tau_s - tau_t + d lobe, d = -2..2, pairs p = (s, t), s < t
+    first, second = np.triu_indices(r, 1)
+    dt = (tau[:, first] - tau[:, second]).T.ravel()
+    g = _lobe_moments(np.tile(w2, (2 * len(first), 1)), np.concatenate((dt, -dt)) - 2.0 * lobe,
+                      offsets, plan)[0].real.reshape(2, len(first), rows, 3)
+    g = np.concatenate((g[0], g[1, ..., 1::-1]), axis=-1).transpose(1, 0, 2)
+    diag = w2.sum(axis=-1)
+
+    def fit(j: np.ndarray, ridge: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h, alpha = (G + ridge I)^{-1} h at the shift indices j, shape
+        (rows, C, R), and where they count: every shifted delay inside
+        [0, T_cp] and G + ridge I invertible."""
+        take = (lambda table: np.take_along_axis(table[:, None], j[..., None], axis=-1)[..., 0])
+        hj, valid = take(h), take(inside).all(axis=-1)
+        gram = np.empty(j.shape + (r,))
+        gram[..., range(r), range(r)] = (diag + ridge)[:, None, None]
+        gram[..., first, second] = gram[..., second, first] = np.take_along_axis(
+            g[:, None], (j[..., first] - j[..., second] + 2)[..., None], axis=-1)[..., 0]
+        # positive semidefinite with equal diagonal entries: scaled to a unit
+        # diagonal, its determinant lies in [0, 1] and cannot overflow
+        invertible = np.linalg.det(gram / (diag + ridge)[:, None, None, None]) > 0.0
+        gram[~invertible] = np.eye(r)
+        return hj, np.linalg.solve(gram, hj[..., None])[..., 0], valid & invertible
+
+    def consider(cand: np.ndarray) -> bool:
+        """Keep each row's best candidate shift if it scores strictly higher
+        than the row's best; whether any row kept one."""
+        nonlocal j, best
+        hj, alpha, valid = fit(cand, np.zeros(rows))
+        score = np.where(valid, np.sum(hj * alpha, axis=-1), -np.inf)
+        pick = np.argmax(score, axis=-1)
+        top = score[np.arange(rows), pick]
+        keep = top > best
+        j = np.where(keep[:, None, None], np.take_along_axis(cand, pick[:, None, None], 1), j)
+        best = np.where(keep, top, best)
+        return bool(keep.any())
+
+    # the unshifted pair first, so that of equal scores it is the one picked
+    pairs = np.array([(1, 1), (0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+    j, best = np.ones((rows, 1, r), dtype=np.intp), np.full(rows, -np.inf)
+    while True:
+        improved = False
+        for s, u in zip(first, second):
+            cand = np.repeat(j, 9, axis=1)
+            cand[..., s], cand[..., u] = pairs[:, 0], pairs[:, 1]
+            improved = consider(cand) or improved
+        if not improved or r == 2:
+            break
+    j = j[:, 0]
+    moved = np.any(j != 1, axis=-1)
+    if not moved.any():
+        return tau, coeffs
+    shifted = tau + (j - 1) * lobe
+    alpha = fit(j[:, None], np.zeros(rows))[1][:, 0]
+    # alpha_t |w|^2 c(t_t), c(t) = conj(e^{j2pi f_c t} e^{j2pi k t/T_s})
+    rotation = _bin_rotation(plan, shifted[..., None])
+    rotation *= np.exp(2j * np.pi * plan.f_c * shifted)[..., None]
+    parts = alpha[:, :, None] * w2[:, None] * np.conj(rotation)
+    for s in range(r):
+        others = parts[:, np.arange(r) != s].sum(axis=1)
+        step = _newton(q - others, shifted[:, s], np.zeros(1), plan)[0][:, 0]
+        shifted[:, s] = np.clip(shifted[:, s] + step, 0.0, plan.t_cp)
+    refit = fit(j[:, None], ridge)[1][:, 0]
+    return np.where(moved[:, None], shifted, tau), np.where(moved[:, None], refit, coeffs)
+
+
 def estimate_mf_lmmse(obs: RadarObservation,
                       n_targets: int) -> tuple[EstimateSet, EstimateSet]:
     """The estimator core: the MF and the LMMSE estimates of ``n_targets``
@@ -322,7 +423,10 @@ def estimate_mf_lmmse(obs: RadarObservation,
 
     Successive cancellation, then UPDATE_PASSES re-estimation passes where
     each target is re-sought on the observation minus all other
-    reconstructions. Each estimator keeps its own residuals, q and
+    reconstructions, then the joint lobe check (:func:`_lobe_check`) on
+    every MF and LMMSE row, each row scoring its own delays on the MF
+    metric. One target skips the passes and the check. Each estimator
+    keeps its own residuals, q and
     coefficient formula, in the single-observation float operation order:
     MF q = conj(w) * b_cur and coefficient Re{c^H q} / (w^H w); LMMSE
     q = h~ and coefficient Re{c^H W^H b_cur} / (w^H w + sigma2). One
@@ -371,6 +475,10 @@ def estimate_mf_lmmse(obs: RadarObservation,
         for s in range(n_targets):
             others = [recon[j] for j in range(n_targets) if j != s]
             one(s, b_all - sum(others[1:], others[0]))
+    if n_targets > 1:
+        ridge = np.repeat([0.0, obs.sigma2], len(b))
+        delays, coeffs = _lobe_check(np.conj(w_all) * b_all, np.tile(w2, (2, 1)), delays,
+                                     coeffs, ridge, plan)
     order = np.argsort(delays, axis=-1, kind="stable")
     shape = (2,) + np.shape(obs.b)[:-1] + (n_targets,)  # (MF/LMMSE, [B,] R)
     delays = np.take_along_axis(delays, order, axis=-1).reshape(shape)

@@ -7,6 +7,7 @@ one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop,
 the radar Fisher information as the Gram matrix of the mean's Jacobian,
 the matched-filter metric at one delay from the written-out steering vector,
+the lobe moments of the delay search as elementwise sums over the bins,
 the oversampled PMEPR by zero-padding the spectrum of a time-domain body,
 the occupied bandwidth by trying every window.
 None of it shares code with the library paths under test, except the
@@ -234,6 +235,20 @@ def mf_objective(tau: float, obs) -> tuple[float, float]:
     inner = np.sum(np.conj(steer) * np.conj(obs.w) * obs.b)
     re = float(np.real(inner))
     return abs(re), re / float(np.real(np.vdot(obs.w, obs.w)))
+
+
+def lobe_moments(q, tau, offsets, k, f_c: float, t_s: float) -> np.ndarray:
+    """s_n = sum_k q_k (k/T_s)^n e^{j2pi nu_k (tau + o)}, nu_k = f_c + k/T_s,
+    for n = 0, 1, 2, rows q (rows, M) with delays tau (rows,) and offsets o
+    (J,), as elementwise products summed over the bins; returns (3, rows,
+    J). The carrier phase 2pi f_c tau (about 1e4 rad at paper scale) is
+    rounded as the steering vector rounds it; the bin and offset phases are
+    each their own exp."""
+    carrier = np.exp(2j * np.pi * f_c * tau)[:, None]
+    rows = q * carrier * np.exp(2j * np.pi * np.multiply.outer(tau, k) / t_s)
+    y = rows[:, None, :] * np.exp(2j * np.pi * np.multiply.outer(offsets, f_c + k / t_s))
+    freqs = k / t_s
+    return np.stack((y.sum(-1), (y * freqs).sum(-1), (y * freqs * freqs).sum(-1)))
 
 
 def one_pass_bler_batch(cfg, rng, batch: int, sigma2: float):

@@ -924,10 +924,10 @@ PINNED_CLI_CSV = {
              "06e0b635dca6565aad817bfc1ce018b29918b05d6b6e4d7a96b70d6764919e45"),
     "radar-rmse": (["--scenario", "two", "--L", "2", "--delta", "15", "--snrs", "10,30",
                     "--trials", "64", "--seed", "2"], "",
-                   "51fcf7fcd8634c8b17e76b8f20f0c80d092e4c421f164fbfcb0e921433aa6fa8"),
+                   "851b1706c612c0b924bdf9d0c52b83feada6d0d2d29c085d2ae91c23d0926820"),
     "resolution": (["--L", "2", "--delta", "15", "--trials", "32", "--seed", "2"],
                    "[sweep]\nspacing_rmin = 0.5, 2\n",
-                   "4fe9ed18d4821fbac1de68fe081c19c3af3c86888c9613835bd9e0eae610a875"),
+                   "0ed02c10ba15967bbbe812c2ff60cb44ac3677b1021522be120341bc5390e5a0"),
 }
 
 

@@ -1,4 +1,5 @@
 """Matched-filter / LMMSE range estimation and the range bounds."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from chirpim.channel import RadarScene, radar_cfr
 from chirpim.chirps import ChirpFamily, ChirpSpec
 from chirpim.modem import ModemConfig, Scheme, encode, tx_bins, word_symbols
-from chirpim.config import desk_preset
+from chirpim.config import desk_preset, paper_preset
 from chirpim import radar
 from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
                            crlb_range, crlb_range_no_phase, estimate_lmmse,
@@ -18,7 +19,7 @@ from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
 from chirpim.runners import radar_trials, random_words, run_radar_rmse, run_resolution
 from chirpim.util import SPEED_OF_LIGHT, band
 
-from oracles import mf_objective
+from oracles import lobe_moments, mf_objective
 
 T_S = 88.9e-9
 F_C = 6.48e9
@@ -413,9 +414,10 @@ def array_fields(table):
 
 def assert_plan_read_only(plan):
     # every field annotated as an array holds one, and no other field does
-    arrays = [getattr(t, name) for t in (plan, *plan.stages) for name in array_fields(t)]
+    tables = (plan, *plan.stages)
+    arrays = [getattr(t, name) for t in tables for name in array_fields(t)]
     assert all(isinstance(array, np.ndarray) for array in arrays)
-    assert len(arrays) == sum(isinstance(v, np.ndarray) for t in (plan, *plan.stages) for v in t)
+    assert len(arrays) == sum(isinstance(v, np.ndarray) for t in tables for v in t)
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -494,6 +496,44 @@ def test_bin_rotation_equals_exp(k):
         ref = np.exp(2j * np.pi * k * lo / t_s)
         assert got.shape == ref.shape == lo.shape[:-1] + k.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2, 128])
+@pytest.mark.parametrize("lobes", [3, 1], ids=["J3", "J1"])
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_lobe_moments_equal_elementwise_sums(scale, lobes, rows):
+    # each s_n lies within 1e-12 of its scale sum_k |q_k| |k/T_s|^n: random
+    # q cancels in the sum, so a tolerance on |s_n| itself would measure the
+    # cancellation (at paper scale some rows lose 1e-12 of |s_n| that way)
+    t_s, f_c, t_cp = GEOMETRIES[scale]
+    m = 64 if scale == "desk" else 1536
+    plan = radar._plan(m, f_c, t_s, t_cp)
+    rng = np.random.default_rng(rows)
+    q = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    tau = rng.uniform(0.0, t_cp, rows)
+    offsets = plan.lobe_offsets if lobes == 3 else np.zeros(1)
+    got = radar._lobe_moments(q, tau, offsets, plan)
+    ref = lobe_moments(q, tau, offsets, band(m), f_c, t_s)
+    assert got.shape == ref.shape == (3, rows, lobes)
+    scale_n = np.stack([np.abs(q) @ np.abs(band(m) / t_s) ** n for n in range(3)])
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale_n[..., None])
+
+
+def test_lobe_moments_allocate_no_per_lobe_temporaries():
+    # at paper scale with 128 rows the peak stays below three (rows, M)
+    # complex arrays: products of shape (rows, J, M), J = 3, would need nine
+    t_s, f_c, t_cp = GEOMETRIES["paper"]
+    plan = radar._plan(1536, f_c, t_s, t_cp)
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((128, 1536)) + 1j * rng.standard_normal((128, 1536))
+    tau = rng.uniform(0.0, t_cp, 128)
+    tracemalloc.start()
+    try:
+        radar._lobe_moments(q, tau, plan.lobe_offsets, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * q.nbytes
 
 
 def paper_observations(n_targets, rows, seed, m=1536):
@@ -610,8 +650,9 @@ def test_paper_estimates_pinned(n_targets, rows, seed):
 
 
 # Rows of run_radar_rmse at the desk preset (16 trials, seed 1), from the
-# delay search that picks the carrier lobe by Newton steps: a change that
-# moves any estimate, even in its last bits, shows here.
+# delay search that picks the carrier lobe by Newton steps and, for two
+# targets, the joint lobe check: a change that moves any estimate, even in
+# its last bits, shows here.
 PINNED_RADAR_ROWS = {
     "single": [
         (0.0, 0.018011810056585968, 0.018832282638260013, 0.00032618440511574654, 0.00032531377854331763, 0.010146517333270783),
@@ -627,17 +668,17 @@ PINNED_RADAR_ROWS = {
         (20.0, 3.2455599761449096e-05, 0.004970802047820516, 3.26289639095587e-05, 3.2531377854331764e-05, 0.0010146517333270782),
     ],
     "two": [
-        (0.0, 0.03628650162156564, 0.04079927843575762, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
-        (2.0, 0.024140720945723417, 0.030131869594015225, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
-        (4.0, 0.025240896412893662, 0.025341375029077906, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
-        (6.0, 0.019366960394704324, 0.02674154192295105, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
-        (8.0, 0.012307857919148292, 0.013873724226067013, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
-        (10.0, 0.009642079956952175, 0.016371836543511112, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
-        (12.0, 0.008720560952632624, 0.012905421075372079, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
-        (14.0, 0.006474133386852526, 0.012017697553603166, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
-        (16.0, 0.004991461633850324, 0.01044111734497486, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
-        (18.0, 0.002893800342835267, 0.007646685367470564, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
-        (20.0, 0.004068908476245112, 0.00868479053926716, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
+        (0.0, 0.03628650162156564, 0.03875219721501361, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
+        (2.0, 0.024140720945723417, 0.02659294702097611, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
+        (4.0, 0.02438691751710651, 0.024682563610333115, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
+        (6.0, 0.017288724019169487, 0.019953079588150048, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
+        (8.0, 0.011597973968530453, 0.011953021053734659, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
+        (10.0, 0.010814016109119293, 0.011563319272648632, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
+        (12.0, 0.009634077911654609, 0.009626544373378922, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
+        (14.0, 0.005032381613557624, 0.0050409038913963615, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
+        (16.0, 0.0028796470268438075, 0.004066485508871442, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
+        (18.0, 0.002893800342835267, 0.0040825979385474545, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
+        (20.0, 6.451797571619648e-05, 0.0028768331452849105, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
     ],
 }
 
@@ -662,19 +703,19 @@ PINNED_RADAR_ROWS_80 = {
         (20.0, 3.5355212102535394e-05, 0.004842823990103685, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
     ],
     "two": [
-        (0.0, 0.03194201439966637, 0.03733651596127278, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
-        (10.0, 0.010524763771998414, 0.016202059915210728, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
-        (20.0, 0.004083606394330664, 0.008926223336215912, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
+        (0.0, 0.031728789803296346, 0.03396344706990273, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
+        (10.0, 0.010365234872230124, 0.010835307686368053, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
+        (20.0, 0.0012721784473364755, 0.0017971933283570888, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
     ],
 }
 PINNED_RESOLUTION_ROWS_24 = [
-    (0.5, 0.22604202699453807, 0.18245216124685543, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
-    (0.75, 0.15874287704562967, 0.14264650339016793, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
-    (1.0, 0.13270025016219733, 0.07255657329064444, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
-    (1.25, 0.07777263297470596, 0.009164455317655286, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
-    (1.5, 0.007074681552063929, 0.010341946681364123, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
-    (2.0, 0.0023938609510312466, 0.008151972912482259, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
-    (3.0, 0.002357639638643548, 0.008827006727606859, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
+    (0.5, 0.2127263143482944, 0.16860272622846334, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
+    (0.75, 0.14297177767618224, 0.12937085365463236, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
+    (1.0, 0.11650198845838979, 0.062441642053449806, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
+    (1.25, 0.06162324397161751, 0.0033311330022238596, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
+    (1.5, 0.0023744134036239773, 0.002387473852934811, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
+    (2.0, 7.873104765156656e-05, 0.0001291696260998542, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
+    (3.0, 6.509607345872405e-05, 0.0023169049846133013, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
 ]
 
 
@@ -716,20 +757,52 @@ def stacked_observations(m, n_targets, seed):
     return RadarObservation(b=b, w=w, sigma2=sigma2, f_c=f_c, t_s=T_S, t_cp=T_CP)
 
 
+def paper_trials(n_targets, batch, seed):
+    """``batch`` paper-scale radar trials (M = 1536, CSC-IM with IS, L = 2)
+    at 25 dB, drawn as the runner draws them."""
+    cfg = paper_preset(length=2, separated=True)
+    sigma2 = 10.0 ** -2.5
+    b, w, _ = radar_trials(cfg, "single" if n_targets == 1 else "two", batch, sigma2,
+                           np.random.default_rng(seed))
+    return RadarObservation(b=b, w=w, sigma2=sigma2, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
+
+
+def record_lobe_moves(monkeypatch):
+    """Count the rows each lobe check moves."""
+    moves, check = [], radar._lobe_check
+
+    def counting(q, w2, tau, *args):
+        out = check(q, w2, tau, *args)
+        moves.append(int(np.sum(np.any(out[0] != tau, axis=-1))))
+        return out
+
+    monkeypatch.setattr(radar, "_lobe_check", counting)
+    return moves
+
+
 @pytest.mark.parametrize("n_targets", [1, 2])
-@pytest.mark.parametrize("m", [64, 37], ids=["contiguous", "odd"])
-def test_batched_rows_equal_single_observation_calls(m, n_targets):
-    obs = stacked_observations(m, n_targets, seed=m + n_targets)
+@pytest.mark.parametrize("m", [64, 37, 1536], ids=["contiguous", "odd", "paper"])
+def test_batched_rows_equal_single_observation_calls(m, n_targets, monkeypatch):
+    # a BLAS product may pick its kernel by shape: at paper scale every row
+    # of a batch of 64 trials equals the row estimated in batches of 3 and
+    # alone; at two targets the lobe check moves some of these rows
+    if m == 1536:
+        obs, sizes = paper_trials(n_targets, 64, seed=41), (3, 1)
+    else:
+        obs, sizes = stacked_observations(m, n_targets, seed=m + n_targets), (1,)
+    moves = record_lobe_moves(monkeypatch)
     est_mf, est_lm = estimate_mf_lmmse(obs, n_targets)
     assert est_mf.delays.shape == est_lm.delays.shape == (len(obs.b), n_targets)
-    for i, (b, w) in enumerate(zip(obs.b, obs.w)):
-        one = RadarObservation(b=b, w=w, sigma2=obs.sigma2, f_c=obs.f_c,
-                               t_s=obs.t_s, t_cp=obs.t_cp)
-        for batched, single in ((est_mf, estimate_multi_mf(one, n_targets)),
-                                (est_lm, estimate_lmmse(one, n_targets))):
-            assert np.array_equal(batched.delays[i], single.delays)
-            assert np.array_equal(batched.coeffs[i], single.coeffs)
-            assert batched.final_step == single.final_step
+    for size in sizes:
+        for lo in range(0, len(obs.b), size):
+            rows = slice(lo, lo + size) if size > 1 else lo  # one observation: (M,)
+            part = replace(obs, b=obs.b[rows], w=obs.w[rows])
+            for batched, alone in zip((est_mf, est_lm), estimate_mf_lmmse(part, n_targets)):
+                assert np.array_equal(batched.delays[rows], alone.delays)
+                assert np.array_equal(batched.coeffs[rows], alone.coeffs)
+                assert batched.final_step == alone.final_step
+    if m == 1536 and n_targets == 2:
+        assert moves[0] > 0
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -854,6 +927,43 @@ def test_lobe_pick_is_the_window_maximum(monkeypatch, scale, bins, n_targets):
             picked = np.conj(obs.steering(tau[row])) @ q[row]
             assert abs(picked.real) >= (1 - 1e-12) * np.max(np.abs(dense.real))
     assert shifted == {"0", "T_cp"}
+
+
+def lobe_check_case(shifts, scale=1.0):
+    """Noiseless desk targets (one MF row, one LMMSE row with sigma2 =
+    1e-3) and the lobe check of their delays handed over ``shifts`` carrier
+    lobes off; returns the true delays and coefficients and the checked ones."""
+    r, lobe = len(shifts), 0.5 / F_C
+    rng = np.random.default_rng(r)
+    w = np.exp(2j * np.pi * rng.uniform(size=M)) * rng.uniform(0.2, 1.5, M)
+    ref = RadarObservation(b=w, w=w, sigma2=1e-3, f_c=F_C, t_s=T_S, t_cp=T_CP)
+    tau, alpha = (0.3 + 0.1 * np.arange(r)) * T_CP, -0.7 + 0.2 * np.arange(r)
+    b = scale * sum(a * w * ref.steering(t) for a, t in zip(alpha, tau))
+    handed = np.tile(tau + np.array(shifts) * lobe, (2, 1))
+    got = radar._lobe_check(np.tile(np.conj(w) * b, (2, 1)), np.tile(np.abs(w) ** 2, (2, 1)),
+                            handed, np.zeros((2, r)), np.array([0.0, 1e-3]),
+                            radar._plan(M, F_C, T_S, T_CP))
+    return (tau, alpha), handed, got
+
+
+@pytest.mark.parametrize("shifts", [(1, -1), (0, 1), (1, -1, 1)], ids=["opposite", "one", "three"])
+def test_lobe_check_undoes_one_lobe_jumps(shifts):
+    # both delays of the "opposite" case must move at once; three targets
+    # take pairwise moves. The coefficients are refit jointly: least squares
+    # on the MF row, shrunk by sigma2 on the LMMSE row
+    (tau, alpha), _, (got_tau, got_alpha) = lobe_check_case(shifts)
+    assert np.all(np.abs(got_tau - tau) < 1e-9 / F_C)
+    assert np.allclose(got_alpha[0], alpha, rtol=1e-9, atol=0.0)
+    assert np.all(np.abs(got_alpha[1]) < np.abs(alpha))
+    assert np.allclose(got_alpha[1], alpha, rtol=1e-4, atol=0.0)
+
+
+def test_lobe_check_moves_nothing_on_equal_scores():
+    # b = 0 scores every shift 0: the unshifted delays are scored first and
+    # only a strictly higher score moves a row
+    _, handed, (got_tau, got_alpha) = lobe_check_case((1, -1), scale=0.0)
+    assert np.array_equal(got_tau, handed)
+    assert np.array_equal(got_alpha, np.zeros((2, 2)))
 
 
 def test_observation_shapes_checked():
