@@ -334,9 +334,9 @@ def _lobe_check(q: np.ndarray, w2: np.ndarray, tau: np.ndarray, coeffs: np.ndarr
     part is even in the delay. Each row's best score starts at -inf, the
     unshifted delays are scored first, and a shift is kept only when it
     scores strictly higher than the best so far, so ties and NaN scores
-    move nothing. R = 2 tries all 9 shift
-    pairs; above that, moves of one pair of targets at a time repeat until
-    none improves, which is not exhaustive. On a moved row each delay takes
+    move nothing. R = 2 tries all 9 shift pairs; above that, moves of one
+    pair of targets at a time repeat until none improves, which is not
+    exhaustive. On a moved row each delay takes
     one :func:`_newton` step on q minus the other targets' least-squares
     reconstructions (alpha = G^{-1} h), clipped to [0, T_cp], and the
     coefficients are refit jointly at the shifted delays as
@@ -387,13 +387,14 @@ def _lobe_check(q: np.ndarray, w2: np.ndarray, tau: np.ndarray, coeffs: np.ndarr
         return bool(keep.any())
 
     # the unshifted pair first, so that of equal scores it is the one picked
-    pairs = np.array([(1, 1), (0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+    shift_pairs = np.array([(1, 1), (0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
+                            (2, 2)])
     j, best = np.ones((rows, 1, r), dtype=np.intp), np.full(rows, -np.inf)
     while True:
         improved = False
         for s, u in zip(first, second):
             cand = np.repeat(j, 9, axis=1)
-            cand[..., s], cand[..., u] = pairs[:, 0], pairs[:, 1]
+            cand[..., s], cand[..., u] = shift_pairs.T
             improved = consider(cand) or improved
         if not improved or r == 2:
             break
