@@ -1238,6 +1238,36 @@ def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
         assert np.array_equal(row_w, one_w) and np.array_equal(row_b, one_b)
 
 
+# SHA-256 of radar_trials' b, w and targets bytes, in that order, for one
+# trial at seed 9 and sigma2 0.05 (CSC-IM with IS, L = 2): a one-trial batch
+# reads the stream a trial has always read (its rank, its PSK, its range,
+# any spacing not fixed, its noise), so these hold however a batch orders
+# its draws
+PINNED_ONE_TRIAL = {
+    ("desk", "single", None):
+        "c4a86d99078f97f707de29eaaef8ea7770529cede1cddbc6397a9e91dcc63080",
+    ("desk", "two", None):
+        "163e9319e3ce3b21df762b6b4b2804efa053cc960c3af50bf5572823a8d34f11",
+    ("desk", "two", 0.02):
+        "4f2c012fbee7ad2fa530868cf8cdad12e1d4bfd3dd53c5ab461fda2d5bdf194b",
+    ("paper", "single", None):
+        "7d438a6e36e4bcce33d89c2b9dec311e364c1e0947f71e7e0560445254bd7588",
+    ("paper", "two", None):
+        "dae9e6f2ed2261eea3cfb05b90941120d66a7296e335beeeb982dcd27864004e",
+    ("paper", "two", 0.02):
+        "c9af7cb126f9333b5f98d297470102be9dc9f6c315426a50c907ac40764aeb6c",
+}
+
+
+@pytest.mark.parametrize("preset_name, scenario, spacing_m", list(PINNED_ONE_TRIAL))
+def test_one_trial_radar_batch_is_pinned(preset_name, scenario, spacing_m):
+    cfg = preset(preset_name, length=2, separated=True)
+    b, w, scene = runners.radar_trials(cfg, scenario, 1, 0.05, np.random.default_rng(9),
+                                       spacing_m)
+    digest = hashlib.sha256(b.tobytes() + w.tobytes() + scene.targets.tobytes()).hexdigest()
+    assert digest == PINNED_ONE_TRIAL[preset_name, scenario, spacing_m]
+
+
 @pytest.mark.parametrize("runner, args", [(run_radar_rmse, ("two",)), (run_resolution, ())])
 def test_radar_runners_refuse_fewer_nonzero_bins_than_targets(runner, args):
     # an OFDM-IM frame at L = 1 has one nonzero bin: two targets used to end
