@@ -37,7 +37,10 @@ the coarse grid and each envelope zoom with its step, point count, FFT
 size, chirp and kernel. At paper scale a plan's arrays hold 398 KB
 (``nbytes``), 221 KB of them the moment table. Rotations by exactly 1 (a
 grid at lo = 0, a Newton step at offset 0) are skipped, which changes no
-bit.
+bit. No c(tau) is built one exp per bin: its conjugate is the plan's bin
+rotation times one carrier exp per delay (:func:`_rotation`, about
+2 sqrt(M) exps per delay), which the lobe moments, the lobe check and each
+target's coefficient and reconstruction read.
 
 The search runs on stacked rows: q has shape (rows, M). Each window is
 shifted, not clamped, to lie inside [0, T_cp], so all rows share each
@@ -98,12 +101,6 @@ class RadarObservation:
     def k(self) -> np.ndarray:
         """The bin indices l_d..l_u of ``default_band(M)``."""
         return band(np.shape(self.b)[-1])
-
-    def steering(self, tau) -> np.ndarray:
-        """c(tau); tau may be scalar or a grid (returns (..., M))."""
-        tau = np.asarray(tau, dtype=float)
-        return np.exp(-2j * np.pi * self.f_c * tau)[..., None] * \
-            np.exp(-2j * np.pi * np.multiply.outer(tau, self.k) / self.t_s)
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ def _plan(m: int, f_c: float, t_s: float, t_cp: float) -> _Plan:
         if step <= 1.0 / (ENV_MARGIN * f_c):
             break
         step, n = 2.0 * step / (ENV_POINTS - 1), ENV_POINTS
-    lobes = _bin_rotation(plan, offsets[:, None]) * np.exp(2j * np.pi * f_c * offsets)[:, None]
+    lobes = _rotation(plan, offsets)
     freqs = np.arange(k0, k0 + m) / t_s
     moments = lobes.T[:, :, None] * freqs[:, None, None] ** np.arange(3)
     plan = plan._replace(moments=moments.reshape(m, 9), stages=tuple(stages))
@@ -250,6 +247,16 @@ def _bin_rotation(plan: _Plan, lo: np.ndarray) -> np.ndarray:
     return table.reshape(lo.shape[:-1] + (-1,))[..., :plan.m]
 
 
+def _rotation(plan: _Plan, tau: np.ndarray) -> np.ndarray:
+    """e^{j2pi nu_k tau}, nu_k = f_c + k/T_s, the conjugate of c(tau), for
+    delays tau of any shape; returns tau.shape + (M,). It is
+    :func:`_bin_rotation` times one carrier exp per delay: about 2 sqrt(M)
+    exps per delay, not M."""
+    x = _bin_rotation(plan, tau[..., None])
+    x *= np.exp(2j * np.pi * plan.f_c * tau)[..., None]
+    return x
+
+
 def _grid_metric(q: np.ndarray, lo, stage: _Stage, plan: _Plan) -> np.ndarray:
     """The sums g_i with c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i
     on the stage's delays tau = lo + i step (i < n), so |g| is the envelope
@@ -267,11 +274,10 @@ def _lobe_moments(q: np.ndarray, tau: np.ndarray, offsets: np.ndarray,
     n = 0, 1, 2 at t = tau + offsets, with q of shape (rows, M), tau (rows,)
     and offsets (J,) either the plan's ``lobe_offsets`` or zeros(1);
     returns (3, rows, J). s_0 is c(t)^H q. The bin phases are a per-row
-    rotation (:func:`_bin_rotation` and one carrier exp per row), and the
-    sums are one product of the rotated rows with the plan's ``moments``
-    (its first three columns for zero offsets, which rotate nothing)."""
-    x = _bin_rotation(plan, tau[:, None])
-    x *= np.exp(2j * np.pi * plan.f_c * tau)[:, None]
+    rotation (:func:`_rotation`), and the sums are one product of the
+    rotated rows with the plan's ``moments`` (its first three columns for
+    zero offsets, which rotate nothing)."""
+    x = _rotation(plan, tau)
     np.multiply(q, x, out=x)  # q first: swapped operands may round differently
     table = plan.moments if offsets.any() else plan.moments[:, :3]
     return np.moveaxis((x @ table).reshape(len(x), -1, 3), -1, 0)
@@ -404,10 +410,8 @@ def _lobe_check(q: np.ndarray, w2: np.ndarray, tau: np.ndarray, coeffs: np.ndarr
         return tau, coeffs
     shifted = tau + (j - 1) * lobe
     alpha = fit(j[:, None], np.zeros(rows))[1][:, 0]
-    # alpha_t |w|^2 c(t_t), c(t) = conj(e^{j2pi f_c t} e^{j2pi k t/T_s})
-    rotation = _bin_rotation(plan, shifted[..., None])
-    rotation *= np.exp(2j * np.pi * plan.f_c * shifted)[..., None]
-    parts = alpha[:, :, None] * w2[:, None] * np.conj(rotation)
+    # alpha_t |w|^2 c(t_t)
+    parts = alpha[:, :, None] * w2[:, None] * np.conj(_rotation(plan, shifted))
     for s in range(r):
         others = parts[:, np.arange(r) != s].sum(axis=1)
         step = _newton(q - others, shifted[:, s], np.zeros(1), plan)[0][:, 0]
@@ -459,14 +463,16 @@ def estimate_mf_lmmse(obs: RadarObservation,
         q[lm_rows] = np.divide(q[lm_rows], per_bin, out=np.zeros_like(per_bin, complex),
                                where=positive)
         tau = _search_delay(q, plan)
-        steer = obs.steering(tau)
+        rotation = _rotation(plan, tau)  # conj(c(tau)), one per row
         inner = np.empty(rows, dtype=complex)
-        inner[mf_rows] = np.sum(np.conj(steer[mf_rows]) * q[mf_rows], axis=-1)
-        inner[lm_rows] = np.sum(np.conj(steer[lm_rows]) * np.conj(w_all[lm_rows])
+        inner[mf_rows] = np.sum(rotation[mf_rows] * q[mf_rows], axis=-1)
+        # np.multiply, not *: numpy may swap * into a large temporary, which
+        # rounds differently and would tie a row's bits to the batch size
+        inner[lm_rows] = np.sum(np.multiply(rotation[lm_rows], np.conj(w_all[lm_rows]))
                                 * b_cur[lm_rows], axis=-1)
         delays[:, s] = tau
         coeffs[:, s] = np.real(inner) / denom
-        recon[s] = coeffs[:, s, None] * w_all * steer
+        recon[s] = coeffs[:, s, None] * w_all * np.conj(rotation)
 
     residual = b_all
     for s in range(n_targets):

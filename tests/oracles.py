@@ -6,9 +6,10 @@ index sets by filtering all combinations, unranking by walking the counts
 one position at a time, ML detection by enumerating every
 hypothesis, the greedy separation-aware detector as a plain Python loop,
 the radar Fisher information as the Gram matrix of the mean's Jacobian,
-the matched-filter metric at one delay from the written-out steering vector,
-the lobe moments of the delay search as elementwise sums over the bins,
-the oversampled PMEPR by zero-padding the spectrum of a time-domain body,
+the radar delay steering vector c(tau) written out bin by bin (the library
+builds none: it renders c(tau) from its search plan), the matched-filter
+metric at one delay from that written-out vector, the lobe moments of the
+delay search as elementwise sums over the bins, the oversampled PMEPR by zero-padding the spectrum of a time-domain body,
 the occupied bandwidth by trying every window.
 None of it shares code with the library paths under test, except the
 one-pass BLER batch: it runs the library's kernels once over the whole
@@ -224,6 +225,15 @@ def smallest_window_bins(energy: np.ndarray, k: np.ndarray, fraction: float) -> 
             if np.sum(energy[lo:lo + length]) >= fraction * total:
                 return length
     return len(energy)
+
+
+def steering(obs, tau) -> np.ndarray:
+    """c(tau) = e^{-j2pi f_c tau} [e^{-j2pi k tau/T_s}] on the bins k of a
+    radar observation, one exp per bin; tau may be a scalar or a grid
+    (returns (..., M))."""
+    tau = np.asarray(tau, dtype=float)
+    return np.exp(-2j * np.pi * obs.f_c * tau)[..., None] * \
+        np.exp(-2j * np.pi * np.multiply.outer(tau, obs.k) / obs.t_s)
 
 
 def mf_objective(tau: float, obs) -> tuple[float, float]:

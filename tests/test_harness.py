@@ -924,10 +924,10 @@ PINNED_CLI_CSV = {
              "06e0b635dca6565aad817bfc1ce018b29918b05d6b6e4d7a96b70d6764919e45"),
     "radar-rmse": (["--scenario", "two", "--L", "2", "--delta", "15", "--snrs", "10,30",
                     "--trials", "64", "--seed", "2"], "",
-                   "851b1706c612c0b924bdf9d0c52b83feada6d0d2d29c085d2ae91c23d0926820"),
+                   "9424d6bac76771e169ed36649852cdba76777e53d662728c58c5a99df0e38570"),
     "resolution": (["--L", "2", "--delta", "15", "--trials", "32", "--seed", "2"],
                    "[sweep]\nspacing_rmin = 0.5, 2\n",
-                   "0ed02c10ba15967bbbe812c2ff60cb44ac3677b1021522be120341bc5390e5a0"),
+                   "d311568e64362df95006a7288ff44ba12d7663facf1f1016b25d0357c31c5dbd"),
 }
 
 

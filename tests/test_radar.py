@@ -19,7 +19,7 @@ from chirpim.radar import (RadarObservation, _grid_metric, crlb_coeff,
 from chirpim.runners import radar_trials, random_words, run_radar_rmse, run_resolution
 from chirpim.util import SPEED_OF_LIGHT, band
 
-from oracles import lobe_moments, mf_objective
+from oracles import lobe_moments, mf_objective, steering
 
 T_S = 88.9e-9
 F_C = 6.48e9
@@ -262,7 +262,7 @@ def grid_metric(obs, lo, step, n):
 def assert_grid_matches_steering(obs, lo, step, n):
     # c(tau)^H q = e^{j2pi (f_c tau + k_0 i step/T_s)} g_i, so |g| is the envelope
     taus = lo + step * np.arange(n)
-    ref = np.conj(obs.steering(taus)) @ obs.b
+    ref = np.conj(steering(obs, taus)) @ obs.b
     got = grid_metric(obs, lo, step, n)
     assert got.shape == (n,)
     rotation = np.exp(2j * np.pi * (obs.f_c * taus + obs.k.min() * np.arange(n) * step / obs.t_s))
@@ -452,7 +452,7 @@ def test_geometry_cache_does_not_leak_between_geometries(cases, order, seed):
         t_s, f_c, t_cp = GEOMETRIES[name]
         w = np.exp(2j * np.pi * rng.uniform(size=(2, m)))
         ref = RadarObservation(b=w, w=w, sigma2=1e-3, f_c=f_c, t_s=t_s, t_cp=t_cp)
-        b = sum(-0.7 * w * ref.steering(rng.uniform(0.1, 0.9, 2) * t_cp)
+        b = sum(-0.7 * w * steering(ref, rng.uniform(0.1, 0.9, 2) * t_cp)
                 for _ in range(targets))
         observations.append((replace(ref, b=b + 0.03 * rng.standard_normal(b.shape)), targets))
     # warm: every observation twice, interleaved with the others
@@ -496,6 +496,22 @@ def test_bin_rotation_equals_exp(k):
         ref = np.exp(2j * np.pi * k * lo / t_s)
         assert got.shape == ref.shape == lo.shape[:-1] + k.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_rotation_is_the_conjugate_steering_vector(scale):
+    # delays across [0, T_cp], both ends included, as one row, a stack of rows
+    # and a (rows, R) array
+    t_s, f_c, t_cp = GEOMETRIES[scale]
+    m = 64 if scale == "desk" else 1536
+    plan = radar._plan(m, f_c, t_s, t_cp)
+    ref = RadarObservation(b=np.ones(m, complex), w=np.ones(m, complex), sigma2=0.0, f_c=f_c,
+                           t_s=t_s, t_cp=t_cp)
+    taus = np.concatenate(([0.0, t_cp], np.random.default_rng(3).uniform(0.0, t_cp, 40)))
+    for tau in (taus[:1], taus, taus.reshape(-1, 2)):
+        got = np.conj(radar._rotation(plan, tau))
+        assert got.shape == tau.shape + (m,)
+        assert np.max(np.abs(got - steering(ref, tau))) <= 1e-12
 
 
 @pytest.mark.parametrize("rows", [1, 2, 128])
@@ -553,7 +569,7 @@ def paper_observations(n_targets, rows, seed, m=1536):
         ref = RadarObservation(b=w, w=w, sigma2=sigma2, f_c=PAPER_F_C, t_s=PAPER_T_S,
                                t_cp=PAPER_T_CP)
         spacing = 3.0 * PAPER_T_S / m * (1 if tau < PAPER_T_CP / 2 else -1)
-        b = sum(-0.7 * w * ref.steering(tau + s * spacing) for s in range(n_targets))
+        b = sum(-0.7 * w * steering(ref, tau + s * spacing) for s in range(n_targets))
         bs.append(b + (rng.standard_normal(m) + 1j * rng.standard_normal(m))
                   * np.sqrt(sigma2 / 2))
         ws.append(w)
@@ -578,12 +594,12 @@ PINNED_PAPER_ESTIMATES = {
             2.745548020526537e-08, 1.945587460868697e-08, 1.7901144695976617e-08,
         ],
         "mf_coeffs": [
-            -0.6988512268604815, -0.6996121052152366, -0.6997684880862032, -0.6995217824869631,
+            -0.6988512268604815, -0.6996121052152366, -0.6997684880862032, -0.699521782486963,
             -0.7004959389654363, -0.7000454836135478, -0.6992986969475725, -0.6996114270566872,
             -0.7005172518785346, -0.7002871876018791, -0.7002429990041106, -0.7004056224169032,
-            -0.6999014309227187, -0.6996975228113061, -0.6996078846376984, -0.700638312833546,
-            -0.699580025859468, -0.7001804645208523, -0.6990335969390891, -0.6997292829118734,
-            -0.7003729892488763, -0.6999001211236362, -0.6996811750567, -0.6996052309475758,
+            -0.6999014309227188, -0.6996975228113061, -0.6996078846376984, -0.700638312833546,
+            -0.6995800258594679, -0.7001804645208523, -0.6990335969390891, -0.6997292829118735,
+            -0.7003729892488763, -0.6999001211236362, -0.6996811750566999, -0.6996052309475758,
         ],
         "lmmse_delays": [
             1.994559135360849e-12, 5.0009825727322616e-12, 2.0003317803069746e-11,
@@ -598,16 +614,16 @@ PINNED_PAPER_ESTIMATES = {
         "lmmse_coeffs": [
             -0.6988504360878823, -0.6996115636260877, -0.6997666209711745, -0.6995207905868391,
             -0.7004935848015477, -0.7000441182813695, -0.6992974350114308, -0.6996105447218579,
-            -0.7005155258812383, -0.7002855546289434, -0.7002418202753944, -0.700405108570356,
-            -0.6999007062365749, -0.699696366240441, -0.6996072108123998, -0.7006347108801827,
-            -0.6995791770831009, -0.700179705889425, -0.699032798652216, -0.6997287334655503,
-            -0.7003723103148634, -0.699899587950505, -0.6996800352296918, -0.6996031221807094,
+            -0.7005155258812383, -0.7002855546289434, -0.7002418202753944, -0.7004051085703559,
+            -0.6999007062365747, -0.699696366240441, -0.6996072108123998, -0.7006347108801827,
+            -0.6995791770831008, -0.700179705889425, -0.699032798652216, -0.6997287334655503,
+            -0.7003723103148632, -0.699899587950505, -0.6996800352296918, -0.6996031221807094,
         ],
     },
     2: {
         "final_step": 6.165167297979798e-14,
         "mf_delays": [
-            2.0005545586176167e-12, 3.8078958943320873e-10, 4.999903872959504e-12,
+            2.0005545586176163e-12, 3.8078958943320873e-10, 4.999903872959503e-12,
             3.8378589870703095e-10, 4.810406108758863e-08, 4.848285024273666e-08,
             4.810105998004909e-08, 4.8479848033168095e-08, 9.405673707206727e-09,
             9.784461479540826e-09, 2.7613900421903064e-08, 2.799268486335541e-08,
@@ -615,13 +631,13 @@ PINNED_PAPER_ESTIMATES = {
             1.5774386205532942e-08,
         ],
         "mf_coeffs": [
-            -0.6987095873659858, -0.6992939412162492, -0.7010744829125332, -0.6998961623667238,
-            -0.6994225570830351, -0.7004264115029829, -0.7001080236519339, -0.7003915845225652,
-            -0.7012966907811425, -0.7007604667318911, -0.6982529384212761, -0.699377392927781,
-            -0.6999055788733123, -0.7008435177852659, -0.7000802196700014, -0.7002915376984832,
+            -0.6987095873659858, -0.6992939412162491, -0.7010744829125333, -0.6998961623667237,
+            -0.6994225570830289, -0.7004264115029816, -0.7001080236519333, -0.700391584522564,
+            -0.7012966907811451, -0.7007604667318902, -0.6982529384212761, -0.6993773929277817,
+            -0.6999055788733108, -0.7008435177852744, -0.7000802196700009, -0.7002915376984847,
         ],
         "lmmse_delays": [
-            2.0023284199752004e-12, 3.807888282946952e-10, 4.998244763173562e-12,
+            2.002328419975201e-12, 3.807888282946952e-10, 4.998244763173562e-12,
             3.837867448823954e-10, 4.810406039328258e-08, 4.8482847892389496e-08,
             4.810105813446343e-08, 4.847984277391479e-08, 9.405676030605793e-09,
             9.784465070311415e-09, 2.7613900119984337e-08, 2.7992683927814595e-08,
@@ -629,10 +645,10 @@ PINNED_PAPER_ESTIMATES = {
             1.5774386466416042e-08,
         ],
         "lmmse_coeffs": [
-            -0.6987101392816163, -0.6992961934668069, -0.7010721072388677, -0.699892239036355,
-            -0.6994136835847293, -0.7004279864800484, -0.7001370241102293, -0.7003785623793988,
-            -0.7012794691096451, -0.7007697438054498, -0.6982454010555353, -0.6993790213100405,
-            -0.6999186547235249, -0.7008421800535645, -0.7000792025922001, -0.7002926272024967,
+            -0.6987101392816162, -0.6992961934668069, -0.7010721072388678, -0.699892239036355,
+            -0.6994136835847331, -0.7004279864800393, -0.70013702411022, -0.7003785623793931,
+            -0.701279469109645, -0.7007697438054504, -0.6982454010555369, -0.6993790213100435,
+            -0.6999186547235202, -0.7008421800535717, -0.7000792025922015, -0.7002926272024967,
         ],
     },
 }
@@ -669,7 +685,7 @@ PINNED_RADAR_ROWS = {
     ],
     "two": [
         (0.0, 0.03628650162156564, 0.03875219721501361, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
-        (2.0, 0.024140720945723417, 0.02659294702097611, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
+        (2.0, 0.024140720945723445, 0.02659294702097611, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
         (4.0, 0.02438691751710651, 0.024682563610333115, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
         (6.0, 0.017288724019169487, 0.019953079588150048, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
         (8.0, 0.011597973968530453, 0.011953021053734659, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
@@ -704,7 +720,7 @@ PINNED_RADAR_ROWS_80 = {
     ],
     "two": [
         (0.0, 0.031728789803296346, 0.03396344706990273, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
-        (10.0, 0.010365234872230124, 0.010835307686368053, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
+        (10.0, 0.010365234872230124, 0.01083530768636805, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
         (20.0, 0.0012721784473364755, 0.0017971933283570888, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
     ],
 }
@@ -713,7 +729,7 @@ PINNED_RESOLUTION_ROWS_24 = [
     (0.75, 0.14297177767618224, 0.12937085365463236, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
     (1.0, 0.11650198845838979, 0.062441642053449806, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
     (1.25, 0.06162324397161751, 0.0033311330022238596, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
-    (1.5, 0.0023744134036239773, 0.002387473852934811, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
+    (1.5, 0.0023744134036239773, 0.0023874738529348115, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
     (2.0, 7.873104765156656e-05, 0.0001291696260998542, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
     (3.0, 6.509607345872405e-05, 0.0023169049846133013, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
 ]
@@ -750,7 +766,7 @@ def stacked_observations(m, n_targets, seed):
         w = np.exp(2j * np.pi * rng.uniform(size=m)) * rng.uniform(0.2, 1.5, m)
         ref = RadarObservation(b=w, w=w, sigma2=sigma2, f_c=f_c, t_s=T_S, t_cp=T_CP)
         spacing = 2.0 * T_S / m * (1 if tau < T_CP / 2 else -1)
-        b = sum(-0.7 * w * ref.steering(tau + s * spacing) for s in range(n_targets))
+        b = sum(-0.7 * w * steering(ref, tau + s * spacing) for s in range(n_targets))
         rows.append((b + (rng.standard_normal(m) + 1j * rng.standard_normal(m))
                      * np.sqrt(sigma2 / 2), w))
     b, w = (np.stack(part) for part in zip(*rows))
@@ -923,8 +939,8 @@ def test_lobe_pick_is_the_window_maximum(monkeypatch, scale, bins, n_targets):
         shifted |= {"0"} if np.any(lo == 0.0) else set()
         shifted |= {"T_cp"} if np.any(np.isclose(hi, obs.t_cp, rtol=1e-12, atol=0.0)) else set()
         for row in range(len(q)):
-            dense = np.conj(obs.steering(np.linspace(lo[row], hi[row], 601))) @ q[row]
-            picked = np.conj(obs.steering(tau[row])) @ q[row]
+            dense = np.conj(steering(obs, np.linspace(lo[row], hi[row], 601))) @ q[row]
+            picked = np.conj(steering(obs, tau[row])) @ q[row]
             assert abs(picked.real) >= (1 - 1e-12) * np.max(np.abs(dense.real))
     assert shifted == {"0", "T_cp"}
 
@@ -938,7 +954,7 @@ def lobe_check_case(shifts, scale=1.0):
     w = np.exp(2j * np.pi * rng.uniform(size=M)) * rng.uniform(0.2, 1.5, M)
     ref = RadarObservation(b=w, w=w, sigma2=1e-3, f_c=F_C, t_s=T_S, t_cp=T_CP)
     tau, alpha = (0.3 + 0.1 * np.arange(r)) * T_CP, -0.7 + 0.2 * np.arange(r)
-    b = scale * sum(a * w * ref.steering(t) for a, t in zip(alpha, tau))
+    b = scale * sum(a * w * steering(ref, t) for a, t in zip(alpha, tau))
     handed = np.tile(tau + np.array(shifts) * lobe, (2, 1))
     got = radar._lobe_check(np.tile(np.conj(w) * b, (2, 1)), np.tile(np.abs(w) ** 2, (2, 1)),
                             handed, np.zeros((2, r)), np.array([0.0, 1e-3]),
