@@ -10,17 +10,18 @@ accumulator, :func:`_total`, adds by name in batch order: a BLER point
 stops on its error count or at ``max_trials`` frames, a hard cap.
 Each batch gets the config alone and reads the modem from it
 (``cfg.modem_config()``), built with the config and complete with its FDSS
-profile and bit capacity. Every batch unranks its codewords once, in one
-:func:`~chirpim.indexing.ranks_to_indices` call over all its ranks. A
-PMEPR or BLER batch draws its whole stream first (its words in one
-:func:`random_words` call, then channels and noise) and then runs its
-frames :data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries
-are one block's, whatever ``cfg.batch``. A
-PMEPR batch builds no frame: a spread frame's 8N-point body is the sum of
-L shifted copies of the base chirp, which :func:`~chirpim.modem.atom_peaks`
-adds up one body at a time from a per-process table; only OFDM-IM, a bin
-count M with too many base waveforms, or an L past its rule measures the
-bins through the IDFT of :func:`measure_pmepr`.
+profile and bit capacity. Every batch draws its whole stream first: its
+words in one :func:`random_words` call, which unranks them in one
+:func:`~chirpim.indexing.ranks_to_indices` call, then its radar targets
+or channels, then its noise. A PMEPR or BLER batch then runs its frames
+:data:`~chirpim.chirps.FRAME_BLOCK` at a time, so its temporaries are one
+block's, whatever ``cfg.batch``; a radar batch of :data:`RADAR_BATCH`
+trials runs as one stack. A PMEPR batch builds no frame: a spread frame's
+8N-point body is the sum of L shifted copies of the base chirp, which
+:func:`~chirpim.modem.atom_peaks` adds up one body at a time from a
+per-process table; only OFDM-IM, a bin count M with too many base
+waveforms, or an L past its rule measures the bins through the IDFT of
+:func:`measure_pmepr`.
 Rows are returned as dicts and, when ``cfg.out`` is set, written there as
 CSV with one comment line recording the preset, seed, and a config hash,
 and a header of the row keys in order.
@@ -123,25 +124,19 @@ def write_csv(cfg: ExperimentConfig, experiment: str, rows: list[dict]) -> None:
             writer.writerow([_fmt(row[name]) for name in fieldnames])
 
 
-def _draw_ranks(mcfg: ModemConfig, batch: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform random ranks, shape (batch,), then PSK rows, shape
-    (batch, L): the one order in which every runner reads a codeword.
-    Ranks are drawn from the 2**index_bits codebook the bit mapper uses,
-    which is equivalent to encoding uniform random bits. A codebook past
-    :data:`~chirpim.indexing.BATCH_INDEX_BITS` is refused by name."""
-    check_batch_index_bits(mcfg.capacity.index_bits, mcfg.m, mcfg.length, mcfg.delta)
-    ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
-    return ranks, rng.integers(0, mcfg.h, size=(batch, mcfg.length))
-
-
 def random_words(mcfg: ModemConfig, batch: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random index rows and PSK rows, shape (batch, L) each: all
-    the ranks, then all the PSK integers (:func:`_draw_ranks`), and the
-    ranks unranked in one :func:`ranks_to_indices` call for the batch. The
-    one whole-batch word draw: the PMEPR and BLER batches read theirs here."""
-    ranks, psk = _draw_ranks(mcfg, batch, rng)
+    the ranks, then all the PSK integers, and the ranks unranked in one
+    :func:`ranks_to_indices` call for the batch. Ranks are drawn from the
+    2**index_bits codebook the bit mapper uses, which is equivalent to
+    encoding uniform random bits; a codebook past
+    :data:`~chirpim.indexing.BATCH_INDEX_BITS` is refused by name. The one
+    word draw: every PMEPR, BLER and radar batch reads its words here, in
+    one call."""
+    check_batch_index_bits(mcfg.capacity.index_bits, mcfg.m, mcfg.length, mcfg.delta)
+    ranks = rng.integers(1, (1 << mcfg.capacity.index_bits) + 1, size=batch)
+    psk = rng.integers(0, mcfg.h, size=(batch, mcfg.length))
     return ranks_to_indices(ranks, mcfg.m, mcfg.length, mcfg.delta), psk
 
 
@@ -286,41 +281,33 @@ def run_bler(cfg: ExperimentConfig) -> list[dict]:
 # Radar RMSE and resolution
 # ---------------------------------------------------------------------------
 
-def _draw_targets(cfg: ExperimentConfig, scenario: str, rng: np.random.Generator,
-                  spacing_m: float | None = None) -> tuple[tuple[float, float], ...]:
-    """One trial's (distance_m, coeff) rows: the range, then any spacing not fixed."""
-    if scenario == "single":
-        return ((rng.uniform(*cfg.single_range_m), cfg.single_coeff),)
-    d0 = rng.uniform(*cfg.two_range_m)
-    if spacing_m is None:
-        spacing_m = rng.uniform(*cfg.two_spacing_rmin) * min_resolution(cfg.bandwidth_hz)
-    return ((d0, cfg.two_coeff), (d0 + spacing_m, cfg.two_coeff))
-
-
 def radar_trials(cfg: ExperimentConfig, scenario: str, batch: int, sigma2: float,
                  rng: np.random.Generator, spacing_m: float | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, RadarScene]:
     """``batch`` random radar trials: received bins b and reference bins w,
     each of shape (batch, M), and the stack of their scenes.
 
-    The stream is read trial by trial: one codeword (its rank, then its
-    PSK, :func:`_draw_ranks`), the targets (:func:`_draw_targets`), then
-    the noise. Unranking reads no randomness, so every rank is unranked
-    after the loop, in one call. The symbols and bins of all trials are
-    then built in one :func:`word_symbols` and one :func:`tx_bins` call,
-    and the CFRs in one :func:`radar_cfr` call on the stacked scene, so
-    every row equals the trial drawn alone."""
+    The stream is read whole-batch, in this order: the ranks and PSK
+    (:func:`random_words`), ``batch`` first ranges, ``batch`` spacings
+    when the scenario draws them ("two" with no ``spacing_m``), then one
+    (B, M) :func:`complex_noise` array, so a one-trial batch reads what one
+    trial drawn alone reads. The targets are built as one (B, R, 2) array,
+    the symbols and bins in one :func:`word_symbols` and one
+    :func:`tx_bins` call, and the CFRs in one :func:`radar_cfr` call on the
+    stacked scene."""
     mcfg = cfg.modem_config()
-    ranks = np.empty(batch, dtype=np.int64)
-    psk = np.empty((batch, mcfg.length), dtype=np.int64)
-    noise = np.empty((batch, mcfg.m), dtype=complex)
-    targets = []
-    for t in range(batch):
-        ranks[t:t + 1], psk[t:t + 1] = _draw_ranks(mcfg, 1, rng)
-        targets.append(_draw_targets(cfg, scenario, rng, spacing_m))
-        noise[t] = complex_noise(mcfg.m, sigma2, rng)
-    scene = RadarScene(targets=targets, f_c=cfg.f_c, t_s=cfg.t_s, t_cp=cfg.t_cp)
-    idx = ranks_to_indices(ranks, mcfg.m, mcfg.length, mcfg.delta)
+    idx, psk = random_words(mcfg, batch, rng)
+    if scenario == "single":
+        ranges, coeff = rng.uniform(*cfg.single_range_m, batch)[:, None], cfg.single_coeff
+    else:
+        first = rng.uniform(*cfg.two_range_m, batch)
+        if spacing_m is None:
+            spacing_m = rng.uniform(*cfg.two_spacing_rmin, batch) * \
+                min_resolution(cfg.bandwidth_hz)
+        ranges, coeff = np.stack((first, first + spacing_m), axis=-1), cfg.two_coeff
+    noise = complex_noise((batch, mcfg.m), sigma2, rng)
+    scene = RadarScene(np.stack((ranges, np.full_like(ranges, coeff)), axis=-1),
+                       cfg.f_c, cfg.t_s, cfg.t_cp)
     w = tx_bins(word_symbols(idx, psk, mcfg), mcfg)
     return radar_cfr(scene, mcfg.k) * w + noise, w, scene
 
@@ -330,8 +317,8 @@ def _radar_batch(cfg: ExperimentConfig, rng: np.random.Generator, batch: int,
     """The trial count and the sums of one batch, each sum named by the CSV
     column that is the root of its mean over the trials.
 
-    :func:`radar_trials` draws the trials in trial order and returns their
-    stacked scene; the rest runs once per batch on (B, .) arrays. One
+    :func:`radar_trials` draws the batch whole and returns its stacked
+    scene; the rest runs once per batch on (B, .) arrays. One
     :func:`estimate_mf_lmmse` call puts the MF and LMMSE rows in the same
     delay searches, one :func:`crlb_range` call inverts the (2B, 2R, 2R)
     stack of the per-frame and the expectation-form Fisher informations at

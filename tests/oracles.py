@@ -10,7 +10,8 @@ the radar delay steering vector c(tau) written out bin by bin (the library
 builds none: it renders c(tau) from its search plan), the matched-filter
 metric at one delay from that written-out vector, the lobe moments of the
 delay search as elementwise sums over the bins, the oversampled PMEPR by zero-padding the spectrum of a time-domain body,
-the occupied bandwidth by trying every window.
+the occupied bandwidth by trying every window, the draws of a radar batch
+as generator calls made one by one in their documented order.
 None of it shares code with the library paths under test, except the
 one-pass BLER batch: it runs the library's kernels once over the whole
 batch, the reference for the runner's block-by-block pass.
@@ -25,6 +26,7 @@ import numpy as np
 from chirpim.channel import complex_noise, rician_realize
 from chirpim.modem import detect_words_batch, tx_bins, word_symbols
 from chirpim.runners import random_words
+from chirpim.util import SPEED_OF_LIGHT
 
 
 def linear_chirp_phase(d: float):
@@ -273,3 +275,31 @@ def one_pass_bler_batch(cfg, rng, batch: int, sigma2: float):
     b += h_c * w
     det_i, det_z = detect_words_batch(b, h_c, sigma2, mcfg)
     return det_i, det_z, int(np.any((det_i != idx) | (det_z != psk), axis=1).sum())
+
+
+def radar_batch_draws(cfg, scenario: str, batch: int, sigma2: float, rng,
+                      spacing_m=None):
+    """A radar batch's draws, each a generator call of its own in the
+    documented order: ``batch`` ranks from the 2**index_bits codebook, the
+    (batch, L) PSK integers, ``batch`` first ranges, ``batch`` spacings in
+    units of the minimum resolution 0.5 c / B when the scenario draws them
+    ("two" with no ``spacing_m``), then the (batch, M) real noise parts and
+    the (batch, M) imaginary ones, each scaled by sqrt(sigma2 / 2).
+    Returns (ranks, psk, distances (batch, R), noise)."""
+    mcfg = cfg.modem_config()
+    ranks = rng.integers(1, 2 ** mcfg.capacity.index_bits + 1, size=batch)
+    psk = rng.integers(0, mcfg.h, size=(batch, mcfg.length))
+    if scenario == "single":
+        distances = rng.uniform(*cfg.single_range_m, batch)[:, None]
+    else:
+        first = rng.uniform(*cfg.two_range_m, batch)
+        if spacing_m is None:
+            r_min = 0.5 * SPEED_OF_LIGHT / cfg.bandwidth_hz
+            spacing_m = rng.uniform(*cfg.two_spacing_rmin, batch) * r_min
+        distances = np.stack((first, first + spacing_m), axis=-1)
+    scale = np.sqrt(sigma2 / 2.0)
+    real = rng.standard_normal((batch, mcfg.m)) * scale
+    imag = rng.standard_normal((batch, mcfg.m)) * scale
+    noise = np.empty((batch, mcfg.m), dtype=complex)
+    noise.real, noise.imag = real, imag
+    return ranks, psk, distances, noise

@@ -29,6 +29,8 @@ from chirpim import runners
 from chirpim.runners import PMEPR_THRESHOLDS, run_bler, run_pmepr_ccdf, run_radar_rmse, \
     run_resolution
 
+from oracles import radar_batch_draws, walking_unrank
+
 
 # ---------------------------------------------------------------------------
 # CLI codec subcommands (decimal I/O)
@@ -698,9 +700,9 @@ def test_bench_chunk_passes_its_checks(workload, monkeypatch):
     # the bench wraps runner names and checks their arguments even untraced,
     # so a runner change that drops a wrapped name or changes a checked
     # signature fails the bench's run, and here; the pmepr-paper chunk runs
-    # the atom path, which the bench's row checks see. The frame batches
-    # draw through random_words, which the bench counts: one word per frame
-    # (8, and 8 at each of 3 SNRs); the radar trials' draws it does not see
+    # the atom path, which the bench's row checks see. Every batch draws its
+    # words through random_words, which the bench counts: one word per frame
+    # or trial (8 frames, 8 at each of 3 SNRs, 2 and 1 trials)
     spans = bench_module("spans", monkeypatch)
     wl = bench_module("workloads", monkeypatch).WORKLOADS[workload]
     cfg = wl.config(5, wl.smoke_chunk)
@@ -709,8 +711,8 @@ def test_bench_chunk_passes_its_checks(workload, monkeypatch):
         rows = wl.run(cfg)
     assert wl.check_rows(cfg, rows) == []
     assert checks.failed == 0, checks.problems
-    if wl.kind in ("pmepr", "bler"):
-        assert checks.words == {"pmepr": 8, "bler": 24}[wl.kind]
+    assert checks.words == {"radar-two-desk": 2, "radar-single-paper": 1, "bler-paper": 24,
+                            "pmepr-paper": 8}[workload]
 
 
 def test_bench_bler_reference_rows(monkeypatch):
@@ -924,10 +926,10 @@ PINNED_CLI_CSV = {
              "06e0b635dca6565aad817bfc1ce018b29918b05d6b6e4d7a96b70d6764919e45"),
     "radar-rmse": (["--scenario", "two", "--L", "2", "--delta", "15", "--snrs", "10,30",
                     "--trials", "64", "--seed", "2"], "",
-                   "9424d6bac76771e169ed36649852cdba76777e53d662728c58c5a99df0e38570"),
+                   "e7e0026b79010451c0912e752c1ecd989b9eda05e07f6626a745207dbec576ee"),
     "resolution": (["--L", "2", "--delta", "15", "--trials", "32", "--seed", "2"],
                    "[sweep]\nspacing_rmin = 0.5, 2\n",
-                   "d311568e64362df95006a7288ff44ba12d7663facf1f1016b25d0357c31c5dbd"),
+                   "d623ddb3abad7dfd873b9bc8ca18064d75547ac9053c4c5227b98effdafcf5ed"),
 }
 
 
@@ -1214,28 +1216,28 @@ def test_resolution_runner_sharp_drop():
     assert rows[0]["rmse_mf_m"] > 5 * rows[1]["rmse_mf_m"]
 
 
+@pytest.mark.parametrize("batch", [1, 5, 64])
 @pytest.mark.parametrize("scenario, spacing_m", [("single", None), ("two", None),
                                                 ("two", 0.02)])
-def test_radar_trials_read_the_stream_trial_by_trial(scenario, spacing_m):
-    # one batch equals its trials drawn one at a time, each as one word
-    # (random_words), its bins, its targets, its one-scene CFR and its noise
+def test_radar_trials_read_the_stream_in_batch_order(scenario, spacing_m, batch):
+    # the oracle makes each generator call itself, in the documented order:
+    # the batch's ranks, its PSK, its first ranges, any spacings, its noise;
+    # the words are unranked by walking the counts, and nothing more is read
     cfg = desk_preset(length=2, separated=True)
     mcfg, sigma2 = cfg.modem_config(), 0.05
-    b, w, scene = runners.radar_trials(cfg, scenario, 5, sigma2,
-                                       np.random.default_rng(9), spacing_m)
+    rng, oracle = np.random.default_rng(9), np.random.default_rng(9)
+    b, w, scene = runners.radar_trials(cfg, scenario, batch, sigma2, rng, spacing_m)
+    ranks, psk, distances, noise = radar_batch_draws(cfg, scenario, batch, sigma2, oracle,
+                                                     spacing_m)
+    assert rng.random() == oracle.random()
+    idx = np.array([walking_unrank(int(r), mcfg.m, mcfg.length, mcfg.delta) for r in ranks])
     assert w.flags.c_contiguous
-    assert scene.targets.shape == (5, 1 if scenario == "single" else 2, 2)
+    assert np.array_equal(w, runners.tx_bins(runners.word_symbols(idx, psk, mcfg), mcfg))
+    coeff = cfg.single_coeff if scenario == "single" else cfg.two_coeff
+    assert scene.targets.shape == (batch, 1 if scenario == "single" else 2, 2)
+    assert np.array_equal(scene.distances, distances) and np.all(scene.coeffs == coeff)
     assert (scene.f_c, scene.t_s, scene.t_cp) == (cfg.f_c, cfg.t_s, cfg.t_cp)
-    rng = np.random.default_rng(9)
-    for row_b, row_w, targets in zip(b, w, scene.targets):
-        one_d = runners.word_symbols(*runners.random_words(mcfg, 1, rng), mcfg)
-        one_w = runners.tx_bins(one_d[0], mcfg)
-        one_scene = runners.RadarScene(runners._draw_targets(cfg, scenario, rng, spacing_m),
-                                       cfg.f_c, cfg.t_s, cfg.t_cp)
-        one_b = runners.radar_cfr(one_scene, mcfg.k) * one_w + \
-            runners.complex_noise(mcfg.m, sigma2, rng)
-        assert np.array_equal(targets, one_scene.targets)
-        assert np.array_equal(row_w, one_w) and np.array_equal(row_b, one_b)
+    assert np.array_equal(b, runners.radar_cfr(scene, mcfg.k) * w + noise)
 
 
 # SHA-256 of radar_trials' b, w and targets bytes, in that order, for one

@@ -665,36 +665,36 @@ def test_paper_estimates_pinned(n_targets, rows, seed):
         assert est.final_step == pinned["final_step"]
 
 
-# Rows of run_radar_rmse at the desk preset (16 trials, seed 1), from the
-# delay search that picks the carrier lobe by Newton steps and, for two
-# targets, the joint lobe check: a change that moves any estimate, even in
-# its last bits, shows here.
+# Rows of run_radar_rmse at the desk preset (16 trials, seed 1, each batch's
+# stream drawn whole), from the delay search that picks the carrier lobe by
+# Newton steps and, for two targets, the joint lobe check: a change that
+# moves any estimate, even in its last bits, shows here.
 PINNED_RADAR_ROWS = {
     "single": [
-        (0.0, 0.018011810056585968, 0.018832282638260013, 0.00032618440511574654, 0.00032531377854331763, 0.010146517333270783),
-        (2.0, 0.009238943417354394, 0.010842325035365979, 0.00025751716059848646, 0.0002584059194417993, 0.008059665201936305),
-        (4.0, 0.010445781700602976, 0.012975488468799727, 0.00020622152320017034, 0.00020525911783250938, 0.006402019632322784),
-        (6.0, 0.0070672118797637865, 0.011929986950310566, 0.0001654840080591812, 0.00016304311272896047, 0.0050853049532131505),
-        (8.0, 0.006480601946295019, 0.007120130822798117, 0.00012964511694380995, 0.00012950974791794718, 0.004039401306520448),
-        (10.0, 0.006534010089146939, 0.010067769795203928, 0.00010273407076699621, 0.0001028732494432497, 0.0032086105091513432),
-        (12.0, 0.004083038932537251, 0.007738310032508476, 8.163456703362234e-05, 8.171512663060718e-05, 0.0025486899216519646),
-        (14.0, 0.0029373850273634785, 0.008182856364870442, 6.519757077386024e-05, 6.490863228676136e-05, 0.0020244963663253726),
-        (16.0, 3.8394675637293365e-05, 0.005837341641439467, 5.2287395660121626e-05, 5.155875930271063e-05, 0.001608114624868955),
-        (18.0, 3.976790262512049e-05, 0.005759562189738675, 4.105089006450583e-05, 4.0954578261496265e-05, 0.0012773708512064572),
-        (20.0, 3.2455599761449096e-05, 0.004970802047820516, 3.26289639095587e-05, 3.2531377854331764e-05, 0.0010146517333270782),
+        (0.0, 0.017127291576857342, 0.02090540938700791, 0.00032440686461972777, 0.00032531377854331763, 0.010146517333270783),
+        (2.0, 0.008661868120855941, 0.011227530850628595, 0.0002590360125321427, 0.0002584059194417993, 0.008059665201936305),
+        (4.0, 0.008289705210482369, 0.01203486322957569, 0.00020615788909753068, 0.00020525911783250938, 0.006402019632322784),
+        (6.0, 0.005815238966713341, 0.008700474988823113, 0.00016269164371619075, 0.00016304311272896047, 0.0050853049532131505),
+        (8.0, 0.006466846021732635, 0.008637382633616722, 0.00012956062283998166, 0.00012950974791794718, 0.004039401306520448),
+        (10.0, 0.005778772595878339, 0.007110539406837049, 0.00010319470135524627, 0.0001028732494432497, 0.0032086105091513432),
+        (12.0, 6.88416762179234e-05, 0.008173143894995067, 8.193360141578976e-05, 8.171512663060718e-05, 0.0025486899216519646),
+        (14.0, 0.0028553609175388417, 0.005774239109112774, 6.541237129594106e-05, 6.490863228676136e-05, 0.0020244963663253726),
+        (16.0, 5.66305826261116e-05, 0.0040830096245263224, 5.155022829587015e-05, 5.155875930271063e-05, 0.001608114624868955),
+        (18.0, 4.107488962825303e-05, 0.006480242366263647, 4.0919556639008364e-05, 4.0954578261496265e-05, 0.0012773708512064572),
+        (20.0, 2.6549399283777143e-05, 0.0028798823608872414, 3.228807268628197e-05, 3.2531377854331764e-05, 0.0010146517333270782),
     ],
     "two": [
-        (0.0, 0.03628650162156564, 0.03875219721501361, 0.0006638301046868525, 0.0006605644304104349, 0.02029303466654156),
-        (2.0, 0.024140720945723445, 0.02659294702097611, 0.0005304385536007022, 0.0005228676254404462, 0.016119330403872603),
-        (4.0, 0.02438691751710651, 0.024682563610333115, 0.000416165462127539, 0.00041651725966142033, 0.012804039264645566),
-        (6.0, 0.017288724019169487, 0.019953079588150048, 0.00033383848025089286, 0.00033042197063433496, 0.010170609906426301),
-        (8.0, 0.011597973968530453, 0.011953021053734659, 0.000262026711239618, 0.00026230008961037346, 0.008078802613040894),
-        (10.0, 0.010814016109119293, 0.011563319272648632, 0.00021014401713460065, 0.00020866556502389683, 0.006417221018302686),
-        (12.0, 0.009634077911654609, 0.009626544373378922, 0.0001675265142258869, 0.00016602421869439226, 0.005097379843303929),
-        (14.0, 0.005032381613557624, 0.0050409038913963615, 0.00013269376635153195, 0.0001309435782197011, 0.004048992732650745),
-        (16.0, 0.0028796470268438075, 0.004066485508871442, 0.00010440312446937207, 0.00010445865842828612, 0.00321622924973791),
-        (18.0, 0.002893800342835267, 0.0040825979385474545, 8.332463541024645e-05, 8.304577073308154e-05, 0.0025547417024129144),
-        (20.0, 6.451797571619648e-05, 0.0028768331452849105, 6.734045854563332e-05, 6.592066411646631e-05, 0.0020293034666541555),
+        (0.0, 0.11778969516195818, 0.03474068784431647, 0.0006661848947765941, 0.0006593118685888138, 0.02029303466654156),
+        (2.0, 0.025404402474660248, 0.027061538986018176, 0.0005283065629821135, 0.0005243372508888486, 0.016119330403872603),
+        (4.0, 0.017307290794637407, 0.018475763440262687, 0.0004176854070786619, 0.0004161585267345108, 0.012804039264645566),
+        (6.0, 0.018508096480982953, 0.018462033894896618, 0.0003293222008637834, 0.0003297111367747161, 0.010170609906426301),
+        (8.0, 0.010394277054787354, 0.013530180555719737, 0.00026468158122640355, 0.0002623913356112205, 0.008078802613040894),
+        (10.0, 0.008748736554393174, 0.011266914492789588, 0.00021132989858470508, 0.00020832330324107586, 0.006417221018302686),
+        (12.0, 0.008642763537847514, 0.008632867080945216, 0.00016618742152474988, 0.00016559260458645026, 0.005097379843303929),
+        (14.0, 0.005014255957923355, 0.006485360671412491, 0.00013324954497696438, 0.00013140517197219884, 0.004048992732650745),
+        (16.0, 0.006468845034470348, 0.0057809088061433955, 0.00010456795497950275, 0.00010459381796673318, 0.00321622924973791),
+        (18.0, 6.680097963358562e-05, 0.00015212293890142566, 8.308726830247186e-05, 8.312217482657503e-05, 0.0025547417024129144),
+        (20.0, 6.462076793897816e-05, 0.00010935626343443301, 6.561962900023408e-05, 6.583951890742098e-05, 0.0020293034666541555),
     ],
 }
 
@@ -709,29 +709,29 @@ def test_radar_rows_pinned(scenario):
 
 
 # Rows of run_radar_rmse at the desk preset with 80 trials (a batch of
-# RADAR_BATCH = 64 trials and one of 16) at 0/10/20 dB, and of
-# run_resolution with 24 trials: the rows do not depend on how the trials
-# are batched or on the worker count.
+# RADAR_BATCH = 64 trials and one of 16, each drawn whole) at 0/10/20 dB,
+# and of run_resolution with 24 trials: the rows do not depend on the
+# worker count.
 PINNED_RADAR_ROWS_80 = {
     "single": [
-        (0.0, 0.016132015655956334, 0.01670344042982362, 0.00032564467073368885, 0.0003253137785433174, 0.010146517333270785),
-        (10.0, 0.005603243677156378, 0.006196415812114617, 0.00010291784686042291, 0.00010287324944324964, 0.003208610509151345),
-        (20.0, 3.5355212102535394e-05, 0.004842823990103685, 3.2632676508945883e-05, 3.253137785433175e-05, 0.001014651733327078),
+        (0.0, 0.013883676079676166, 0.016856386294389875, 0.00032586351823586863, 0.0003253137785433174, 0.010146517333270785),
+        (10.0, 0.005323622538914982, 0.007852803423447964, 0.00010320473613018243, 0.00010287324944324964, 0.003208610509151345),
+        (20.0, 3.117596618893934e-05, 0.004283383658971317, 3.2602601403157537e-05, 3.253137785433175e-05, 0.001014651733327078),
     ],
     "two": [
-        (0.0, 0.031728789803296346, 0.03396344706990273, 0.0006622362489822799, 0.0006590504006617623, 0.020293034666541566),
-        (10.0, 0.010365234872230124, 0.01083530768636805, 0.00020907319058984157, 0.0002083130344422346, 0.006417221018302683),
-        (20.0, 0.0012721784473364755, 0.0017971933283570888, 6.622170806400161e-05, 6.59663822497448e-05, 0.0020293034666541555),
+        (0.0, 0.029904703639916163, 0.028752824963943793, 0.0006626627417961538, 0.0006588033674775515, 0.020293034666541566),
+        (10.0, 0.010667348897569562, 0.011563114833949261, 0.00021067397500753186, 0.00020842314366801995, 0.006417221018302683),
+        (20.0, 0.0012975865868838467, 0.0012872323250508228, 6.602766923757855e-05, 6.581364167618398e-05, 0.0020293034666541555),
     ],
 }
 PINNED_RESOLUTION_ROWS_24 = [
-    (0.5, 0.2127263143482944, 0.16860272622846334, 8.698915712108772e-05, 8.536143501777091e-05, 0.002029303466654155),
-    (0.75, 0.14297177767618224, 0.12937085365463236, 6.931053170290352e-05, 6.864904734264655e-05, 0.002029303466654155),
-    (1.0, 0.11650198845838979, 0.062441642053449806, 6.587154652057396e-05, 6.508235020957247e-05, 0.002029303466654155),
-    (1.25, 0.06162324397161751, 0.0033311330022238596, 6.607711131199478e-05, 6.59978865294494e-05, 0.002029303466654155),
-    (1.5, 0.0023744134036239773, 0.0023874738529348115, 6.713751991135823e-05, 6.667728704511531e-05, 0.002029303466654155),
-    (2.0, 7.873104765156656e-05, 0.0001291696260998542, 6.53350651031976e-05, 6.512043377027377e-05, 0.002029303466654155),
-    (3.0, 6.509607345872405e-05, 0.0023169049846133013, 6.492857576714266e-05, 6.519083048301603e-05, 0.002029303466654155),
+    (0.5, 0.23141479217823854, 0.16765722292065435, 8.540878102097476e-05, 8.536143501777091e-05, 0.002029303466654155),
+    (0.75, 0.14255906395695647, 0.12661630814828245, 6.872628340024997e-05, 6.864904734264655e-05, 0.002029303466654155),
+    (1.0, 0.11147581183320567, 0.050952537899881384, 6.499962766630239e-05, 6.508235020957247e-05, 0.002029303466654155),
+    (1.25, 0.066086495400697, 0.0066603640231612015, 6.630205403165982e-05, 6.599788652944942e-05, 0.002029303466654155),
+    (1.5, 8.182675225024407e-05, 0.000127138880159948, 6.67011245599655e-05, 6.667728704511531e-05, 0.002029303466654155),
+    (2.0, 7.077695745615935e-05, 0.00015406416809419512, 6.567908565732874e-05, 6.512043377027377e-05, 0.002029303466654155),
+    (3.0, 6.215216230390069e-05, 0.00013380940210749677, 6.510109875608373e-05, 6.519083048301603e-05, 0.002029303466654155),
 ]
 
 
